@@ -15,21 +15,19 @@ from dataclasses import dataclass
 from .coefficients import CoefficientError
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
     load_gallery
-from .ideals import (IdealSubset, ImproperIdeal, NotAnIdeal,
-                     enumerate_serre_ideals, is_serre_ideal, product_support,
-                     quotient_ring, serre_closure)
+from .ideals import (IdealSubset, enumerate_serre_ideals, quotient_ring,
+                     serre_closure)
 from .io import resolve_ring_arg, serialize_ring
 from .monomial import MonomialRing, build_monoid_ideal, face_quotient, \
     monoid_ideal_is_prime, truncate_to_ring
 from .spectrum import (DEFINITIONAL, FAST, NoPrimeOver, chain_product_support,
                        is_completely_prime, is_serre_prime, is_semiprime,
-                       make_multiplicative_set, minimal_primes_over,
-                       serre_spec)
+                       minimal_primes_over, serre_spec)
 from .topology import (BALMER, ZARISKI, build_topology, ideal_node_name,
                        specialization_edges, to_dot)
 from .twocat import check_unit_decomposition, classify_completely_primes
 from .zring import (LEFT, RIGHT, TWO_SIDED, BasisTooLarge, RingError,
-                    RingValidationError, basis_element, labels_from_mask,
+                    RingValidationError, iter_bits, labels_from_mask,
                     mask_from_labels)
 
 EXIT_OK = 0
@@ -289,7 +287,7 @@ def _cmd_topology(args):
         if s.tag is not None:
             tag = labels_from_mask(ring, s.tag)
         sets.append({
-            "points": [points[i] for i in _bits(s.extent)],
+            "points": [points[i] for i in iter_bits(s.extent)],
             "tag": tag,
         })
     report = {
@@ -305,17 +303,6 @@ def _cmd_topology(args):
         "dot": args.dot,
     }
     return EXIT_OK, report
-
-
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _cmd_twocat(args):

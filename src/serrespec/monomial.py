@@ -25,6 +25,10 @@ class MonomialRing:
     twist: tuple  # n x n integer matrix, rows as tuples
 
     def __post_init__(self):
+        if self.nvars < 1:
+            raise RingError(
+                f"a monomial ring needs at least one variable, got "
+                f"{self.nvars}")
         rows = tuple(tuple(int(v) for v in row) for row in self.twist)
         if len(rows) != self.nvars or any(len(r) != self.nvars for r in rows):
             raise RingError(

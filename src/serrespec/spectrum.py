@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from .ideals import (IdealSubset, NotAnIdeal, enumerate_serre_ideals,
                      is_serre_ideal, members_of, product_support,
                      require_proper_two_sided, serre_closure)
-from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
-                    subset_key, support_of)
+from .zring import (TWO_SIDED, RingError, check_guard, iter_bits,
+                    labels_from_mask, subset_key, support_of)
 
 FAST = "fast"
 DEFINITIONAL = "definitional"
-_MODES = (FAST, DEFINITIONAL)
 
 
 class NoPrimeOver(RingError):
@@ -63,6 +62,35 @@ def make_multiplicative_set(ring, generator):
     return MultiplicativeSet(generator, tuple(orbit))
 
 
+def _fast_prime_pair(ring, members):
+    """First basis pair (a, b) outside the ideal subset, in basis order,
+    whose two-step product supports all land inside it; None if there is
+    none.  The caller vouches that the mask is a proper two-sided ideal."""
+    outside = [i for i in range(ring.size) if not members >> i & 1]
+    tm = ring.triple_masks
+    for a in outside:
+        row = tm[a]
+        for b in outside:
+            if not row[b] & ~members:
+                return a, b
+    return None
+
+
+def _prime_masks(ring, allow_large=False):
+    """Serre prime masks in canonical order, computed once per ring over
+    the cached two-sided lattice."""
+    check_guard(ring, allow_large)
+    cached = ring.cache.get("primes")
+    if cached is None:
+        full = ring.full_mask
+        masks = (i.members for i in
+                 enumerate_serre_ideals(ring, TWO_SIDED, allow_large))
+        cached = tuple(m for m in masks
+                       if m != full and _fast_prime_pair(ring, m) is None)
+        ring.cache["primes"] = cached
+    return cached
+
+
 def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
     """Serre primality of a proper two-sided ideal subset.
 
@@ -77,21 +105,18 @@ def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
-        outside = [i for i in range(ring.size) if not members >> i & 1]
-        tm = ring.triple_masks
-        for a in outside:
-            row = tm[a]
-            for b in outside:
-                if not row[b] & ~members:
-                    return False, {
-                        "alpha": ring.labels[a],
-                        "beta": ring.labels[b],
-                        "alpha_ideal": labels_from_mask(
-                            ring, serre_closure(ring, 1 << a).members),
-                        "beta_ideal": labels_from_mask(
-                            ring, serre_closure(ring, 1 << b).members),
-                    }
-        return True, None
+        pair = _fast_prime_pair(ring, members)
+        if pair is None:
+            return True, None
+        a, b = pair
+        return False, {
+            "alpha": ring.labels[a],
+            "beta": ring.labels[b],
+            "alpha_ideal": labels_from_mask(
+                ring, serre_closure(ring, 1 << a).members),
+            "beta_ideal": labels_from_mask(
+                ring, serre_closure(ring, 1 << b).members),
+        }
     if mode != DEFINITIONAL:
         raise RingError(f"unknown primality mode {mode!r}")
     masks = [i.members for i in
@@ -140,8 +165,7 @@ def is_semiprime(ring, ideal, mode=FAST, allow_large=False):
         return True, None
     if mode != DEFINITIONAL:
         raise RingError(f"unknown semiprimality mode {mode!r}")
-    over = [p.members for p in serre_spec(ring, allow_large).primes
-            if not members & ~p.members]
+    over = [p for p in _prime_masks(ring, allow_large) if not members & ~p]
     if not over:
         return False, {"note": "no Serre prime ideal contains this ideal"}
     inter = ring.full_mask
@@ -165,10 +189,7 @@ class SpectrumReport:
 
 
 def serre_spec(ring, allow_large=False):
-    ideals = enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
-    full = ring.full_mask
-    primes = [i for i in ideals
-              if i.members != full and is_serre_prime(ring, i, FAST)[0]]
+    primes = [IdealSubset(m) for m in _prime_masks(ring, allow_large)]
     cp = [is_completely_prime(ring, p)[0] for p in primes]
     inclusions = []
     for i, p in enumerate(primes):
@@ -192,11 +213,9 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     prime below it, which keeps the product property.
     """
     members = require_proper_two_sided(ring, ideal)
-    ideals = enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
-    masks = [i.members for i in ideals]
-    full = ring.full_mask
-    prime_masks = [m for m in masks
-                   if m != full and is_serre_prime(ring, m, FAST)[0]]
+    masks = [i.members for i in
+             enumerate_serre_ideals(ring, TWO_SIDED, allow_large)]
+    prime_masks = _prime_masks(ring, allow_large)
     over = [p for p in prime_masks if not members & ~p]
     if not over:
         raise NoPrimeOver(
@@ -211,10 +230,9 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     def chain_for(m):
         if m in memo:
             return memo[m]
-        if m != full and m in prime_set:
+        if m in prime_set:
             memo[m] = [m]
             return memo[m]
-        memo[m] = None  # guards against revisiting along the recursion
         result = None
         above = [k for k in masks if not m & ~k and k != m]
         for j in above:

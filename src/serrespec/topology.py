@@ -14,13 +14,12 @@ with is recorded per ring.
 from dataclasses import dataclass, field
 
 from .ideals import enumerate_serre_ideals, members_of
-from .zring import (BASIS_GUARD, BasisTooLarge, RingError, iter_bits,
-                    labels_from_mask, subset_key)
+from .zring import (RingError, check_guard, iter_bits, labels_from_mask,
+                    subset_key)
 from .spectrum import serre_spec
 
 ZARISKI = "zariski"
 BALMER = "balmer"
-STYLES = (ZARISKI, BALMER)
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ def build_topology(ring, style, spec=None, allow_large=False):
             ext = closed_set(ring, spec, ideal, style)
             by_extent.setdefault(ext, ideal.members)
     elif style == BALMER:
-        if ring.size > BASIS_GUARD and not allow_large:
-            raise BasisTooLarge(ring.size)
+        check_guard(ring, allow_large)
         for mask in sorted(range(1 << ring.size), key=subset_key):
             ext = closed_set(ring, spec, mask, style)
             by_extent.setdefault(ext, mask)

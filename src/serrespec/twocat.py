@@ -13,7 +13,6 @@ lattice (asserted in the tests).
 
 from dataclasses import dataclass
 
-from .coefficients import Coefficient
 from .ideals import IdealSubset, enumerate_serre_ideals, product_support
 from .spectrum import is_completely_prime
 from .zring import (TWO_SIDED, RingError, build_ring, iter_bits, mask_of,

@@ -23,7 +23,8 @@ RIGHT = "right"
 TWO_SIDED = "two"
 SIDES = (LEFT, RIGHT, TWO_SIDED)
 
-#: exhaustive 2^n lattice scans refuse larger bases unless overridden
+#: commands that accept allow_large refuse larger bases unless overridden;
+#: this keeps the CLI contract (exit 3) and bounds the 2^n Balmer sweep
 BASIS_GUARD = 24
 
 
@@ -190,9 +191,18 @@ def mask_of(indices):
     return m
 
 
+_COMPLEMENT = str.maketrans("01", "10")
+
+
 def subset_key(mask):
-    """Canonical subset order: cardinality, then lexicographic indices."""
-    return (mask.bit_count(), tuple(iter_bits(mask)))
+    """Canonical subset order: cardinality, then lexicographic indices.
+
+    Two index tuples of one cardinality first differ at the lowest bit
+    where the masks differ, and the set holding that bit comes first; so
+    the complemented bits, listed from index 0 up, compare as strings in
+    the tuple order.  A leading character carries the cardinality.
+    """
+    return chr(mask.bit_count()) + bin(mask)[:1:-1].translate(_COMPLEMENT)
 
 
 def mask_from_labels(ring, labels):

@@ -3,7 +3,10 @@
 Everything here recomputes from raw element arithmetic (multiply_elements
 on basis elements), deliberately avoiding the precomputed support tables,
 the absorb-mask ideal test, and the fast primality scans that the library
-itself uses.  Tests compare library output against these.
+itself uses.  Tests compare library output against these.  The one
+exception is scan_enumerate, a copy of the library's former 2^n
+absorb-mask lattice scan, kept as an order-exact oracle for the down-set
+enumerator that replaced it.
 """
 
 from itertools import combinations_with_replacement, product
@@ -36,6 +39,36 @@ def naive_is_serre_ideal(ring, members, side=TWO_SIDED):
 def naive_enumerate(ring, side=TWO_SIDED):
     return [m for m in range(1 << ring.size)
             if naive_is_serre_ideal(ring, m, side)]
+
+
+def scan_enumerate(ring, side=TWO_SIDED):
+    """Every subset closed under the absorb masks of the side, tested one
+    by one over all 2^n subsets, in canonical (cardinality, lex) order."""
+    tables = []
+    if side in (LEFT, TWO_SIDED):
+        tables.append(ring.left_absorb)
+    if side in (RIGHT, TWO_SIDED):
+        tables.append(ring.right_absorb)
+    absorb = [0] * ring.size
+    for g in range(ring.size):
+        for t in tables:
+            absorb[g] |= t[g]
+    found = []
+    for m in range(1 << ring.size):
+        mm = m
+        while mm:
+            low = mm & -mm
+            if absorb[low.bit_length() - 1] & ~m:
+                break
+            mm ^= low
+        else:
+            found.append(m)
+    found.sort(key=lambda m: (m.bit_count(), index_tuple(m)))
+    return found
+
+
+def index_tuple(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def naive_product_support(ring, left_mask, right_mask):

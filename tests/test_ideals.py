@@ -1,16 +1,18 @@
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
-from serrespec import (LEFT, RIGHT, TWO_SIDED, BasisTooLarge, IdealSubset,
-                       ImproperIdeal, enumerate_serre_ideals, gallery_names,
-                       is_serre_ideal, labels_from_mask, load_gallery,
-                       mask_from_labels, product_support, quotient_ring,
-                       serre_closure, truncate_to_ring)
+from serrespec import (INT, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
+                       IdealSubset, ImproperIdeal, build_ring,
+                       enumerate_serre_ideals, gallery_names, is_serre_ideal,
+                       labels_from_mask, load_gallery, mask_from_labels,
+                       product_support, quotient_ring, serre_closure,
+                       serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
 
 from oracles import naive_enumerate, naive_is_serre_ideal, \
-    naive_product_support
+    naive_product_support, scan_enumerate
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +22,27 @@ def gallery():
 
 def members(ring, labels):
     return mask_from_labels(ring, labels)
+
+
+def upper_triangular(k):
+    """Upper-triangular k x k matrix units: e_ij e_jl = e_il, i <= j <= l."""
+    labels = [f"e{i}_{j}" for i in range(1, k + 1) for j in range(i, k + 1)]
+    tensor = {(f"e{i}_{j}", f"e{j}_{l}"): {f"e{i}_{l}": 1}
+              for i in range(1, k + 1) for j in range(i, k + 1)
+              for l in range(j, k + 1)}
+    units = [f"e{i}_{i}" for i in range(1, k + 1)]
+    return build_ring(labels, tensor, INT, units=units, name=f"tri-{k}")
+
+
+def diagonal(k):
+    """k orthogonal idempotents summing to the identity."""
+    labels = [f"d{i}" for i in range(1, k + 1)]
+    tensor = {(lab, lab): {lab: 1} for lab in labels}
+    return build_ring(labels, tensor, INT, units=labels, name=f"diag-{k}")
+
+
+def catalan(k):
+    return comb(2 * k, k) // (k + 1)
 
 
 def test_is_serre_ideal_witness_zx2_1():
@@ -93,6 +116,49 @@ def test_enumerate_matches_naive_and_closure_fixpoints(gallery):
             fixpoints = {serre_closure(ring, m, side).members
                          for m in range(1 << ring.size)}
             assert set(got) == fixpoints
+
+
+def test_enumerate_equals_the_exhaustive_scan_in_order(gallery):
+    rings = list(gallery.values())
+    rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
+    rings += [upper_triangular(k) for k in range(1, 6)]
+    rings += [diagonal(k) for k in (1, 2, 7, 15)]
+    for ring in rings:
+        assert ring.size <= 15
+        for side in (LEFT, RIGHT, TWO_SIDED):
+            got = [i.members for i in enumerate_serre_ideals(ring, side)]
+            assert got == scan_enumerate(ring, side), (ring.name, side)
+
+
+@pytest.mark.parametrize("degree", [6, 7])
+def test_quantum_plane_truncations_past_the_guard(degree):
+    # n = 28, 36: far beyond a 2^n scan; C(D+2) ideals, and the only prime
+    # is the ideal of all monomials of positive degree
+    ring = truncate_to_ring(quantum_plane(), degree)
+    ideals = enumerate_serre_ideals(ring, allow_large=True)
+    assert len(ideals) == catalan(degree + 2)
+    assert [p.members for p in serre_spec(ring, allow_large=True).primes] \
+        == [ring.full_mask & ~members(ring, ["1"])]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_upper_triangular_closed_forms(k):
+    ring = upper_triangular(k)
+    count = {side: len(enumerate_serre_ideals(ring, side, allow_large=True))
+             for side in (LEFT, RIGHT, TWO_SIDED)}
+    assert count == {TWO_SIDED: catalan(k + 1), LEFT: factorial(k + 1),
+                     RIGHT: factorial(k + 1)}
+    assert len(serre_spec(ring, allow_large=True).primes) == k
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_diagonal_closed_forms(k):
+    ring = diagonal(k)
+    for side in (LEFT, RIGHT, TWO_SIDED):
+        assert len(enumerate_serre_ideals(ring, side)) == 2 ** k
+    primes = [p.members for p in serre_spec(ring).primes]
+    # the complements of single idempotents, the one dropping d_k first
+    assert primes == [ring.full_mask & ~(1 << i) for i in reversed(range(k))]
 
 
 def test_enumerate_order_is_cardinality_then_lex():

@@ -9,6 +9,7 @@ from serrespec import (Coefficient, FullFace, ImproperIdeal, IdealSubset,
                        monomial_label, multiply_elements, quotient_ring,
                        ring_element, serre_closure, support_of,
                        truncate_to_ring)
+from serrespec.cli import EXIT_INPUT, run_command
 from serrespec.gallery import quantum_plane
 
 from oracles import all_small_gen_sets, box_monoid_prime
@@ -97,6 +98,19 @@ def test_normal_form_idempotent(gens):
         assert monoid_membership(ideal, g)
     for g, h in zip(ideal.gens, ideal.gens[1:]):
         assert g < h
+
+
+@pytest.mark.parametrize("nvars", [0, -1])
+@pytest.mark.parametrize("action", [["--truncate", "1"], ["--prime", "1"],
+                                    ["--face", "1"]])
+def test_cli_rejects_rings_without_variables(nvars, action):
+    result = run_command(["monomial", "--vars", str(nvars), "--twist", "",
+                          *action])
+    assert result.exit_code == EXIT_INPUT
+    assert result.report == {
+        "error": "input",
+        "message": f"a monomial ring needs at least one variable, got {nvars}",
+    }
 
 
 def test_monomial_labels():

@@ -145,6 +145,27 @@ def test_spec_flags_and_inclusions():
     assert spec.inclusions == [(0, 1)]
 
 
+def test_spec_primes_are_the_lattice_filtered_by_primality(gallery):
+    for ring in gallery.values():
+        primes = [p.members for p in serre_spec(ring).primes]
+        for mode in (FAST, DEFINITIONAL):
+            assert primes == [i.members for i in proper_ideals(ring)
+                              if is_serre_prime(ring, i, mode)[0]], \
+                (ring.name, mode)
+
+
+def test_spec_reports_do_not_share_lists():
+    ring = load_gallery("zx2-x")
+    first, second = serre_spec(ring), serre_spec(ring)
+    assert first == second
+    for name in ("primes", "completely_prime", "semiprime", "inclusions"):
+        assert getattr(first, name) is not getattr(second, name)
+    first.primes.clear()
+    first.inclusions.append((0, 0))
+    assert spectrum_labels(ring) == [[], ["x"]]
+    assert second == serre_spec(ring)
+
+
 def test_spec_nonempty_for_unital_gallery_rings(gallery):
     for ring in gallery.values():
         if ring.units is not None:

@@ -7,10 +7,11 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        gallery_names, labels_from_mask, load_gallery,
                        mask_from_labels, multiply_elements, ring_element,
                        support_of, triple_support)
-from serrespec.zring import AssociativityViolation, UnitViolation
+from serrespec.zring import (AssociativityViolation, UnitViolation,
+                             subset_key)
 
 from conftest import SEED
-from oracles import naive_product_mask, naive_triple_support
+from oracles import index_tuple, naive_product_mask, naive_triple_support
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +199,12 @@ def test_mask_label_round_trip(gallery):
         for m in range(min(1 << ring.size, 64)):
             labels = labels_from_mask(ring, m)
             assert mask_from_labels(ring, labels) == m
+
+
+def test_subset_key_orders_by_cardinality_then_index_tuple():
+    rng = random.Random(SEED)
+    masks = list(range(1 << 10))
+    masks += [rng.getrandbits(40) for _ in range(2000)]
+    rng.shuffle(masks)
+    assert sorted(masks, key=subset_key) \
+        == sorted(masks, key=lambda m: (m.bit_count(), index_tuple(m)))

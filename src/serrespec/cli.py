@@ -463,7 +463,7 @@ def run_command(argv):
     except BasisTooLarge as exc:
         return CommandResult(EXIT_GUARD, {"error": "guard",
                                           "message": str(exc)})
-    except (RingError, CoefficientError, ValueError) as exc:
+    except (RingError, CoefficientError, ValueError, OSError) as exc:
         return CommandResult(EXIT_INPUT, {"error": "input",
                                           "message": str(exc)})
     return CommandResult(code, report)

@@ -62,14 +62,13 @@ def make_multiplicative_set(ring, generator):
     return MultiplicativeSet(generator, tuple(orbit))
 
 
-def _fast_prime_pair(ring, members):
+def _first_pair(table, members):
     """First basis pair (a, b) outside the ideal subset, in basis order,
-    whose two-step product supports all land inside it; None if there is
-    none.  The caller vouches that the mask is a proper two-sided ideal."""
-    outside = [i for i in range(ring.size) if not members >> i & 1]
-    tm = ring.triple_masks
+    with table[a][b] inside it; None if there is none.  The caller vouches
+    that the mask is a proper two-sided ideal."""
+    outside = [i for i in range(len(table)) if not members >> i & 1]
     for a in outside:
-        row = tm[a]
+        row = table[a]
         for b in outside:
             if not row[b] & ~members:
                 return a, b
@@ -83,10 +82,11 @@ def _prime_masks(ring, allow_large=False):
     cached = ring.cache.get("primes")
     if cached is None:
         full = ring.full_mask
+        tm = ring.triple_masks
         masks = (i.members for i in
                  enumerate_serre_ideals(ring, TWO_SIDED, allow_large))
         cached = tuple(m for m in masks
-                       if m != full and _fast_prime_pair(ring, m) is None)
+                       if m != full and _first_pair(tm, m) is None)
         ring.cache["primes"] = cached
     return cached
 
@@ -105,7 +105,7 @@ def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
-        pair = _fast_prime_pair(ring, members)
+        pair = _first_pair(ring.triple_masks, members)
         if pair is None:
             return True, None
         a, b = pair
@@ -136,15 +136,11 @@ def is_completely_prime(ring, ideal):
     """No pair of basis elements outside P whose product support lands in
     P; a vanishing product of elements outside P refutes."""
     members = require_proper_two_sided(ring, ideal)
-    outside = [i for i in range(ring.size) if not members >> i & 1]
-    pm = ring.product_masks
-    for a in outside:
-        row = pm[a]
-        for b in outside:
-            if not row[b] & ~members:
-                return False, {"alpha": ring.labels[a],
-                               "beta": ring.labels[b]}
-    return True, None
+    pair = _first_pair(ring.product_masks, members)
+    if pair is None:
+        return True, None
+    a, b = pair
+    return False, {"alpha": ring.labels[a], "beta": ring.labels[b]}
 
 
 def is_semiprime(ring, ideal, mode=FAST, allow_large=False):
@@ -258,15 +254,10 @@ def minimal_primes_over(ring, ideal, allow_large=False):
             "no product chain of Serre primes exists over "
             f"{{{', '.join(labels_from_mask(ring, members))}}}")
 
-    def minimal_below(p):
-        candidates = [q for q in over if not q & ~p]
-        best = [q for q in candidates
-                if not any(r != q and not r & ~q for r in candidates)]
-        best.sort(key=subset_key)
-        return best[0]
-
-    chain = [minimal_below(p) for p in raw_chain]
-    return ([IdealSubset(m) for m in sorted(minimal, key=subset_key)],
+    # minimal is in canonical order, and the minimal primes below p are
+    # exactly the members of minimal inside p
+    chain = [next(q for q in minimal if not q & ~p) for p in raw_chain]
+    return ([IdealSubset(m) for m in minimal],
             [IdealSubset(m) for m in chain])
 
 

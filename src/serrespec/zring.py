@@ -10,8 +10,12 @@ optional unit set records the identity classes.
 
 Positivity means supports multiply without cancellation, so ideal and
 primality questions reduce to bitmask algebra over product-support tables
-that are precomputed once per ring.  Basis subsets are bitmasks in basis
-order throughout the package.
+that are precomputed once per ring.  It also keeps validation plain: the
+associativity and unit checks multiply flat rows {(gamma, q-exponent):
+positive int} through one product routine, and since no sum of positive
+integers vanishes, no zero terms need pruning and two rows are equal
+exactly when the dicts are.  Basis subsets are bitmasks in basis order
+throughout the package.
 """
 
 from dataclasses import dataclass, field
@@ -279,72 +283,66 @@ def _derived_tables(n, tensor, units):
             tuple(left), tuple(right))
 
 
-def _mul_row_by_basis(tensor, row, b):
-    """Right-multiply a coefficient row {gamma: c} by basis element b."""
+def _flat(tensor):
+    """(alpha, beta) -> {(gamma, q-exponent): positive int}."""
+    return {ab: {(g, e): v for g, c in row.items() for e, v in c.terms.items()}
+            for ab, row in tensor.items()}
+
+
+def _product(flat, row, b, row_first):
+    """row * b (row_first) or b * row for a flat row and basis index b.
+
+    Constants are positive, so sums never cancel and need no pruning.
+    """
     out = {}
-    for g, c in row.items():
-        sub = tensor.get((g, b))
-        if not sub:
-            continue
-        for h, n in sub.items():
-            acc = out.get(h)
-            acc = n * c if acc is None else acc + n * c
-            if acc:
-                out[h] = acc
-            else:
-                del out[h]
+    for (g, e), v in row.items():
+        sub = flat.get((g, b) if row_first else (b, g))
+        if sub:
+            for (h, f), w in sub.items():
+                key = (h, e + f)
+                out[key] = out.get(key, 0) + v * w
     return out
 
 
-def _mul_basis_by_row(tensor, a, row):
-    out = {}
-    for g, c in row.items():
-        sub = tensor.get((a, g))
-        if not sub:
-            continue
-        for h, n in sub.items():
-            acc = out.get(h)
-            acc = n * c if acc is None else acc + n * c
-            if acc:
-                out[h] = acc
-            else:
-                del out[h]
-    return out
+def _format_row(labels, mode, row):
+    """format_element of a flat row (diagnostics only)."""
+    coeffs = {}
+    for (g, e), v in row.items():
+        coeffs.setdefault(g, {})[e] = v
+    return format_element(
+        labels, {g: Coefficient(mode, t) for g, t in coeffs.items()})
 
 
 def unit_decomposition_violations(labels, tensor, mode, units):
     """Check that each unit is idempotent and the unit sum is a two-sided
     identity on every basis element; returns UnitViolation records."""
+    return _unit_violations(labels, _flat(tensor), mode, units)
+
+
+def _unit_violations(labels, flat, mode, units):
     out = []
-    one = Coefficient.one(mode)
     unit_list = sorted(units)
     for u in unit_list:
-        sq = tensor.get((u, u), {})
-        if sq != {u: one}:
+        sq = flat.get((u, u), {})
+        if sq != {(u, 0): 1}:
             out.append(UnitViolation(
                 labels[u], labels[u],
                 f"{labels[u]} is not idempotent: square is "
-                f"{format_element(labels, sq)}"))
+                f"{_format_row(labels, mode, sq)}"))
+    unit_sum = {(u, 0): 1 for u in unit_list}
     for g in range(len(labels)):
-        left = {}
-        right = {}
-        for u in unit_list:
-            for h, c in tensor.get((u, g), {}).items():
-                left[h] = left.get(h, Coefficient.zero(mode)) + c
-            for h, c in tensor.get((g, u), {}).items():
-                right[h] = right.get(h, Coefficient.zero(mode)) + c
-        left = {h: c for h, c in left.items() if c}
-        right = {h: c for h, c in right.items() if c}
-        if left != {g: one}:
+        left = _product(flat, unit_sum, g, True)
+        right = _product(flat, unit_sum, g, False)
+        if left != {(g, 0): 1}:
             out.append(UnitViolation(
                 None, labels[g],
                 f"unit sum times {labels[g]} is "
-                f"{format_element(labels, left)}, expected {labels[g]}"))
-        if right != {g: one}:
+                f"{_format_row(labels, mode, left)}, expected {labels[g]}"))
+        if right != {(g, 0): 1}:
             out.append(UnitViolation(
                 None, labels[g],
                 f"{labels[g]} times unit sum is "
-                f"{format_element(labels, right)}, expected {labels[g]}"))
+                f"{_format_row(labels, mode, right)}, expected {labels[g]}"))
     return out
 
 
@@ -356,6 +354,12 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
     product is zero.  Every invariant is checked: distinct labels,
     nonnegative constants, block compatibility, unit axioms, and full
     associativity.  Raises RingValidationError listing every failure.
+
+    Once the constants are known to be nonnegative, the unit and
+    associativity checks multiply flat positive-integer rows, skipping
+    triples where both ab and bc vanish; positivity means no cancellation
+    can occur, so no zero terms are pruned.  Coefficients are rebuilt only
+    to describe a violation.
     """
     labels = tuple(labels)
     if not labels:
@@ -432,23 +436,27 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
                         f"output {labels[gi]} lies in block "
                         f"{blocks_t[gi]}, expected ({sb}, {ta})"))
 
-    for a in range(len(labels)):
-        for b in range(len(labels)):
-            ab = tens.get((a, b), {})
-            for c in range(len(labels)):
-                lhs = _mul_row_by_basis(tens, ab, c)
-                rhs = _mul_basis_by_row(tens, a, tens.get((b, c), {}))
+    flat = _flat(tens)
+    n = len(labels)
+    for a in range(n):
+        for b in range(n):
+            ab = flat.get((a, b), {})
+            for c in range(n):
+                bc = flat.get((b, c), {})
+                if not (ab or bc):
+                    continue
+                lhs = _product(flat, ab, c, True)
+                rhs = _product(flat, bc, a, False)
                 if lhs != rhs:
-                    diff = sorted(set(lhs) ^ set(rhs)
-                                  | {g for g in lhs if lhs[g] != rhs.get(g)})
+                    first = min(g for g, e in lhs.keys() | rhs.keys()
+                                if lhs.get((g, e)) != rhs.get((g, e)))
                     violations.append(AssociativityViolation(
-                        labels[a], labels[b], labels[c], labels[diff[0]],
-                        format_element(labels, lhs),
-                        format_element(labels, rhs)))
+                        labels[a], labels[b], labels[c], labels[first],
+                        _format_row(labels, mode, lhs),
+                        _format_row(labels, mode, rhs)))
 
     if units_f is not None:
-        violations.extend(
-            unit_decomposition_violations(labels, tens, mode, units_f))
+        violations.extend(_unit_violations(labels, flat, mode, units_f))
 
     if violations:
         raise RingValidationError(name, violations)

@@ -3,8 +3,9 @@
 Everything here recomputes from raw element arithmetic (multiply_elements
 on basis elements), deliberately avoiding the precomputed support tables,
 the absorb-mask ideal test, and the fast primality scans that the library
-itself uses.  Tests compare library output against these.  The one
-exception is scan_enumerate, a copy of the library's former 2^n
+itself uses; naive_violations runs multiply_elements on a ring assembled
+without validation.  Tests compare library output against these.  The
+one exception is scan_enumerate, a copy of the library's former 2^n
 absorb-mask lattice scan, kept as an order-exact oracle for the down-set
 enumerator that replaced it.
 """
@@ -15,6 +16,7 @@ import numpy as np
 
 from serrespec import (LEFT, RIGHT, TWO_SIDED, basis_element,
                        multiply_elements, support_of)
+from serrespec.zring import RingElement, ZPlusRing, format_element
 
 
 def naive_product_mask(ring, a, b):
@@ -69,6 +71,50 @@ def scan_enumerate(ring, side=TWO_SIDED):
 
 def index_tuple(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def naive_violations(labels, tensor, mode, units=None):
+    """Associativity and unit-axiom failures of an index-keyed Coefficient
+    tensor, in build_ring's order: (alpha, beta, gamma, first differing
+    label, lhs text, rhs text) for every triple in lexicographic order,
+    then (unit or None, witness, detail) for the unit checks."""
+    ring = ZPlusRing("", tuple(labels), mode, tensor, None, units)
+    basis = [basis_element(ring, i) for i in range(ring.size)]
+
+    def mul(x, y):
+        return multiply_elements(ring, x, y)
+
+    def text(x):
+        return format_element(labels, x.coeffs)
+
+    out = []
+    for a, b, c in product(range(ring.size), repeat=3):
+        lhs = mul(mul(basis[a], basis[b]), basis[c])
+        rhs = mul(basis[a], mul(basis[b], basis[c]))
+        if lhs != rhs:
+            first = min(g for g in lhs.coeffs.keys() | rhs.coeffs.keys()
+                        if lhs.coeffs.get(g) != rhs.coeffs.get(g))
+            out.append((labels[a], labels[b], labels[c], labels[first],
+                        text(lhs), text(rhs)))
+    if units is None:
+        return out
+    unit_sum = RingElement()
+    for u in sorted(units):
+        unit_sum = unit_sum + basis[u]
+        sq = mul(basis[u], basis[u])
+        if sq != basis[u]:
+            out.append((labels[u], labels[u],
+                        f"{labels[u]} is not idempotent: square is "
+                        f"{text(sq)}"))
+    for g, e in enumerate(basis):
+        left, right = mul(unit_sum, e), mul(e, unit_sum)
+        if left != e:
+            out.append((None, labels[g], f"unit sum times {labels[g]} is "
+                        f"{text(left)}, expected {labels[g]}"))
+        if right != e:
+            out.append((None, labels[g], f"{labels[g]} times unit sum is "
+                        f"{text(right)}, expected {labels[g]}"))
+    return out
 
 
 def naive_product_support(ring, left_mask, right_mask):

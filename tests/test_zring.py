@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -11,7 +12,8 @@ from serrespec.zring import (AssociativityViolation, UnitViolation,
                              subset_key)
 
 from conftest import SEED
-from oracles import index_tuple, naive_product_mask, naive_triple_support
+from oracles import (index_tuple, naive_product_mask, naive_triple_support,
+                     naive_violations)
 
 
 @pytest.fixture(scope="module")
@@ -25,15 +27,18 @@ def test_ising_builds_and_has_three_elements():
     assert ring.labels == ("1", "eps", "sigma")
 
 
+BROKEN_ISING = {
+    ("1", "1"): {"1": 1}, ("1", "eps"): {"eps": 1},
+    ("1", "sigma"): {"sigma": 1},
+    ("eps", "1"): {"eps": 1}, ("eps", "eps"): {"1": 1},
+    ("eps", "sigma"): {"1": 1},              # wrong: should be sigma
+    ("sigma", "1"): {"sigma": 1}, ("sigma", "eps"): {"sigma": 1},
+    ("sigma", "sigma"): {"1": 1, "eps": 1}}
+
+
 def test_broken_ising_reports_associativity_triple():
-    tensor = {("1", "1"): {"1": 1}, ("1", "eps"): {"eps": 1},
-              ("1", "sigma"): {"sigma": 1},
-              ("eps", "1"): {"eps": 1}, ("eps", "eps"): {"1": 1},
-              ("eps", "sigma"): {"1": 1},              # wrong: should be sigma
-              ("sigma", "1"): {"sigma": 1}, ("sigma", "eps"): {"sigma": 1},
-              ("sigma", "sigma"): {"1": 1, "eps": 1}}
     with pytest.raises(RingValidationError) as exc:
-        build_ring(["1", "eps", "sigma"], tensor, INT, units=["1"])
+        build_ring(["1", "eps", "sigma"], BROKEN_ISING, INT, units=["1"])
     triples = [(v.alpha, v.beta, v.gamma) for v in exc.value.violations
                if isinstance(v, AssociativityViolation)]
     assert ("eps", "eps", "sigma") in triples
@@ -208,3 +213,65 @@ def test_subset_key_orders_by_cardinality_then_index_tuple():
     rng.shuffle(masks)
     assert sorted(masks, key=subset_key) \
         == sorted(masks, key=lambda m: (m.bit_count(), index_tuple(m)))
+
+
+def _broken_ising():
+    labels = ("1", "eps", "sigma")
+    idx = {lab: i for i, lab in enumerate(labels)}
+    tensor = {(idx[a], idx[b]): {idx[g]: Coefficient.of(v, INT)
+                                 for g, v in row.items()}
+              for (a, b), row in BROKEN_ISING.items()}
+    return labels, tensor, INT, frozenset({0})
+
+
+def _edited(name, edit):
+    """A gallery ring's index-keyed tensor after one in-place edit."""
+    def case():
+        ring = load_gallery(name)
+        tensor = {ab: dict(row) for ab, row in ring.tensor.items()}
+        edit(tensor)
+        return ring.labels, tensor, ring.mode, ring.units
+    return case
+
+
+def _shift_q(tensor):       # 1 * x = q x
+    tensor[(0, 1)] = {1: Coefficient.q_power(1)}
+
+
+def _extra_term(tensor):    # f1 * f1 = f0 + f2 + f4
+    tensor[(1, 1)] = {**tensor[(1, 1)], 4: Coefficient.one(INT)}
+
+
+def _drop_product(tensor):  # eps * sigma = 0, so (eps sigma) sigma = 0
+    del tensor[(1, 2)]
+
+
+def _unit_squares_wrong(tensor):  # a * a = a + b
+    tensor[(0, 0)] = {0: Coefficient.one(INT), 1: Coefficient.one(INT)}
+
+
+BROKEN_TABLES = {
+    "broken-ising": _broken_ising,
+    "qplane-trunc-2-shifted-q": _edited("qplane-trunc-2", _shift_q),
+    "verlinde-sl2-4-extra-term": _edited("verlinde-sl2-4", _extra_term),
+    "ising-dropped-product": _edited("ising", _drop_product),
+    "two-idem-non-idempotent-unit": _edited("two-idem", _unit_squares_wrong),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TABLES))
+def test_violation_list_matches_oracle_in_order(case):
+    labels, tensor, mode, units = BROKEN_TABLES[case]()
+    expected = naive_violations(labels, tensor, mode, units)
+    with pytest.raises(RingValidationError) as exc:
+        build_ring(labels, tensor, mode, units=units)
+    assert [astuple(v) for v in exc.value.violations] == expected
+
+
+def test_oracle_sees_a_zero_left_product_with_nonzero_right_side():
+    labels, tensor, mode, units = BROKEN_TABLES["ising-dropped-product"]()
+    found = naive_violations(labels, tensor, mode, units)
+    assert ("eps", "sigma", "sigma", "1", "0", "1 + eps") in found
+    labels, tensor, mode, units = BROKEN_TABLES["qplane-trunc-2-shifted-q"]()
+    assert ("1", "1", "x", "x", "(q)*x", "(q^2)*x") in \
+        naive_violations(labels, tensor, mode, units)

@@ -67,18 +67,18 @@ def is_serre_ideal(ring, members, side=TWO_SIDED):
             break
     else:
         return True, None
+    # the absorb masks are unions of product supports, so g's own row
+    # holds the first escaping product
     pm = ring.product_masks
-    for g in iter_bits(members):
-        for b in range(ring.size):
-            if side in (LEFT, TWO_SIDED):
-                esc = pm[b][g] & outside
-                if esc:
-                    return False, (g, b, (esc & -esc).bit_length() - 1)
-            if side in (RIGHT, TWO_SIDED):
-                esc = pm[g][b] & outside
-                if esc:
-                    return False, (g, b, (esc & -esc).bit_length() - 1)
-    raise AssertionError("unreachable: escape detected but no witness found")
+    for b in range(ring.size):
+        if side in (LEFT, TWO_SIDED):
+            esc = pm[b][g] & outside
+            if esc:
+                return False, (g, b, (esc & -esc).bit_length() - 1)
+        if side in (RIGHT, TWO_SIDED):
+            esc = pm[g][b] & outside
+            if esc:
+                return False, (g, b, (esc & -esc).bit_length() - 1)
 
 
 def serre_closure(ring, gens, side=TWO_SIDED):
@@ -96,42 +96,50 @@ def serre_closure(ring, gens, side=TWO_SIDED):
     return IdealSubset(members, side)
 
 
+def down_sets(closures, full):
+    """Every subset of the full mask that contains closures[g] for each
+    of its members g, in no particular order.
+
+    closures[g] must contain g and the closure of each of its members
+    (a reflexive, transitive relation).  Branches on the lowest undecided
+    index g: either g is included, which forces in closures[g], or it is
+    excluded, which forces out every h whose closure contains g.  Both
+    branches stay consistent (the included part is a union of closures,
+    the excluded part a union of their transposes), so every leaf is a
+    distinct answer and the search costs O(n) per answer.
+    """
+    below = [0] * len(closures)
+    for h, closure in enumerate(closures):
+        for g in iter_bits(closure):
+            below[g] |= 1 << h
+    found = []
+    stack = [(0, 0)]
+    while stack:
+        inside, outside = stack.pop()
+        free = full & ~(inside | outside)
+        if not free:
+            found.append(inside)
+            continue
+        g = (free & -free).bit_length() - 1
+        stack.append((inside, outside | below[g]))
+        stack.append((inside | closures[g], outside))
+    return found
+
+
 def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
     """Every ideal subset, empty and full included, ordered by
     (cardinality, lexicographic index tuple).
 
-    Branches on the lowest undecided basis index g: either g is included,
-    which forces in its principal closure up[g], or it is excluded, which
-    forces out down[g], every h whose closure contains g.  Both branches
-    stay consistent (the included part is a union of closures, the
-    excluded part a union of down-sets), so every leaf is a distinct
-    ideal and the search costs O(n) per ideal after n closures, plus the
-    final sort into canonical order.  The result is cached on the ring.
+    The down-sets of the principal closures, found after n closures and
+    sorted into canonical order.  The result is cached on the ring.
     """
     check_guard(ring, allow_large)
     key = ("ideals", side)
     cached = ring.cache.get(key)
     if cached is None:
-        n = ring.size
-        full = ring.full_mask
-        up = [serre_closure(ring, 1 << g, side).members for g in range(n)]
-        down = [0] * n
-        for h, closure in enumerate(up):
-            for g in iter_bits(closure):
-                down[g] |= 1 << h
-        found = []
-        stack = [(0, 0)]
-        while stack:
-            inside, outside = stack.pop()
-            free = full & ~(inside | outside)
-            if not free:
-                found.append(inside)
-                continue
-            g = (free & -free).bit_length() - 1
-            stack.append((inside, outside | down[g]))
-            stack.append((inside | up[g], outside))
-        found.sort(key=subset_key)
-        cached = tuple(found)
+        up = [serre_closure(ring, 1 << g, side).members
+              for g in range(ring.size)]
+        cached = tuple(sorted(down_sets(up, ring.full_mask), key=subset_key))
         ring.cache[key] = cached
     return [IdealSubset(m, side) for m in cached]
 

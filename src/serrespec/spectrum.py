@@ -14,7 +14,7 @@ from .ideals import (IdealSubset, NotAnIdeal, enumerate_serre_ideals,
                      is_serre_ideal, members_of, product_support,
                      require_proper_two_sided, serre_closure)
 from .zring import (TWO_SIDED, RingError, check_guard, iter_bits,
-                    labels_from_mask, subset_key, support_of)
+                    labels_from_mask, support_of)
 
 FAST = "fast"
 DEFINITIONAL = "definitional"
@@ -290,6 +290,7 @@ def maximal_disjoint_primes(ring, mult_set, ideal, allow_large=False):
         if any(not s & ~m for s in mult_set.orbit):
             continue
         candidates.append(m)
+    # candidates keep the lattice's canonical order
     maximal = [m for m in candidates
                if not any(k != m and not m & ~k for k in candidates)]
-    return [IdealSubset(m) for m in sorted(maximal, key=subset_key)]
+    return [IdealSubset(m) for m in maximal]

@@ -3,19 +3,26 @@ sets V(I) = {P : P contains I} indexed by ideal subsets (Zariski), and
 support-avoidance closed sets V_B(X) = {P : X does not meet P} indexed by
 basis subsets (Balmer style).
 
-The Zariski family generated by all ideal subsets is already closed under
-finite unions and arbitrary intersections; the Balmer-style family is
-generated, the empty set adjoined when no basis subset produces it (it
-never does while the zero ideal is prime), and then explicitly closed
-under pairwise unions.  Whether the generators were union-closed to begin
-with is recorded per ring.
+Both families are finite topologies.  Their generators are closed under
+intersection (V(I) & V(J) = V(I + J), V_B(X) & V_B(Y) = V_B(X | Y)) and
+include the closure of every point, so the closed sets are exactly the
+subsets of the spectrum closed under specialization, the unions of point
+closures.  The closure of P is V(P) = {Q : P inside Q} for Zariski and
+V_B(complement of P) = {Q : Q inside P} for Balmer style; the family is
+listed by the same down-set search as the ideal lattice.
+
+Each closed set is tagged with its first defining subset in canonical
+order.  The Zariski generators are already closed under unions.  A
+Balmer-style set may be only a union of generators and then has no tag,
+and the empty set is adjoined untagged exactly when the zero ideal is
+prime, since every V_B(X) then contains it.  Both facts are recorded per
+ring.
 """
 
 from dataclasses import dataclass, field
 
-from .ideals import enumerate_serre_ideals, members_of
-from .zring import (RingError, check_guard, iter_bits, labels_from_mask,
-                    subset_key)
+from .ideals import down_sets, enumerate_serre_ideals, members_of
+from .zring import RingError, iter_bits, labels_from_mask, subset_key
 from .spectrum import serre_spec
 
 ZARISKI = "zariski"
@@ -25,7 +32,7 @@ BALMER = "balmer"
 @dataclass(frozen=True)
 class ClosedSet:
     extent: int       # bitmask over spectrum points
-    tag: int | None   # defining ideal / basis subset; None for adjoined sets
+    tag: int | None   # defining ideal / basis subset; None if none defines it
 
 
 @dataclass
@@ -58,46 +65,56 @@ def closed_set(ring, spec, arg, style):
     return extent
 
 
-def build_topology(ring, style, spec=None, allow_large=False):
-    """Family of all closed sets of the chosen style, deduplicated by
-    extent; every set keeps the first defining subset in canonical order
-    as its tag (None for sets only reachable by closing the family)."""
-    if spec is None:
-        spec = serre_spec(ring, allow_large)
-    by_extent = {}
+def _balmer_tags(ring, spec, space):
+    """The first basis subset X in canonical order for every extent
+    V_B(X), searched breadth-first by cardinality.
+
+    V_B(X | {x}) = V_B(X) & V_B({x}), and a first subset minus its
+    largest index is again the first subset of its own extent; so each
+    level extends only the previous level's first subsets, by indices
+    above their largest, and in that order the first candidate to reach
+    an extent is its first subset.
+    """
+    single = [closed_set(ring, spec, 1 << x, BALMER)
+              for x in range(ring.size)]
+    tags = {space: 0}
+    level = [(0, space)]
+    while level:
+        nxt = []
+        for mask, extent in level:
+            for x in range(mask.bit_length(), ring.size):
+                ext = extent & single[x]
+                if ext not in tags:
+                    tags[ext] = mask | 1 << x
+                    nxt.append((mask | 1 << x, ext))
+        level = nxt
+    return tags
+
+
+def build_topology(ring, style, allow_large=False):
+    """Family of all closed sets of the chosen style in canonical extent
+    order; every set keeps the first defining subset in canonical order
+    as its tag (None for unions of generators and an adjoined empty
+    set)."""
+    spec = serre_spec(ring, allow_large)
+    space = (1 << len(spec.primes)) - 1
     if style == ZARISKI:
+        closures = [closed_set(ring, spec, p, ZARISKI) for p in spec.primes]
+        tags = {}
         for ideal in enumerate_serre_ideals(ring, allow_large=allow_large):
-            ext = closed_set(ring, spec, ideal, style)
-            by_extent.setdefault(ext, ideal.members)
+            tags.setdefault(closed_set(ring, spec, ideal, style),
+                            ideal.members)
     elif style == BALMER:
-        check_guard(ring, allow_large)
-        for mask in sorted(range(1 << ring.size), key=subset_key):
-            ext = closed_set(ring, spec, mask, style)
-            by_extent.setdefault(ext, mask)
+        closures = [closed_set(ring, spec, ring.full_mask & ~p.members,
+                               BALMER) for p in spec.primes]
+        tags = _balmer_tags(ring, spec, space)
     else:
         raise RingError(f"unknown topology style {style!r}")
-
-    sets = {ext: ClosedSet(ext, tag) for ext, tag in by_extent.items()}
-    union_closed = True
-    adjoined = 0 not in sets
-    if adjoined:
-        sets[0] = ClosedSet(0, None)
-    while True:
-        extents = list(sets)
-        new = {}
-        for i, a in enumerate(extents):
-            for b in extents[i + 1:]:
-                u = a | b
-                if u not in sets and u not in new:
-                    new[u] = ClosedSet(u, None)
-        if not new:
-            break
-        union_closed = False
-        sets.update(new)
-
-    ordered = sorted(sets.values(), key=lambda s: subset_key(s.extent))
-    return ClosedSetFamily(style, list(spec.primes), ordered, union_closed,
-                           adjoined)
+    extents = sorted(down_sets(closures, space), key=subset_key)
+    return ClosedSetFamily(style, list(spec.primes),
+                           [ClosedSet(e, tags.get(e)) for e in extents],
+                           all(e in tags for e in extents if e),
+                           0 not in tags)
 
 
 def point_closure(family, point):

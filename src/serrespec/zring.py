@@ -28,7 +28,8 @@ TWO_SIDED = "two"
 SIDES = (LEFT, RIGHT, TWO_SIDED)
 
 #: commands that accept allow_large refuse larger bases unless overridden;
-#: this keeps the CLI contract (exit 3) and bounds the 2^n Balmer sweep
+#: this keeps the CLI contract (exit 3); the searches behind it cost per
+#: ideal and per closed set, not per basis subset
 BASIS_GUARD = 24
 
 

@@ -37,6 +37,12 @@ GOLDEN_COMMANDS.update({
         ["topology", "gallery:zx2-x", "--style", "balmer"],
     "topology_two-idem_zariski.json":
         ["topology", "gallery:two-idem", "--style", "zariski"],
+    "topology_two-idem_balmer.json":
+        ["topology", "gallery:two-idem", "--style", "balmer"],
+    "topology_mixed-3obj_balmer.json":
+        ["topology", "gallery:mixed-3obj", "--style", "balmer"],
+    "topology_m2-block_balmer.json":
+        ["topology", "gallery:m2-block", "--style", "balmer"],
     "twocat_mixed-3obj.json":
         ["twocat", "gallery:mixed-3obj", "--classify-cprimes"],
     "twocat_m2-block.json":

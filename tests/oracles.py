@@ -5,17 +5,19 @@ on basis elements), deliberately avoiding the precomputed support tables,
 the absorb-mask ideal test, and the fast primality scans that the library
 itself uses; naive_violations runs multiply_elements on a ring assembled
 without validation.  Tests compare library output against these.  The
-one exception is scan_enumerate, a copy of the library's former 2^n
-absorb-mask lattice scan, kept as an order-exact oracle for the down-set
-enumerator that replaced it.
+exceptions are scan_enumerate and sweep_topology, copies of the
+library's former 2^n absorb-mask lattice scan and its former topology
+construction (a 2^n Balmer sweep and a pairwise union fixpoint), kept as
+order-exact oracles for the down-set searches that replaced them.
 """
 
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from serrespec import (LEFT, RIGHT, TWO_SIDED, basis_element,
-                       multiply_elements, support_of)
+from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
+                       basis_element, closed_set, enumerate_serre_ideals,
+                       multiply_elements, serre_spec, support_of)
 from serrespec.zring import RingElement, ZPlusRing, format_element
 
 
@@ -36,6 +38,27 @@ def naive_is_serre_ideal(ring, members, side=TWO_SIDED):
                 if naive_product_mask(ring, g, b) & ~members:
                     return False
     return True
+
+
+def naive_ideal_witness(ring, members, side=TWO_SIDED):
+    """First (gamma, beta, escapee) with gamma in the subset, scanning
+    gamma then beta in basis order, the left product b_beta b_gamma
+    before the right one b_gamma b_beta; escapee is the lowest index of
+    the product's support outside the subset.  None for an ideal."""
+    for g in range(ring.size):
+        if not members >> g & 1:
+            continue
+        for b in range(ring.size):
+            products = []
+            if side in (LEFT, TWO_SIDED):
+                products.append(naive_product_mask(ring, b, g))
+            if side in (RIGHT, TWO_SIDED):
+                products.append(naive_product_mask(ring, g, b))
+            for esc in products:
+                esc &= ~members
+                if esc:
+                    return g, b, (esc & -esc).bit_length() - 1
+    return None
 
 
 def naive_enumerate(ring, side=TWO_SIDED):
@@ -71,6 +94,44 @@ def scan_enumerate(ring, side=TWO_SIDED):
 
 def index_tuple(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def canonical_key(mask):
+    return mask.bit_count(), index_tuple(mask)
+
+
+def sweep_topology(ring, style):
+    """Closed sets of the style as ([(extent, tag)] in canonical extent
+    order, generators_union_closed, empty_set_adjoined): Zariski
+    generators from every ideal subset, Balmer-style ones from all 2^n
+    basis subsets, the first subset per extent as its tag, then the
+    empty set adjoined if missing and pairwise unions added until
+    nothing changes."""
+    spec = serre_spec(ring, allow_large=True)
+    if style == ZARISKI:
+        args = [i.members for i in
+                enumerate_serre_ideals(ring, allow_large=True)]
+    else:
+        assert style == BALMER
+        args = sorted(range(1 << ring.size), key=canonical_key)
+    tags = {}
+    for arg in args:
+        tags.setdefault(closed_set(ring, spec, arg, style), arg)
+    sets = dict(tags)
+    union_closed = True
+    adjoined = 0 not in sets
+    if adjoined:
+        sets[0] = None
+    while True:
+        extents = list(sets)
+        new = {a | b for i, a in enumerate(extents)
+               for b in extents[i + 1:]} - set(sets)
+        if not new:
+            break
+        union_closed = False
+        sets.update(dict.fromkeys(new))
+    ordered = sorted(sets.items(), key=lambda item: canonical_key(item[0]))
+    return ordered, union_closed, adjoined
 
 
 def naive_violations(labels, tensor, mode, units=None):

@@ -3,16 +3,16 @@ from math import comb, factorial
 
 import pytest
 
-from serrespec import (INT, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
-                       IdealSubset, ImproperIdeal, build_ring,
-                       enumerate_serre_ideals, gallery_names, is_serre_ideal,
-                       labels_from_mask, load_gallery, mask_from_labels,
-                       product_support, quotient_ring, serre_closure,
-                       serre_spec, truncate_to_ring)
+from serrespec import (LEFT, RIGHT, TWO_SIDED, BasisTooLarge, IdealSubset,
+                       ImproperIdeal, enumerate_serre_ideals, gallery_names,
+                       is_serre_ideal, labels_from_mask, load_gallery,
+                       mask_from_labels, product_support, quotient_ring,
+                       serre_closure, serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
 
-from oracles import naive_enumerate, naive_is_serre_ideal, \
-    naive_product_support, scan_enumerate
+from ladder import diagonal, upper_triangular
+from oracles import naive_enumerate, naive_ideal_witness, \
+    naive_is_serre_ideal, naive_product_support, scan_enumerate
 
 
 @pytest.fixture(scope="module")
@@ -22,23 +22,6 @@ def gallery():
 
 def members(ring, labels):
     return mask_from_labels(ring, labels)
-
-
-def upper_triangular(k):
-    """Upper-triangular k x k matrix units: e_ij e_jl = e_il, i <= j <= l."""
-    labels = [f"e{i}_{j}" for i in range(1, k + 1) for j in range(i, k + 1)]
-    tensor = {(f"e{i}_{j}", f"e{j}_{l}"): {f"e{i}_{l}": 1}
-              for i in range(1, k + 1) for j in range(i, k + 1)
-              for l in range(j, k + 1)}
-    units = [f"e{i}_{i}" for i in range(1, k + 1)]
-    return build_ring(labels, tensor, INT, units=units, name=f"tri-{k}")
-
-
-def diagonal(k):
-    """k orthogonal idempotents summing to the identity."""
-    labels = [f"d{i}" for i in range(1, k + 1)]
-    tensor = {(lab, lab): {lab: 1} for lab in labels}
-    return build_ring(labels, tensor, INT, units=labels, name=f"diag-{k}")
 
 
 def catalan(k):
@@ -69,6 +52,15 @@ def test_is_serre_ideal_matches_naive(gallery):
             for m in range(1 << ring.size):
                 assert is_serre_ideal(ring, m, side)[0] \
                     == naive_is_serre_ideal(ring, m, side)
+
+
+def test_is_serre_ideal_witness_is_the_first_escape(gallery):
+    for ring in gallery.values():
+        for side in (LEFT, RIGHT, TWO_SIDED):
+            for m in range(1 << ring.size):
+                witness = naive_ideal_witness(ring, m, side)
+                assert is_serre_ideal(ring, m, side) \
+                    == (witness is None, witness), (ring.name, side, m)
 
 
 def test_closure_examples():

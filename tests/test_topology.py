@@ -5,8 +5,13 @@ import pytest
 from serrespec import (BALMER, ZARISKI, IdealSubset, build_topology,
                        closed_set, enumerate_serre_ideals, gallery_names,
                        labels_from_mask, load_gallery, mask_from_labels,
-                       point_closure, product_support, serre_closure,
-                       serre_spec, specialization_edges, to_dot)
+                       point_closure, product_support, quotient_ring,
+                       serre_closure, serre_spec, specialization_edges,
+                       to_dot, truncate_to_ring)
+from serrespec.gallery import quantum_plane
+
+from ladder import diagonal, upper_triangular
+from oracles import sweep_topology
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +175,58 @@ def test_dot_export_stable():
                    '  "{}" -> "{x}";\n'
                    '}\n')
     assert to_dot(zx, family) == dot
+
+
+def family_summary(family):
+    return ([(s.extent, s.tag) for s in family.sets],
+            family.generators_union_closed, family.empty_set_adjoined)
+
+
+def test_build_topology_equals_the_sweep(gallery):
+    rings = list(gallery.values())
+    rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
+    rings += [upper_triangular(k) for k in range(1, 5)]
+    rings += [diagonal(k) for k in range(1, 8)]
+    quotients = [quotient_ring(ring, ideal) for ring in rings
+                 for ideal in enumerate_serre_ideals(ring)
+                 if 0 != ideal.members != ring.full_mask]
+    rings += [q for q in quotients if q.size <= 10]
+    for ring in rings:
+        assert ring.size <= 10
+        for style in (ZARISKI, BALMER):
+            assert family_summary(build_topology(ring, style)) \
+                == sweep_topology(ring, style), (ring.name, style)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("build", [upper_triangular, diagonal])
+def test_triangular_and_diagonal_topologies_are_discrete(build, k):
+    # k pairwise incomparable primes: every subset is closed in both
+    # styles; the Balmer-style generators are the whole space, the k
+    # singletons and, unless the zero ideal is the one prime (k = 1),
+    # the empty set
+    ring = build(k)
+    zariski = build_topology(ring, ZARISKI, allow_large=True)
+    balmer = build_topology(ring, BALMER, allow_large=True)
+    assert [s.extent for s in zariski.sets] \
+        == [s.extent for s in balmer.sets]
+    assert len(zariski.sets) == 2 ** k
+    assert zariski.generators_union_closed
+    assert not zariski.empty_set_adjoined
+    assert all(s.tag is not None for s in zariski.sets)
+    assert balmer.generators_union_closed == (k <= 2)
+    assert balmer.empty_set_adjoined == (k == 1)
+    tagged = 1 if k == 1 else min(k + 2, 2 ** k)
+    assert sum(s.tag is not None for s in balmer.sets) == tagged
+
+
+@pytest.mark.parametrize("degree", [5, 6, 7])
+def test_quantum_plane_balmer_topology_past_the_guard(degree):
+    # n = 21, 28, 36: one prime, every monomial of positive degree;
+    # V_B(X) is the whole point exactly when X lies inside {1}
+    ring = truncate_to_ring(quantum_plane(), degree)
+    family = build_topology(ring, BALMER, allow_large=True)
+    assert [(s.extent, s.tag) for s in family.sets] \
+        == [(0, mask_from_labels(ring, ["x"])), (1, 0)]
+    assert family.generators_union_closed
+    assert not family.empty_set_adjoined

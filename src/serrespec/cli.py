@@ -276,10 +276,9 @@ def _cmd_quotient(args):
 def _cmd_topology(args):
     ring = resolve_ring_arg(args.ring)
     family = build_topology(ring, args.style, allow_large=args.allow_large)
-    dot_text = to_dot(ring, family)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot_text)
+            fh.write(to_dot(ring, family))
     points = [ideal_node_name(ring, p) for p in family.space]
     sets = []
     for s in family.sets:
@@ -365,7 +364,12 @@ def _cmd_monomial(args):
         report["basis"] = list(truncated.labels)
         report["ring_file"] = serialize_ring(truncated)
         return EXIT_OK, report
-    face = [int(t) - 1 for t in args.face.split(",") if t.strip()]
+    typed = [int(t) for t in args.face.split(",") if t.strip()]
+    for t in sorted(typed):
+        if not 1 <= t <= ring.nvars:
+            raise RingError(
+                f"face variable {t} out of range 1..{ring.nvars}")
+    face = [t - 1 for t in typed]
     quotient = face_quotient(ring, face)
     report["action"] = "face"
     report["face"] = [i + 1 for i in sorted(face)]

@@ -273,7 +273,12 @@ def chain_product_support(ring, chain):
 
 def maximal_disjoint_primes(ring, mult_set, ideal, allow_large=False):
     """Maximal ideal subsets containing the given one and avoiding every
-    power of the multiplicative generator; each is Serre prime."""
+    power of the multiplicative generator; each is Serre prime.
+
+    Read from the prime list: every maximal candidate is prime, and every
+    prime candidate lies under a maximal one, so the maximal primes among
+    the prime candidates are exactly the maximal candidates.
+    """
     base = members_of(ideal)
     ok, _ = is_serre_ideal(ring, base, TWO_SIDED)
     if not ok:
@@ -282,15 +287,9 @@ def maximal_disjoint_primes(ring, mult_set, ideal, allow_large=False):
         if not s & ~base:
             raise GeneratorInsideIdeal(
                 "a power of the generator lies inside the ideal")
-    candidates = []
-    for i in enumerate_serre_ideals(ring, TWO_SIDED, allow_large):
-        m = i.members
-        if base & ~m:
-            continue
-        if any(not s & ~m for s in mult_set.orbit):
-            continue
-        candidates.append(m)
-    # candidates keep the lattice's canonical order
+    # the prime list keeps the lattice's canonical order
+    candidates = [m for m in _prime_masks(ring, allow_large)
+                  if not base & ~m and all(s & ~m for s in mult_set.orbit)]
     maximal = [m for m in candidates
                if not any(k != m and not m & ~k for k in candidates)]
     return [IdealSubset(m) for m in maximal]

@@ -99,17 +99,16 @@ def build_topology(ring, style, allow_large=False):
     spec = serre_spec(ring, allow_large)
     space = (1 << len(spec.primes)) - 1
     if style == ZARISKI:
-        closures = [closed_set(ring, spec, p, ZARISKI) for p in spec.primes]
         tags = {}
         for ideal in enumerate_serre_ideals(ring, allow_large=allow_large):
             tags.setdefault(closed_set(ring, spec, ideal, style),
                             ideal.members)
     elif style == BALMER:
-        closures = [closed_set(ring, spec, ring.full_mask & ~p.members,
-                               BALMER) for p in spec.primes]
         tags = _balmer_tags(ring, spec, space)
     else:
         raise RingError(f"unknown topology style {style!r}")
+    closures = [_closure(style, spec.primes, i)
+                for i in range(len(spec.primes))]
     extents = sorted(down_sets(closures, space), key=subset_key)
     return ClosedSetFamily(style, list(spec.primes),
                            [ClosedSet(e, tags.get(e)) for e in extents],
@@ -117,22 +116,27 @@ def build_topology(ring, style, allow_large=False):
                            0 not in tags)
 
 
-def point_closure(family, point):
-    """Intersection of all closed sets containing the point."""
-    bit = 1 << point
-    extent = (1 << len(family.space)) - 1
-    for s in family.sets:
-        if s.extent & bit:
-            extent &= s.extent
+def _closure(style, space, point):
+    """Closure of one point of the spectrum, read from prime inclusion:
+    the primes containing it (Zariski) or inside it (Balmer style)."""
+    p = space[point].members
+    extent = 0
+    for j, q in enumerate(space):
+        if not (p & ~q.members if style == ZARISKI else q.members & ~p):
+            extent |= 1 << j
     return extent
+
+
+def point_closure(family, point):
+    """Smallest closed set containing the point."""
+    return _closure(family.style, family.space, point)
 
 
 def specialization_edges(family):
     """Pairs (i, j), i != j, with point j in the closure of point i."""
-    closures = [point_closure(family, i) for i in range(len(family.space))]
     edges = []
-    for i, cl in enumerate(closures):
-        for j in iter_bits(cl):
+    for i in range(len(family.space)):
+        for j in iter_bits(point_closure(family, i)):
             if j != i:
                 edges.append((i, j))
     return edges

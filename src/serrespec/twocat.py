@@ -9,12 +9,16 @@ cross-block condition that arrows through any other object compose into
 Q.  Conversely every such (A, Q) pair yields a completely prime ideal, so
 the classification below agrees with brute-force filtering of the ideal
 lattice (asserted in the tests).
+
+Every completely prime ideal is Serre prime, so the candidates Q (and,
+without blocks, the answers themselves) are the flagged primes of a
+spectrum; no ideal lattice is filtered here.
 """
 
 from dataclasses import dataclass
 
-from .ideals import IdealSubset, enumerate_serre_ideals, product_support
-from .spectrum import is_completely_prime
+from .ideals import IdealSubset, product_support
+from .spectrum import serre_spec
 from .zring import (TWO_SIDED, RingError, build_ring, iter_bits, mask_of,
                     subset_key, unit_decomposition_violations)
 
@@ -102,13 +106,19 @@ def corner_ring(ring, obj):
 
 
 def classify_completely_primes(ring, allow_large=False):
-    """All completely prime ideal subsets, via the corner-ring structure
-    when blocks are declared and by direct filtering otherwise."""
-    full = ring.full_mask
+    """All completely prime ideal subsets: the completely prime points of
+    the Serre spectrum, read per corner ring and lifted when blocks are
+    declared.
+
+    Exact because every completely prime ideal is Serre prime: were
+    a t b inside P for all t with a, b outside P, each class c of a t
+    would have c b inside P and so lie in P itself; but a is a class of
+    a u for some declared unit u, and without units the product a b is
+    among those checked.
+    """
     if ring.blocks is None:
-        out = [i for i in enumerate_serre_ideals(ring, allow_large=allow_large)
-               if i.members != full and is_completely_prime(ring, i)[0]]
-        return out
+        spec = serre_spec(ring, allow_large)
+        return [p for p, cp in zip(spec.primes, spec.completely_prime) if cp]
     view = block_view(ring)
     results = []
     for obj in view.objects:
@@ -121,14 +131,11 @@ def classify_completely_primes(ring, allow_large=False):
             arrows_in = view.block_masks.get((other, obj), 0)
             arrows_out = view.block_masks.get((obj, other), 0)
             cross |= product_support(ring, arrows_in, arrows_out)
-        outside = full & ~corner_mask
-        for q in enumerate_serre_ideals(corner, allow_large=allow_large):
-            if q.members == corner.full_mask:
-                continue
-            if not is_completely_prime(corner, q)[0]:
-                continue
+        outside = ring.full_mask & ~corner_mask
+        spec = serre_spec(corner, allow_large)
+        for q, cp in zip(spec.primes, spec.completely_prime):
             lifted = mask_of(old[i] for i in iter_bits(q.members))
-            if cross & ~lifted:
+            if not cp or cross & ~lifted:
                 continue
             results.append(outside | lifted)
     results = sorted(set(results), key=subset_key)

@@ -5,10 +5,13 @@ on basis elements), deliberately avoiding the precomputed support tables,
 the absorb-mask ideal test, and the fast primality scans that the library
 itself uses; naive_violations runs multiply_elements on a ring assembled
 without validation.  Tests compare library output against these.  The
-exceptions are scan_enumerate and sweep_topology, copies of the
-library's former 2^n absorb-mask lattice scan and its former topology
-construction (a 2^n Balmer sweep and a pairwise union fixpoint), kept as
-order-exact oracles for the down-set searches that replaced them.
+exceptions are scan_enumerate, sweep_topology and
+lattice_maximal_disjoint, copies of the library's former 2^n absorb-mask
+lattice scan, its former topology construction (a 2^n Balmer sweep and a
+pairwise union fixpoint) and its former search for maximal ideals
+avoiding a multiplicative set (a filter over the whole ideal lattice),
+kept as order-exact oracles for the down-set searches and the reading of
+the prime list that replaced them.
 """
 
 from itertools import combinations_with_replacement, product
@@ -132,6 +135,18 @@ def sweep_topology(ring, style):
         sets.update(dict.fromkeys(new))
     ordered = sorted(sets.items(), key=lambda item: canonical_key(item[0]))
     return ordered, union_closed, adjoined
+
+
+def lattice_maximal_disjoint(ring, mult_set, base):
+    """Masks maximal among the two-sided ideal subsets that contain the
+    base mask and no power support of the multiplicative set, in
+    canonical order."""
+    candidates = [i.members for i in
+                  enumerate_serre_ideals(ring, allow_large=True)
+                  if not base & ~i.members
+                  and all(s & ~i.members for s in mult_set.orbit)]
+    return [m for m in candidates
+            if not any(k != m and not m & ~k for k in candidates)]
 
 
 def naive_violations(labels, tensor, mode, units=None):

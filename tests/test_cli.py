@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from serrespec import cli
 from serrespec.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, render_report, \
     run_command
 
@@ -51,3 +52,23 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, argv):
     assert list(result.report) == ["error", "message"]
     json.loads(render_report(result.report))
     assert not target.exists()
+
+
+def test_topology_renders_dot_only_when_asked(tmp_path, monkeypatch):
+    argv = ["topology", "gallery:zx2-x", "--style", "zariski"]
+    expected = run_command(argv)
+    rendered = []
+    to_dot = cli.to_dot
+
+    def counting_to_dot(ring, family):
+        rendered.append(ring.name)
+        return to_dot(ring, family)
+
+    monkeypatch.setattr(cli, "to_dot", counting_to_dot)
+    assert run_command(argv) == expected
+    assert rendered == []
+    target = tmp_path / "spec.dot"
+    result = run_command(argv + ["--dot", str(target)])
+    assert result.exit_code == EXIT_OK
+    assert rendered == ["zx2-x"]
+    assert target.read_text().startswith("digraph specialization {")

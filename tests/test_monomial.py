@@ -113,6 +113,17 @@ def test_cli_rejects_rings_without_variables(nvars, action):
     }
 
 
+@pytest.mark.parametrize("face, typed", [("0", 0), ("3", 3), ("1,5", 5)])
+def test_cli_face_out_of_range_names_the_typed_index(face, typed):
+    result = run_command(["monomial", "--vars", "2", "--twist", "0,1;0,0",
+                          "--face", face])
+    assert result.exit_code == EXIT_INPUT
+    assert result.report == {
+        "error": "input",
+        "message": f"face variable {typed} out of range 1..2",
+    }
+
+
 def test_monomial_labels():
     assert monomial_label((0, 0)) == "1"
     assert monomial_label((1, 0)) == "x"

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal, IdealSubset,
@@ -7,15 +9,29 @@ from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal, IdealSubset,
                        is_serre_prime, labels_from_mask, load_gallery,
                        make_multiplicative_set, mask_from_labels,
                        maximal_disjoint_primes, minimal_primes_over,
-                       product_support, serre_spec)
+                       product_support, quotient_ring, ring_element,
+                       serre_closure, serre_spec, truncate_to_ring)
+from serrespec.gallery import quantum_plane
 
-from oracles import (naive_is_completely_prime, naive_is_prime,
-                     naive_is_semiprime)
+from ladder import diagonal, proper_quotients, upper_triangular
+from oracles import (lattice_maximal_disjoint, naive_is_completely_prime,
+                     naive_is_prime, naive_is_semiprime)
 
 
 @pytest.fixture(scope="module")
 def gallery():
     return {name: load_gallery(name) for name in gallery_names()}
+
+
+@pytest.fixture(scope="module")
+def ladder_rings(gallery):
+    """The gallery, qplane-trunc-0..3, tri-1..4, diag-1..5 and every
+    quotient of those by a nonzero proper ideal."""
+    rings = list(gallery.values())
+    rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
+    rings += [upper_triangular(k) for k in range(1, 5)]
+    rings += [diagonal(k) for k in range(1, 6)]
+    return rings + proper_quotients(rings)
 
 
 def proper_ideals(ring):
@@ -274,3 +290,67 @@ def test_maximal_disjoint_always_prime(gallery):
             for p in maximal_disjoint_primes(ring, m, IdealSubset(0)):
                 assert is_serre_prime(ring, p, FAST)[0]
                 assert is_serre_prime(ring, p, DEFINITIONAL)[0]
+
+
+def diagonal_generators(ring, terms):
+    """Sums of `terms` distinct basis elements of one diagonal block."""
+    for combo in combinations(range(ring.size), terms):
+        if ring.blocks is not None:
+            blocks = {ring.blocks[g] for g in combo}
+            if len(blocks) != 1 or any(s != t for s, t in blocks):
+                continue
+        yield ring_element(ring, dict.fromkeys(combo, 1))
+
+
+@pytest.mark.parametrize("terms, count", [(1, 2862), (2, 11460)])
+def test_maximal_disjoint_matches_the_lattice_scan(ladder_rings, terms,
+                                                   count):
+    cases = 0
+    for ring in ladder_rings:
+        lattice = [i.members for i in enumerate_serre_ideals(ring)]
+        for gen in diagonal_generators(ring, terms):
+            m = make_multiplicative_set(ring, gen)
+            for base in lattice:
+                if any(not s & ~base for s in m.orbit):
+                    with pytest.raises(GeneratorInsideIdeal):
+                        maximal_disjoint_primes(ring, m, IdealSubset(base))
+                    continue
+                out = maximal_disjoint_primes(ring, m, IdealSubset(base))
+                assert [p.members for p in out] \
+                    == lattice_maximal_disjoint(ring, m, base), \
+                    (ring.name, gen, base)
+                cases += 1
+    assert cases == count
+
+
+def test_quotient_spectrum_is_the_spectrum_above_the_ideal(ladder_rings):
+    # primes and completely prime ideals of R/I lift to exactly those of R
+    # that contain I
+    for ring in ladder_rings:
+        spec = serre_spec(ring)
+        primes = {p.members: cp
+                  for p, cp in zip(spec.primes, spec.completely_prime)}
+        for ideal in enumerate_serre_ideals(ring):
+            base = ideal.members
+            if base == ring.full_mask:
+                continue
+            keep = [i for i in range(ring.size) if not base >> i & 1]
+            quotient = serre_spec(quotient_ring(ring, ideal))
+            lifted = {base | sum(1 << old for i, old in enumerate(keep)
+                                 if q.members >> i & 1): cp
+                      for q, cp in zip(quotient.primes,
+                                       quotient.completely_prime)}
+            above = {p: cp for p, cp in primes.items() if not base & ~p}
+            assert lifted == above, (ring.name, base)
+
+
+def test_every_prime_is_a_principal_complement(ladder_rings):
+    # each Serre prime is {h : g not in the closure of h} for a basis
+    # element g: primes are meet-irreducible in the lattice
+    for ring in ladder_rings:
+        up = [serre_closure(ring, 1 << h).members for h in range(ring.size)]
+        complements = {sum(1 << h for h in range(ring.size)
+                           if not up[h] >> g & 1)
+                       for g in range(ring.size)}
+        for p in serre_spec(ring).primes:
+            assert p.members in complements, (ring.name, p.members)

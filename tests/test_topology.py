@@ -5,12 +5,12 @@ import pytest
 from serrespec import (BALMER, ZARISKI, IdealSubset, build_topology,
                        closed_set, enumerate_serre_ideals, gallery_names,
                        labels_from_mask, load_gallery, mask_from_labels,
-                       point_closure, product_support, quotient_ring,
-                       serre_closure, serre_spec, specialization_edges,
-                       to_dot, truncate_to_ring)
+                       point_closure, product_support, serre_closure,
+                       serre_spec, specialization_edges, to_dot,
+                       truncate_to_ring)
 from serrespec.gallery import quantum_plane
 
-from ladder import diagonal, upper_triangular
+from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import sweep_topology
 
 
@@ -187,10 +187,7 @@ def test_build_topology_equals_the_sweep(gallery):
     rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
     rings += [upper_triangular(k) for k in range(1, 5)]
     rings += [diagonal(k) for k in range(1, 8)]
-    quotients = [quotient_ring(ring, ideal) for ring in rings
-                 for ideal in enumerate_serre_ideals(ring)
-                 if 0 != ideal.members != ring.full_mask]
-    rings += [q for q in quotients if q.size <= 10]
+    rings += [q for q in proper_quotients(rings) if q.size <= 10]
     for ring in rings:
         assert ring.size <= 10
         for style in (ZARISKI, BALMER):

@@ -8,6 +8,9 @@ from serrespec import (FAST, IdealSubset, MissingBlocks, basis_element,
                        load_gallery, multiply_elements, quotient_ring,
                        serre_spec)
 
+from ladder import (diagonal, matrix_corner, proper_quotients,
+                    upper_triangular)
+
 BLOCK_RINGS = ["m2-block", "m3-block", "two-idem", "mixed-3obj"]
 
 
@@ -69,6 +72,20 @@ def test_classify_matches_brute_force(name):
     ring = load_gallery(name)
     classified = [p.members for p in classify_completely_primes(ring)]
     assert classified == brute_completely_primes(ring)
+
+
+def test_classify_matches_brute_force_on_the_ladder():
+    # the matrix corners have primes that are not completely prime, in a
+    # corner ring (block form) or in the ring itself (plain form)
+    rings = [load_gallery(name) for name in BLOCK_RINGS]
+    rings += [upper_triangular(k, blocks=True) for k in range(1, 6)]
+    rings += [diagonal(k, blocks=True) for k in range(1, 7)]
+    rings += [matrix_corner(k, blocks) for k in (1, 2, 3)
+              for blocks in (True, False)]
+    rings += proper_quotients(rings)
+    for ring in rings:
+        classified = [p.members for p in classify_completely_primes(ring)]
+        assert classified == brute_completely_primes(ring), ring.name
 
 
 @pytest.mark.parametrize("name", ["m2-block", "m3-block"])

@@ -12,9 +12,9 @@ from .zring import (BASIS_GUARD, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
                     ZPlusRing, basis_element, build_ring, labels_from_mask,
                     mask_from_labels, multiply_elements, ring_element,
                     support_of, triple_support)
-from .ideals import (IdealSubset, ImproperIdeal, NotAnIdeal,
-                     enumerate_serre_ideals, is_serre_ideal, product_support,
-                     quotient_ring, serre_closure)
+from .ideals import (ImproperIdeal, NotAnIdeal, enumerate_serre_ideals,
+                     is_serre_ideal, product_support, quotient_ring,
+                     serre_closure)
 from .spectrum import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        MultiplicativeSet, NoPrimeOver, SpectrumReport,
                        chain_product_support, is_completely_prime,

@@ -8,6 +8,7 @@ identical inputs produce byte-identical reports.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 from .coefficients import CoefficientError
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
     load_gallery
-from .ideals import (IdealSubset, enumerate_serre_ideals, quotient_ring,
-                     serre_closure)
+from .ideals import enumerate_serre_ideals, quotient_ring, serre_closure
 from .io import resolve_ring_arg, serialize_ring
 from .monomial import MonomialRing, build_monoid_ideal, face_quotient, \
     monoid_ideal_is_prime, truncate_to_ring
@@ -53,8 +53,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
-    parser = _Parser(prog="serrespec", description=__doc__.splitlines()[0])
+    """The argparse tree, built on first use and shared by every call.
+
+    Usage text wraps at a fixed width rather than the terminal's, so
+    usage reports do not depend on where the command runs.
+    """
+    parser = _Parser(
+        prog="serrespec", description=__doc__.splitlines()[0],
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def ring_cmd(name, help_text):
@@ -121,11 +129,6 @@ def _ideal_from_arg(ring, text):
     return mask_from_labels(ring, _parse_labels(text))
 
 
-def _ideal_labels(ring, ideal):
-    members = ideal.members if isinstance(ideal, IdealSubset) else ideal
-    return labels_from_mask(ring, members)
-
-
 def _cmd_validate(args):
     try:
         ring = resolve_ring_arg(args.ring)
@@ -159,7 +162,7 @@ def _cmd_ideals(args):
         "ring": ring.name,
         "side": side,
         "count": len(ideals),
-        "ideals": [_ideal_labels(ring, i) for i in ideals],
+        "ideals": [labels_from_mask(ring, i) for i in ideals],
     }
     return EXIT_OK, report
 
@@ -168,7 +171,7 @@ def _spec_doc(ring, spec):
     primes = []
     for i, p in enumerate(spec.primes):
         primes.append({
-            "ideal": _ideal_labels(ring, p),
+            "ideal": labels_from_mask(ring, p),
             "completely_prime": spec.completely_prime[i],
             "semiprime": spec.semiprime[i],
         })
@@ -191,7 +194,7 @@ def _cmd_spec(args):
 
 def _cmd_check(args):
     ring = resolve_ring_arg(args.ring)
-    ideal = IdealSubset(_ideal_from_arg(ring, args.ideal))
+    ideal = _ideal_from_arg(ring, args.ideal)
     mode = FAST if args.mode == "fast" else DEFINITIONAL
     if args.prop == "prime":
         holds, witness = is_serre_prime(ring, ideal, mode, args.allow_large)
@@ -202,7 +205,7 @@ def _cmd_check(args):
     report = {
         "command": "check",
         "ring": ring.name,
-        "ideal": _ideal_labels(ring, ideal),
+        "ideal": labels_from_mask(ring, ideal),
         "property": args.prop,
         "mode": args.mode,
         "holds": holds,
@@ -221,21 +224,21 @@ def _cmd_closure(args):
         "ring": ring.name,
         "side": side,
         "generators": labels_from_mask(ring, gens),
-        "closure": _ideal_labels(ring, closed),
+        "closure": labels_from_mask(ring, closed),
     }
     return EXIT_OK, report
 
 
 def _cmd_minimal_primes(args):
     ring = resolve_ring_arg(args.ring)
-    ideal = IdealSubset(_ideal_from_arg(ring, args.ideal))
+    ideal = _ideal_from_arg(ring, args.ideal)
     try:
         minimal, chain = minimal_primes_over(ring, ideal, args.allow_large)
     except NoPrimeOver as exc:
         report = {
             "command": "minimal-primes",
             "ring": ring.name,
-            "ideal": _ideal_labels(ring, ideal),
+            "ideal": labels_from_mask(ring, ideal),
             "minimal_primes": [],
             "chain": [],
             "note": str(exc),
@@ -245,18 +248,18 @@ def _cmd_minimal_primes(args):
     report = {
         "command": "minimal-primes",
         "ring": ring.name,
-        "ideal": _ideal_labels(ring, ideal),
-        "minimal_primes": [_ideal_labels(ring, p) for p in minimal],
-        "chain": [_ideal_labels(ring, p) for p in chain],
+        "ideal": labels_from_mask(ring, ideal),
+        "minimal_primes": [labels_from_mask(ring, p) for p in minimal],
+        "chain": [labels_from_mask(ring, p) for p in chain],
         "chain_product_support": labels_from_mask(ring, fold),
-        "chain_verified": not fold & ~ideal.members,
+        "chain_verified": not fold & ~ideal,
     }
     return EXIT_OK, report
 
 
 def _cmd_quotient(args):
     ring = resolve_ring_arg(args.ring)
-    ideal = IdealSubset(_ideal_from_arg(ring, args.ideal))
+    ideal = _ideal_from_arg(ring, args.ideal)
     result = quotient_ring(ring, ideal)
     text = serialize_ring(result)
     if args.output:
@@ -265,7 +268,7 @@ def _cmd_quotient(args):
     report = {
         "command": "quotient",
         "ring": ring.name,
-        "ideal": _ideal_labels(ring, ideal),
+        "ideal": labels_from_mask(ring, ideal),
         "quotient_basis": list(result.labels),
         "output": args.output,
         "ring_file": text,
@@ -315,7 +318,8 @@ def _cmd_twocat(args):
     }
     if args.classify_cprimes:
         primes = classify_completely_primes(ring, args.allow_large)
-        report["completely_primes"] = [_ideal_labels(ring, p) for p in primes]
+        report["completely_primes"] = [labels_from_mask(ring, p)
+                                       for p in primes]
     return (EXIT_OK if ok else EXIT_FALSE), report
 
 
@@ -409,14 +413,14 @@ def _cmd_oracle(args):
     mismatches = []
     checked = 0
     for ideal in ideals:
-        if ideal.members == full:
+        if ideal == full:
             continue
         checked += 1
         fast_p = is_serre_prime(ring, ideal, FAST)[0]
         def_p = is_serre_prime(ring, ideal, DEFINITIONAL, args.allow_large)[0]
         fast_s = is_semiprime(ring, ideal, FAST)[0]
         def_s = is_semiprime(ring, ideal, DEFINITIONAL, args.allow_large)[0]
-        labels = _ideal_labels(ring, ideal)
+        labels = labels_from_mask(ring, ideal)
         if fast_p != def_p:
             mismatches.append({"ideal": labels, "property": "prime",
                                "fast": fast_p, "definitional": def_p})

@@ -12,10 +12,13 @@ generated by g; the ideal subsets are then exactly the down-sets of this
 preorder.  The lattice is enumerated by include/exclude branching on the
 principal closures, at a cost proportional to the number of ideals
 rather than to the 2^n basis subsets.
+
+An ideal is its int bitmask in basis order, here and in every module that
+takes or returns one.  One-sided lattices are masks too: a mask does not
+record its side, so the caller keeps track of which side it asked for.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, build_ring,
                     check_guard, iter_bits, labels_from_mask, subset_key)
@@ -27,18 +30,6 @@ class NotAnIdeal(RingError):
 
 class ImproperIdeal(RingError):
     pass
-
-
-@dataclass(frozen=True)
-class IdealSubset:
-    members: int  # bitmask in basis order
-    side: str = TWO_SIDED
-
-
-def members_of(ideal_or_mask):
-    if isinstance(ideal_or_mask, IdealSubset):
-        return ideal_or_mask.members
-    return int(ideal_or_mask)
 
 
 def _absorb_tables(ring, side):
@@ -59,7 +50,6 @@ def is_serre_ideal(ring, members, side=TWO_SIDED):
     supp(b_beta * b_gamma) for the left condition or supp(b_gamma * b_beta)
     for the right one.
     """
-    members = members_of(members)
     tables = _absorb_tables(ring, side)
     outside = ~members
     for g in iter_bits(members):
@@ -84,7 +74,7 @@ def is_serre_ideal(ring, members, side=TWO_SIDED):
 def serre_closure(ring, gens, side=TWO_SIDED):
     """Least ideal subset containing the generators (worklist in basis order)."""
     tables = _absorb_tables(ring, side)
-    members = members_of(gens)
+    members = gens
     queue = deque(iter_bits(members))
     while queue:
         g = queue.popleft()
@@ -93,7 +83,7 @@ def serre_closure(ring, gens, side=TWO_SIDED):
             added |= t[g] & ~members
         members |= added
         queue.extend(iter_bits(added))
-    return IdealSubset(members, side)
+    return members
 
 
 def down_sets(closures, full):
@@ -131,39 +121,34 @@ def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
     (cardinality, lexicographic index tuple).
 
     The down-sets of the principal closures, found after n closures and
-    sorted into canonical order.  The result is cached on the ring.
+    sorted into canonical order.  The result is a tuple of masks, cached
+    on the ring and returned as is.
     """
     check_guard(ring, allow_large)
     key = ("ideals", side)
     cached = ring.cache.get(key)
     if cached is None:
-        up = [serre_closure(ring, 1 << g, side).members
-              for g in range(ring.size)]
+        up = [serre_closure(ring, 1 << g, side) for g in range(ring.size)]
         cached = tuple(sorted(down_sets(up, ring.full_mask), key=subset_key))
         ring.cache[key] = cached
-    return [IdealSubset(m, side) for m in cached]
+    return cached
 
 
 def product_support(ring, left, right):
     """Union of supp(b_alpha b_beta) over alpha in the first subset and
     beta in the second; the product ideal lies inside a Serre ideal P
     exactly when this subset does."""
-    lm = members_of(left)
-    rm = members_of(right)
     pm = ring.product_masks
     out = 0
-    for a in iter_bits(lm):
+    for a in iter_bits(left):
         row = pm[a]
-        for b in iter_bits(rm):
+        for b in iter_bits(right):
             out |= row[b]
     return out
 
 
-def require_proper_two_sided(ring, ideal):
+def require_proper_two_sided(ring, members):
     """Shared precondition for primality-style predicates; returns the mask."""
-    members = members_of(ideal)
-    if isinstance(ideal, IdealSubset) and ideal.side != TWO_SIDED:
-        raise NotAnIdeal("a two-sided ideal is required")
     ok, witness = is_serre_ideal(ring, members, TWO_SIDED)
     if not ok:
         g, b, e = witness

@@ -2,7 +2,7 @@
 
 Grammar ('#' starts a comment, blank lines are skipped)::
 
-    ring "NAME"
+    ring "NAME"                         (or a bare NAME; no '"' inside)
     coeff int|laurent
     basis LABEL ...
     unit LABEL ...                      (optional, at most one line)
@@ -69,6 +69,8 @@ def parse_ring_file(text, source="<ring>"):
             name = m.group(1) if m else rest
             if not name:
                 raise RingFileError("missing ring name", source, line_no)
+            if '"' in name:
+                raise RingFileError(f"bad ring name {rest!r}", source, line_no)
         elif word == "coeff":
             if name is None:
                 raise RingFileError(
@@ -230,6 +232,9 @@ def serialize_ring(ring):
     for lab in ring.labels:
         if not _LABEL_RE.match(lab):
             raise RingError(f"label {lab!r} cannot be serialized")
+    if '"' in ring.name or "#" in ring.name or \
+            "".join(ring.name.splitlines()) != ring.name:
+        raise RingError(f"ring name {ring.name!r} cannot be serialized")
     lines = [f'ring "{ring.name}"', f"coeff {ring.mode}",
              "basis " + " ".join(ring.labels)]
     if ring.units is not None:

@@ -10,9 +10,9 @@ what keeps the equivalences true for rings without units.
 
 from dataclasses import dataclass, field
 
-from .ideals import (IdealSubset, NotAnIdeal, enumerate_serre_ideals,
-                     is_serre_ideal, members_of, product_support,
-                     require_proper_two_sided, serre_closure)
+from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
+                     product_support, require_proper_two_sided,
+                     serre_closure)
 from .zring import (TWO_SIDED, RingError, check_guard, iter_bits,
                     labels_from_mask, support_of)
 
@@ -83,9 +83,8 @@ def _prime_masks(ring, allow_large=False):
     if cached is None:
         full = ring.full_mask
         tm = ring.triple_masks
-        masks = (i.members for i in
-                 enumerate_serre_ideals(ring, TWO_SIDED, allow_large))
-        cached = tuple(m for m in masks
+        cached = tuple(m for m in
+                       enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
                        if m != full and _first_pair(tm, m) is None)
         ring.cache["primes"] = cached
     return cached
@@ -112,16 +111,13 @@ def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
         return False, {
             "alpha": ring.labels[a],
             "beta": ring.labels[b],
-            "alpha_ideal": labels_from_mask(
-                ring, serre_closure(ring, 1 << a).members),
-            "beta_ideal": labels_from_mask(
-                ring, serre_closure(ring, 1 << b).members),
+            "alpha_ideal": labels_from_mask(ring, serre_closure(ring, 1 << a)),
+            "beta_ideal": labels_from_mask(ring, serre_closure(ring, 1 << b)),
         }
     if mode != DEFINITIONAL:
         raise RingError(f"unknown primality mode {mode!r}")
-    masks = [i.members for i in
-             enumerate_serre_ideals(ring, TWO_SIDED, allow_large)]
-    escaping = [m for m in masks if m & ~members]
+    escaping = [m for m in enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
+                if m & ~members]
     for i in escaping:
         for j in escaping:
             if not product_support(ring, i, j) & ~members:
@@ -178,19 +174,19 @@ class SpectrumReport:
     inclusion (specialization) preorder."""
 
     ring_name: str
-    primes: list
+    primes: list  # prime masks in canonical order
     completely_prime: list
     semiprime: list
     inclusions: list = field(default_factory=list)  # (i, j): primes[i] < primes[j]
 
 
 def serre_spec(ring, allow_large=False):
-    primes = [IdealSubset(m) for m in _prime_masks(ring, allow_large)]
+    primes = list(_prime_masks(ring, allow_large))
     cp = [is_completely_prime(ring, p)[0] for p in primes]
     inclusions = []
     for i, p in enumerate(primes):
         for j, q in enumerate(primes):
-            if i != j and not p.members & ~q.members:
+            if i != j and not p & ~q:
                 inclusions.append((i, j))
     return SpectrumReport(ring.name, primes, cp, [True] * len(primes),
                           inclusions)
@@ -209,8 +205,7 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     prime below it, which keeps the product property.
     """
     members = require_proper_two_sided(ring, ideal)
-    masks = [i.members for i in
-             enumerate_serre_ideals(ring, TWO_SIDED, allow_large)]
+    masks = enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
     prime_masks = _prime_masks(ring, allow_large)
     over = [p for p in prime_masks if not members & ~p]
     if not over:
@@ -257,15 +252,14 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     # minimal is in canonical order, and the minimal primes below p are
     # exactly the members of minimal inside p
     chain = [next(q for q in minimal if not q & ~p) for p in raw_chain]
-    return ([IdealSubset(m) for m in minimal],
-            [IdealSubset(m) for m in chain])
+    return minimal, chain
 
 
 def chain_product_support(ring, chain):
     """Left fold of product_support along a chain of ideal subsets."""
     if not chain:
         return 0
-    acc = chain[0].members if isinstance(chain[0], IdealSubset) else chain[0]
+    acc = chain[0]
     for nxt in chain[1:]:
         acc = product_support(ring, acc, nxt)
     return acc
@@ -279,17 +273,15 @@ def maximal_disjoint_primes(ring, mult_set, ideal, allow_large=False):
     prime candidate lies under a maximal one, so the maximal primes among
     the prime candidates are exactly the maximal candidates.
     """
-    base = members_of(ideal)
-    ok, _ = is_serre_ideal(ring, base, TWO_SIDED)
+    ok, _ = is_serre_ideal(ring, ideal, TWO_SIDED)
     if not ok:
         raise NotAnIdeal("a two-sided Serre ideal is required")
     for s in mult_set.orbit:
-        if not s & ~base:
+        if not s & ~ideal:
             raise GeneratorInsideIdeal(
                 "a power of the generator lies inside the ideal")
     # the prime list keeps the lattice's canonical order
     candidates = [m for m in _prime_masks(ring, allow_large)
-                  if not base & ~m and all(s & ~m for s in mult_set.orbit)]
-    maximal = [m for m in candidates
-               if not any(k != m and not m & ~k for k in candidates)]
-    return [IdealSubset(m) for m in maximal]
+                  if not ideal & ~m and all(s & ~m for s in mult_set.orbit)]
+    return [m for m in candidates
+            if not any(k != m and not m & ~k for k in candidates)]

@@ -21,7 +21,7 @@ ring.
 
 from dataclasses import dataclass, field
 
-from .ideals import down_sets, enumerate_serre_ideals, members_of
+from .ideals import down_sets, enumerate_serre_ideals
 from .zring import RingError, iter_bits, labels_from_mask, subset_key
 from .spectrum import serre_spec
 
@@ -38,7 +38,7 @@ class ClosedSet:
 @dataclass
 class ClosedSetFamily:
     style: str
-    space: list                  # primes, canonical order
+    space: list                  # prime masks, canonical order
     sets: list = field(default_factory=list)
     generators_union_closed: bool = True
     empty_set_adjoined: bool = False
@@ -50,15 +50,14 @@ def closed_set(ring, spec, arg, style):
     Zariski: primes containing the ideal subset; Balmer style: primes
     whose members avoid the basis subset.
     """
-    arg = members_of(arg)
     extent = 0
     if style == ZARISKI:
         for i, p in enumerate(spec.primes):
-            if not arg & ~p.members:
+            if not arg & ~p:
                 extent |= 1 << i
     elif style == BALMER:
         for i, p in enumerate(spec.primes):
-            if not arg & p.members:
+            if not arg & p:
                 extent |= 1 << i
     else:
         raise RingError(f"unknown topology style {style!r}")
@@ -101,8 +100,7 @@ def build_topology(ring, style, allow_large=False):
     if style == ZARISKI:
         tags = {}
         for ideal in enumerate_serre_ideals(ring, allow_large=allow_large):
-            tags.setdefault(closed_set(ring, spec, ideal, style),
-                            ideal.members)
+            tags.setdefault(closed_set(ring, spec, ideal, style), ideal)
     elif style == BALMER:
         tags = _balmer_tags(ring, spec, space)
     else:
@@ -119,10 +117,10 @@ def build_topology(ring, style, allow_large=False):
 def _closure(style, space, point):
     """Closure of one point of the spectrum, read from prime inclusion:
     the primes containing it (Zariski) or inside it (Balmer style)."""
-    p = space[point].members
+    p = space[point]
     extent = 0
     for j, q in enumerate(space):
-        if not (p & ~q.members if style == ZARISKI else q.members & ~p):
+        if not (p & ~q if style == ZARISKI else q & ~p):
             extent |= 1 << j
     return extent
 
@@ -143,7 +141,7 @@ def specialization_edges(family):
 
 
 def ideal_node_name(ring, ideal):
-    return "{" + ",".join(labels_from_mask(ring, members_of(ideal))) + "}"
+    return "{" + ",".join(labels_from_mask(ring, ideal)) + "}"
 
 
 def to_dot(ring, family):

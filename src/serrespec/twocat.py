@@ -17,10 +17,10 @@ spectrum; no ideal lattice is filtered here.
 
 from dataclasses import dataclass
 
-from .ideals import IdealSubset, product_support
+from .ideals import product_support
 from .spectrum import serre_spec
-from .zring import (TWO_SIDED, RingError, build_ring, iter_bits, mask_of,
-                    subset_key, unit_decomposition_violations)
+from .zring import (RingError, build_ring, iter_bits, mask_of, subset_key,
+                    unit_decomposition_violations)
 
 
 class MissingBlocks(RingError):
@@ -134,9 +134,8 @@ def classify_completely_primes(ring, allow_large=False):
         outside = ring.full_mask & ~corner_mask
         spec = serre_spec(corner, allow_large)
         for q, cp in zip(spec.primes, spec.completely_prime):
-            lifted = mask_of(old[i] for i in iter_bits(q.members))
+            lifted = mask_of(old[i] for i in iter_bits(q))
             if not cp or cross & ~lifted:
                 continue
             results.append(outside | lifted)
-    results = sorted(set(results), key=subset_key)
-    return [IdealSubset(m, TWO_SIDED) for m in results]
+    return sorted(set(results), key=subset_key)

@@ -66,4 +66,18 @@ GOLDEN_COMMANDS.update({
         ["gallery", "ising"],
     "validate_ising.json":
         ["validate", "gallery:ising"],
+    "usage_none.json":
+        [],
+    "usage_nope.json":
+        ["nope"],
+    "usage_spec.json":
+        ["spec"],
+    "usage_ideals_side-x.json":
+        ["ideals", "gallery:ising", "--side", "x"],
+    "usage_monomial_no-action.json":
+        ["monomial", "--vars", "2", "--twist", "0,0;1,0"],
+    "input_check_ising_sigma.json":
+        ["check", "gallery:ising", "--ideal", "sigma", "--prop", "prime"],
+    "guard_ideals_qplane-trunc-6.json":
+        ["ideals", "gallery:qplane-trunc-6"],
 })

@@ -59,4 +59,4 @@ def proper_quotients(rings):
     ideal subsets."""
     return [quotient_ring(ring, ideal) for ring in rings
             for ideal in enumerate_serre_ideals(ring)
-            if 0 != ideal.members != ring.full_mask]
+            if 0 != ideal != ring.full_mask]

@@ -112,8 +112,7 @@ def sweep_topology(ring, style):
     nothing changes."""
     spec = serre_spec(ring, allow_large=True)
     if style == ZARISKI:
-        args = [i.members for i in
-                enumerate_serre_ideals(ring, allow_large=True)]
+        args = enumerate_serre_ideals(ring, allow_large=True)
     else:
         assert style == BALMER
         args = sorted(range(1 << ring.size), key=canonical_key)
@@ -141,10 +140,8 @@ def lattice_maximal_disjoint(ring, mult_set, base):
     """Masks maximal among the two-sided ideal subsets that contain the
     base mask and no power support of the multiplicative set, in
     canonical order."""
-    candidates = [i.members for i in
-                  enumerate_serre_ideals(ring, allow_large=True)
-                  if not base & ~i.members
-                  and all(s & ~i.members for s in mult_set.orbit)]
+    candidates = [m for m in enumerate_serre_ideals(ring, allow_large=True)
+                  if not base & ~m and all(s & ~m for s in mult_set.orbit)]
     return [m for m in candidates
             if not any(k != m and not m & ~k for k in candidates)]
 

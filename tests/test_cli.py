@@ -6,37 +6,60 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from serrespec import cli
-from serrespec.cli import EXIT_FALSE, EXIT_INPUT, EXIT_OK, render_report, \
-    run_command
+from serrespec import cli, gallery_names, load_gallery
+from serrespec.cli import EXIT_FALSE, EXIT_GUARD, EXIT_INPUT, EXIT_OK, \
+    render_report, run_command
 
 from golden_manifest import GOLDEN_COMMANDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# commands whose queried property is false; every other one succeeds
-FALSE_COMMANDS = {
-    "check_nilpotent_semiprime.json",
-    "check_two-idem_prime.json",
-    "check_two-idem_prime_oracle.json",
-    "minimal-primes_nilpotent.json",
-    "monomial_prime_false.json",
+# exit code of every command that does not succeed
+EXIT_CODES = {
+    "check_nilpotent_semiprime.json": EXIT_FALSE,
+    "check_two-idem_prime.json": EXIT_FALSE,
+    "check_two-idem_prime_oracle.json": EXIT_FALSE,
+    "minimal-primes_nilpotent.json": EXIT_FALSE,
+    "monomial_prime_false.json": EXIT_FALSE,
+    "usage_none.json": EXIT_INPUT,
+    "usage_nope.json": EXIT_INPUT,
+    "usage_spec.json": EXIT_INPUT,
+    "usage_ideals_side-x.json": EXIT_INPUT,
+    "usage_monomial_no-action.json": EXIT_INPUT,
+    "input_check_ising_sigma.json": EXIT_INPUT,
+    "guard_ideals_qplane-trunc-6.json": EXIT_GUARD,
 }
 
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == \
         sorted(GOLDEN_COMMANDS)
-    assert FALSE_COMMANDS <= set(GOLDEN_COMMANDS)
+    assert set(EXIT_CODES) <= set(GOLDEN_COMMANDS)
+
+
+def _check_golden(filename):
+    result = run_command(GOLDEN_COMMANDS[filename])
+    assert render_report(result.report) == (GOLDEN / filename).read_text()
+    assert result.exit_code == EXIT_CODES.get(filename, EXIT_OK)
 
 
 @pytest.mark.parametrize("filename", sorted(GOLDEN_COMMANDS))
 def test_report_matches_golden(filename):
-    result = run_command(GOLDEN_COMMANDS[filename])
-    assert render_report(result.report) == (GOLDEN / filename).read_text()
-    expected = EXIT_FALSE if filename in FALSE_COMMANDS else EXIT_OK
-    assert result.exit_code == expected
+    _check_golden(filename)
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN_COMMANDS))
+def test_report_matches_golden_on_a_wide_terminal(filename, monkeypatch):
+    # usage text must not wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "200")
+    _check_golden(filename)
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("argv", [
@@ -72,3 +95,120 @@ def test_topology_renders_dot_only_when_asked(tmp_path, monkeypatch):
     assert result.exit_code == EXIT_OK
     assert rendered == ["zx2-x"]
     assert target.read_text().startswith("digraph specialization {")
+
+
+# argv fuzz: every command, flag and label/value token the CLI knows,
+# except help and the flags that write files.  Each command mostly gets
+# its own flags, the required ones usually present, plus now and then a
+# flag of another command.
+LABELS = {f"gallery:{name}": load_gallery(name).labels
+          for name in gallery_names()}
+RINGS = sorted(LABELS) + [str(GOLDEN / "missing.ring"),
+                          "gallery:no-such-ring"]
+GALLERY_NAMES = ["ising", "qplane-trunc-2", "verlinde-sl2-3", "nope"]
+LABEL_LISTS = st.sampled_from(["", "1", "x", "a", "sigma", "eps,sigma",
+                               "e11,e21", "uA", "f,g,h", "x,xy", "nope"])
+OPTION_VALUES = {
+    "--allow-large": None,
+    "--classify-cprimes": None,
+    "--side": st.sampled_from(["2", "l", "r", "x"]),
+    "--ideal": LABEL_LISTS,
+    "--gens": LABEL_LISTS,
+    "--prop": st.sampled_from(["prime", "cprime", "semiprime", "nope"]),
+    "--mode": st.sampled_from(["fast", "oracle", "nope"]),
+    "--style": st.sampled_from(["zariski", "balmer", "nope"]),
+    "--vars": st.integers(1, 3).map(str),
+    "--twist": st.sampled_from(["0", "1", "0,0;1,0", "0,1;-1,0",
+                                "0,0,0;1,0,0;1,1,0", "0,0;x,0", ""]),
+    "--prime": st.sampled_from(["1", "1,0", "2,0", "1,0;0,1", "0,0",
+                                "1,1,1", "", "a"]),
+    "--truncate": st.integers(0, 4).map(str),
+    "--face": st.sampled_from(["1", "2", "3", "1,2", "2,2", "0", "x", ""]),
+}
+# (required flags, optional flags) per command
+COMMAND_FLAGS = {
+    "validate": ([], ["--allow-large"]),
+    "ideals": ([], ["--allow-large", "--side"]),
+    "spec": ([], ["--allow-large"]),
+    "check": (["--ideal", "--prop"], ["--allow-large", "--mode"]),
+    "closure": (["--gens"], ["--allow-large", "--side"]),
+    "minimal-primes": (["--ideal"], ["--allow-large"]),
+    "quotient": (["--ideal"], ["--allow-large"]),
+    "topology": (["--style"], ["--allow-large"]),
+    "twocat": ([], ["--allow-large", "--classify-cprimes"]),
+    "monomial": (["--vars", "--twist"], ["--prime", "--truncate", "--face"]),
+    "gallery": ([], []),
+    "oracle": ([], ["--allow-large"]),
+}
+
+
+def test_fuzz_covers_every_command():
+    assert sorted(COMMAND_FLAGS) == sorted(cli._HANDLERS)
+
+
+def _fitted_values(flag, labels, nvars):
+    """Values that fit the ring's labels and the variable count, or None."""
+    if flag in ("--ideal", "--gens") and labels:
+        return st.lists(st.sampled_from(labels), max_size=3,
+                        unique=True).map(",".join)
+    if flag == "--vars":
+        return st.just(str(nvars))
+    if flag == "--twist":
+        return st.lists(_vector(nvars, -1, 1), min_size=nvars,
+                        max_size=nvars).map(";".join)
+    if flag == "--prime":
+        return st.lists(_vector(nvars, 0, 2), min_size=1,
+                        max_size=2).map(";".join)
+    if flag == "--face":
+        return st.lists(st.integers(1, nvars).map(str), max_size=2,
+                        unique=True).map(",".join)
+    return None
+
+
+def _vector(n, low, high):
+    return st.lists(st.integers(low, high).map(str), min_size=n,
+                    max_size=n).map(",".join)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    pool = GALLERY_NAMES if command == "gallery" else RINGS
+    usually = st.sampled_from([True] * 7 + [False])
+    count = draw(st.sampled_from([1] * 6 + [0, 2]))
+    if command == "monomial":  # takes no positional; one is the odd case
+        count = 1 - count
+    positional = [draw(st.sampled_from(pool)) for _ in range(max(count, 0))]
+    flags = [f for f in required if draw(usually)]
+    flags += [f for f in optional if draw(st.booleans())]
+    if not draw(usually):
+        flags.append(draw(st.sampled_from(sorted(OPTION_VALUES))))
+    labels = LABELS.get(positional[0] if positional else None)
+    nvars = draw(st.integers(1, 3))
+    options = []
+    for flag in draw(st.permutations(flags)):
+        options.append(flag)
+        values = OPTION_VALUES[flag]
+        fitted = _fitted_values(flag, labels, nvars)
+        if fitted is not None and draw(usually):
+            values = fitted
+        if values is not None:
+            options.append(draw(values))
+    return [command] + positional + options
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_one_report_with_a_documented_exit(argv):
+    result = run_command(argv)
+    report = result.report
+    assert result.exit_code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_GUARD)
+    assert isinstance(report, dict)
+    assert json.loads(render_report(report)) == report
+    if result.exit_code in (EXIT_INPUT, EXIT_GUARD):
+        assert "error" in report and "message" in report
+    else:
+        assert report["command"] == argv[0]
+    # the cached parser must not carry state from one call to the next
+    assert run_command(argv) == result

@@ -3,11 +3,14 @@ from math import comb, factorial
 
 import pytest
 
-from serrespec import (LEFT, RIGHT, TWO_SIDED, BasisTooLarge, IdealSubset,
-                       ImproperIdeal, enumerate_serre_ideals, gallery_names,
-                       is_serre_ideal, labels_from_mask, load_gallery,
-                       mask_from_labels, product_support, quotient_ring,
-                       serre_closure, serre_spec, truncate_to_ring)
+from serrespec import (DEFINITIONAL, FAST, LEFT, RIGHT, TWO_SIDED,
+                       BasisTooLarge, ImproperIdeal, NotAnIdeal,
+                       enumerate_serre_ideals, gallery_names,
+                       is_completely_prime, is_semiprime, is_serre_ideal,
+                       is_serre_prime, labels_from_mask, load_gallery,
+                       mask_from_labels, minimal_primes_over,
+                       product_support, quotient_ring, serre_closure,
+                       serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
 
 from ladder import diagonal, upper_triangular
@@ -65,47 +68,47 @@ def test_is_serre_ideal_witness_is_the_first_escape(gallery):
 
 def test_closure_examples():
     ising = load_gallery("ising")
-    assert serre_closure(ising, members(ising, ["sigma"])).members \
+    assert serre_closure(ising, members(ising, ["sigma"])) \
         == ising.full_mask
     s3 = load_gallery("rep-s3")
-    assert serre_closure(s3, members(s3, ["s"])).members == s3.full_mask
-    assert serre_closure(ising, 0).members == 0
+    assert serre_closure(s3, members(s3, ["s"])) == s3.full_mask
+    assert serre_closure(ising, 0) == 0
 
 
 def test_closure_is_a_closure_operator(gallery):
     # idempotent, extensive, monotone; fixpoints = enumerated ideals
     for ring in gallery.values():
-        ideals = {i.members for i in enumerate_serre_ideals(ring)}
+        ideals = set(enumerate_serre_ideals(ring))
         for gens in range(1 << ring.size):
-            closed = serre_closure(ring, gens).members
+            closed = serre_closure(ring, gens)
             assert gens & ~closed == 0
-            assert serre_closure(ring, closed).members == closed
+            assert serre_closure(ring, closed) == closed
             assert closed in ideals
         for gens in range(1 << ring.size):
-            closed = serre_closure(ring, gens).members
+            closed = serre_closure(ring, gens)
             bigger = gens
             for extra in range(ring.size):
-                sup = serre_closure(ring, bigger | 1 << extra).members
+                sup = serre_closure(ring, bigger | 1 << extra)
                 assert closed & ~sup == 0
 
 
 def test_enumerate_examples():
     zx = load_gallery("zx2-1")
-    assert [labels_from_mask(zx, i.members) for i in enumerate_serre_ideals(zx)] \
+    assert [labels_from_mask(zx, i) for i in enumerate_serre_ideals(zx)] \
         == [[], ["1", "x"]]
     ti = load_gallery("two-idem")
-    assert [labels_from_mask(ti, i.members) for i in enumerate_serre_ideals(ti)] \
+    assert [labels_from_mask(ti, i) for i in enumerate_serre_ideals(ti)] \
         == [[], ["a"], ["b"], ["a", "b"]]
     m2 = load_gallery("m2-block")
-    assert [i.members for i in enumerate_serre_ideals(m2)] == [0, m2.full_mask]
+    assert list(enumerate_serre_ideals(m2)) == [0, m2.full_mask]
 
 
 def test_enumerate_matches_naive_and_closure_fixpoints(gallery):
     for ring in gallery.values():
         for side in (LEFT, RIGHT, TWO_SIDED):
-            got = [i.members for i in enumerate_serre_ideals(ring, side)]
+            got = list(enumerate_serre_ideals(ring, side))
             assert sorted(got) == naive_enumerate(ring, side)
-            fixpoints = {serre_closure(ring, m, side).members
+            fixpoints = {serre_closure(ring, m, side)
                          for m in range(1 << ring.size)}
             assert set(got) == fixpoints
 
@@ -118,7 +121,7 @@ def test_enumerate_equals_the_exhaustive_scan_in_order(gallery):
     for ring in rings:
         assert ring.size <= 15
         for side in (LEFT, RIGHT, TWO_SIDED):
-            got = [i.members for i in enumerate_serre_ideals(ring, side)]
+            got = list(enumerate_serre_ideals(ring, side))
             assert got == scan_enumerate(ring, side), (ring.name, side)
 
 
@@ -129,7 +132,7 @@ def test_quantum_plane_truncations_past_the_guard(degree):
     ring = truncate_to_ring(quantum_plane(), degree)
     ideals = enumerate_serre_ideals(ring, allow_large=True)
     assert len(ideals) == catalan(degree + 2)
-    assert [p.members for p in serre_spec(ring, allow_large=True).primes] \
+    assert serre_spec(ring, allow_large=True).primes \
         == [ring.full_mask & ~members(ring, ["1"])]
 
 
@@ -148,25 +151,35 @@ def test_diagonal_closed_forms(k):
     ring = diagonal(k)
     for side in (LEFT, RIGHT, TWO_SIDED):
         assert len(enumerate_serre_ideals(ring, side)) == 2 ** k
-    primes = [p.members for p in serre_spec(ring).primes]
+    primes = serre_spec(ring).primes
     # the complements of single idempotents, the one dropping d_k first
     assert primes == [ring.full_mask & ~(1 << i) for i in reversed(range(k))]
 
 
 def test_enumerate_order_is_cardinality_then_lex():
     ti = load_gallery("two-idem")
-    out = [i.members for i in enumerate_serre_ideals(ti)]
+    out = list(enumerate_serre_ideals(ti))
     keys = [(m.bit_count(), labels_from_mask(ti, m)) for m in out]
     assert keys == sorted(keys)
 
 
 def test_one_sided_lattices_differ_on_m2():
     m2 = load_gallery("m2-block")
-    two = {i.members for i in enumerate_serre_ideals(m2, TWO_SIDED)}
-    left = {i.members for i in enumerate_serre_ideals(m2, LEFT)}
+    two = set(enumerate_serre_ideals(m2, TWO_SIDED))
+    left = set(enumerate_serre_ideals(m2, LEFT))
     # column span {e11, e21} is a left ideal but not two-sided
     col = members(m2, ["e11", "e21"])
     assert col in left and col not in two
+    # a mask carries no side, so every two-sided predicate must refuse it
+    for call in (lambda: is_serre_prime(m2, col, FAST),
+                 lambda: is_serre_prime(m2, col, DEFINITIONAL),
+                 lambda: is_completely_prime(m2, col),
+                 lambda: is_semiprime(m2, col, FAST),
+                 lambda: is_semiprime(m2, col, DEFINITIONAL),
+                 lambda: minimal_primes_over(m2, col),
+                 lambda: quotient_ring(m2, col)):
+        with pytest.raises(NotAnIdeal):
+            call()
 
 
 def test_guard_refuses_large_basis():
@@ -190,7 +203,7 @@ def test_product_support_examples():
 
 def test_product_support_matches_naive(gallery):
     for ring in gallery.values():
-        ideals = [i.members for i in enumerate_serre_ideals(ring)]
+        ideals = list(enumerate_serre_ideals(ring))
         for i in ideals:
             for j in ideals:
                 assert product_support(ring, i, j) \
@@ -199,14 +212,14 @@ def test_product_support_matches_naive(gallery):
 
 def test_intersection_of_ideals_is_ideal(gallery):
     for ring in gallery.values():
-        ideals = [i.members for i in enumerate_serre_ideals(ring)]
+        ideals = list(enumerate_serre_ideals(ring))
         for i, j in combinations(ideals, 2):
             assert is_serre_ideal(ring, i & j)[0]
 
 
 def test_product_lands_in_intersection(gallery):
     for ring in gallery.values():
-        ideals = [i.members for i in enumerate_serre_ideals(ring)]
+        ideals = list(enumerate_serre_ideals(ring))
         for i in ideals:
             for j in ideals:
                 assert product_support(ring, i, j) & ~(i & j) == 0
@@ -214,31 +227,31 @@ def test_product_lands_in_intersection(gallery):
 
 def test_quotient_examples():
     zx = load_gallery("zx2-x")
-    q = quotient_ring(zx, IdealSubset(members(zx, ["x"])))
+    q = quotient_ring(zx, members(zx, ["x"]))
     assert q.labels == ("1",)
     assert q.tensor == {(0, 0): {0: list(q.tensor.values())[0][0]}}
 
     qp = load_gallery("qplane-trunc-2")
     face_x = serre_closure(qp, members(qp, ["x"]))
-    assert labels_from_mask(qp, face_x.members) == ["x", "x2", "xy"]
+    assert labels_from_mask(qp, face_x) == ["x", "x2", "xy"]
     quo = quotient_ring(qp, face_x)
     assert quo.labels == ("1", "y", "y2")
 
     ising = load_gallery("ising")
-    assert quotient_ring(ising, IdealSubset(0)) == ising
+    assert quotient_ring(ising, 0) == ising
 
 
 def test_quotient_improper_rejected():
     ising = load_gallery("ising")
     with pytest.raises(ImproperIdeal):
-        quotient_ring(ising, IdealSubset(ising.full_mask))
+        quotient_ring(ising, ising.full_mask)
 
 
 def test_quotient_valid_for_every_proper_ideal(gallery):
     # validation inside build_ring re-checks associativity and positivity
     for ring in gallery.values():
         for ideal in enumerate_serre_ideals(ring):
-            if ideal.members == ring.full_mask:
+            if ideal == ring.full_mask:
                 continue
             q = quotient_ring(ring, ideal)
-            assert q.size == ring.size - ideal.members.bit_count()
+            assert q.size == ring.size - ideal.bit_count()

@@ -1,7 +1,9 @@
 import pytest
 
-from serrespec import (RingFileError, RingValidationError, gallery_names,
-                       load_gallery, parse_ring_file, serialize_ring)
+from serrespec import (RingError, RingFileError, RingValidationError,
+                       build_ring, gallery_names, load_gallery,
+                       parse_ring_file, serialize_ring)
+from serrespec.cli import EXIT_INPUT, run_command
 
 ISING_FIXTURE = """\
 # Ising fusion table
@@ -75,9 +77,9 @@ def test_round_trip_all_gallery_rings():
 
 
 def test_round_trip_after_quotient():
-    from serrespec import IdealSubset, mask_from_labels, quotient_ring
+    from serrespec import mask_from_labels, quotient_ring
     zx = load_gallery("zx2-x")
-    quo = quotient_ring(zx, IdealSubset(mask_from_labels(zx, ["x"])))
+    quo = quotient_ring(zx, mask_from_labels(zx, ["x"]))
     text = serialize_ring(quo)
     assert parse_ring_file(text) == quo
 
@@ -132,3 +134,38 @@ def test_error_carries_line_number():
     with pytest.raises(RingFileError) as exc:
         parse_ring_file(text, "bad.ring")
     assert "bad.ring:4" in str(exc.value)
+
+
+def _named(name):
+    return build_ring(("u",), {("u", "u"): {"u": 1}}, name=name)
+
+
+@pytest.mark.parametrize("name", [
+    "ising", "two words", "zx2-x/{x}", "sl2 [k=3]", "it's", " padded ",
+])
+def test_ring_name_round_trips_unchanged(name):
+    text = serialize_ring(_named(name))
+    again = parse_ring_file(text)
+    assert again.name == name
+    assert serialize_ring(again) == text
+
+
+@pytest.mark.parametrize("name", ['a"b', '"a"', "a#b", "a\nb", "a\rb", "a\n"])
+def test_ring_name_that_cannot_round_trip_is_not_serialized(name):
+    with pytest.raises(RingError, match="cannot be serialized"):
+        serialize_ring(_named(name))
+
+
+@pytest.mark.parametrize("line", [
+    'ring "a\\"b"', 'ring a"b', 'ring "a#b"', 'ring "a" "b"', 'ring "a',
+])
+def test_ring_name_with_a_stray_quote_is_an_input_error(line, tmp_path):
+    text = line + "\ncoeff int\nbasis a\n"
+    with pytest.raises(RingFileError, match="bad ring name") as exc:
+        parse_ring_file(text, "bad.ring")
+    assert exc.value.line == 1
+    path = tmp_path / "bad.ring"
+    path.write_text(text)
+    result = run_command(["validate", str(path)])
+    assert result.exit_code == EXIT_INPUT
+    assert result.report["error"] == "input"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from serrespec import (Coefficient, FullFace, ImproperIdeal, IdealSubset,
+from serrespec import (Coefficient, FullFace, ImproperIdeal,
                        MonomialRing, basis_element, build_monoid_ideal,
                        face_quotient, labels_from_mask, mask_from_labels,
                        monoid_ideal_is_prime, monoid_membership,

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal, IdealSubset,
+from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        ImproperIdeal, NoPrimeOver, NotAnIdeal, basis_element,
                        chain_product_support, enumerate_serre_ideals,
                        gallery_names, is_completely_prime, is_semiprime,
@@ -36,58 +36,58 @@ def ladder_rings(gallery):
 
 def proper_ideals(ring):
     return [i for i in enumerate_serre_ideals(ring)
-            if i.members != ring.full_mask]
+            if i != ring.full_mask]
 
 
 def spectrum_labels(ring):
-    return [labels_from_mask(ring, p.members)
+    return [labels_from_mask(ring, p)
             for p in serre_spec(ring).primes]
 
 
 def test_prime_examples():
     zx = load_gallery("zx2-1")
-    assert is_serre_prime(zx, IdealSubset(0))[0]
+    assert is_serre_prime(zx, 0)[0]
     ti = load_gallery("two-idem")
-    holds, witness = is_serre_prime(ti, IdealSubset(0))
+    holds, witness = is_serre_prime(ti, 0)
     assert not holds
     assert (witness["alpha"], witness["beta"]) == ("a", "b")
     assert witness["alpha_ideal"] == ["a"] and witness["beta_ideal"] == ["b"]
     m2 = load_gallery("m2-block")
-    assert is_serre_prime(m2, IdealSubset(0))[0]
+    assert is_serre_prime(m2, 0)[0]
 
 
 def test_prime_precondition_errors():
     ising = load_gallery("ising")
     with pytest.raises(ImproperIdeal):
-        is_serre_prime(ising, IdealSubset(ising.full_mask))
+        is_serre_prime(ising, ising.full_mask)
     with pytest.raises(NotAnIdeal):
-        is_serre_prime(ising, IdealSubset(mask_from_labels(ising, ["sigma"])))
+        is_serre_prime(ising, mask_from_labels(ising, ["sigma"]))
 
 
 def test_completely_prime_examples():
     m2 = load_gallery("m2-block")
-    holds, witness = is_completely_prime(m2, IdealSubset(0))
+    holds, witness = is_completely_prime(m2, 0)
     # first vanishing product in basis order; e12*e12 = 0 refutes as well
     assert not holds and witness == {"alpha": "e11", "beta": "e21"}
     from serrespec import multiply_elements
     assert not multiply_elements(m2, basis_element(m2, "e12"),
                                  basis_element(m2, "e12"))
     ising = load_gallery("ising")
-    assert is_completely_prime(ising, IdealSubset(0))[0]
+    assert is_completely_prime(ising, 0)[0]
     ti = load_gallery("two-idem")
-    assert is_completely_prime(ti, IdealSubset(mask_from_labels(ti, ["a"])))[0]
+    assert is_completely_prime(ti, mask_from_labels(ti, ["a"]))[0]
 
 
 def test_semiprime_examples():
     nil = load_gallery("nilpotent")
-    holds, witness = is_semiprime(nil, IdealSubset(0))
+    holds, witness = is_semiprime(nil, 0)
     assert not holds and witness == {"element": "a"}
-    assert is_semiprime(nil, IdealSubset(0), DEFINITIONAL)[1]["note"]
+    assert is_semiprime(nil, 0, DEFINITIONAL)[1]["note"]
     ti = load_gallery("two-idem")
-    assert is_semiprime(ti, IdealSubset(0))[0]
-    assert not is_serre_prime(ti, IdealSubset(0))[0]
+    assert is_semiprime(ti, 0)[0]
+    assert not is_serre_prime(ti, 0)[0]
     ising = load_gallery("ising")
-    assert is_semiprime(ising, IdealSubset(0))[0]
+    assert is_semiprime(ising, 0)[0]
 
 
 def test_fast_equals_definitional_everywhere(gallery):
@@ -96,18 +96,18 @@ def test_fast_equals_definitional_everywhere(gallery):
             fast = is_serre_prime(ring, ideal, FAST)[0]
             definitional = is_serre_prime(ring, ideal, DEFINITIONAL)[0]
             assert fast == definitional, (ring.name, ideal)
-            assert fast == naive_is_prime(ring, ideal.members)
+            assert fast == naive_is_prime(ring, ideal)
             s_fast = is_semiprime(ring, ideal, FAST)[0]
             s_def = is_semiprime(ring, ideal, DEFINITIONAL)[0]
             assert s_fast == s_def, (ring.name, ideal)
-            assert s_fast == naive_is_semiprime(ring, ideal.members)
+            assert s_fast == naive_is_semiprime(ring, ideal)
 
 
 def test_completely_prime_matches_naive_and_implies_prime(gallery):
     for ring in gallery.values():
         for ideal in proper_ideals(ring):
             cp = is_completely_prime(ring, ideal)[0]
-            assert cp == naive_is_completely_prime(ring, ideal.members)
+            assert cp == naive_is_completely_prime(ring, ideal)
             if cp:
                 assert is_serre_prime(ring, ideal, FAST)[0]
 
@@ -115,9 +115,9 @@ def test_completely_prime_matches_naive_and_implies_prime(gallery):
 def test_semiprime_square_characterizations(gallery):
     # semiprime Q: no ideal I with I*I inside Q escapes Q, and conversely
     for ring in gallery.values():
-        lattice = [i.members for i in enumerate_serre_ideals(ring)]
+        lattice = list(enumerate_serre_ideals(ring))
         for ideal in proper_ideals(ring):
-            q = ideal.members
+            q = ideal
             semi = is_semiprime(ring, ideal, FAST)[0]
             square_cond = all(
                 not (not product_support(ring, i, i) & ~q and i & ~q)
@@ -132,9 +132,9 @@ def test_semiprime_power_absorption(gallery):
     # if the n-fold product support of an ideal lies in semiprime Q for
     # some n <= 4, the ideal itself does
     for ring in gallery.values():
-        lattice = [i.members for i in enumerate_serre_ideals(ring)]
+        lattice = list(enumerate_serre_ideals(ring))
         for ideal in proper_ideals(ring):
-            q = ideal.members
+            q = ideal
             if not is_semiprime(ring, ideal, FAST)[0]:
                 continue
             for i in lattice:
@@ -163,9 +163,9 @@ def test_spec_flags_and_inclusions():
 
 def test_spec_primes_are_the_lattice_filtered_by_primality(gallery):
     for ring in gallery.values():
-        primes = [p.members for p in serre_spec(ring).primes]
+        primes = serre_spec(ring).primes
         for mode in (FAST, DEFINITIONAL):
-            assert primes == [i.members for i in proper_ideals(ring)
+            assert primes == [i for i in proper_ideals(ring)
                               if is_serre_prime(ring, i, mode)[0]], \
                 (ring.name, mode)
 
@@ -190,47 +190,47 @@ def test_spec_nonempty_for_unital_gallery_rings(gallery):
 
 def test_minimal_primes_examples():
     ti = load_gallery("two-idem")
-    minimal, chain = minimal_primes_over(ti, IdealSubset(0))
-    as_labels = [labels_from_mask(ti, p.members) for p in minimal]
+    minimal, chain = minimal_primes_over(ti, 0)
+    as_labels = [labels_from_mask(ti, p) for p in minimal]
     assert as_labels == [["a"], ["b"]]
-    assert [labels_from_mask(ti, p.members) for p in chain] == [["a"], ["b"]]
+    assert [labels_from_mask(ti, p) for p in chain] == [["a"], ["b"]]
 
     zx = load_gallery("zx2-x")
-    x = IdealSubset(mask_from_labels(zx, ["x"]))
+    x = mask_from_labels(zx, ["x"])
     minimal, chain = minimal_primes_over(zx, x)
-    assert [labels_from_mask(zx, p.members) for p in minimal] == [["x"]]
-    assert [labels_from_mask(zx, p.members) for p in chain] == [["x"]]
+    assert [labels_from_mask(zx, p) for p in minimal] == [["x"]]
+    assert [labels_from_mask(zx, p) for p in chain] == [["x"]]
 
     ising = load_gallery("ising")
-    minimal, chain = minimal_primes_over(ising, IdealSubset(0))
-    assert [p.members for p in minimal] == [0]
-    assert [p.members for p in chain] == [0]
+    minimal, chain = minimal_primes_over(ising, 0)
+    assert minimal == [0]
+    assert chain == [0]
 
 
 def test_minimal_primes_no_prime_over():
     nil = load_gallery("nilpotent")
     with pytest.raises(NoPrimeOver):
-        minimal_primes_over(nil, IdealSubset(0))
+        minimal_primes_over(nil, 0)
 
 
 def test_minimal_primes_chain_verified_everywhere(gallery):
     for ring in gallery.values():
         primes = serre_spec(ring).primes
-        prime_masks = {p.members for p in primes}
+        prime_masks = set(primes)
         for ideal in proper_ideals(ring):
-            over = [p for p in prime_masks if not ideal.members & ~p]
+            over = [p for p in prime_masks if not ideal & ~p]
             if not over:
                 continue
             minimal, chain = minimal_primes_over(ring, ideal)
-            minimal_masks = {p.members for p in minimal}
+            minimal_masks = set(minimal)
             # inclusion-minimality against the full spectrum
             for p in minimal_masks:
                 assert not any(q != p and not q & ~p for q in over)
             # the chain multiplies into the ideal and consists of minimal
             # primes covering all of them
             fold = chain_product_support(ring, chain)
-            assert not fold & ~ideal.members
-            assert {p.members for p in chain} == minimal_masks
+            assert not fold & ~ideal
+            assert set(chain) == minimal_masks
 
 
 def test_multiplicative_set_orbit_is_exact():
@@ -255,26 +255,26 @@ def test_multiplicative_set_rejects_bad_generators():
 def test_maximal_disjoint_examples():
     zx = load_gallery("zx2-1")
     m = make_multiplicative_set(zx, basis_element(zx, "1"))
-    out = maximal_disjoint_primes(zx, m, IdealSubset(0))
-    assert [p.members for p in out] == [0]
+    out = maximal_disjoint_primes(zx, m, 0)
+    assert out == [0]
     assert is_serre_prime(zx, out[0])[0]
 
     ti = load_gallery("two-idem")
     m = make_multiplicative_set(ti, basis_element(ti, "a"))
-    out = maximal_disjoint_primes(ti, m, IdealSubset(0))
-    assert [labels_from_mask(ti, p.members) for p in out] == [["b"]]
+    out = maximal_disjoint_primes(ti, m, 0)
+    assert [labels_from_mask(ti, p) for p in out] == [["b"]]
 
     ising = load_gallery("ising")
     m = make_multiplicative_set(ising, basis_element(ising, "sigma"))
-    out = maximal_disjoint_primes(ising, m, IdealSubset(0))
-    assert [p.members for p in out] == [0]
+    out = maximal_disjoint_primes(ising, m, 0)
+    assert out == [0]
 
 
 def test_generator_inside_ideal_rejected():
     zx = load_gallery("zx2-x")
     m = make_multiplicative_set(zx, basis_element(zx, "x"))
     with pytest.raises(GeneratorInsideIdeal):
-        maximal_disjoint_primes(zx, m, IdealSubset(mask_from_labels(zx, ["x"])))
+        maximal_disjoint_primes(zx, m, mask_from_labels(zx, ["x"]))
 
 
 def test_maximal_disjoint_always_prime(gallery):
@@ -287,7 +287,7 @@ def test_maximal_disjoint_always_prime(gallery):
             m = make_multiplicative_set(ring, basis_element(ring, g))
             if any(s == 0 for s in m.orbit):
                 continue  # some power vanishes: not disjoint from 0
-            for p in maximal_disjoint_primes(ring, m, IdealSubset(0)):
+            for p in maximal_disjoint_primes(ring, m, 0):
                 assert is_serre_prime(ring, p, FAST)[0]
                 assert is_serre_prime(ring, p, DEFINITIONAL)[0]
 
@@ -307,16 +307,16 @@ def test_maximal_disjoint_matches_the_lattice_scan(ladder_rings, terms,
                                                    count):
     cases = 0
     for ring in ladder_rings:
-        lattice = [i.members for i in enumerate_serre_ideals(ring)]
+        lattice = list(enumerate_serre_ideals(ring))
         for gen in diagonal_generators(ring, terms):
             m = make_multiplicative_set(ring, gen)
             for base in lattice:
                 if any(not s & ~base for s in m.orbit):
                     with pytest.raises(GeneratorInsideIdeal):
-                        maximal_disjoint_primes(ring, m, IdealSubset(base))
+                        maximal_disjoint_primes(ring, m, base)
                     continue
-                out = maximal_disjoint_primes(ring, m, IdealSubset(base))
-                assert [p.members for p in out] \
+                out = maximal_disjoint_primes(ring, m, base)
+                assert out \
                     == lattice_maximal_disjoint(ring, m, base), \
                     (ring.name, gen, base)
                 cases += 1
@@ -328,16 +328,16 @@ def test_quotient_spectrum_is_the_spectrum_above_the_ideal(ladder_rings):
     # that contain I
     for ring in ladder_rings:
         spec = serre_spec(ring)
-        primes = {p.members: cp
+        primes = {p: cp
                   for p, cp in zip(spec.primes, spec.completely_prime)}
         for ideal in enumerate_serre_ideals(ring):
-            base = ideal.members
+            base = ideal
             if base == ring.full_mask:
                 continue
             keep = [i for i in range(ring.size) if not base >> i & 1]
             quotient = serre_spec(quotient_ring(ring, ideal))
             lifted = {base | sum(1 << old for i, old in enumerate(keep)
-                                 if q.members >> i & 1): cp
+                                 if q >> i & 1): cp
                       for q, cp in zip(quotient.primes,
                                        quotient.completely_prime)}
             above = {p: cp for p, cp in primes.items() if not base & ~p}
@@ -348,9 +348,9 @@ def test_every_prime_is_a_principal_complement(ladder_rings):
     # each Serre prime is {h : g not in the closure of h} for a basis
     # element g: primes are meet-irreducible in the lattice
     for ring in ladder_rings:
-        up = [serre_closure(ring, 1 << h).members for h in range(ring.size)]
+        up = [serre_closure(ring, 1 << h) for h in range(ring.size)]
         complements = {sum(1 << h for h in range(ring.size)
                            if not up[h] >> g & 1)
                        for g in range(ring.size)}
         for p in serre_spec(ring).primes:
-            assert p.members in complements, (ring.name, p.members)
+            assert p in complements, (ring.name, p)

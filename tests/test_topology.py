@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from serrespec import (BALMER, ZARISKI, IdealSubset, build_topology,
+from serrespec import (BALMER, ZARISKI, build_topology,
                        closed_set, enumerate_serre_ideals, gallery_names,
                        labels_from_mask, load_gallery, mask_from_labels,
                        point_closure, product_support, serre_closure,
@@ -26,7 +26,7 @@ def spectra(gallery):
 
 def point_index(ring, spec, labels):
     target = mask_from_labels(ring, labels)
-    return [p.members for p in spec.primes].index(target)
+    return spec.primes.index(target)
 
 
 def test_closed_set_examples():
@@ -94,7 +94,7 @@ def test_zariski_union_identity(gallery, spectra):
     # V(I) union V(J) = V(closure of the product support)
     for name, ring in gallery.items():
         spec = spectra[name]
-        ideals = [i.members for i in enumerate_serre_ideals(ring)]
+        ideals = list(enumerate_serre_ideals(ring))
         for i in ideals:
             for j in ideals:
                 left = closed_set(ring, spec, i, ZARISKI) \
@@ -106,7 +106,7 @@ def test_zariski_union_identity(gallery, spectra):
 def test_zariski_intersection_identity_families_up_to_three(gallery, spectra):
     for name, ring in gallery.items():
         spec = spectra[name]
-        ideals = [i.members for i in enumerate_serre_ideals(ring)]
+        ideals = list(enumerate_serre_ideals(ring))
         for family in combinations_with_replacement(ideals, 3):
             inter = (1 << len(spec.primes)) - 1
             union = 0
@@ -127,7 +127,7 @@ def test_zariski_closed_sets_decompose_into_prime_cones(gallery, spectra):
         spec = spectra[name]
         for ideal in enumerate_serre_ideals(ring):
             ext = closed_set(ring, spec, ideal, ZARISKI)
-            if ideal.members == ring.full_mask:
+            if ideal == ring.full_mask:
                 assert ext == 0
                 continue
             try:

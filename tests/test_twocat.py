@@ -1,6 +1,6 @@
 import pytest
 
-from serrespec import (FAST, IdealSubset, MissingBlocks, basis_element,
+from serrespec import (FAST, MissingBlocks, basis_element,
                        block_view, check_unit_decomposition,
                        classify_completely_primes, corner_ring,
                        enumerate_serre_ideals, gallery_names,
@@ -15,8 +15,8 @@ BLOCK_RINGS = ["m2-block", "m3-block", "two-idem", "mixed-3obj"]
 
 
 def brute_completely_primes(ring):
-    return [i.members for i in enumerate_serre_ideals(ring)
-            if i.members != ring.full_mask and is_completely_prime(ring, i)[0]]
+    return [i for i in enumerate_serre_ideals(ring)
+            if i != ring.full_mask and is_completely_prime(ring, i)[0]]
 
 
 def test_unit_decomposition_examples():
@@ -61,16 +61,16 @@ def test_classify_examples():
     assert classify_completely_primes(load_gallery("m2-block")) == []
     ti = load_gallery("two-idem")
     out = classify_completely_primes(ti)
-    assert [labels_from_mask(ti, p.members) for p in out] == [["a"], ["b"]]
+    assert [labels_from_mask(ti, p) for p in out] == [["a"], ["b"]]
     # one-object rings degrade to plain filtering
     ising = load_gallery("ising")
-    assert [p.members for p in classify_completely_primes(ising)] == [0]
+    assert classify_completely_primes(ising) == [0]
 
 
 @pytest.mark.parametrize("name", BLOCK_RINGS)
 def test_classify_matches_brute_force(name):
     ring = load_gallery(name)
-    classified = [p.members for p in classify_completely_primes(ring)]
+    classified = classify_completely_primes(ring)
     assert classified == brute_completely_primes(ring)
 
 
@@ -84,18 +84,18 @@ def test_classify_matches_brute_force_on_the_ladder():
               for blocks in (True, False)]
     rings += proper_quotients(rings)
     for ring in rings:
-        classified = [p.members for p in classify_completely_primes(ring)]
+        classified = classify_completely_primes(ring)
         assert classified == brute_completely_primes(ring), ring.name
 
 
 @pytest.mark.parametrize("name", ["m2-block", "m3-block"])
 def test_matrix_block_rings_are_simple(name):
     ring = load_gallery(name)
-    assert [i.members for i in enumerate_serre_ideals(ring)] \
+    assert list(enumerate_serre_ideals(ring)) \
         == [0, ring.full_mask]
     spec = serre_spec(ring)
-    assert [p.members for p in spec.primes] == [0]
-    assert is_serre_prime(ring, IdealSubset(0), FAST)[0]
+    assert spec.primes == [0]
+    assert is_serre_prime(ring, 0, FAST)[0]
 
 
 def test_quotient_by_classified_prime_is_domain_like():

@@ -2,8 +2,12 @@
 """Rewrite tests/golden/*.json from the current CLI output.
 
 Run after an intentional report-format change, then review the diff.
+Nothing is written unless every report renders exactly as
+``json.dumps(report, indent=2)`` does, so the goldens never depend on
+the CLI's own JSON writer.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -18,11 +22,18 @@ from serrespec.cli import render_report, run_command  # noqa: E402
 
 def main():
     golden_dir = ROOT / "tests" / "golden"
-    golden_dir.mkdir(exist_ok=True)
+    texts = {}
     for filename, argv in sorted(GOLDEN_COMMANDS.items()):
         result = run_command(argv)
-        (golden_dir / filename).write_text(render_report(result.report))
-        print(f"wrote {filename} (exit {result.exit_code})")
+        text = render_report(result.report)
+        if text != json.dumps(result.report, indent=2) + "\n":
+            sys.exit(f"{filename}: render_report differs from json.dumps; "
+                     "no golden written")
+        texts[filename] = text, result.exit_code
+    golden_dir.mkdir(exist_ok=True)
+    for filename, (text, code) in texts.items():
+        (golden_dir / filename).write_text(text)
+        print(f"wrote {filename} (exit {code})")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .coefficients import CoefficientError
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
@@ -45,28 +46,37 @@ class CommandResult:
 
 
 class _UsageError(Exception):
-    pass
+    def __init__(self, message, usage=None):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        # self is the parser that failed: the subcommand's, once one is named
+        raise _UsageError(message, self.format_usage().strip())
+
+
+def _formatter(prog):
+    return argparse.HelpFormatter(prog, width=78)
 
 
 @functools.cache
 def _build_parser():
     """The argparse tree, built on first use and shared by every call.
 
-    Usage text wraps at a fixed width rather than the terminal's, so
-    usage reports do not depend on where the command runs.
+    Usage text of every parser wraps at a fixed width rather than the
+    terminal's, so usage reports do not depend on where the command runs.
     """
-    parser = _Parser(
-        prog="serrespec", description=__doc__.splitlines()[0],
-        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
+    parser = _Parser(prog="serrespec", description=__doc__.splitlines()[0],
+                     formatter_class=_formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name, help_text):
+        return sub.add_parser(name, help=help_text, formatter_class=_formatter)
+
     def ring_cmd(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = add(name, help_text)
         p.add_argument("ring", metavar="F",
                        help="ring file path or gallery:NAME")
         p.add_argument("--allow-large", action="store_true",
@@ -105,7 +115,7 @@ def _build_parser():
     p = ring_cmd("twocat", "block-ring analysis")
     p.add_argument("--classify-cprimes", action="store_true")
 
-    p = sub.add_parser("monomial", help="q-twisted monomial ring operations")
+    p = add("monomial", "q-twisted monomial ring operations")
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--twist", required=True,
                    help="rows separated by ';', entries by ','")
@@ -113,7 +123,7 @@ def _build_parser():
     p.add_argument("--truncate", type=int, help="truncation degree")
     p.add_argument("--face", help="1-based variable indices, ','-separated")
 
-    p = sub.add_parser("gallery", help="list or show built-in rings")
+    p = add("gallery", "list or show built-in rings")
     p.add_argument("name", nargs="?")
 
     ring_cmd("oracle", "run every fast-vs-definitional cross-check")
@@ -459,10 +469,9 @@ def run_command(argv):
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        return CommandResult(EXIT_INPUT, {
-            "error": "usage", "message": str(exc),
-            "usage": parser.format_usage().strip(),
-        })
+        return CommandResult(EXIT_INPUT, {"error": "usage",
+                                          "message": str(exc),
+                                          "usage": exc.usage})
     try:
         code, report = _HANDLERS[args.command](args)
     except _UsageError as exc:
@@ -478,7 +487,42 @@ def run_command(argv):
 
 
 def render_report(report):
-    return json.dumps(report, indent=2) + "\n"
+    """The report as JSON text: exactly ``json.dumps(report, indent=2)``
+    plus a newline.
+
+    On CPython 3.11, ``json.dumps`` with any ``indent`` falls back from
+    the C encoder to the pure-Python one, which costs Python work per
+    item; reports are mostly lists of labels, and ``_render`` writes each
+    such list as one join over the C string encoder.  Dict keys must be
+    ``str``.  Not recursive itself, so one call is one report.
+    """
+    return _render(report, "") + "\n"
+
+
+def _render(value, indent):
+    """``json.dumps(value, indent=2)`` with every line after the first
+    prefixed by ``indent``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        try:  # a list of labels; checking every item first is slower
+            body = sep.join(map(encode_basestring_ascii, value))
+        except TypeError:
+            body = sep.join([_render(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + _render(v, inner)
+             for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
 
 
 def main(argv=None):

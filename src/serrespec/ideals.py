@@ -139,10 +139,11 @@ def product_support(ring, left, right):
     beta in the second; the product ideal lies inside a Serre ideal P
     exactly when this subset does."""
     pm = ring.product_masks
+    rights = list(iter_bits(right))
     out = 0
     for a in iter_bits(left):
         row = pm[a]
-        for b in iter_bits(right):
+        for b in rights:
             out |= row[b]
     return out
 

@@ -2,7 +2,8 @@
 
 Grammar ('#' starts a comment, blank lines are skipped)::
 
-    ring "NAME"                         (or a bare NAME; no '"' inside)
+    ring "NAME"                         (or a bare NAME; no '"' inside;
+                                         "" is the empty name)
     coeff int|laurent
     basis LABEL ...
     unit LABEL ...                      (optional, at most one line)
@@ -65,10 +66,10 @@ def parse_ring_file(text, source="<ring>"):
         if word == "ring":
             if name is not None:
                 raise RingFileError("duplicate 'ring' line", source, line_no)
-            m = re.fullmatch(r'"([^"]*)"', rest)
-            name = m.group(1) if m else rest
-            if not name:
+            if not rest:
                 raise RingFileError("missing ring name", source, line_no)
+            m = re.fullmatch(r'"([^"]*)"', rest)
+            name = m.group(1) if m else rest  # 'ring ""' names it ""
             if '"' in name:
                 raise RingFileError(f"bad ring name {rest!r}", source, line_no)
         elif word == "coeff":

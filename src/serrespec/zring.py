@@ -19,6 +19,7 @@ throughout the package.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .coefficients import INT, LAURENT, Coefficient
 
@@ -197,6 +198,7 @@ def mask_of(indices):
 
 
 _COMPLEMENT = str.maketrans("01", "10")
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def subset_key(mask):
@@ -215,7 +217,10 @@ def mask_from_labels(ring, labels):
 
 
 def labels_from_mask(ring, mask):
-    return [ring.labels[i] for i in iter_bits(mask)]
+    """The labels of the mask's members, in basis order."""
+    # the mask's bits from index 0 up, as 0/1 bytes selecting labels
+    bits = bin(mask)[:1:-1].encode().translate(_SELECTORS)
+    return list(compress(ring.labels, bits))
 
 
 def check_guard(ring, allow_large=False):

@@ -74,6 +74,8 @@ GOLDEN_COMMANDS.update({
         ["spec"],
     "usage_ideals_side-x.json":
         ["ideals", "gallery:ising", "--side", "x"],
+    "usage_minimal-primes_no-ideal.json":
+        ["minimal-primes", "gallery:ising"],
     "usage_monomial_no-action.json":
         ["monomial", "--vars", "2", "--twist", "0,0;1,0"],
     "input_check_ising_sigma.json":

@@ -28,6 +28,7 @@ EXIT_CODES = {
     "usage_nope.json": EXIT_INPUT,
     "usage_spec.json": EXIT_INPUT,
     "usage_ideals_side-x.json": EXIT_INPUT,
+    "usage_minimal-primes_no-ideal.json": EXIT_INPUT,
     "usage_monomial_no-action.json": EXIT_INPUT,
     "input_check_ising_sigma.json": EXIT_INPUT,
     "guard_ideals_qplane-trunc-6.json": EXIT_GUARD,
@@ -56,6 +57,37 @@ def test_report_matches_golden_on_a_wide_terminal(filename, monkeypatch):
     # usage text must not wrap at the terminal width
     monkeypatch.setenv("COLUMNS", "200")
     _check_golden(filename)
+
+
+@pytest.mark.parametrize("filename", sorted(
+    name for name in GOLDEN_COMMANDS if name.startswith("usage_")))
+def test_usage_goldens_hold_on_a_narrow_terminal(filename, monkeypatch):
+    # subcommand usage too must not wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "40")
+    _check_golden(filename)
+
+
+# render_report must agree byte for byte with json.dumps(indent=2); text
+# draws on every class of character the encoder treats differently
+AWKWARD_TEXT = st.text(st.sampled_from(
+    ["a", "Z", "0", " ", '"', "\\", "/", "\x7f", "\u00e9", "\u2028", "\uffff",
+     "\U0001f600", "\U0010ffff"] + [chr(c) for c in range(32)]), max_size=6)
+LABEL_LIST = st.lists(AWKWARD_TEXT, max_size=4)
+JSON_LEAVES = st.one_of(
+    AWKWARD_TEXT, st.integers(), st.integers(-2 ** 100, 2 ** 100),
+    st.floats(), st.booleans(), st.none())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES | LABEL_LIST | st.lists(LABEL_LIST, max_size=4),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(AWKWARD_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+def test_render_report_is_json_dumps_with_indent_two(value):
+    assert render_report(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_parser_is_built_once():
@@ -205,7 +237,7 @@ def test_every_argv_ends_in_one_report_with_a_documented_exit(argv):
     report = result.report
     assert result.exit_code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_GUARD)
     assert isinstance(report, dict)
-    assert json.loads(render_report(report)) == report
+    assert render_report(report) == json.dumps(report, indent=2) + "\n"
     if result.exit_code in (EXIT_INPUT, EXIT_GUARD):
         assert "error" in report and "message" in report
     else:

@@ -142,12 +142,26 @@ def _named(name):
 
 @pytest.mark.parametrize("name", [
     "ising", "two words", "zx2-x/{x}", "sl2 [k=3]", "it's", " padded ",
+    "",  # build_ring's default, written as 'ring ""'
 ])
 def test_ring_name_round_trips_unchanged(name):
     text = serialize_ring(_named(name))
     again = parse_ring_file(text)
     assert again.name == name
     assert serialize_ring(again) == text
+
+
+@pytest.mark.parametrize("line", ["ring", "ring   ", "ring # no name"])
+def test_bare_ring_line_is_an_input_error(line, tmp_path):
+    text = line + "\ncoeff int\nbasis a\n"
+    with pytest.raises(RingFileError, match="missing ring name") as exc:
+        parse_ring_file(text, "bare.ring")
+    assert exc.value.line == 1
+    path = tmp_path / "bare.ring"
+    path.write_text(text)
+    result = run_command(["validate", str(path)])
+    assert result.exit_code == EXIT_INPUT
+    assert result.report["error"] == "input"
 
 
 @pytest.mark.parametrize("name", ['a"b', '"a"', "a#b", "a\nb", "a\rb", "a\n"])

@@ -5,13 +5,15 @@ import pytest
 
 from serrespec import (INT, LAURENT, Coefficient, RingError,
                        RingValidationError, basis_element, build_ring,
-                       gallery_names, labels_from_mask, load_gallery,
-                       mask_from_labels, multiply_elements, ring_element,
-                       support_of, triple_support)
-from serrespec.zring import (AssociativityViolation, UnitViolation,
-                             subset_key)
+                       enumerate_serre_ideals, gallery_names,
+                       labels_from_mask, load_gallery, mask_from_labels,
+                       multiply_elements, ring_element, support_of,
+                       triple_support)
+from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
+                             iter_bits, subset_key)
 
 from conftest import SEED
+from ladder import upper_triangular
 from oracles import (index_tuple, naive_product_mask, naive_triple_support,
                      naive_violations)
 
@@ -204,6 +206,18 @@ def test_mask_label_round_trip(gallery):
         for m in range(min(1 << ring.size, 64)):
             labels = labels_from_mask(ring, m)
             assert mask_from_labels(ring, labels) == m
+
+
+def test_labels_from_mask_lists_the_members_in_basis_order(gallery):
+    # n from 1 to 21: masks of one, two and three bytes
+    rings = list(gallery.values())
+    rings += [upper_triangular(k) for k in range(1, 7)]
+    assert {ring.size for ring in rings} >= {1, 9, 15, 21}
+    for ring in rings:
+        for side in SIDES:
+            for m in enumerate_serre_ideals(ring, side):
+                assert labels_from_mask(ring, m) \
+                    == [ring.labels[i] for i in iter_bits(m)]
 
 
 def test_subset_key_orders_by_cardinality_then_index_tuple():

@@ -28,8 +28,8 @@ from .topology import (BALMER, ZARISKI, build_topology, ideal_node_name,
                        specialization_edges, to_dot)
 from .twocat import check_unit_decomposition, classify_completely_primes
 from .zring import (LEFT, RIGHT, TWO_SIDED, BasisTooLarge, RingError,
-                    RingValidationError, iter_bits, labels_from_mask,
-                    mask_from_labels)
+                    RingValidationError, labels_from_mask, mask_from_labels,
+                    select_by_mask)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -240,6 +240,12 @@ def _cmd_closure(args):
 
 
 def _cmd_minimal_primes(args):
+    """Minimal primes over an ideal and the product chain of them.
+
+    The chain repeats a few minimal primes many times, so each minimal
+    prime gets one label list and every chain entry shares its prime's
+    list; ``render_report`` then renders that list once.
+    """
     ring = resolve_ring_arg(args.ring)
     ideal = _ideal_from_arg(ring, args.ideal)
     try:
@@ -255,12 +261,13 @@ def _cmd_minimal_primes(args):
         }
         return EXIT_FALSE, report
     fold = chain_product_support(ring, chain)
+    names = {p: labels_from_mask(ring, p) for p in minimal}
     report = {
         "command": "minimal-primes",
         "ring": ring.name,
         "ideal": labels_from_mask(ring, ideal),
-        "minimal_primes": [labels_from_mask(ring, p) for p in minimal],
-        "chain": [labels_from_mask(ring, p) for p in chain],
+        "minimal_primes": [names[p] for p in minimal],
+        "chain": [names[p] for p in chain],
         "chain_product_support": labels_from_mask(ring, fold),
         "chain_verified": not fold & ~ideal,
     }
@@ -299,7 +306,7 @@ def _cmd_topology(args):
         if s.tag is not None:
             tag = labels_from_mask(ring, s.tag)
         sets.append({
-            "points": [points[i] for i in iter_bits(s.extent)],
+            "points": select_by_mask(points, s.extent),
             "tag": tag,
         })
     report = {
@@ -501,7 +508,12 @@ def render_report(report):
 
 def _render(value, indent):
     """``json.dumps(value, indent=2)`` with every line after the first
-    prefixed by ``indent``."""
+    prefixed by ``indent``.
+
+    A list of lists that holds one object several times, such as a
+    product chain sharing its primes' label lists, renders each distinct
+    object once and joins the cached texts.
+    """
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -510,7 +522,16 @@ def _render(value, indent):
         try:  # a list of labels; checking every item first is slower
             body = sep.join(map(encode_basestring_ascii, value))
         except TypeError:
-            body = sep.join([_render(v, inner) for v in value])
+            # only lists of lists repeat objects here (chain entries share
+            # label lists); the type test spares lists of dicts the id
+            # scan, and the id scan spares lists of distinct lists the memo
+            if (type(value[0]) is list
+                    and len(set(map(id, value))) < len(value)):
+                distinct = {id(v): v for v in value}
+                texts = {i: _render(v, inner) for i, v in distinct.items()}
+                body = sep.join([texts[id(v)] for v in value])
+            else:
+                body = sep.join([_render(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(value, dict):
         if not value:

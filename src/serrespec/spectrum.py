@@ -203,6 +203,11 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     tried in canonical lattice order and results memoized, so the outcome
     is deterministic.  Each chain entry is then replaced by a minimal
     prime below it, which keeps the product property.
+
+    The chain is long (2^(n-1) entries on qplane-trunc-D and tri-k) but
+    repeats at most r = len(minimal) primes, and the raw chain's entries
+    are primes over the ideal; so each distinct raw entry is mapped to
+    its minimal prime once and the chain is read through that map.
     """
     members = require_proper_two_sided(ring, ideal)
     masks = enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
@@ -251,17 +256,28 @@ def minimal_primes_over(ring, ideal, allow_large=False):
 
     # minimal is in canonical order, and the minimal primes below p are
     # exactly the members of minimal inside p
-    chain = [next(q for q in minimal if not q & ~p) for p in raw_chain]
-    return minimal, chain
+    lowest = {p: next(q for q in minimal if not q & ~p)
+              for p in set(raw_chain)}
+    return minimal, [lowest[p] for p in raw_chain]
 
 
 def chain_product_support(ring, chain):
-    """Left fold of product_support along a chain of ideal subsets."""
+    """Left fold of product_support along a chain of ideal subsets.
+
+    Each step's result depends only on the pair (acc, nxt), and a long
+    chain of few distinct entries meets few distinct pairs; so the fold
+    keeps the products it has computed in a memo local to this call.  The
+    memo is exact: every value in it is a real ``product_support``.
+    """
     if not chain:
         return 0
+    products = {}
     acc = chain[0]
     for nxt in chain[1:]:
-        acc = product_support(ring, acc, nxt)
+        pair = acc, nxt
+        if pair not in products:
+            products[pair] = product_support(ring, acc, nxt)
+        acc = products[pair]
     return acc
 
 

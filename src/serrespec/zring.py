@@ -216,11 +216,16 @@ def mask_from_labels(ring, labels):
     return mask_of(ring.index(lab) for lab in labels)
 
 
+def select_by_mask(items, mask):
+    """The items at the mask's set bits, in index order."""
+    # the mask's bits from index 0 up, as 0/1 bytes selecting items
+    bits = bin(mask)[:1:-1].encode().translate(_SELECTORS)
+    return list(compress(items, bits))
+
+
 def labels_from_mask(ring, mask):
     """The labels of the mask's members, in basis order."""
-    # the mask's bits from index 0 up, as 0/1 bytes selecting labels
-    bits = bin(mask)[:1:-1].encode().translate(_SELECTORS)
-    return list(compress(ring.labels, bits))
+    return select_by_mask(ring.labels, mask)
 
 
 def check_guard(ring, allow_large=False):

@@ -29,6 +29,10 @@ GOLDEN_COMMANDS.update({
         ["minimal-primes", "gallery:two-idem", "--ideal", ""],
     "minimal-primes_nilpotent.json":
         ["minimal-primes", "gallery:nilpotent", "--ideal", ""],
+    "minimal-primes_mixed-3obj.json":
+        ["minimal-primes", "gallery:mixed-3obj", "--ideal", ""],
+    "minimal-primes_qplane-trunc-2.json":
+        ["minimal-primes", "gallery:qplane-trunc-2", "--ideal", ""],
     "quotient_zx2-x.json":
         ["quotient", "gallery:zx2-x", "--ideal", "x"],
     "topology_zx2-x_zariski.json":

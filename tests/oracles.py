@@ -5,13 +5,14 @@ on basis elements), deliberately avoiding the precomputed support tables,
 the absorb-mask ideal test, and the fast primality scans that the library
 itself uses; naive_violations runs multiply_elements on a ring assembled
 without validation.  Tests compare library output against these.  The
-exceptions are scan_enumerate, sweep_topology and
-lattice_maximal_disjoint, copies of the library's former 2^n absorb-mask
-lattice scan, its former topology construction (a 2^n Balmer sweep and a
-pairwise union fixpoint) and its former search for maximal ideals
-avoiding a multiplicative set (a filter over the whole ideal lattice),
-kept as order-exact oracles for the down-set searches and the reading of
-the prime list that replaced them.
+exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint
+and plain_fold, copies of the library's former 2^n absorb-mask lattice
+scan, its former topology construction (a 2^n Balmer sweep and a
+pairwise union fixpoint), its former search for maximal ideals avoiding
+a multiplicative set (a filter over the whole ideal lattice) and its
+former memo-free product fold, kept as order-exact oracles for the
+down-set searches, the reading of the prime list and the memoised fold
+that replaced them.
 """
 
 from itertools import combinations_with_replacement, product
@@ -20,7 +21,8 @@ import numpy as np
 
 from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
                        basis_element, closed_set, enumerate_serre_ideals,
-                       multiply_elements, serre_spec, support_of)
+                       multiply_elements, product_support, serre_spec,
+                       support_of)
 from serrespec.zring import RingElement, ZPlusRing, format_element
 
 
@@ -144,6 +146,16 @@ def lattice_maximal_disjoint(ring, mult_set, base):
                   if not base & ~m and all(s & ~m for s in mult_set.orbit)]
     return [m for m in candidates
             if not any(k != m and not m & ~k for k in candidates)]
+
+
+def plain_fold(ring, chain):
+    """Left fold of product_support along a chain, one product per step."""
+    if not chain:
+        return 0
+    acc = chain[0]
+    for nxt in chain[1:]:
+        acc = product_support(ring, acc, nxt)
+    return acc
 
 
 def naive_violations(labels, tensor, mode, units=None):

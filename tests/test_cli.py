@@ -3,6 +3,7 @@ and one JSON input-error report for every output path that cannot be
 written."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -76,11 +77,31 @@ LABEL_LIST = st.lists(AWKWARD_TEXT, max_size=4)
 JSON_LEAVES = st.one_of(
     AWKWARD_TEXT, st.integers(), st.integers(-2 ** 100, 2 ** 100),
     st.floats(), st.booleans(), st.none())
+
+
+def aliased_lists(items):
+    """Lists that hold some of their items several times, as one object:
+    a pool of items and a list of picks from it."""
+    return st.tuples(st.lists(items, min_size=1, max_size=3),
+                     st.lists(st.integers(0, 2), min_size=1, max_size=6)) \
+        .map(lambda t: [t[0][i % len(t[0])] for i in t[1]])
+
+
+# a list of lists opens with a list, then may hold anything else
+LIST_THEN_OTHERS = st.tuples(
+    LABEL_LIST,
+    aliased_lists(st.one_of(st.dictionaries(AWKWARD_TEXT, JSON_LEAVES,
+                                            max_size=3),
+                            AWKWARD_TEXT, st.none()))) \
+    .map(lambda t: [t[0]] + t[1] + [t[0]])
 JSON_VALUES = st.recursive(
-    JSON_LEAVES | LABEL_LIST | st.lists(LABEL_LIST, max_size=4),
+    JSON_LEAVES | LABEL_LIST | st.lists(LABEL_LIST, max_size=4)
+    | aliased_lists(LABEL_LIST) | LIST_THEN_OTHERS,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(AWKWARD_TEXT, inner, max_size=4)),
+        st.dictionaries(AWKWARD_TEXT, inner, max_size=4),
+        aliased_lists(st.lists(inner, max_size=3)
+                      | st.dictionaries(AWKWARD_TEXT, inner, max_size=3))),
     max_leaves=20)
 
 
@@ -88,6 +109,17 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_render_report_is_json_dumps_with_indent_two(value):
     assert render_report(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one", "distinct"])
+def test_render_report_of_ten_thousand_label_lists(shared):
+    labels = ["e1_1", "e1_2", "e2_2", "q^-1"]
+    if shared:
+        chain = [labels] * 10_000
+    else:
+        chain = [list(labels) for _ in range(10_000)]
+    report = {"command": "minimal-primes", "chain": chain}
+    assert render_report(report) == json.dumps(report, indent=2) + "\n"
 
 
 def test_parser_is_built_once():
@@ -233,11 +265,15 @@ def argvs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(argvs())
 def test_every_argv_ends_in_one_report_with_a_documented_exit(argv):
+    start = time.perf_counter()
     result = run_command(argv)
     report = result.report
+    text = render_report(report)
+    # the slowest example seen takes about 0.2 s
+    assert time.perf_counter() - start < 2.0, argv
     assert result.exit_code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_GUARD)
     assert isinstance(report, dict)
-    assert render_report(report) == json.dumps(report, indent=2) + "\n"
+    assert text == json.dumps(report, indent=2) + "\n"
     if result.exit_code in (EXIT_INPUT, EXIT_GUARD):
         assert "error" in report and "message" in report
     else:

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        ImproperIdeal, NoPrimeOver, NotAnIdeal, basis_element,
@@ -15,7 +17,7 @@ from serrespec.gallery import quantum_plane
 
 from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import (lattice_maximal_disjoint, naive_is_completely_prime,
-                     naive_is_prime, naive_is_semiprime)
+                     naive_is_prime, naive_is_semiprime, plain_fold)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +233,46 @@ def test_minimal_primes_chain_verified_everywhere(gallery):
             fold = chain_product_support(ring, chain)
             assert not fold & ~ideal
             assert set(chain) == minimal_masks
+
+
+def test_minimal_primes_chain_fold_matches_the_plain_fold(gallery):
+    rings = list(gallery.values())
+    rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
+    rings += [upper_triangular(k) for k in range(1, 5)]
+    rings += [diagonal(k) for k in range(1, 7)]
+    checked = 0
+    for ring in rings + proper_quotients(rings):
+        try:
+            minimal, chain = minimal_primes_over(ring, 0)
+        except NoPrimeOver:
+            continue
+        assert chain_product_support(ring, chain) == \
+            plain_fold(ring, chain), ring.name
+        checked += 1
+    assert checked > 100
+
+
+FOLD_RINGS = {name: load_gallery(name)
+              for name in ("mixed-3obj", "m3-block", "qplane-trunc-2")}
+FOLD_RINGS["tri-3"] = upper_triangular(3)
+
+
+@st.composite
+def repeating_chains(draw):
+    """A ring and a list of its lattice ideals drawn from a pool of at
+    most three, so that (acc, nxt) pairs of the fold recur."""
+    ring = FOLD_RINGS[draw(st.sampled_from(sorted(FOLD_RINGS)))]
+    ideals = enumerate_serre_ideals(ring)
+    pool = draw(st.lists(st.sampled_from(ideals), min_size=1, max_size=3))
+    chain = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return ring, chain
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(repeating_chains())
+def test_chain_product_support_is_the_plain_fold(case):
+    ring, chain = case
+    assert chain_product_support(ring, chain) == plain_fold(ring, chain)
 
 
 def test_multiplicative_set_orbit_is_exact():

@@ -10,7 +10,7 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        multiply_elements, ring_element, support_of,
                        triple_support)
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             iter_bits, subset_key)
+                             iter_bits, select_by_mask, subset_key)
 
 from conftest import SEED
 from ladder import upper_triangular
@@ -218,6 +218,18 @@ def test_labels_from_mask_lists_the_members_in_basis_order(gallery):
             for m in enumerate_serre_ideals(ring, side):
                 assert labels_from_mask(ring, m) \
                     == [ring.labels[i] for i in iter_bits(m)]
+
+
+def test_select_by_mask_picks_the_items_at_the_set_bits():
+    # any sequence, not only a ring's labels: the topology report selects
+    # from its point names; items need not be hashable
+    rng = random.Random(SEED)
+    items = [[i] for i in range(40)]
+    masks = list(range(1 << 8)) + [rng.getrandbits(40) for _ in range(500)]
+    for m in masks:
+        assert select_by_mask(items, m) == [items[i] for i in iter_bits(m)]
+    assert select_by_mask("abc", 0b101) == ["a", "c"]
+    assert select_by_mask((), 0) == []
 
 
 def test_subset_key_orders_by_cardinality_then_index_tuple():

@@ -84,6 +84,7 @@ def parse_ring_file(text, source="<ring>"):
                     f"coeff must be 'int' or 'laurent', got {rest!r}",
                     source, line_no)
             mode = rest
+            one = Coefficient.one(mode)  # shared by every coefficient-1 term
         elif word == "basis":
             if name is None or mode is None:
                 raise RingFileError(
@@ -136,7 +137,7 @@ def parse_ring_file(text, source="<ring>"):
                 raise RingFileError(
                     f"duplicate 'mul {a} {b}' (first at line "
                     f"{pair_lines[(a, b)]})", source, line_no)
-            rows[(a, b)] = _parse_sum(sum_text.strip(), mode, labels,
+            rows[(a, b)] = _parse_sum(sum_text.strip(), mode, one, labels,
                                       source, line_no)
             pair_lines[(a, b)] = line_no
         else:
@@ -152,7 +153,7 @@ def parse_ring_file(text, source="<ring>"):
         for u in units:
             if u not in labels:
                 raise RingFileError(f"unknown unit label {u!r}", source)
-        _fill_unit_defaults(rows, labels, units, blocks or None, mode)
+        _fill_unit_defaults(rows, labels, units, blocks or None, one)
 
     tensor = {pair: row for pair, row in rows.items() if row}
     try:
@@ -179,7 +180,7 @@ def _require_header(name, mode, labels, source, line_no):
             source, line_no)
 
 
-def _parse_sum(text, mode, labels, source, line_no):
+def _parse_sum(text, mode, one, labels, source, line_no):
     if text == "0":
         return {}
     if not text:
@@ -197,7 +198,7 @@ def _parse_sum(text, mode, labels, source, line_no):
             except CoefficientError as exc:
                 raise RingFileError(str(exc), source, line_no) from None
         else:
-            c = Coefficient.one(mode)
+            c = one
         if label in row:
             c = row[label] + c
         if c:
@@ -207,8 +208,7 @@ def _parse_sum(text, mode, labels, source, line_no):
     return row
 
 
-def _fill_unit_defaults(rows, labels, units, blocks, mode):
-    one = Coefficient.one(mode)
+def _fill_unit_defaults(rows, labels, units, blocks, one):
     unit_set = set(units)
     for u in units:
         for g in labels:

@@ -10,16 +10,25 @@ optional unit set records the identity classes.
 
 Positivity means supports multiply without cancellation, so ideal and
 primality questions reduce to bitmask algebra over product-support tables
-that are precomputed once per ring.  It also keeps validation plain: the
-associativity and unit checks multiply flat rows {(gamma, q-exponent):
-positive int} through one product routine, and since no sum of positive
-integers vanishes, no zero terms need pruning and two rows are equal
-exactly when the dicts are.  Basis subsets are bitmasks in basis order
-throughout the package.
+that are precomputed once per ring.  It also makes validation cheap.
+Every product row packs into one Python int, a W-bit field per
+(q-exponent, gamma) pair, with W the bit length of the largest row mass
+times the largest constant: no coefficient of (ab)c or a(bc) reaches
+2^W, and no sum of positive fields borrows or carries, so two packed sums
+are equal exactly when the rows are.  Associativity is then checked a
+whole n x n slice per middle factor with C-level list operations.
+Exponents are rescaled by their gcd; a table whose packed rows would
+still be wider than a bound tied to its flat rows {(gamma, q-exponent):
+positive int} is checked on the flat rows, multiplied out one triple at
+a time.  The unit checks, and the description of every violation, use
+the flat rows.  Basis subsets are bitmasks in basis order throughout the
+package.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
+from math import gcd
+from operator import add, lshift, mul, sub
 
 from .coefficients import INT, LAURENT, Coefficient
 
@@ -324,6 +333,146 @@ def _format_row(labels, mode, row):
         labels, {g: Coefficient(mode, t) for g, t in coeffs.items()})
 
 
+#: the packing bound: a packed product row, W * n * (2 * span + 1) bits
+#: with span the exponent range after the gcd rescaling, may take at most
+#: this many bits (one machine word) per entry of the flat rows.  Past it
+#: the packed ints grow with the exponent gaps (q^1000000000 beside q)
+#: while the flat rows do not, so such a table is checked on its flat
+#: rows, at the cost the flat check has always had.
+_BITS_PER_ENTRY = 64
+
+
+def _associativity_violations(labels, mode, flat):
+    """An AssociativityViolation for every triple with (ab)c != a(bc), in
+    (a, b, c) order.  Packed rows find the triples that differ; a table
+    too wide to pack compares every triple on flat rows instead."""
+    n = len(labels)
+    # with two basis elements or fewer (at most eight triples) the slices
+    # cost more to set up than the flat comparison
+    differ = _packed_mismatches(flat, n) if n > 2 else None
+    if differ is None:
+        differ = _flat_mismatches(flat, n)
+    out = []
+    for a, b, c in differ:
+        lhs = _product(flat, flat.get((a, b), {}), c, True)
+        rhs = _product(flat, flat.get((b, c), {}), a, False)
+        first = min(g for g, e in lhs.keys() | rhs.keys()
+                    if lhs.get((g, e)) != rhs.get((g, e)))
+        out.append(AssociativityViolation(
+            labels[a], labels[b], labels[c], labels[first],
+            _format_row(labels, mode, lhs), _format_row(labels, mode, rhs)))
+    return out
+
+
+def _flat_mismatches(flat, n):
+    """The (a, b, c) with (ab)c != a(bc), multiplied out on flat rows,
+    skipping triples where both ab and bc vanish."""
+    out = []
+    for a in range(n):
+        for b in range(n):
+            ab = flat.get((a, b), {})
+            for c in range(n):
+                bc = flat.get((b, c), {})
+                if (ab or bc) and (_product(flat, ab, c, True)
+                                   != _product(flat, bc, a, False)):
+                    out.append((a, b, c))
+    return out
+
+
+def _packed_mismatches(flat, n):
+    """The sorted (a, b, c) with packed (ab)c != packed a(bc), or None
+    when a packed product row would be wider than _BITS_PER_ENTRY bits per
+    flat entry.
+
+    A flat row {(h, e): v} packs into one int whose field
+    (e - emin) / step * n + h, W bits wide, holds v; step is the gcd of
+    the exponents' distances from the least one, emin, so exponents that
+    share a factor (q^1000000000 and its powers) pack as densely as small
+    ones.  (ab)c is the sum of v * packed(g c) << shift over the terms
+    (g, e, v) of ab, with shift = W * n * (e - emin) / step; a(bc) is the
+    same over bc with packed(a k).  The field of q^(e + f) b_h in either
+    sum is its distinct (e + f - 2 emin) / step * n + h.
+
+    Exactness: every constant is positive, so each field of either sum
+    is a sum of positive products, at most mass(ab) * C (or mass(bc) * C)
+    where mass is a row's sum of values and C the largest constant.  W is
+    the bit length of max mass * max C, so no field, partial sum or not,
+    reaches 2^W: nothing borrows (positivity) and nothing carries into the
+    next field.  Each packed sum is then the base-2^W spelling of its row,
+    so two are equal exactly when the rows are.
+
+    For each middle factor b the whole n x n slice is built with C-level
+    maps: lhs[a][c] from cols[g], the packed g c over c, and rhs[c][a]
+    from rows[k], the packed a k over a; lhs is compared with the
+    transpose of rhs.
+    """
+    if not flat:
+        return []
+    exps = {e for row in flat.values() for _, e in row}
+    emin = min(exps)
+    step = gcd(*map(sub, exps, repeat(emin))) or 1
+    span = (max(exps) - emin) // step
+    values = list(map(dict.values, flat.values()))
+    width = (max(map(sum, values)) * max(map(max, values))).bit_length()
+    # a product row spans exponent offsets 0 .. 2 * span
+    if width * n * (2 * span + 1) > _BITS_PER_ENTRY * sum(map(len, values)):
+        return None
+    slot = width * n
+    shifts = {e: slot * ((e - emin) // step) for e in exps}
+    # cols[g][c] = rows[c][g] = packed g c; None for a g (or c) with no
+    # nonzero product, which adds nothing to a sum
+    cols = [None] * n
+    rows = [None] * n
+    ending = [[] for _ in range(n)]    # b -> [(a, row of ab)]
+    starting = [[] for _ in range(n)]  # b -> [(c, row of bc)]
+    for (g, c), row in flat.items():
+        x = 0
+        for (h, e), v in row.items():
+            x |= v << (shifts[e] + width * h)
+        if cols[g] is None:
+            cols[g] = [0] * n
+        if rows[c] is None:
+            rows[c] = [0] * n
+        cols[g][c] = rows[c][g] = x
+        ending[c].append((g, row))
+        starting[g].append((c, row))
+    zero = [0] * n
+    found = []
+    for b in range(n):
+        lhs = [zero] * n
+        for a, row in ending[b]:
+            lhs[a] = _combine(row, cols, shifts, zero)
+        rhs = [zero] * n
+        for c, row in starting[b]:
+            rhs[c] = _combine(row, rows, shifts, zero)
+        rhs = list(map(list, zip(*rhs)))
+        if lhs == rhs:
+            continue
+        for a, (x, y) in enumerate(zip(lhs, rhs)):
+            if x != y:
+                found += [(a, b, c) for c, (u, w) in enumerate(zip(x, y))
+                          if u != w]
+    found.sort()
+    return found
+
+
+def _combine(row, table, shifts, zero):
+    """Element-wise sum of v * table[g] << shifts[e] over the terms
+    {(g, e): v} of a flat row."""
+    acc = zero
+    for (g, e), v in row.items():
+        part = table[g]
+        if part is None:
+            continue
+        if v != 1:
+            part = map(mul, part, repeat(v))
+        shift = shifts[e]
+        if shift:
+            part = map(lshift, part, repeat(shift))
+        acc = list(part) if acc is zero else list(map(add, acc, part))
+    return acc
+
+
 def unit_decomposition_violations(labels, tensor, mode, units):
     """Check that each unit is idempotent and the unit sum is a two-sided
     identity on every basis element; returns UnitViolation records."""
@@ -366,11 +515,18 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
     nonnegative constants, block compatibility, unit axioms, and full
     associativity.  Raises RingValidationError listing every failure.
 
-    Once the constants are known to be nonnegative, the unit and
-    associativity checks multiply flat positive-integer rows, skipping
-    triples where both ab and bc vanish; positivity means no cancellation
-    can occur, so no zero terms are pruned.  Coefficients are rebuilt only
-    to describe a violation.
+    Once the constants are known to be positive, associativity is checked
+    on packed rows: each product row is one int of W-bit fields, W the bit
+    length of max row mass * max constant, so by positivity no field
+    overflows and packed sums are equal exactly when rows are.  For each
+    middle factor b the n x n slices of (ab)c and a(bc) are built and
+    compared whole.  Exponents are divided by their gcd first; if a packed
+    product row would still take more than _BITS_PER_ENTRY bits per flat
+    entry (say q^1000000000 beside q), every triple with ab or bc nonzero
+    is multiplied out on flat rows instead.  Only the triples that differ
+    are described, through the flat rows, in (a, b, c) order; the unit
+    checks also multiply flat rows.  Coefficients are rebuilt only to
+    describe a violation.
     """
     labels = tuple(labels)
     if not labels:
@@ -448,23 +604,7 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
                         f"{blocks_t[gi]}, expected ({sb}, {ta})"))
 
     flat = _flat(tens)
-    n = len(labels)
-    for a in range(n):
-        for b in range(n):
-            ab = flat.get((a, b), {})
-            for c in range(n):
-                bc = flat.get((b, c), {})
-                if not (ab or bc):
-                    continue
-                lhs = _product(flat, ab, c, True)
-                rhs = _product(flat, bc, a, False)
-                if lhs != rhs:
-                    first = min(g for g, e in lhs.keys() | rhs.keys()
-                                if lhs.get((g, e)) != rhs.get((g, e)))
-                    violations.append(AssociativityViolation(
-                        labels[a], labels[b], labels[c], labels[first],
-                        _format_row(labels, mode, lhs),
-                        _format_row(labels, mode, rhs)))
+    violations.extend(_associativity_violations(labels, mode, flat))
 
     if units_f is not None:
         violations.extend(_unit_violations(labels, flat, mode, units_f))

@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from serrespec import (INT, LAURENT, Coefficient, RingError,
                        RingValidationError, basis_element, build_ring,
@@ -10,10 +13,11 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        multiply_elements, ring_element, support_of,
                        triple_support)
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             iter_bits, select_by_mask, subset_key)
+                             _flat, _packed_mismatches, iter_bits,
+                             select_by_mask, subset_key)
 
 from conftest import SEED
-from ladder import upper_triangular
+from ladder import diagonal, matrix_corner, upper_triangular
 from oracles import (index_tuple, naive_product_mask, naive_triple_support,
                      naive_violations)
 
@@ -301,3 +305,199 @@ def test_oracle_sees_a_zero_left_product_with_nonzero_right_side():
     labels, tensor, mode, units = BROKEN_TABLES["qplane-trunc-2-shifted-q"]()
     assert ("1", "1", "x", "x", "(q)*x", "(q^2)*x") in \
         naive_violations(labels, tensor, mode, units)
+
+
+def _found(labels, tensor, mode, units=None):
+    """build_ring's violations as the oracle's tuples ([] for a ring)."""
+    try:
+        build_ring(labels, tensor, mode, units=units)
+    except RingValidationError as exc:
+        return [astuple(v) for v in exc.violations]
+    return []
+
+
+def _table(mode, rows):
+    """Index-keyed tensor from {(a, b): {g: {exponent: value}}}."""
+    return {ab: {g: Coefficient(mode, terms) for g, terms in row.items()}
+            for ab, row in rows.items()}
+
+
+# In each, one (ab)c coefficient is exactly max row mass * max constant
+# (2 * 1), and a packing one bit narrower carries it into the next field,
+# where the other side of the triple has a 1: (2, 2, 2) in int mode, with
+# b0 and b1 adjacent; (1, 1, 1) in Laurent mode, with 2 b2 beside q b0.
+WIDTH_BOUNDARY = {
+    "int": _table(INT, {(2, 2): {0: {0: 1}, 1: {0: 1}},
+                        (0, 2): {0: {0: 1}}, (1, 2): {0: {0: 1}},
+                        (2, 0): {1: {0: 1}}}),
+    "laurent": _table(LAURENT, {(1, 1): {0: {0: 1}, 2: {0: 1}},
+                                (0, 1): {2: {0: 1}}, (2, 1): {2: {0: 1}},
+                                (1, 0): {0: {1: 1}}}),
+}
+
+
+def test_width_boundary_tables_hold_the_carried_violation():
+    # the drawn-table property runs both tables through build_ring
+    labels = ("b0", "b1", "b2")
+    assert ("b2", "b2", "b2", "b0", "(2)*b0", "b1") \
+        in naive_violations(labels, WIDTH_BOUNDARY[INT], INT)
+    assert ("b1", "b1", "b1", "b0", "(2)*b2", "(q)*b0") \
+        in naive_violations(labels, WIDTH_BOUNDARY[LAURENT], LAURENT)
+
+
+EXPONENT_SCALES = {
+    "small": lambda rng: rng.randint(-3, 3),
+    # every exponent a multiple of 10^9: packs as densely as the small ones
+    "scaled": lambda rng: rng.randint(-3, 3) * 10 ** 9,
+    # 10^9 beside exponents 1 apart: too wide to pack
+    "wide": lambda rng: rng.choice([-1, 0, 1, 10 ** 9]),
+}
+
+
+@st.composite
+def positive_tables(draw):
+    """A positive table: its shape from Hypothesis, its entries from a
+    drawn seed (one draw per table keeps generation fast)."""
+    n = draw(st.sampled_from([3, 4, 5, 1, 2]))  # n > 2 packs
+    mode = draw(st.sampled_from([INT, LAURENT]))
+    exponent = EXPONENT_SCALES[draw(st.sampled_from(sorted(EXPONENT_SCALES)))]
+    top = draw(st.sampled_from([3, 2 ** 80]))
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    with_units = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    tensor = {}
+    for a in range(n):
+        for b in range(n):
+            if rng.random() >= density:
+                continue
+            tensor[(a, b)] = {
+                g: Coefficient(mode, {
+                    exponent(rng) if mode == LAURENT else 0:
+                        rng.randint(1, top)
+                    for _ in range(rng.randint(1, 3))})
+                for g in rng.sample(range(n), rng.randint(1, n))}
+    units = None
+    if with_units:
+        units = frozenset(rng.sample(range(n), rng.randint(1, n)))
+    return tuple(f"g{i}" for i in range(n)), tensor, mode, units
+
+
+@given(positive_tables())
+@example((("b0", "b1", "b2"), WIDTH_BOUNDARY[INT], INT, None))
+@example((("b0", "b1", "b2"), WIDTH_BOUNDARY[LAURENT], LAURENT, None))
+@settings(max_examples=400)
+def test_violation_list_matches_oracle_on_drawn_tables(case):
+    labels, tensor, mode, units = case
+    assert _found(labels, tensor, mode, units) \
+        == naive_violations(labels, tensor, mode, units)
+
+
+def _perturbation_bases():
+    rings = [load_gallery(name) for name in gallery_names()]
+    rings += [upper_triangular(k) for k in (2, 3)]
+    rings += [diagonal(k) for k in (3, 4)] + [matrix_corner(1)]
+    return [r for r in rings if r.tensor]
+
+
+PERTURBATION_BASES = _perturbation_bases()
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_violation_list_matches_oracle_on_perturbed_rings(data):
+    ring = data.draw(st.sampled_from(PERTURBATION_BASES))
+    mode = ring.mode
+    tensor = {ab: dict(row) for ab, row in ring.tensor.items()}
+    ab = data.draw(st.sampled_from(sorted(tensor)))
+    g = data.draw(st.sampled_from(sorted(tensor[ab])))
+    kind = data.draw(st.sampled_from(
+        ["raise", "drop", "extra"] + ["shift"] * (mode == LAURENT)))
+    if kind == "drop":
+        del tensor[ab][g]
+    elif kind == "extra":
+        h = data.draw(st.integers(0, ring.size - 1))
+        tensor[ab][h] = tensor[ab].get(h, Coefficient.zero(mode)) \
+            + Coefficient.one(mode)
+    else:
+        terms = dict(tensor[ab][g].terms)
+        e = data.draw(st.sampled_from(sorted(terms)))
+        if kind == "raise":
+            terms[e] += data.draw(st.integers(1, 2 ** 80))
+        else:  # 10^9 leaves the table too wide to pack
+            terms[e + data.draw(st.sampled_from([-1, 1, 10 ** 9]))] = \
+                terms.pop(e)
+        tensor[ab][g] = Coefficient(mode, terms)
+    tensor = {pair: row for pair, row in tensor.items() if row}
+    assert _found(ring.labels, tensor, mode, ring.units) \
+        == naive_violations(ring.labels, tensor, mode, ring.units)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return out, peak / 2 ** 20
+
+
+def _qplane_times_billion():
+    ring = load_gallery("qplane-trunc-3")
+    return {ab: {g: Coefficient(LAURENT, {e * 10 ** 9: v
+                                          for e, v in c.terms.items()})
+                 for g, c in row.items()}
+            for ab, row in ring.tensor.items()}
+
+
+def _raise_value(tensor):  # still every exponent a multiple of 10^9
+    ab = max(tensor)
+    g, c = max(tensor[ab].items())
+    tensor[ab][g] = c + Coefficient.one(LAURENT)
+
+
+def _shift_exponent(tensor):  # one exponent off the 10^9 grid
+    ab = max(tensor)
+    g, c = max(tensor[ab].items())
+    tensor[ab][g] = Coefficient(LAURENT, {e + 1: v
+                                          for e, v in c.terms.items()})
+
+
+@pytest.mark.parametrize("edit", [None, _raise_value, _shift_exponent])
+def test_billion_scaled_exponents_stay_small(edit):
+    ring = load_gallery("qplane-trunc-3")
+    tensor = _qplane_times_billion()
+    if edit is not None:
+        edit(tensor)
+    found, peak = _peak_mb(
+        lambda: _found(ring.labels, tensor, LAURENT, ring.units))
+    assert peak < 5
+    assert found == naive_violations(ring.labels, tensor, LAURENT,
+                                     ring.units)
+    assert bool(found) == (edit is not None)
+    # the gcd keeps the 10^9 grid packed; one exponent off it does not
+    assert (_packed_mismatches(_flat(tensor), ring.size) is None) \
+        == (edit is _shift_exponent)
+
+
+LADDER = {
+    "verlinde-sl2-40": lambda: load_gallery("verlinde-sl2-40"),
+    "qplane-trunc-12": lambda: load_gallery("qplane-trunc-12"),
+    "tri-16": lambda: upper_triangular(16),
+    "diag-150": lambda: diagonal(150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_ladder_rings_build_in_small_memory(name):
+    ring = LADDER[name]()
+    built, peak = _peak_mb(lambda: build_ring(
+        ring.labels, ring.tensor, ring.mode, units=ring.units, name=name))
+    assert peak < 5
+    assert built.product_masks == ring.product_masks
+    assert built.triple_masks == ring.triple_masks
+    rng = random.Random(SEED)
+    for _ in range(40):
+        a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+        assert built.product_masks[a][b] == naive_product_mask(ring, a, b)
+        assert built.triple_masks[a][b] == naive_triple_support(ring, a, b)

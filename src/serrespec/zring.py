@@ -17,12 +17,12 @@ times the largest constant: no coefficient of (ab)c or a(bc) reaches
 2^W, and no sum of positive fields borrows or carries, so two packed sums
 are equal exactly when the rows are.  Associativity is then checked a
 whole n x n slice per middle factor with C-level list operations.
-Exponents are rescaled by their gcd; a table whose packed rows would
-still be wider than a bound tied to its flat rows {(gamma, q-exponent):
-positive int} is checked on the flat rows, multiplied out one triple at
-a time.  The unit checks, and the description of every violation, use
-the flat rows.  Basis subsets are bitmasks in basis order throughout the
-package.
+Exponents are rescaled by their gcd; a table whose packed rows and
+slices could still take more than a budget tied to its flat rows
+{(gamma, q-exponent): positive int} is checked on the flat rows,
+multiplied out one triple at a time.  The unit checks, and the
+description of every violation, use the flat rows.  Basis subsets are
+bitmasks in basis order throughout the package.
 """
 
 from dataclasses import dataclass, field
@@ -333,23 +333,23 @@ def _format_row(labels, mode, row):
         labels, {g: Coefficient(mode, t) for g, t in coeffs.items()})
 
 
-#: the packing bound: a packed product row, W * n * (2 * span + 1) bits
-#: with span the exponent range after the gcd rescaling, may take at most
-#: this many bits (one machine word) per entry of the flat rows.  Past it
-#: the packed ints grow with the exponent gaps (q^1000000000 beside q)
-#: while the flat rows do not, so such a table is checked on its flat
-#: rows, at the cost the flat check has always had.
-_BITS_PER_ENTRY = 64
+#: the packing budget: the packed rows and the two slices of one middle
+#: factor may hold at most this many bits of int digits per entry of the
+#: flat rows {(gamma, q-exponent): positive int}, that is 1 KB, a few times
+#: the 100 to 300 bytes a flat entry takes (its key tuple, value and dict
+#: slot).  Packed ints grow with n and with the exponent range left after
+#: the gcd rescaling (q^3000 beside q), flat entries do not; a table over
+#: budget is checked on its flat rows, at the cost the flat check has
+#: always had.
+_BITS_PER_ENTRY = 8192
 
 
 def _associativity_violations(labels, mode, flat):
     """An AssociativityViolation for every triple with (ab)c != a(bc), in
     (a, b, c) order.  Packed rows find the triples that differ; a table
-    too wide to pack compares every triple on flat rows instead."""
+    over the packing budget compares every triple on flat rows instead."""
     n = len(labels)
-    # with two basis elements or fewer (at most eight triples) the slices
-    # cost more to set up than the flat comparison
-    differ = _packed_mismatches(flat, n) if n > 2 else None
+    differ = _packed_mismatches(flat, n)
     if differ is None:
         differ = _flat_mismatches(flat, n)
     out = []
@@ -381,7 +381,7 @@ def _flat_mismatches(flat, n):
 
 def _packed_mismatches(flat, n):
     """The sorted (a, b, c) with packed (ab)c != packed a(bc), or None
-    when a packed product row would be wider than _BITS_PER_ENTRY bits per
+    when the packed ints could take more than _BITS_PER_ENTRY bits per
     flat entry.
 
     A flat row {(h, e): v} packs into one int whose field
@@ -405,6 +405,17 @@ def _packed_mismatches(flat, n):
     maps: lhs[a][c] from cols[g], the packed g c over c, and rhs[c][a]
     from rows[k], the packed a k over a; lhs is compared with the
     transpose of rhs.
+
+    Memory: the packed ints stay within the budget.  No int is built if
+    the widest packed row g c, W * n * (span + 1) bits, is over it;
+    packing stops once the packed rows are over it; and no slice is built
+    unless the packed rows plus the largest pair of slices fit in it.  A
+    slice is bounded by its rows times n entries of the widest product
+    row, W * n * (2 * span + 1) bits, or, where that is too coarse, term
+    by term: the bit length of a sum of positive ints is at most the sum
+    of theirs, so the entries of lhs row a take at most the sum, over the
+    terms (g, e, v) of ab, of (shift + W) per nonzero packed g c plus
+    their bit lengths (v < 2^W); rhs rows the same over bc and packed a k.
     """
     if not flat:
         return []
@@ -414,10 +425,10 @@ def _packed_mismatches(flat, n):
     span = (max(exps) - emin) // step
     values = list(map(dict.values, flat.values()))
     width = (max(map(sum, values)) * max(map(max, values))).bit_length()
-    # a product row spans exponent offsets 0 .. 2 * span
-    if width * n * (2 * span + 1) > _BITS_PER_ENTRY * sum(map(len, values)):
-        return None
+    budget = _BITS_PER_ENTRY * sum(map(len, values))
     slot = width * n
+    if slot * (span + 1) > budget:
+        return None
     shifts = {e: slot * ((e - emin) // step) for e in exps}
     # cols[g][c] = rows[c][g] = packed g c; None for a g (or c) with no
     # nonzero product, which adds nothing to a sum
@@ -425,10 +436,14 @@ def _packed_mismatches(flat, n):
     rows = [None] * n
     ending = [[] for _ in range(n)]    # b -> [(a, row of ab)]
     starting = [[] for _ in range(n)]  # b -> [(c, row of bc)]
+    spent = 0
     for (g, c), row in flat.items():
         x = 0
         for (h, e), v in row.items():
             x |= v << (shifts[e] + width * h)
+        spent += x.bit_length()
+        if spent > budget:
+            return None
         if cols[g] is None:
             cols[g] = [0] * n
         if rows[c] is None:
@@ -436,6 +451,22 @@ def _packed_mismatches(flat, n):
         cols[g][c] = rows[c][g] = x
         ending[c].append((g, row))
         starting[g].append((c, row))
+    # a slice has a row per nonzero ab and per nonzero bc, of n entries
+    # below 2^(slot * (2 * span + 1)); where that is too coarse, bound
+    # each slice term by term
+    most = max(map(len, ending)) + max(map(len, starting))
+    if spent + most * n * slot * (2 * span + 1) > budget:
+        # per g: nonzero entries and their bits in cols[g] and in rows[g]
+        col_count, col_bits = _occupancy(cols, n)
+        row_count, row_bits = _occupancy(rows, n)
+        load = [0] * n  # bits of lhs and rhs for each b
+        for (a, b), row in flat.items():
+            for g, e in row:
+                shift = shifts[e] + width
+                load[b] += col_count[g] * shift + col_bits[g]
+                load[a] += row_count[g] * shift + row_bits[g]
+        if spent + max(load) > budget:
+            return None
     zero = [0] * n
     found = []
     for b in range(n):
@@ -454,6 +485,18 @@ def _packed_mismatches(flat, n):
                           if u != w]
     found.sort()
     return found
+
+
+def _occupancy(table, n):
+    """Per index: the nonzero entries of table[g] and their total bit
+    length (0 and 0 where table[g] is None)."""
+    count = [0] * n
+    bits = [0] * n
+    for g, part in enumerate(table):
+        if part is not None:
+            count[g] = n - part.count(0)
+            bits[g] = sum(map(int.bit_length, part))
+    return count, bits
 
 
 def _combine(row, table, shifts, zero):
@@ -520,10 +563,10 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
     length of max row mass * max constant, so by positivity no field
     overflows and packed sums are equal exactly when rows are.  For each
     middle factor b the n x n slices of (ab)c and a(bc) are built and
-    compared whole.  Exponents are divided by their gcd first; if a packed
-    product row would still take more than _BITS_PER_ENTRY bits per flat
-    entry (say q^1000000000 beside q), every triple with ab or bc nonzero
-    is multiplied out on flat rows instead.  Only the triples that differ
+    compared whole.  Exponents are divided by their gcd first; if the
+    packed rows and one middle factor's slices could still take more than
+    _BITS_PER_ENTRY bits per flat entry (say q^3000 beside q), every
+    triple with ab or bc nonzero is multiplied out on flat rows instead.  Only the triples that differ
     are described, through the flat rows, in (a, b, c) order; the unit
     checks also multiply flat rows.  Coefficients are rebuilt only to
     describe a violation.

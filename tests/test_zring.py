@@ -358,7 +358,7 @@ EXPONENT_SCALES = {
 def positive_tables(draw):
     """A positive table: its shape from Hypothesis, its entries from a
     drawn seed (one draw per table keeps generation fast)."""
-    n = draw(st.sampled_from([3, 4, 5, 1, 2]))  # n > 2 packs
+    n = draw(st.sampled_from([3, 4, 5, 1, 2]))
     mode = draw(st.sampled_from([INT, LAURENT]))
     exponent = EXPONENT_SCALES[draw(st.sampled_from(sorted(EXPONENT_SCALES)))]
     top = draw(st.sampled_from([3, 2 ** 80]))
@@ -478,6 +478,34 @@ def test_billion_scaled_exponents_stay_small(edit):
     # the gcd keeps the 10^9 grid packed; one exponent off it does not
     assert (_packed_mismatches(_flat(tensor), ring.size) is None) \
         == (edit is _shift_exponent)
+
+
+def _carry_group(m, k, gap):
+    """Z/m x Z/k with b_x b_y = q^(gap * carry_m + carry_k) b_(x + y):
+    associative (each carry is a 2-cocycle), unit b_0, exponents
+    {0, 1, gap, gap + 1}."""
+    tensor = {}
+    for x in range(m * k):
+        for y in range(m * k):
+            (i, j), (ii, jj) = divmod(x, k), divmod(y, k)
+            e = gap * (i + ii >= m) + (j + jj >= k)
+            tensor[(x, y)] = {((i + ii) % m) * k + (j + jj) % k:
+                              Coefficient(LAURENT, {e: 1})}
+    return tuple(f"g{x}" for x in range(m * k)), tensor
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_exponent_gaps_stay_within_the_packing_budget(perturbed):
+    # packed, each slice entry would be an int of about W * n * 6000 bits
+    labels, tensor = _carry_group(5, 8, 3000)
+    if perturbed:  # the last product moves from q^3001 to q^3002
+        _shift_exponent(tensor)
+    units = frozenset({0})
+    found, peak = _peak_mb(lambda: _found(labels, tensor, LAURENT, units))
+    assert peak < 5
+    assert found == naive_violations(labels, tensor, LAURENT, units)
+    assert bool(found) == perturbed
+    assert _packed_mismatches(_flat(tensor), len(labels)) is None
 
 
 LADDER = {

@@ -111,9 +111,6 @@ class Coefficient:
                     del terms[exp]
         return Coefficient(self.mode, terms)
 
-    def __neg__(self):
-        return Coefficient(self.mode, {e: -v for e, v in self.terms.items()})
-
     def __str__(self):
         return format_coefficient(self)
 

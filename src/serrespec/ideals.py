@@ -20,8 +20,9 @@ record its side, so the caller keeps track of which side it asked for.
 
 from collections import deque
 
-from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, build_ring,
-                    check_guard, iter_bits, labels_from_mask, subset_key)
+from .zring import (BASIS_GUARD, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
+                    RingError, iter_bits, labels_from_mask, sub_ring,
+                    subset_key)
 
 
 class NotAnIdeal(RingError):
@@ -122,12 +123,15 @@ def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
 
     The down-sets of the principal closures, found after n closures and
     sorted into canonical order.  The result is a tuple of masks, cached
-    on the ring and returned as is.
+    on the ring and returned as is.  This is the one place BasisTooLarge
+    is raised: a lattice not yet cached is built for a basis over
+    BASIS_GUARD only with allow_large.
     """
-    check_guard(ring, allow_large)
     key = ("ideals", side)
     cached = ring.cache.get(key)
     if cached is None:
+        if ring.size > BASIS_GUARD and not allow_large:
+            raise BasisTooLarge(ring.size)
         up = [serre_closure(ring, 1 << g, side) for g in range(ring.size)]
         cached = tuple(sorted(down_sets(up, ring.full_mask), key=subset_key))
         ring.cache[key] = cached
@@ -163,32 +167,17 @@ def require_proper_two_sided(ring, members):
 
 
 def quotient_ring(ring, ideal):
-    """Quotient by a proper two-sided ideal subset.
+    """Quotient by a proper two-sided ideal subset: the sub_ring on the
+    complement of the ideal.
 
     The surviving basis keeps its order and structure constants; blocks
     and units restrict, units absorbed by the ideal are dropped.  The
     truncated table is re-validated from scratch rather than trusted.
     """
     members = require_proper_two_sided(ring, ideal)
-    keep = [i for i in range(ring.size) if not members >> i & 1]
-    keep_set = set(keep)
-    labels = tuple(ring.labels[i] for i in keep)
-    tensor = {}
-    for (a, b), row in ring.tensor.items():
-        if a in keep_set and b in keep_set:
-            new_row = {ring.labels[g]: c for g, c in row.items()
-                       if g in keep_set}
-            if new_row:
-                tensor[(ring.labels[a], ring.labels[b])] = new_row
-    blocks = None
-    if ring.blocks is not None:
-        blocks = {ring.labels[i]: ring.blocks[i] for i in keep}
-    units = None
-    if ring.units is not None:
-        units = [ring.labels[u] for u in sorted(ring.units) if u in keep_set]
     if members == 0:
         name = ring.name
     else:
         dropped = ",".join(labels_from_mask(ring, members))
         name = f"{ring.name}/{{{dropped}}}"
-    return build_ring(labels, tensor, ring.mode, blocks, units, name)
+    return sub_ring(ring, ring.full_mask & ~members, name)

@@ -28,7 +28,7 @@ from pathlib import Path
 from .coefficients import (INT, LAURENT, Coefficient, CoefficientError,
                            parse_coefficient)
 from .zring import (AssociativityViolation, RingError, RingValidationError,
-                    build_ring)
+                    block_objects, build_ring)
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -242,12 +242,7 @@ def serialize_ring(ring):
         lines.append("unit " + " ".join(ring.labels[u]
                                         for u in sorted(ring.units)))
     if ring.blocks is not None:
-        objects = []
-        for src, dst in ring.blocks:
-            for obj in (src, dst):
-                if obj not in objects:
-                    objects.append(obj)
-        order = {obj: i for i, obj in enumerate(objects)}
+        order = {obj: i for i, obj in enumerate(block_objects(ring.blocks))}
         grouped = {}
         for i, pair in enumerate(ring.blocks):
             grouped.setdefault(pair, []).append(ring.labels[i])

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
                      product_support, require_proper_two_sided,
                      serre_closure)
-from .zring import (TWO_SIDED, RingError, check_guard, iter_bits,
-                    labels_from_mask, support_of)
+from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
+                    support_of)
 
 FAST = "fast"
 DEFINITIONAL = "definitional"
@@ -78,7 +78,6 @@ def _first_pair(table, members):
 def _prime_masks(ring, allow_large=False):
     """Serre prime masks in canonical order, computed once per ring over
     the cached two-sided lattice."""
-    check_guard(ring, allow_large)
     cached = ring.cache.get("primes")
     if cached is None:
         full = ring.full_mask

@@ -8,8 +8,10 @@ intersection (V(I) & V(J) = V(I + J), V_B(X) & V_B(Y) = V_B(X | Y)) and
 include the closure of every point, so the closed sets are exactly the
 subsets of the spectrum closed under specialization, the unions of point
 closures.  The closure of P is V(P) = {Q : P inside Q} for Zariski and
-V_B(complement of P) = {Q : Q inside P} for Balmer style; the family is
-listed by the same down-set search as the ideal lattice.
+V_B(complement of P) = {Q : Q inside P} for Balmer style.  Both are read
+from the spectrum's inclusion pairs, the one definition of the
+specialization order, and kept on the family; the closed sets are listed
+by the same down-set search as the ideal lattice.
 
 Each closed set is tagged with its first defining subset in canonical
 order.  The Zariski generators are already closed under unions.  A
@@ -42,6 +44,7 @@ class ClosedSetFamily:
     sets: list = field(default_factory=list)
     generators_union_closed: bool = True
     empty_set_adjoined: bool = False
+    closures: list = field(default_factory=list)  # point -> closure extent
 
 
 def closed_set(ring, spec, arg, style):
@@ -105,36 +108,29 @@ def build_topology(ring, style, allow_large=False):
         tags = _balmer_tags(ring, spec, space)
     else:
         raise RingError(f"unknown topology style {style!r}")
-    closures = [_closure(style, spec.primes, i)
-                for i in range(len(spec.primes))]
+    closures = [1 << i for i in range(len(spec.primes))]
+    for i, j in spec.inclusions:
+        if style == ZARISKI:
+            closures[i] |= 1 << j
+        else:
+            closures[j] |= 1 << i
     extents = sorted(down_sets(closures, space), key=subset_key)
     return ClosedSetFamily(style, list(spec.primes),
                            [ClosedSet(e, tags.get(e)) for e in extents],
                            all(e in tags for e in extents if e),
-                           0 not in tags)
-
-
-def _closure(style, space, point):
-    """Closure of one point of the spectrum, read from prime inclusion:
-    the primes containing it (Zariski) or inside it (Balmer style)."""
-    p = space[point]
-    extent = 0
-    for j, q in enumerate(space):
-        if not (p & ~q if style == ZARISKI else q & ~p):
-            extent |= 1 << j
-    return extent
+                           0 not in tags, closures)
 
 
 def point_closure(family, point):
     """Smallest closed set containing the point."""
-    return _closure(family.style, family.space, point)
+    return family.closures[point]
 
 
 def specialization_edges(family):
     """Pairs (i, j), i != j, with point j in the closure of point i."""
     edges = []
-    for i in range(len(family.space)):
-        for j in iter_bits(point_closure(family, i)):
+    for i, closure in enumerate(family.closures):
+        for j in iter_bits(closure):
             if j != i:
                 edges.append((i, j))
     return edges

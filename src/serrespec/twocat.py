@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .ideals import product_support
 from .spectrum import serre_spec
-from .zring import (RingError, build_ring, iter_bits, mask_of, subset_key,
-                    unit_decomposition_violations)
+from .zring import (RingError, block_objects, iter_bits, mask_of, sub_ring,
+                    subset_key, unit_decomposition_violations)
 
 
 class MissingBlocks(RingError):
@@ -40,13 +40,10 @@ def block_view(ring):
         raise MissingBlocks("ring declares no blocks")
     if ring.units is None:
         raise MissingBlocks("block classification requires declared units")
-    objects = []
+    objects = block_objects(ring.blocks)
     block_masks = {}
-    for i, (src, dst) in enumerate(ring.blocks):
-        for obj in (src, dst):
-            if obj not in objects:
-                objects.append(obj)
-        block_masks[(src, dst)] = block_masks.get((src, dst), 0) | 1 << i
+    for i, pair in enumerate(ring.blocks):
+        block_masks[pair] = block_masks.get(pair, 0) | 1 << i
     diagonal_units = {}
     for u in sorted(ring.units):
         src, dst = ring.blocks[u]
@@ -60,7 +57,7 @@ def block_view(ring):
     if missing:
         raise MissingBlocks(
             f"objects without a declared unit: {', '.join(missing)}")
-    return BlockRingView(tuple(objects), block_masks, diagonal_units)
+    return BlockRingView(objects, block_masks, diagonal_units)
 
 
 def check_unit_decomposition(ring, units=None):
@@ -82,27 +79,20 @@ def check_unit_decomposition(ring, units=None):
 
 
 def corner_ring(ring, obj):
-    """The induced ring on the diagonal block of one object.
+    """The induced ring on the diagonal block of one object: the sub_ring
+    on that block.
 
-    Returns (corner, old_indices); products of diagonal classes never
-    leave the block, so no truncation is involved.
+    Returns (corner, old_indices).  Products of diagonal classes never
+    leave the block, so nothing is truncated; the corner keeps the
+    object's one unit (block_view puts it on the diagonal) and its
+    one-object block.
     """
     view = block_view(ring)
     if obj not in view.objects:
         raise MissingBlocks(f"unknown object {obj!r}")
-    corner_mask = view.block_masks.get((obj, obj), 0)
-    old = list(iter_bits(corner_mask))
-    old_set = set(old)
-    labels = tuple(ring.labels[i] for i in old)
-    tensor = {}
-    for (a, b), row in ring.tensor.items():
-        if a in old_set and b in old_set:
-            tensor[(ring.labels[a], ring.labels[b])] = {
-                ring.labels[g]: c for g, c in row.items()}
-    units = [ring.labels[view.diagonal_units[obj]]]
-    corner = build_ring(labels, tensor, ring.mode, None, units,
-                        f"{ring.name}[{obj},{obj}]")
-    return corner, old
+    corner_mask = view.block_masks[obj, obj]
+    corner = sub_ring(ring, corner_mask, f"{ring.name}[{obj},{obj}]")
+    return corner, list(iter_bits(corner_mask))
 
 
 def classify_completely_primes(ring, allow_large=False):

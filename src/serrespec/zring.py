@@ -16,13 +16,14 @@ Every product row packs into one Python int, a W-bit field per
 times the largest constant: no coefficient of (ab)c or a(bc) reaches
 2^W, and no sum of positive fields borrows or carries, so two packed sums
 are equal exactly when the rows are.  Associativity is then checked a
-whole n x n slice per middle factor with C-level list operations.
-Exponents are rescaled by their gcd; a table whose packed rows and
-slices could still take more than a budget tied to its flat rows
-{(gamma, q-exponent): positive int} is checked on the flat rows,
-multiplied out one triple at a time.  The unit checks, and the
-description of every violation, use the flat rows.  Basis subsets are
-bitmasks in basis order throughout the package.
+whole n x n slice per middle factor with C-level list operations, and
+only the triples whose slices differ are multiplied out on the flat rows
+{(gamma, q-exponent): positive int} and described.  Exponents are
+rescaled by their gcd; for a table whose packed rows and slices could
+still take more than a budget tied to its flat rows, the same flat loop
+runs over every triple where ab or bc is nonzero.  The unit checks also
+use the flat rows.  Basis subsets are bitmasks in basis order throughout
+the package.
 """
 
 from dataclasses import dataclass, field
@@ -37,9 +38,11 @@ RIGHT = "right"
 TWO_SIDED = "two"
 SIDES = (LEFT, RIGHT, TWO_SIDED)
 
-#: commands that accept allow_large refuse larger bases unless overridden;
-#: this keeps the CLI contract (exit 3); the searches behind it cost per
-#: ideal and per closed set, not per basis subset
+#: an ideal lattice that is not cached yet is built only for bases up to
+#: this size unless allow_large is passed; the one check sits where
+#: enumerate_serre_ideals builds an uncached lattice, and keeps the CLI
+#: contract (exit 3).  The searches behind it cost per ideal and per
+#: closed set, not per basis subset
 BASIS_GUARD = 24
 
 
@@ -237,9 +240,10 @@ def labels_from_mask(ring, mask):
     return select_by_mask(ring.labels, mask)
 
 
-def check_guard(ring, allow_large=False):
-    if ring.size > BASIS_GUARD and not allow_large:
-        raise BasisTooLarge(ring.size)
+def block_objects(blocks):
+    """The objects of a block assignment in first-appearance order: along
+    the basis, the source of each element before its target."""
+    return tuple(dict.fromkeys(obj for pair in blocks for obj in pair))
 
 
 def _resolve(index_map, labels, key):
@@ -346,16 +350,20 @@ _BITS_PER_ENTRY = 8192
 
 def _associativity_violations(labels, mode, flat):
     """An AssociativityViolation for every triple with (ab)c != a(bc), in
-    (a, b, c) order.  Packed rows find the triples that differ; a table
-    over the packing budget compares every triple on flat rows instead."""
+    (a, b, c) order.  Both sides are multiplied out on flat rows for each
+    candidate triple: the triples whose packed sides differ, or, for a
+    table over the packing budget, every triple where ab or bc is nonzero
+    (a triple where both vanish has 0 on both sides)."""
     n = len(labels)
-    differ = _packed_mismatches(flat, n)
-    if differ is None:
-        differ = _flat_mismatches(flat, n)
+    candidates = _packed_mismatches(flat, n)
+    if candidates is None:
+        candidates = _nonzero_triples(flat, n)
     out = []
-    for a, b, c in differ:
+    for a, b, c in candidates:
         lhs = _product(flat, flat.get((a, b), {}), c, True)
         rhs = _product(flat, flat.get((b, c), {}), a, False)
+        if lhs == rhs:
+            continue
         first = min(g for g, e in lhs.keys() | rhs.keys()
                     if lhs.get((g, e)) != rhs.get((g, e)))
         out.append(AssociativityViolation(
@@ -364,19 +372,14 @@ def _associativity_violations(labels, mode, flat):
     return out
 
 
-def _flat_mismatches(flat, n):
-    """The (a, b, c) with (ab)c != a(bc), multiplied out on flat rows,
-    skipping triples where both ab and bc vanish."""
-    out = []
+def _nonzero_triples(flat, n):
+    """Every (a, b, c) with ab or bc nonzero, in order, one at a time."""
     for a in range(n):
         for b in range(n):
-            ab = flat.get((a, b), {})
+            ab = (a, b) in flat
             for c in range(n):
-                bc = flat.get((b, c), {})
-                if (ab or bc) and (_product(flat, ab, c, True)
-                                   != _product(flat, bc, a, False)):
-                    out.append((a, b, c))
-    return out
+                if ab or (b, c) in flat:
+                    yield a, b, c
 
 
 def _packed_mismatches(flat, n):
@@ -563,13 +566,13 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
     length of max row mass * max constant, so by positivity no field
     overflows and packed sums are equal exactly when rows are.  For each
     middle factor b the n x n slices of (ab)c and a(bc) are built and
-    compared whole.  Exponents are divided by their gcd first; if the
-    packed rows and one middle factor's slices could still take more than
-    _BITS_PER_ENTRY bits per flat entry (say q^3000 beside q), every
-    triple with ab or bc nonzero is multiplied out on flat rows instead.  Only the triples that differ
-    are described, through the flat rows, in (a, b, c) order; the unit
-    checks also multiply flat rows.  Coefficients are rebuilt only to
-    describe a violation.
+    compared whole, and the triples that differ are multiplied out on flat
+    rows and described in (a, b, c) order.  Exponents are divided by their
+    gcd first; if the packed rows and one middle factor's slices could
+    still take more than _BITS_PER_ENTRY bits per flat entry (say q^3000
+    beside q), the same flat loop runs over every triple where ab or bc
+    is nonzero.  The unit checks also multiply flat rows.  Coefficients
+    are rebuilt only to describe a violation.
     """
     labels = tuple(labels)
     if not labels:
@@ -657,6 +660,31 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
 
     derived = _derived_tables(len(labels), tens, units_f)
     return ZPlusRing(name, labels, mode, tens, blocks_t, units_f, *derived)
+
+
+def sub_ring(ring, keep, name):
+    """The ring on the basis elements in the mask keep, in basis order.
+
+    The table keeps the products of kept elements restricted to the kept
+    outputs, and the blocks and the declared units restrict to keep (a
+    dropped unit is gone).  The result is rebuilt through build_ring, so
+    it is validated from scratch rather than trusted.
+    """
+    labels = ring.labels
+    tensor = {}
+    for (a, b), row in ring.tensor.items():
+        if keep >> a & keep >> b & 1:
+            kept = {labels[g]: c for g, c in row.items() if keep >> g & 1}
+            if kept:
+                tensor[labels[a], labels[b]] = kept
+    kept_labels = select_by_mask(labels, keep)
+    blocks = None
+    if ring.blocks is not None:
+        blocks = dict(zip(kept_labels, select_by_mask(ring.blocks, keep)))
+    units = None
+    if ring.units is not None:
+        units = [labels[u] for u in sorted(ring.units) if keep >> u & 1]
+    return build_ring(kept_labels, tensor, ring.mode, blocks, units, name)
 
 
 def ring_element(ring, coeffs):

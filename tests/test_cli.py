@@ -60,6 +60,26 @@ def test_report_matches_golden_on_a_wide_terminal(filename, monkeypatch):
     _check_golden(filename)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ideals", "--side", "l"],
+    ["spec"],
+    ["topology", "--style", "zariski"],
+    ["topology", "--style", "balmer"],
+    ["minimal-primes", "--ideal", ""],
+    ["check", "--ideal", "", "--mode", "oracle", "--prop", "prime"],
+    ["check", "--ideal", "", "--mode", "oracle", "--prop", "semiprime"],
+    ["twocat", "--classify-cprimes"],
+    ["oracle"],
+], ids=lambda argv: " ".join(a or "''" for a in argv))
+def test_every_command_reading_the_lattice_is_guarded(argv):
+    # n = 28: each command refuses before it lists the lattice
+    argv = argv[:1] + ["gallery:qplane-trunc-6"] + argv[1:]
+    result = run_command(argv)
+    assert result.exit_code == EXIT_GUARD
+    assert render_report(result.report) == \
+        (GOLDEN / "guard_ideals_qplane-trunc-6.json").read_text()
+
+
 @pytest.mark.parametrize("filename", sorted(
     name for name in GOLDEN_COMMANDS if name.startswith("usage_")))
 def test_usage_goldens_hold_on_a_narrow_terminal(filename, monkeypatch):

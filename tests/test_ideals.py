@@ -190,6 +190,21 @@ def test_guard_refuses_large_basis():
         enumerate_serre_ideals(big)
 
 
+def test_guard_refuses_only_a_lattice_not_yet_built():
+    # the guard is checked where an uncached lattice would be built: once
+    # allow_large has built the two-sided lattice, later calls read it
+    big = truncate_to_ring(quantum_plane(), 6)
+    ideals = enumerate_serre_ideals(big, allow_large=True)
+    assert enumerate_serre_ideals(big) is ideals
+    assert serre_spec(big).primes == [big.full_mask & ~members(big, ["1"])]
+    with pytest.raises(BasisTooLarge):
+        enumerate_serre_ideals(big, LEFT)  # a side not yet built
+    fresh = truncate_to_ring(quantum_plane(), 6)
+    for call in (enumerate_serre_ideals, serre_spec):
+        with pytest.raises(BasisTooLarge):
+            call(fresh)
+
+
 def test_product_support_examples():
     ti = load_gallery("two-idem")
     assert product_support(ti, members(ti, ["a"]), members(ti, ["b"])) == 0

@@ -1,19 +1,20 @@
 import random
 import tracemalloc
 from dataclasses import astuple
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serrespec import (INT, LAURENT, Coefficient, RingError,
-                       RingValidationError, basis_element, build_ring,
-                       enumerate_serre_ideals, gallery_names,
-                       labels_from_mask, load_gallery, mask_from_labels,
-                       multiply_elements, ring_element, support_of,
-                       triple_support)
+                       RingValidationError, basis_element, block_view,
+                       build_ring, corner_ring, enumerate_serre_ideals,
+                       gallery_names, labels_from_mask, load_gallery,
+                       mask_from_labels, multiply_elements, quotient_ring,
+                       ring_element, support_of, triple_support)
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             _flat, _packed_mismatches, iter_bits,
+                             _flat, _packed_mismatches, iter_bits, mask_of,
                              select_by_mask, subset_key)
 
 from conftest import SEED
@@ -243,6 +244,59 @@ def test_subset_key_orders_by_cardinality_then_index_tuple():
     rng.shuffle(masks)
     assert sorted(masks, key=subset_key) \
         == sorted(masks, key=lambda m: (m.bit_count(), index_tuple(m)))
+
+
+def _assert_sub_ring(parent, sub, keep):
+    """sub is parent restricted to the basis mask keep: the same labels,
+    blocks and units in order, and each product of two kept basis
+    elements is the parent's product with the dropped elements removed."""
+    old = list(iter_bits(keep))
+    assert sub.labels == tuple(parent.labels[i] for i in old)
+    if parent.blocks is not None:
+        assert sub.blocks == tuple(parent.blocks[i] for i in old)
+    if parent.units is not None:
+        assert sub.units == {new for new, i in enumerate(old)
+                             if i in parent.units}
+    for a, pa in enumerate(old):
+        for b, pb in enumerate(old):
+            got = multiply_elements(sub, basis_element(sub, a),
+                                    basis_element(sub, b))
+            full = multiply_elements(parent, basis_element(parent, pa),
+                                     basis_element(parent, pb))
+            assert got.coeffs == {new: full.coeffs[i]
+                                  for new, i in enumerate(old)
+                                  if i in full.coeffs}
+
+
+# every block ring of the gallery and of the ladder
+BLOCK_RINGS = {name: partial(load_gallery, name) for name in
+               ("two-idem", "m2-block", "m3-block", "mixed-3obj")}
+BLOCK_RINGS.update({f"tri-block-{k}": partial(upper_triangular, k, True)
+                    for k in (1, 2, 3, 4)})
+BLOCK_RINGS.update({f"diag-block-{k}": partial(diagonal, k, True)
+                    for k in (1, 2, 3)})
+BLOCK_RINGS.update({f"matrix-corner-{k}": partial(matrix_corner, k)
+                    for k in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RINGS))
+def test_corner_ring_is_the_sub_ring_of_its_block(name):
+    ring = BLOCK_RINGS[name]()
+    view = block_view(ring)
+    for obj in view.objects:
+        corner, old = corner_ring(ring, obj)
+        _assert_sub_ring(ring, corner, mask_of(old))
+        # exactly the object's unit, and one object
+        assert corner.units == {old.index(view.diagonal_units[obj])}
+        assert corner.blocks == ((obj, obj),) * corner.size
+
+
+def test_quotient_ring_is_the_sub_ring_off_each_proper_ideal(gallery):
+    for ring in gallery.values():
+        for ideal in enumerate_serre_ideals(ring):
+            if ideal != ring.full_mask:
+                _assert_sub_ring(ring, quotient_ring(ring, ideal),
+                                 ring.full_mask & ~ideal)
 
 
 def _broken_ising():

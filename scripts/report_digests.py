@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Print one digest per CLI report over a fixed set of rings and commands.
+
+Two trees give the same answers exactly when this script prints the same
+lines in both, so it checks that a change left every report
+byte-identical:
+
+    python3 scripts/report_digests.py > after.txt
+    # the same in a checkout of the other commit, then
+    diff before.txt after.txt
+
+Each line is "sha256  argv" for one command.  The digest covers the exit
+code and the report as the CLI prints it, and for topology also the DOT
+file that --dot writes.  The rings are every gallery ring and the ladder
+rings tri-1..5 and diag-1..8 of tests/ladder.py, written as ring files to
+a temporary directory.  That directory is the working directory while
+the commands run, so file arguments read the same in every run.  Every
+ring gets every ring command; a ring with at most SMALL basis elements
+also gets check (every property, both modes), quotient and minimal-primes
+over every ideal of its lattice.  The gallery and monomial commands run
+once each.
+"""
+
+import hashlib
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from ladder import diagonal, upper_triangular  # noqa: E402
+
+from serrespec import gallery_names, load_gallery  # noqa: E402
+from serrespec.cli import render_report, run_command  # noqa: E402
+from serrespec.io import serialize_ring  # noqa: E402
+
+SMALL = 10
+PROPS = ("prime", "cprime", "semiprime")
+MODES = ("fast", "oracle")
+MONOMIAL = [
+    ["--vars", "2", "--twist", "0,0;1,0", "--prime", "1,0"],
+    ["--vars", "2", "--twist", "0,0;1,0", "--prime", "2,0"],
+    ["--vars", "2", "--twist", "0,0;1,0", "--prime", "1,0;0,1"],
+    ["--vars", "2", "--twist", "0,0;1,0", "--truncate", "3"],
+    ["--vars", "3", "--twist", "0,0,0;1,0,0;1,1,0", "--truncate", "2"],
+    ["--vars", "3", "--twist", "0,0,0;1,0,0;1,1,0", "--face", "1"],
+    ["--vars", "3", "--twist", "0,0,0;1,0,0;1,1,0", "--face", "3,1"],
+]
+
+
+def digest(argv, dot=None):
+    """The "sha256  argv" line of one command."""
+    result = run_command(argv)
+    h = hashlib.sha256(f"{result.exit_code}\n".encode())
+    h.update(render_report(result.report).encode())
+    if dot is not None and os.path.exists(dot):
+        h.update(Path(dot).read_bytes())
+        os.remove(dot)
+    return f"{h.hexdigest()}  {shlex.join(argv)}"
+
+
+def ring_commands(arg, labels, ideals):
+    """argv lists for one ring argument with the given basis labels and
+    two-sided ideals (comma-joined label lists)."""
+    cmds = [["validate", arg], ["spec", arg], ["twocat", arg],
+            ["twocat", arg, "--classify-cprimes"], ["oracle", arg]]
+    cmds += [["ideals", arg, "--side", side] for side in ("l", "r", "2")]
+    cmds += [["closure", arg, "--gens", label, "--side", side]
+             for label in labels for side in ("l", "r", "2")]
+    cmds += [["topology", arg, "--style", style, "--dot", "out.dot"]
+             for style in ("zariski", "balmer")]
+    targets = ideals if len(labels) <= SMALL else [""]
+    for ideal in targets:
+        cmds += [["check", arg, "--ideal", ideal, "--prop", prop,
+                  "--mode", mode] for prop in PROPS for mode in MODES]
+        cmds.append(["quotient", arg, "--ideal", ideal])
+        cmds.append(["minimal-primes", arg, "--ideal", ideal])
+    return cmds
+
+
+def main():
+    rings = [(f"gallery:{name}", load_gallery(name))
+             for name in gallery_names()]
+    ladder = [upper_triangular(k) for k in range(1, 6)]
+    ladder += [diagonal(k) for k in range(1, 9)]
+    lines = [digest(["gallery"])]
+    lines += [digest(["gallery", name]) for name in gallery_names()]
+    lines += [digest(["monomial", *argv]) for argv in MONOMIAL]
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for ring in ladder:
+                path = f"{ring.name}.ring"
+                Path(path).write_text(serialize_ring(ring))
+                rings.append((path, ring))
+            for arg, ring in rings:
+                report = run_command(["ideals", arg]).report
+                ideals = [",".join(ideal) for ideal in report["ideals"]]
+                for argv in ring_commands(arg, ring.labels, ideals):
+                    dot = argv[-1] if argv[0] == "topology" else None
+                    lines.append(digest(argv, dot))
+        finally:
+            os.chdir(home)
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
+if __name__ == "__main__":
+    main()

@@ -385,15 +385,14 @@ def _cmd_monomial(args):
         report["basis"] = list(truncated.labels)
         report["ring_file"] = serialize_ring(truncated)
         return EXIT_OK, report
-    typed = [int(t) for t in args.face.split(",") if t.strip()]
-    for t in sorted(typed):
-        if not 1 <= t <= ring.nvars:
+    face = sorted({int(t) - 1 for t in args.face.split(",") if t.strip()})
+    for i in face:
+        if not 0 <= i < ring.nvars:
             raise RingError(
-                f"face variable {t} out of range 1..{ring.nvars}")
-    face = [t - 1 for t in typed]
+                f"face variable {i + 1} out of range 1..{ring.nvars}")
     quotient = face_quotient(ring, face)
     report["action"] = "face"
-    report["face"] = [i + 1 for i in sorted(face)]
+    report["face"] = [i + 1 for i in face]
     report["remaining_vars"] = quotient.nvars
     report["twist_restricted"] = [list(r) for r in quotient.twist]
     return EXIT_OK, report

@@ -10,6 +10,8 @@ signed coefficients, so the sign restriction is enforced at the validation
 boundaries (parsing and table building), not here.
 """
 
+from operator import index
+
 INT = "int"
 LAURENT = "laurent"
 _MODES = (INT, LAURENT)
@@ -37,11 +39,16 @@ class Coefficient:
             raise CoefficientError(f"unknown coefficient mode {mode!r}")
         clean = {}
         for exp, value in dict(terms).items():
+            try:
+                exp, value = index(exp), index(value)
+            except TypeError:
+                raise CoefficientError(
+                    f"non-integer term {exp!r}: {value!r}") from None
             if value == 0:
                 continue
             if mode == INT and exp != 0:
                 raise CoefficientError("q-exponents are not allowed in int mode")
-            clean[int(exp)] = int(value)
+            clean[exp] = value
         self.mode = mode
         self.terms = dict(sorted(clean.items()))
 
@@ -61,7 +68,7 @@ class Coefficient:
                 raise CoefficientError(
                     f"expected a {mode} coefficient, got {value.mode}")
             return value
-        return cls(mode, {0: int(value)})
+        return cls(mode, {0: value})
 
     @classmethod
     def q_power(cls, exponent, value=1):

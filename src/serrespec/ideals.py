@@ -11,7 +11,9 @@ Preorder the basis by h <= g when h lies in the principal ideal subset
 generated by g; the ideal subsets are then exactly the down-sets of this
 preorder.  The lattice is enumerated by include/exclude branching on the
 principal closures, at a cost proportional to the number of ideals
-rather than to the 2^n basis subsets.
+rather than to the 2^n basis subsets.  The search emits the ideals in
+canonical order (cardinality, then lexicographic index tuple), so no
+sort follows it.
 
 An ideal is its int bitmask in basis order, here and in every module that
 takes or returns one.  One-sided lattices are masks too: a mask does not
@@ -21,8 +23,7 @@ record its side, so the caller keeps track of which side it asked for.
 from collections import deque
 
 from .zring import (BASIS_GUARD, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
-                    RingError, iter_bits, labels_from_mask, sub_ring,
-                    subset_key)
+                    RingError, iter_bits, labels_from_mask, sub_ring)
 
 
 class NotAnIdeal(RingError):
@@ -89,7 +90,8 @@ def serre_closure(ring, gens, side=TWO_SIDED):
 
 def down_sets(closures, full):
     """Every subset of the full mask that contains closures[g] for each
-    of its members g, in no particular order.
+    of its members g, in canonical order: by cardinality, then by
+    lexicographic index tuple.
 
     closures[g] must contain g and the closure of each of its members
     (a reflexive, transitive relation).  Branches on the lowest undecided
@@ -98,34 +100,41 @@ def down_sets(closures, full):
     branches stay consistent (the included part is a union of closures,
     the excluded part a union of their transposes), so every leaf is a
     distinct answer and the search costs O(n) per answer.
+
+    The order needs no sort.  Two leaves that part at g agree on every
+    index below g, all of which were decided before g was; so of two
+    leaves of one cardinality, the one holding g has the smaller index
+    tuple.  The include branch is popped first, so the search also emits
+    that leaf first, and each cardinality's leaves, bucketed in emission
+    order, are already in canonical order.
     """
     below = [0] * len(closures)
     for h, closure in enumerate(closures):
         for g in iter_bits(closure):
             below[g] |= 1 << h
-    found = []
+    buckets = [[] for _ in range(full.bit_count() + 1)]
     stack = [(0, 0)]
     while stack:
         inside, outside = stack.pop()
         free = full & ~(inside | outside)
         if not free:
-            found.append(inside)
+            buckets[inside.bit_count()].append(inside)
             continue
         g = (free & -free).bit_length() - 1
         stack.append((inside, outside | below[g]))
         stack.append((inside | closures[g], outside))
-    return found
+    return [mask for bucket in buckets for mask in bucket]
 
 
 def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
     """Every ideal subset, empty and full included, ordered by
     (cardinality, lexicographic index tuple).
 
-    The down-sets of the principal closures, found after n closures and
-    sorted into canonical order.  The result is a tuple of masks, cached
-    on the ring and returned as is.  This is the one place BasisTooLarge
-    is raised: a lattice not yet cached is built for a basis over
-    BASIS_GUARD only with allow_large.
+    The down-sets of the principal closures, found after n closures, in
+    the order down_sets emits them; nothing sorts them afterwards.  The
+    result is a tuple of masks, cached on the ring and returned as is.
+    This is the one place BasisTooLarge is raised: a lattice not yet
+    cached is built for a basis over BASIS_GUARD only with allow_large.
     """
     key = ("ideals", side)
     cached = ring.cache.get(key)
@@ -133,7 +142,7 @@ def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
         if ring.size > BASIS_GUARD and not allow_large:
             raise BasisTooLarge(ring.size)
         up = [serre_closure(ring, 1 << g, side) for g in range(ring.size)]
-        cached = tuple(sorted(down_sets(up, ring.full_mask), key=subset_key))
+        cached = tuple(down_sets(up, ring.full_mask))
         ring.cache[key] = cached
     return cached
 

@@ -11,7 +11,8 @@ closures.  The closure of P is V(P) = {Q : P inside Q} for Zariski and
 V_B(complement of P) = {Q : Q inside P} for Balmer style.  Both are read
 from the spectrum's inclusion pairs, the one definition of the
 specialization order, and kept on the family; the closed sets are listed
-by the same down-set search as the ideal lattice.
+by the same down-set search as the ideal lattice, in the canonical extent
+order that search emits, not sorted afterwards.
 
 Each closed set is tagged with its first defining subset in canonical
 order.  The Zariski generators are already closed under unions.  A
@@ -24,7 +25,7 @@ ring.
 from dataclasses import dataclass, field
 
 from .ideals import down_sets, enumerate_serre_ideals
-from .zring import RingError, iter_bits, labels_from_mask, subset_key
+from .zring import RingError, iter_bits, labels_from_mask
 from .spectrum import serre_spec
 
 ZARISKI = "zariski"
@@ -114,7 +115,7 @@ def build_topology(ring, style, allow_large=False):
             closures[i] |= 1 << j
         else:
             closures[j] |= 1 << i
-    extents = sorted(down_sets(closures, space), key=subset_key)
+    extents = down_sets(closures, space)
     return ClosedSetFamily(style, list(spec.primes),
                            [ClosedSet(e, tags.get(e)) for e in extents],
                            all(e in tags for e in extents if e),

@@ -209,19 +209,12 @@ def mask_of(indices):
     return m
 
 
-_COMPLEMENT = str.maketrans("01", "10")
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
 def subset_key(mask):
-    """Canonical subset order: cardinality, then lexicographic indices.
-
-    Two index tuples of one cardinality first differ at the lowest bit
-    where the masks differ, and the set holding that bit comes first; so
-    the complemented bits, listed from index 0 up, compare as strings in
-    the tuple order.  A leading character carries the cardinality.
-    """
-    return chr(mask.bit_count()) + bin(mask)[:1:-1].translate(_COMPLEMENT)
+    """Canonical subset order: cardinality, then lexicographic indices."""
+    return mask.bit_count(), tuple(iter_bits(mask))
 
 
 def mask_from_labels(ring, labels):
@@ -294,10 +287,7 @@ def _derived_tables(n, tensor, units):
     include_bare = units is None
     triple = [[0] * n for _ in range(n)]
     for a in range(n):
-        deltas = 0
-        for t in range(n):
-            deltas |= pm[a][t]
-        delta_list = list(iter_bits(deltas))
+        delta_list = list(iter_bits(right[a]))
         for b in range(n):
             acc = pm[a][b] if include_bare else 0
             for d in delta_list:

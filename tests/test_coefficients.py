@@ -5,9 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from serrespec import (INT, LAURENT, Coefficient, CoefficientError,
-                       CoefficientSyntaxError, add_coefficients,
+                       CoefficientSyntaxError, add_coefficients, build_ring,
                        format_coefficient, multiply_coefficients,
-                       parse_coefficient)
+                       parse_coefficient, ring_element)
 
 from conftest import SEED
 
@@ -85,6 +85,40 @@ def test_mode_mismatch():
 def test_int_mode_rejects_exponents():
     with pytest.raises(CoefficientError):
         C(INT, {1: 2})
+
+
+@pytest.mark.parametrize("mode, terms", [
+    (INT, {0: 2.7}),
+    (INT, {0: 2.0}),
+    (INT, {0: "3"}),
+    (LAURENT, {1.5: 1}),
+    (LAURENT, {"1": 1}),
+])
+def test_non_integer_terms_rejected(mode, terms):
+    with pytest.raises(CoefficientError):
+        C(mode, terms)
+
+
+# a coefficient with a float exponent cannot be built, so it fails on its
+# way into build_ring and ring_element alike
+NON_INTEGER_VALUES = [
+    pytest.param(INT, lambda: 2.7, id="float"),
+    pytest.param(INT, lambda: "3", id="string"),
+    pytest.param(LAURENT, lambda: C(LAURENT, {1.5: 1}), id="float-exponent"),
+]
+
+
+@pytest.mark.parametrize("mode, value", NON_INTEGER_VALUES)
+def test_build_ring_rejects_non_integer_constants(mode, value):
+    with pytest.raises(CoefficientError):
+        build_ring(["a"], {("a", "a"): {"a": value()}}, mode)
+
+
+@pytest.mark.parametrize("mode, value", NON_INTEGER_VALUES)
+def test_ring_element_rejects_non_integer_coefficients(mode, value):
+    ring = build_ring(["a"], {("a", "a"): {"a": 1}}, mode)
+    with pytest.raises(CoefficientError):
+        ring_element(ring, {"a": value()})
 
 
 def test_canonical_format():

@@ -2,6 +2,8 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serrespec import (DEFINITIONAL, FAST, LEFT, RIGHT, TWO_SIDED,
                        BasisTooLarge, ImproperIdeal, NotAnIdeal,
@@ -12,9 +14,10 @@ from serrespec import (DEFINITIONAL, FAST, LEFT, RIGHT, TWO_SIDED,
                        product_support, quotient_ring, serre_closure,
                        serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
+from serrespec.ideals import down_sets
 
 from ladder import diagonal, upper_triangular
-from oracles import naive_enumerate, naive_ideal_witness, \
+from oracles import canonical_key, naive_enumerate, naive_ideal_witness, \
     naive_is_serre_ideal, naive_product_support, scan_enumerate
 
 
@@ -161,6 +164,33 @@ def test_enumerate_order_is_cardinality_then_lex():
     out = list(enumerate_serre_ideals(ti))
     keys = [(m.bit_count(), labels_from_mask(ti, m)) for m in out]
     assert keys == sorted(keys)
+
+
+@st.composite
+def preorders(draw):
+    """Closure masks of a reflexive, transitive relation on at most 12
+    points: the reflexive-transitive closure of a few drawn pairs."""
+    n = draw(st.integers(0, 12))
+    closures = [1 << g for g in range(n)]
+    if n:
+        point = st.integers(0, n - 1)
+        for g, h in draw(st.lists(st.tuples(point, point), max_size=2 * n)):
+            closures[g] |= 1 << h
+    for k in range(n):  # Warshall: close through each point k in turn
+        for g in range(n):
+            if closures[g] >> k & 1:
+                closures[g] |= closures[k]
+    return closures
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(preorders())
+def test_down_sets_come_out_in_canonical_order(closures):
+    n = len(closures)
+    brute = [m for m in range(1 << n)
+             if all(not closures[g] & ~m for g in range(n) if m >> g & 1)]
+    assert down_sets(closures, (1 << n) - 1) == sorted(brute,
+                                                       key=canonical_key)
 
 
 def test_one_sided_lattices_differ_on_m2():

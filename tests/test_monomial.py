@@ -124,6 +124,15 @@ def test_cli_face_out_of_range_names_the_typed_index(face, typed):
     }
 
 
+def test_cli_face_repeated_index_is_the_face_once():
+    argv = ["monomial", "--vars", "3", "--twist", "0,0,0;1,0,0;0,0,0",
+            "--face"]
+    once = run_command(argv + ["2"])
+    assert run_command(argv + ["2,2"]) == once
+    assert once.report["face"] == [2]
+    assert once.report["remaining_vars"] == 2
+
+
 def test_monomial_labels():
     assert monomial_label((0, 0)) == "1"
     assert monomial_label((1, 0)) == "x"

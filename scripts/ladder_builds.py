@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Time build_ring on a fixed ladder of rings, one line per ring.
+
+    python3 scripts/ladder_builds.py [ring name ...]
+
+Each line gives the ring, its basis size n, its number of nonzero
+structure-constant terms, the route its associativity check takes
+("packed" or "sparse"), the best of three build times and the peak of a
+fourth build traced with tracemalloc.  Every build validates the ring's
+table from scratch through build_ring.  The rings are the gallery's
+verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, and tri-16 and
+diag-150/400 from tests/ladder.py; names given on the command line pick
+a subset.  Run it in two checkouts to compare them.
+"""
+
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from ladder import diagonal, upper_triangular  # noqa: E402
+
+from serrespec import build_ring, load_gallery  # noqa: E402
+from serrespec.zring import _flat, _packed_mismatches  # noqa: E402
+
+RINGS = {
+    **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
+    **{f"qplane-trunc-{d}": load_gallery for d in (5, 10, 15, 19, 20, 25)},
+    "tri-16": lambda name: upper_triangular(16),
+    "diag-150": lambda name: diagonal(150),
+    "diag-400": lambda name: diagonal(400),
+}
+REPEATS = 3
+
+
+def build(ring):
+    return build_ring(ring.labels, ring.tensor, ring.mode,
+                      units=ring.units, name=ring.name)
+
+
+def measure(name):
+    ring = RINGS[name](name)
+    flat = _flat(ring.tensor)
+    route = "sparse" if _packed_mismatches(flat, ring.size) is None \
+        else "packed"
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        build(ring)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        build(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = sum(map(len, flat.values()))
+    return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {route:<7}"
+            f"best={best * 1000:9.1f} ms  peak={peak / 2 ** 20:6.1f} MB")
+
+
+def main():
+    names = sys.argv[1:] or list(RINGS)
+    unknown = [name for name in names if name not in RINGS]
+    if unknown:
+        sys.exit(f"unknown ladder ring(s): {', '.join(unknown)}")
+    for name in names:
+        print(measure(name), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -80,7 +80,7 @@ def _build_parser():
         p.add_argument("ring", metavar="F",
                        help="ring file path or gallery:NAME")
         p.add_argument("--allow-large", action="store_true",
-                       help="override the exhaustive-scan basis guard")
+                       help="override the basis-size guard")
         return p
 
     ring_cmd("validate", "parse and validate a ring file")

@@ -9,6 +9,7 @@ face ideals stay inside the monomial class and keep the domain property.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 from .coefficients import LAURENT, Coefficient
 from .ideals import ImproperIdeal
@@ -29,7 +30,7 @@ class MonomialRing:
             raise RingError(
                 f"a monomial ring needs at least one variable, got "
                 f"{self.nvars}")
-        rows = tuple(tuple(int(v) for v in row) for row in self.twist)
+        rows = tuple(_integers(row, "twist entries") for row in self.twist)
         if len(rows) != self.nvars or any(len(r) != self.nvars for r in rows):
             raise RingError(
                 f"twist matrix must be {self.nvars}x{self.nvars}")
@@ -57,8 +58,17 @@ class MonoidIdeal:
     gens: tuple
 
 
+def _integers(values, what):
+    """The values as a tuple of ints; RingError for a float or any other
+    value that is not an integer, which int() would silently truncate."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise RingError(f"{what} must be integers, got {values!r}") from None
+
+
 def _check_vector(nvars, vec):
-    v = tuple(int(x) for x in vec)
+    v = _integers(vec, "exponent vectors")
     if len(v) != nvars:
         raise RingError(f"expected a vector of length {nvars}, got {vec!r}")
     if any(x < 0 for x in v):
@@ -168,7 +178,7 @@ def truncate_to_ring(ring, degree, name=None):
 def face_quotient(ring, face):
     """Quotient by the face ideal of the given variables: the monomial
     ring on the remaining variables with the restricted twist."""
-    face = sorted({int(i) for i in face})
+    face = sorted(set(_integers(face, "face variables")))
     for i in face:
         if not 0 <= i < ring.nvars:
             raise RingError(f"face variable {i} out of range")

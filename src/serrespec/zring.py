@@ -11,25 +11,26 @@ optional unit set records the identity classes.
 Positivity means supports multiply without cancellation, so ideal and
 primality questions reduce to bitmask algebra over product-support tables
 that are precomputed once per ring.  It also makes validation cheap.
-Every product row packs into one Python int, a W-bit field per
-(q-exponent, gamma) pair, with W the bit length of the largest row mass
-times the largest constant: no coefficient of (ab)c or a(bc) reaches
-2^W, and no sum of positive fields borrows or carries, so two packed sums
-are equal exactly when the rows are.  Associativity is then checked a
-whole n x n slice per middle factor with C-level list operations, and
-only the triples whose slices differ are multiplied out on the flat rows
-{(gamma, q-exponent): positive int} and described.  Exponents are
-rescaled by their gcd; for a table whose packed rows and slices could
-still take more than a budget tied to its flat rows, the same flat loop
-runs over every triple where ab or bc is nonzero.  The unit checks also
-use the flat rows.  Basis subsets are bitmasks in basis order throughout
-the package.
+Associativity has two paths, and one rule, decided from the table's size,
+largest row mass and constant and exponent span before any packed int is
+built, picks between them.  A dense table is packed: every product row is
+one Python int, a W-bit field per (q-exponent, gamma) pair, with W the
+bit length of the largest row mass times the largest constant, so no
+coefficient of (ab)c or a(bc) reaches 2^W, no sum of positive fields
+borrows or carries, and two packed sums are equal exactly when the rows
+are; each middle factor's n x n slices are then compared whole with
+C-level list operations.  Any other table is summed on its flat rows
+{(gamma, q-exponent): positive int}, one dict per middle factor per side
+over the nonzero partial products only.  Either path returns exactly the
+violating triples, which are multiplied out on the flat rows to be
+described.  The unit checks also use the flat rows.  Basis subsets are
+bitmasks in basis order throughout the package.
 """
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from math import gcd
-from operator import add, lshift, mul, sub
+from operator import add, index, lshift, mul, sub
 
 from .coefficients import INT, LAURENT, Coefficient
 
@@ -57,8 +58,9 @@ class UnknownLabel(RingError):
 class BasisTooLarge(RingError):
     def __init__(self, size):
         super().__init__(
-            f"basis of size {size} exceeds the exhaustive-scan guard "
-            f"({BASIS_GUARD}); pass allow_large=True to override")
+            f"basis of size {size} exceeds the basis-size guard "
+            f"({BASIS_GUARD}); pass --allow-large (allow_large=True) to "
+            f"override")
         self.size = size
 
 
@@ -245,7 +247,11 @@ def _resolve(index_map, labels, key):
             return index_map[key]
         except KeyError:
             raise UnknownLabel(f"unknown basis label {key!r}") from None
-    i = int(key)
+    try:
+        i = index(key)
+    except TypeError:
+        raise UnknownLabel(
+            f"basis key {key!r} is neither a label nor an index") from None
     if not 0 <= i < len(labels):
         raise UnknownLabel(f"basis index {key} out of range")
     return i
@@ -327,33 +333,31 @@ def _format_row(labels, mode, row):
         labels, {g: Coefficient(mode, t) for g, t in coeffs.items()})
 
 
-#: the packing budget: the packed rows and the two slices of one middle
-#: factor may hold at most this many bits of int digits per entry of the
-#: flat rows {(gamma, q-exponent): positive int}, that is 1 KB, a few times
+#: the packing rule: a table is packed only when 3 * n^2 ints of
+#: W * n * (2 * span + 1) bits, a bound on its packed rows plus one middle
+#: factor's two slices, take at most this many bits per entry of its flat
+#: rows {(gamma, q-exponent): positive int}, that is 1 KB, a few times
 #: the 100 to 300 bytes a flat entry takes (its key tuple, value and dict
 #: slot).  Packed ints grow with n and with the exponent range left after
-#: the gcd rescaling (q^3000 beside q), flat entries do not; a table over
-#: budget is checked on its flat rows, at the cost the flat check has
-#: always had.
+#: the gcd rescaling (q^3000 beside q), and the slices with n^2 whatever
+#: the table's sparsity; flat entries do neither.  Any other table takes
+#: the sparse path, whose dicts hold only nonzero partial products.
 _BITS_PER_ENTRY = 8192
 
 
 def _associativity_violations(labels, mode, flat):
     """An AssociativityViolation for every triple with (ab)c != a(bc), in
-    (a, b, c) order.  Both sides are multiplied out on flat rows for each
-    candidate triple: the triples whose packed sides differ, or, for a
-    table over the packing budget, every triple where ab or bc is nonzero
-    (a triple where both vanish has 0 on both sides)."""
+    (a, b, c) order.  The violating triples come from the packed path
+    when the packing rule admits the table and from the sparse path
+    otherwise; each is multiplied out on flat rows to be described."""
     n = len(labels)
-    candidates = _packed_mismatches(flat, n)
-    if candidates is None:
-        candidates = _nonzero_triples(flat, n)
+    found = _packed_mismatches(flat, n)
+    if found is None:
+        found = _sparse_mismatches(flat, n)
     out = []
-    for a, b, c in candidates:
+    for a, b, c in found:
         lhs = _product(flat, flat.get((a, b), {}), c, True)
         rhs = _product(flat, flat.get((b, c), {}), a, False)
-        if lhs == rhs:
-            continue
         first = min(g for g, e in lhs.keys() | rhs.keys()
                     if lhs.get((g, e)) != rhs.get((g, e)))
         out.append(AssociativityViolation(
@@ -362,20 +366,55 @@ def _associativity_violations(labels, mode, flat):
     return out
 
 
-def _nonzero_triples(flat, n):
-    """Every (a, b, c) with ab or bc nonzero, in order, one at a time."""
-    for a in range(n):
-        for b in range(n):
-            ab = (a, b) in flat
-            for c in range(n):
-                if ab or (b, c) in flat:
-                    yield a, b, c
+def _by_middle(flat, n):
+    """ending[b] = [(a, row of ab)] and starting[b] = [(c, row of bc)]
+    over the nonzero products."""
+    ending = [[] for _ in range(n)]
+    starting = [[] for _ in range(n)]
+    for (a, b), row in flat.items():
+        ending[b].append((a, row))
+        starting[a].append((b, row))
+    return ending, starting
+
+
+def _sparse_mismatches(flat, n):
+    """The sorted (a, b, c) with (ab)c != a(bc), summed on flat rows.
+
+    For each middle factor b, (ab)c is summed into a dict keyed
+    (a, c, h, exponent) over the terms (g, e, v) of each nonzero ab and
+    the nonzero rows g c, and a(bc) the same way over the terms (k, f, w)
+    of each nonzero bc and the nonzero rows a k; the two dicts are
+    compared whole.  A triple with no nonzero partial product is 0 on
+    both sides and is never visited.  Nothing is packed, so the path has
+    no width, span or memory bound.
+    """
+    ending, starting = _by_middle(flat, n)
+    found = []
+    for b in range(n):
+        lhs = {}
+        for a, row in ending[b]:
+            for (g, e), v in row.items():
+                for c, part in starting[g]:
+                    for (h, f), w in part.items():
+                        key = a, c, h, e + f
+                        lhs[key] = lhs.get(key, 0) + v * w
+        rhs = {}
+        for c, row in starting[b]:
+            for (k, f), w in row.items():
+                for a, part in ending[k]:
+                    for (h, e), v in part.items():
+                        key = a, c, h, e + f
+                        rhs[key] = rhs.get(key, 0) + v * w
+        if lhs != rhs:
+            found += {(key[0], b, key[1]) for key in lhs.keys() | rhs.keys()
+                      if lhs.get(key) != rhs.get(key)}
+    found.sort()
+    return found
 
 
 def _packed_mismatches(flat, n):
     """The sorted (a, b, c) with packed (ab)c != packed a(bc), or None
-    when the packed ints could take more than _BITS_PER_ENTRY bits per
-    flat entry.
+    when the packing rule refuses the table.
 
     A flat row {(h, e): v} packs into one int whose field
     (e - emin) / step * n + h, W bits wide, holds v; step is the gcd of
@@ -399,16 +438,11 @@ def _packed_mismatches(flat, n):
     from rows[k], the packed a k over a; lhs is compared with the
     transpose of rhs.
 
-    Memory: the packed ints stay within the budget.  No int is built if
-    the widest packed row g c, W * n * (span + 1) bits, is over it;
-    packing stops once the packed rows are over it; and no slice is built
-    unless the packed rows plus the largest pair of slices fit in it.  A
-    slice is bounded by its rows times n entries of the widest product
-    row, W * n * (2 * span + 1) bits, or, where that is too coarse, term
-    by term: the bit length of a sum of positive ints is at most the sum
-    of theirs, so the entries of lhs row a take at most the sum, over the
-    terms (g, e, v) of ab, of (shift + W) per nonzero packed g c plus
-    their bit lengths (v < 2^W); rhs rows the same over bc and packed a k.
+    Memory: the at most n^2 packed rows of W * n * (span + 1) bits and
+    one middle factor's two n x n slices of W * n * (2 * span + 1) bits
+    are within 3 * n^2 * W * n * (2 * span + 1) bits, which the rule,
+    decided before any packed int is built, caps at _BITS_PER_ENTRY bits
+    per flat entry.
     """
     if not flat:
         return []
@@ -418,48 +452,25 @@ def _packed_mismatches(flat, n):
     span = (max(exps) - emin) // step
     values = list(map(dict.values, flat.values()))
     width = (max(map(sum, values)) * max(map(max, values))).bit_length()
-    budget = _BITS_PER_ENTRY * sum(map(len, values))
     slot = width * n
-    if slot * (span + 1) > budget:
+    if 3 * n * n * slot * (2 * span + 1) \
+            > _BITS_PER_ENTRY * sum(map(len, values)):
         return None
     shifts = {e: slot * ((e - emin) // step) for e in exps}
     # cols[g][c] = rows[c][g] = packed g c; None for a g (or c) with no
     # nonzero product, which adds nothing to a sum
     cols = [None] * n
     rows = [None] * n
-    ending = [[] for _ in range(n)]    # b -> [(a, row of ab)]
-    starting = [[] for _ in range(n)]  # b -> [(c, row of bc)]
-    spent = 0
     for (g, c), row in flat.items():
         x = 0
         for (h, e), v in row.items():
             x |= v << (shifts[e] + width * h)
-        spent += x.bit_length()
-        if spent > budget:
-            return None
         if cols[g] is None:
             cols[g] = [0] * n
         if rows[c] is None:
             rows[c] = [0] * n
         cols[g][c] = rows[c][g] = x
-        ending[c].append((g, row))
-        starting[g].append((c, row))
-    # a slice has a row per nonzero ab and per nonzero bc, of n entries
-    # below 2^(slot * (2 * span + 1)); where that is too coarse, bound
-    # each slice term by term
-    most = max(map(len, ending)) + max(map(len, starting))
-    if spent + most * n * slot * (2 * span + 1) > budget:
-        # per g: nonzero entries and their bits in cols[g] and in rows[g]
-        col_count, col_bits = _occupancy(cols, n)
-        row_count, row_bits = _occupancy(rows, n)
-        load = [0] * n  # bits of lhs and rhs for each b
-        for (a, b), row in flat.items():
-            for g, e in row:
-                shift = shifts[e] + width
-                load[b] += col_count[g] * shift + col_bits[g]
-                load[a] += row_count[g] * shift + row_bits[g]
-        if spent + max(load) > budget:
-            return None
+    ending, starting = _by_middle(flat, n)
     zero = [0] * n
     found = []
     for b in range(n):
@@ -478,18 +489,6 @@ def _packed_mismatches(flat, n):
                           if u != w]
     found.sort()
     return found
-
-
-def _occupancy(table, n):
-    """Per index: the nonzero entries of table[g] and their total bit
-    length (0 and 0 where table[g] is None)."""
-    count = [0] * n
-    bits = [0] * n
-    for g, part in enumerate(table):
-        if part is not None:
-            count[g] = n - part.count(0)
-            bits[g] = sum(map(int.bit_length, part))
-    return count, bits
 
 
 def _combine(row, table, shifts, zero):
@@ -552,17 +551,18 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
     associativity.  Raises RingValidationError listing every failure.
 
     Once the constants are known to be positive, associativity is checked
-    on packed rows: each product row is one int of W-bit fields, W the bit
-    length of max row mass * max constant, so by positivity no field
-    overflows and packed sums are equal exactly when rows are.  For each
-    middle factor b the n x n slices of (ab)c and a(bc) are built and
-    compared whole, and the triples that differ are multiplied out on flat
-    rows and described in (a, b, c) order.  Exponents are divided by their
-    gcd first; if the packed rows and one middle factor's slices could
-    still take more than _BITS_PER_ENTRY bits per flat entry (say q^3000
-    beside q), the same flat loop runs over every triple where ab or bc
-    is nonzero.  The unit checks also multiply flat rows.  Coefficients
-    are rebuilt only to describe a violation.
+    on one of two paths.  A table packs when 3 * n^2 * W * n *
+    (2 * span + 1) bits fit in _BITS_PER_ENTRY bits per flat entry, W the
+    bit length of max row mass * max constant and span the exponent range
+    after dividing by the exponents' gcd; this is decided before any int
+    is packed.  Packed, each product row is one int of W-bit fields, so by
+    positivity no field overflows and packed sums are equal exactly when
+    rows are, and for each middle factor b the n x n slices of (ab)c and
+    a(bc) are compared whole.  Otherwise (ab)c and a(bc) are summed into
+    dicts over the nonzero partial products of each b, and no triple with
+    none is visited.  The violating triples are multiplied out on flat
+    rows and described in (a, b, c) order.  The unit checks also multiply
+    flat rows.  Coefficients are rebuilt only to describe a violation.
     """
     labels = tuple(labels)
     if not labels:

@@ -3,12 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from serrespec import (Coefficient, FullFace, ImproperIdeal,
-                       MonomialRing, basis_element, build_monoid_ideal,
-                       face_quotient, labels_from_mask, mask_from_labels,
-                       monoid_ideal_is_prime, monoid_membership,
-                       monomial_label, multiply_elements, quotient_ring,
-                       ring_element, serre_closure, support_of,
-                       truncate_to_ring)
+                       MonomialRing, RingError, basis_element,
+                       build_monoid_ideal, face_quotient, labels_from_mask,
+                       mask_from_labels, monoid_ideal_is_prime,
+                       monoid_membership, monomial_label, multiply_elements,
+                       quotient_ring, ring_element, serre_closure,
+                       support_of, truncate_to_ring)
 from serrespec.cli import EXIT_INPUT, run_command
 from serrespec.gallery import quantum_plane
 
@@ -32,6 +32,18 @@ def test_build_monoid_ideal_empty():
 def test_build_monoid_ideal_dimension_mismatch():
     with pytest.raises(Exception):
         build_monoid_ideal(2, [(1, 0, 0)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_monoid_ideal(2, [(1.5, 0)]),
+    lambda: monoid_membership(build_monoid_ideal(2, [(1, 0)]), (1.0, 0)),
+    lambda: MonomialRing(2, ((0.5, 0), (1, 0))),
+    lambda: face_quotient(quantum_plane(), [0.7]),
+])
+def test_non_integer_exponents_twists_and_faces_are_refused(call):
+    # int() would truncate each of these to a different ring or ideal
+    with pytest.raises(RingError, match="must be integers"):
+        call()
 
 
 def test_membership_examples():

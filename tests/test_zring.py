@@ -8,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from serrespec import (INT, LAURENT, Coefficient, RingError,
-                       RingValidationError, basis_element, block_view,
-                       build_ring, corner_ring, enumerate_serre_ideals,
-                       gallery_names, labels_from_mask, load_gallery,
-                       mask_from_labels, multiply_elements, quotient_ring,
-                       ring_element, support_of, triple_support)
+                       RingValidationError, UnknownLabel, basis_element,
+                       block_view, build_ring, corner_ring,
+                       enumerate_serre_ideals, gallery_names,
+                       labels_from_mask, load_gallery, mask_from_labels,
+                       multiply_elements, quotient_ring, ring_element,
+                       support_of, triple_support)
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             _flat, _packed_mismatches, iter_bits, mask_of,
-                             select_by_mask, subset_key)
+                             _flat, _packed_mismatches, _sparse_mismatches,
+                             iter_bits, mask_of, select_by_mask, subset_key)
 
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
@@ -65,6 +66,19 @@ def test_duplicate_label_rejected():
 def test_negative_constant_rejected():
     with pytest.raises(RingError):
         build_ring(["a"], {("a", "a"): {"a": Coefficient(INT, {0: -1})}}, INT)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_ring(["a", "b"], {(0.9, 0): {0: 1}}, INT),
+    lambda: build_ring(["a", "b"], {(0, 0): {1.0: 1}}, INT),
+    lambda: build_ring(["a", "b"], {}, INT, units=[0.5]),
+    lambda: ring_element(load_gallery("ising"), {1.7: 1}),
+    lambda: basis_element(load_gallery("ising"), 2.0),
+])
+def test_float_basis_keys_are_refused(build):
+    # int() would truncate 0.9 to a and 1.7 to eps
+    with pytest.raises(UnknownLabel, match="neither a label nor an index"):
+        build()
 
 
 def test_block_incompatibility_detected():
@@ -456,34 +470,56 @@ def _perturbation_bases():
 PERTURBATION_BASES = _perturbation_bases()
 
 
-@given(st.data())
-@settings(max_examples=150)
-def test_violation_list_matches_oracle_on_perturbed_rings(data):
-    ring = data.draw(st.sampled_from(PERTURBATION_BASES))
+@st.composite
+def perturbed_tables(draw):
+    """A gallery or ladder ring's table after one drawn edit: a raised,
+    dropped or extra term, or (Laurent mode) a shifted exponent."""
+    ring = draw(st.sampled_from(PERTURBATION_BASES))
     mode = ring.mode
     tensor = {ab: dict(row) for ab, row in ring.tensor.items()}
-    ab = data.draw(st.sampled_from(sorted(tensor)))
-    g = data.draw(st.sampled_from(sorted(tensor[ab])))
-    kind = data.draw(st.sampled_from(
+    ab = draw(st.sampled_from(sorted(tensor)))
+    g = draw(st.sampled_from(sorted(tensor[ab])))
+    kind = draw(st.sampled_from(
         ["raise", "drop", "extra"] + ["shift"] * (mode == LAURENT)))
     if kind == "drop":
         del tensor[ab][g]
     elif kind == "extra":
-        h = data.draw(st.integers(0, ring.size - 1))
+        h = draw(st.integers(0, ring.size - 1))
         tensor[ab][h] = tensor[ab].get(h, Coefficient.zero(mode)) \
             + Coefficient.one(mode)
     else:
         terms = dict(tensor[ab][g].terms)
-        e = data.draw(st.sampled_from(sorted(terms)))
+        e = draw(st.sampled_from(sorted(terms)))
         if kind == "raise":
-            terms[e] += data.draw(st.integers(1, 2 ** 80))
+            terms[e] += draw(st.integers(1, 2 ** 80))
         else:  # 10^9 leaves the table too wide to pack
-            terms[e + data.draw(st.sampled_from([-1, 1, 10 ** 9]))] = \
+            terms[e + draw(st.sampled_from([-1, 1, 10 ** 9]))] = \
                 terms.pop(e)
         tensor[ab][g] = Coefficient(mode, terms)
     tensor = {pair: row for pair, row in tensor.items() if row}
-    assert _found(ring.labels, tensor, mode, ring.units) \
-        == naive_violations(ring.labels, tensor, mode, ring.units)
+    return ring.labels, tensor, mode, ring.units
+
+
+@given(perturbed_tables())
+@settings(max_examples=150)
+def test_violation_list_matches_oracle_on_perturbed_rings(case):
+    labels, tensor, mode, units = case
+    assert _found(labels, tensor, mode, units) \
+        == naive_violations(labels, tensor, mode, units)
+
+
+@given(st.one_of(positive_tables(), perturbed_tables()))
+@settings(max_examples=300)
+def test_packed_and_sparse_paths_find_the_oracle_triples(case):
+    # build_ring runs only the path the packing rule picks; here both run
+    labels, tensor, mode, _ = case
+    flat, n = _flat(tensor), len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    expected = [(index[a], index[b], index[c]) for a, b, c, *_
+                in naive_violations(labels, tensor, mode)]
+    assert _sparse_mismatches(flat, n) == expected
+    packed = _packed_mismatches(flat, n)
+    assert packed is None or packed == expected
 
 
 def _peak_mb(fn):
@@ -568,6 +604,31 @@ LADDER = {
     "tri-16": lambda: upper_triangular(16),
     "diag-150": lambda: diagonal(150),
 }
+
+
+def _table_of(ring):
+    return ring.labels, ring.tensor
+
+
+# name -> (labels and index-keyed tensor, whether the table packs): dense
+# fusion tables pack (the sparse check takes seconds on verlinde-sl2-40);
+# sparse, wide or long-span tables do not
+ROUTES = {
+    "verlinde-sl2-40": (lambda: _table_of(LADDER["verlinde-sl2-40"]()), True),
+    "tri-6": (lambda: _table_of(upper_triangular(6)), True),
+    "diag-150": (lambda: _table_of(LADDER["diag-150"]()), False),
+    "qplane-trunc-12": (lambda: _table_of(LADDER["qplane-trunc-12"]()), False),
+    "carry-5x8-gap-3000": (lambda: _carry_group(5, 8, 3000), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_packing_rule_picks_the_route(name):
+    make, packs = ROUTES[name]
+    labels, tensor = make()
+    packed = _packed_mismatches(_flat(tensor), len(labels))
+    assert (packed is not None) == packs
+    assert packed in (None, [])
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

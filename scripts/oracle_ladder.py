@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Time the CLI's oracle command on a fixed ladder of rings, one line per
+ring.
+
+    python3 scripts/oracle_ladder.py [ring name ...]
+
+Each line gives the ring, its basis size n, its number of two-sided
+ideals, its number of Serre primes, whether the oracle found the fast
+and definitional checks in agreement, and the best of three wall times
+of `oracle RING`.  Each run parses the ring afresh, so no lattice is
+cached between runs.  The rings are diag-6..10 and tri-4..6 from
+tests/ladder.py, written as ring files to a temporary directory, and the
+gallery's qplane-trunc-3..5; names given on the command line pick a
+subset.  Run it in two checkouts to compare them.
+"""
+
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+from ladder import diagonal, upper_triangular  # noqa: E402
+
+from serrespec import (enumerate_serre_ideals, load_gallery,  # noqa: E402
+                       serre_spec)
+from serrespec.cli import run_command  # noqa: E402
+from serrespec.io import serialize_ring  # noqa: E402
+
+RINGS = {
+    **{f"diag-{k}": lambda name, k=k: diagonal(k) for k in range(6, 11)},
+    **{f"tri-{k}": lambda name, k=k: upper_triangular(k) for k in (4, 5, 6)},
+    **{f"qplane-trunc-{d}": load_gallery for d in (3, 4, 5)},
+}
+REPEATS = 3
+
+
+def measure(name, tmp):
+    ring = RINGS[name](name)
+    path = Path(tmp) / f"{name}.ring"
+    path.write_text(serialize_ring(ring))
+    argv = ["oracle", str(path)]
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = run_command(argv)
+        best = min(best, time.perf_counter() - start)
+    ideals = len(enumerate_serre_ideals(ring))
+    primes = len(serre_spec(ring).primes)
+    return (f"{name:<16} n={ring.size:<3} ideals={ideals:<6} "
+            f"primes={primes:<3} ok={str(result.report['ok']):<5} "
+            f"best={best * 1000:9.1f} ms")
+
+
+def main():
+    names = sys.argv[1:] or list(RINGS)
+    unknown = [name for name in names if name not in RINGS]
+    if unknown:
+        sys.exit(f"unknown ladder ring(s): {', '.join(unknown)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            print(measure(name, tmp), flush=True)
+
+
+if __name__ == "__main__":
+    main()

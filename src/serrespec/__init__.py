@@ -13,8 +13,8 @@ from .zring import (BASIS_GUARD, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
                     mask_from_labels, multiply_elements, ring_element,
                     support_of, triple_support)
 from .ideals import (ImproperIdeal, NotAnIdeal, enumerate_serre_ideals,
-                     is_serre_ideal, product_support, quotient_ring,
-                     serre_closure)
+                     is_serre_ideal, pairs_inside, product_support,
+                     quotient_ring, serre_closure)
 from .spectrum import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        MultiplicativeSet, NoPrimeOver, SpectrumReport,
                        chain_product_support, is_completely_prime,

@@ -161,6 +161,43 @@ def product_support(ring, left, right):
     return out
 
 
+def pairs_inside(ring, subsets, target):
+    """Every pair (i, j) of the listed subsets whose product_support lies
+    inside the target mask, i-major in list order.
+
+    No product support is computed.  The product of i and j leaves the
+    target exactly when some a in i and b in j have product_masks[a][b]
+    outside it; so each basis element b gets, on first use, the escape
+    mask of the a that send it out (n ANDs), each subset j the union of
+    its members' escape masks, and after that a pair costs one AND.
+    """
+    if not subsets:
+        return
+    pm = ring.product_masks
+    outside = ~target
+    escapes = {}
+    hits = []
+    first = subsets[0]
+    for j in subsets:
+        hit = 0
+        for b in iter_bits(j):
+            escape = escapes.get(b)
+            if escape is None:
+                escape = 0
+                for a, row in enumerate(pm):
+                    if row[b] & outside:
+                        escape |= 1 << a
+                escapes[b] = escape
+            hit |= escape
+        hits.append(hit)
+        if not first & hit:
+            yield first, j
+    for i in subsets[1:]:
+        for j, hit in zip(subsets, hits):
+            if not i & hit:
+                yield i, j
+
+
 def require_proper_two_sided(ring, members):
     """Shared precondition for primality-style predicates; returns the mask."""
     ok, witness = is_serre_ideal(ring, members, TWO_SIDED)

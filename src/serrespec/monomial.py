@@ -26,14 +26,14 @@ class MonomialRing:
     twist: tuple  # n x n integer matrix, rows as tuples
 
     def __post_init__(self):
-        if self.nvars < 1:
+        nvars = _integer(self.nvars, "the number of variables")
+        if nvars < 1:
             raise RingError(
-                f"a monomial ring needs at least one variable, got "
-                f"{self.nvars}")
+                f"a monomial ring needs at least one variable, got {nvars}")
         rows = tuple(_integers(row, "twist entries") for row in self.twist)
-        if len(rows) != self.nvars or any(len(r) != self.nvars for r in rows):
-            raise RingError(
-                f"twist matrix must be {self.nvars}x{self.nvars}")
+        if len(rows) != nvars or any(len(r) != nvars for r in rows):
+            raise RingError(f"twist matrix must be {nvars}x{nvars}")
+        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "twist", rows)
 
     def kappa(self, a, b):
@@ -56,6 +56,15 @@ class MonoidIdeal:
 
     nvars: int
     gens: tuple
+
+
+def _integer(value, what):
+    """The value as an int; RingError for a float or any other value that
+    is not an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise RingError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _integers(values, what):
@@ -156,6 +165,7 @@ def truncate_to_ring(ring, degree, name=None):
     """Finite Laurent-mode ring on the monomials of total degree at most
     ``degree``; products that overflow the degree are zero.  The result is
     rebuilt through full validation, which re-checks the cocycle identity."""
+    degree = _integer(degree, "the degree")
     if degree < 0:
         raise RingError("degree must be nonnegative")
     vecs = _graded_vectors(ring.nvars, degree)

@@ -6,12 +6,18 @@ where the theory provides one, a definitional form quantifying over the
 ideal lattice; the two are asserted equivalent in the test suite.  The
 definitional quantifiers deliberately include the improper ideal: that is
 what keeps the equivalences true for rings without units.
+
+Definitional primality still quantifies over every pair of ideals, but
+decides each containment I*J inside P with one AND instead of a product
+support: the product escapes P exactly when I meets the escape mask of J,
+the set of basis elements a sending some b in J outside P
+(ideals.pairs_inside).
 """
 
 from dataclasses import dataclass, field
 
 from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
-                     product_support, require_proper_two_sided,
+                     pairs_inside, product_support, require_proper_two_sided,
                      serre_closure)
 from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
                     support_of)
@@ -95,11 +101,14 @@ def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
     Fast mode: no pair of basis elements outside P whose two-step product
     supports all land in P.  Definitional mode: no pair (I, J) of
     two-sided ideal subsets (the improper one included) with
-    product_support(I, J) inside P but neither factor inside P.
+    product_support(I, J) inside P but neither factor inside P.  It still
+    visits every pair of escaping ideals, in lattice order, but decides
+    each with one AND through pairs_inside: I*J escapes P exactly when I
+    meets the union of the escape masks of J's members.
 
     Returns (holds, witness); the fast witness names the basis pair along
     with the principal ideals it generates, which form a definitional
-    witness as well.
+    witness as well.  The definitional witness is the first such pair.
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
@@ -117,14 +126,10 @@ def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
         raise RingError(f"unknown primality mode {mode!r}")
     escaping = [m for m in enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
                 if m & ~members]
-    for i in escaping:
-        for j in escaping:
-            if not product_support(ring, i, j) & ~members:
-                return False, {
-                    "ideal_pair": [labels_from_mask(ring, i),
-                                   labels_from_mask(ring, j)],
-                }
-    return True, None
+    pair = next(pairs_inside(ring, escaping, members), None)
+    if pair is None:
+        return True, None
+    return False, {"ideal_pair": [labels_from_mask(ring, m) for m in pair]}
 
 
 def is_completely_prime(ring, ideal):
@@ -199,9 +204,12 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     The chain is found by recursive splitting: a non-prime ideal admits a
     pair of strictly larger ideal subsets whose product support falls back
     into it, and the two half-chains concatenate.  Splitting pairs are
-    tried in canonical lattice order and results memoized, so the outcome
-    is deterministic.  Each chain entry is then replaced by a minimal
-    prime below it, which keeps the product property.
+    tried over every pair of larger ideals in canonical lattice order, and
+    results memoized, so the outcome is deterministic.  Which pairs fall
+    back is decided by pairs_inside with one AND per pair: J*K lies inside
+    the ideal exactly when J misses the escape masks of K's members.  Each
+    chain entry is then replaced by a minimal prime below it, which keeps
+    the product property.
 
     The chain is long (2^(n-1) entries on qplane-trunc-D and tri-k) but
     repeats at most r = len(minimal) primes, and the raw chain's entries
@@ -230,20 +238,15 @@ def minimal_primes_over(ring, ideal, allow_large=False):
             return memo[m]
         result = None
         above = [k for k in masks if not m & ~k and k != m]
-        for j in above:
-            for k in above:
-                if product_support(ring, j, k) & ~m:
-                    continue
-                cj = chain_for(j)
-                if cj is None:
-                    continue
-                ck = chain_for(k)
-                if ck is None:
-                    continue
-                result = cj + ck
-                break
-            if result is not None:
-                break
+        for j, k in pairs_inside(ring, above, m):
+            cj = chain_for(j)
+            if cj is None:
+                continue
+            ck = chain_for(k)
+            if ck is None:
+                continue
+            result = cj + ck
+            break
         memo[m] = result
         return result
 

@@ -12,7 +12,10 @@ pairwise union fixpoint), its former search for maximal ideals avoiding
 a multiplicative set (a filter over the whole ideal lattice) and its
 former memo-free product fold, kept as order-exact oracles for the
 down-set searches, the reading of the prime list and the memoised fold
-that replaced them.
+that replaced them; scan_pairs_inside is the former double loop of the
+definitional primality check and the minimal-primes splitting search,
+kept on naive_product_support as the order-exact oracle for
+ideals.pairs_inside.
 """
 
 from itertools import combinations_with_replacement, product
@@ -211,6 +214,13 @@ def naive_product_support(ring, left_mask, right_mask):
             if right_mask >> b & 1:
                 out |= naive_product_mask(ring, a, b)
     return out
+
+
+def scan_pairs_inside(ring, subsets, target):
+    """Every pair (i, j) of the listed subsets whose product support lies
+    inside the target, i-major in list order, one product per pair."""
+    return [(i, j) for i in subsets for j in subsets
+            if not naive_product_support(ring, i, j) & ~target]
 
 
 def naive_triple_support(ring, a, b):

@@ -11,14 +11,15 @@ from serrespec import (DEFINITIONAL, FAST, LEFT, RIGHT, TWO_SIDED,
                        is_completely_prime, is_semiprime, is_serre_ideal,
                        is_serre_prime, labels_from_mask, load_gallery,
                        mask_from_labels, minimal_primes_over,
-                       product_support, quotient_ring, serre_closure,
-                       serre_spec, truncate_to_ring)
+                       pairs_inside, product_support, quotient_ring,
+                       serre_closure, serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
 from serrespec.ideals import down_sets
 
-from ladder import diagonal, upper_triangular
+from ladder import diagonal, matrix_corner, upper_triangular
 from oracles import canonical_key, naive_enumerate, naive_ideal_witness, \
-    naive_is_serre_ideal, naive_product_support, scan_enumerate
+    naive_is_serre_ideal, naive_product_support, scan_enumerate, \
+    scan_pairs_inside
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,39 @@ def test_product_support_matches_naive(gallery):
             for j in ideals:
                 assert product_support(ring, i, j) \
                     == naive_product_support(ring, i, j)
+
+
+PAIR_RINGS = {name: load_gallery(name) for name in gallery_names()}
+PAIR_RINGS.update((ring.name, ring) for ring in
+                  [upper_triangular(2), upper_triangular(3),
+                   upper_triangular(4), upper_triangular(3, blocks=True),
+                   diagonal(4), matrix_corner(2),
+                   matrix_corner(2, blocks=False)])
+
+
+@st.composite
+def pair_scans(draw):
+    """A ring, a list of up to 7 masks (lattice ideals and arbitrary
+    subsets, the full mask among them, repeats allowed) and a target that
+    is an ideal or an arbitrary subset.  Subsets of at most three basis
+    elements and their complements make I*J and J*I often fall on
+    different sides of the target."""
+    ring = PAIR_RINGS[draw(st.sampled_from(sorted(PAIR_RINGS)))]
+    full = ring.full_mask
+    ideals = st.sampled_from(enumerate_serre_ideals(ring))
+    few = st.sets(st.integers(0, ring.size - 1), min_size=1, max_size=3).map(
+        lambda bits: sum(1 << b for b in bits))
+    masks = st.one_of(ideals, few, st.integers(0, full), st.just(full))
+    target = st.one_of(ideals, few, few.map(lambda m: full & ~m))
+    return ring, draw(st.lists(masks, max_size=7)), draw(target)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pair_scans())
+def test_pairs_inside_is_the_pair_scan_in_order(case):
+    ring, subsets, target = case
+    assert list(pairs_inside(ring, subsets, target)) \
+        == scan_pairs_inside(ring, subsets, target)
 
 
 def test_intersection_of_ideals_is_ideal(gallery):

@@ -46,6 +46,19 @@ def test_non_integer_exponents_twists_and_faces_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: MonomialRing(2.0, ((0, 0), (1, 0))),
+    lambda: MonomialRing("2", ((0, 0), (1, 0))),
+    lambda: truncate_to_ring(quantum_plane(), 2.5),
+    lambda: truncate_to_ring(quantum_plane(), 2.0),
+])
+def test_non_integer_variable_counts_and_degrees_are_refused(call):
+    # unchecked, a float count is stored as it is and a float degree
+    # fails inside range() with a bare TypeError
+    with pytest.raises(RingError, match="must be an integer"):
+        call()
+
+
 def test_membership_examples():
     ideal = build_monoid_ideal(2, [(2, 0)])
     assert monoid_membership(ideal, (3, 1))

@@ -105,6 +105,19 @@ def test_fast_equals_definitional_everywhere(gallery):
             assert s_fast == naive_is_semiprime(ring, ideal)
 
 
+@pytest.mark.parametrize("ring", [upper_triangular(4), upper_triangular(5),
+                                  diagonal(6), diagonal(7), diagonal(8)],
+                         ids=lambda ring: ring.name)
+def test_fast_equals_definitional_on_larger_ladder_rings(ring):
+    # the naive oracle is too slow here; the two library modes check
+    # each other
+    for ideal in proper_ideals(ring):
+        assert is_serre_prime(ring, ideal, FAST)[0] \
+            == is_serre_prime(ring, ideal, DEFINITIONAL)[0], ideal
+        assert is_semiprime(ring, ideal, FAST)[0] \
+            == is_semiprime(ring, ideal, DEFINITIONAL)[0], ideal
+
+
 def test_completely_prime_matches_naive_and_implies_prime(gallery):
     for ring in gallery.values():
         for ideal in proper_ideals(ring):

@@ -19,6 +19,11 @@ ring gets every ring command; a ring with at most SMALL basis elements
 also gets check (every property, both modes), quotient and minimal-primes
 over every ideal of its lattice.  The gallery and monomial commands run
 once each.
+
+Violation and hint text is covered too: for every product of every
+ring, two perturbed ring files are written, one with a constant of the
+product bumped by one and one with the product dropped, and each gets a
+validate run.
 """
 
 import hashlib
@@ -82,6 +87,21 @@ def ring_commands(arg, labels, ideals):
     return cmds
 
 
+def perturbed(text):
+    """Perturbed copies of a serialized ring, two per 'mul' line: the line
+    with one more of its first output, and the text without the line."""
+    lines = text.splitlines(keepends=True)
+    out = []
+    for i, line in enumerate(lines):
+        if not line.startswith("mul "):
+            continue
+        first = line.split("=", 1)[1].split("+", 1)[0].strip()
+        bumped = f"{line.rstrip()} + {first.rpartition('*')[2]}\n"
+        out.append("".join(lines[:i] + [bumped] + lines[i + 1:]))
+        out.append("".join(lines[:i] + lines[i + 1:]))
+    return out
+
+
 def main():
     rings = [(f"gallery:{name}", load_gallery(name))
              for name in gallery_names()]
@@ -98,6 +118,11 @@ def main():
                 path = f"{ring.name}.ring"
                 Path(path).write_text(serialize_ring(ring))
                 rings.append((path, ring))
+            for _, ring in rings:
+                for j, text in enumerate(perturbed(serialize_ring(ring))):
+                    path = f"perturbed-{ring.name}-{j}.ring"
+                    Path(path).write_text(text)
+                    lines.append(digest(["validate", path]))
             for arg, ring in rings:
                 report = run_command(["ideals", arg]).report
                 ideals = [",".join(ideal) for ideal in report["ideals"]]

@@ -34,13 +34,13 @@ class ImproperIdeal(RingError):
     pass
 
 
-def _absorb_tables(ring, side):
+def _absorb_table(ring, side):
     if side == LEFT:
-        return (ring.left_absorb,)
+        return ring.left_absorb
     if side == RIGHT:
-        return (ring.right_absorb,)
+        return ring.right_absorb
     if side == TWO_SIDED:
-        return (ring.left_absorb, ring.right_absorb)
+        return ring.two_sided_absorb
     raise RingError(f"unknown ideal side {side!r}")
 
 
@@ -52,10 +52,10 @@ def is_serre_ideal(ring, members, side=TWO_SIDED):
     supp(b_beta * b_gamma) for the left condition or supp(b_gamma * b_beta)
     for the right one.
     """
-    tables = _absorb_tables(ring, side)
+    absorb = _absorb_table(ring, side)
     outside = ~members
     for g in iter_bits(members):
-        if any(t[g] & outside for t in tables):
+        if absorb[g] & outside:
             break
     else:
         return True, None
@@ -75,14 +75,11 @@ def is_serre_ideal(ring, members, side=TWO_SIDED):
 
 def serre_closure(ring, gens, side=TWO_SIDED):
     """Least ideal subset containing the generators (worklist in basis order)."""
-    tables = _absorb_tables(ring, side)
+    absorb = _absorb_table(ring, side)
     members = gens
     queue = deque(iter_bits(members))
     while queue:
-        g = queue.popleft()
-        added = 0
-        for t in tables:
-            added |= t[g] & ~members
+        added = absorb[queue.popleft()] & ~members
         members |= added
         queue.extend(iter_bits(added))
     return members

@@ -258,7 +258,8 @@ def serialize_ring(ring):
             terms = []
             for g in sorted(row):
                 for exp, value in row[g].terms.items():
-                    if exp == 0 and value == 1:
+                    # a bare "0" would read back as the zero product
+                    if exp == 0 and value == 1 and ring.labels[g] != "0":
                         terms.append(ring.labels[g])
                     else:
                         mono = Coefficient(ring.mode, {exp: value})

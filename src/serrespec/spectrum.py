@@ -186,7 +186,7 @@ class SpectrumReport:
 
 def serre_spec(ring, allow_large=False):
     primes = list(_prime_masks(ring, allow_large))
-    cp = [is_completely_prime(ring, p)[0] for p in primes]
+    cp = [_first_pair(ring.product_masks, p) is None for p in primes]
     inclusions = []
     for i, p in enumerate(primes):
         for j, q in enumerate(primes):

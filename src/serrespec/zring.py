@@ -9,28 +9,22 @@ arrow between two objects, and products respect composability), and an
 optional unit set records the identity classes.
 
 Positivity means supports multiply without cancellation, so ideal and
-primality questions reduce to bitmask algebra over product-support tables
-that are precomputed once per ring.  It also makes validation cheap.
-Associativity has two paths, and one rule, decided from the table's size,
-largest row mass and constant and exponent span before any packed int is
-built, picks between them.  A dense table is packed: every product row is
-one Python int, a W-bit field per (q-exponent, gamma) pair, with W the
-bit length of the largest row mass times the largest constant, so no
-coefficient of (ab)c or a(bc) reaches 2^W, no sum of positive fields
-borrows or carries, and two packed sums are equal exactly when the rows
-are; each middle factor's n x n slices are then compared whole with
-C-level list operations.  Any other table is summed on its flat rows
-{(gamma, q-exponent): positive int}, one dict per middle factor per side
-over the nonzero partial products only.  Either path returns exactly the
-violating triples, which are multiplied out on the flat rows to be
-described.  The unit checks also use the flat rows.  Basis subsets are
-bitmasks in basis order throughout the package.
+primality questions reduce to bitmask algebra over product-support
+tables.  build_ring only validates and assembles; the ring derives each
+table from its tensor on first read, so a command pays only for the
+tables it uses.  Positivity also makes validation cheap: associativity
+is checked on packed integer rows when the packing rule at
+_BITS_PER_ENTRY admits the table and on sparse flat rows otherwise, and
+either path returns exactly the violating triples.  The unit checks also
+use the flat rows.  Basis subsets are bitmasks in basis order throughout
+the package.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
-from operator import add, index, lshift, mul, sub
+from operator import add, index, lshift, mul, or_, sub
 
 from .coefficients import INT, LAURENT, Coefficient
 
@@ -122,7 +116,12 @@ class RingValidationError(RingError):
 
 @dataclass(frozen=True, eq=False)
 class ZPlusRing:
-    """Immutable validated ring value.  Construct with build_ring()."""
+    """Immutable validated ring value.  Construct with build_ring().
+
+    The support tables are functions of the tensor, derived on first read
+    and kept in the instance dict; they are not part of the ring's
+    identity.
+    """
 
     name: str
     labels: tuple
@@ -130,12 +129,61 @@ class ZPlusRing:
     tensor: dict  # (alpha, beta) index pair -> {gamma index: Coefficient}
     blocks: tuple | None  # per basis index: (source object, target object)
     units: frozenset | None
-    # derived support tables; functions of the tensor, not part of identity
-    product_masks: tuple = field(repr=False, default=())
-    triple_masks: tuple = field(repr=False, default=())
-    left_absorb: tuple = field(repr=False, default=())
-    right_absorb: tuple = field(repr=False, default=())
     cache: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def product_masks(self):
+        """product_masks[a][b]: the support of b_a * b_b."""
+        n = len(self.labels)
+        pm = [[0] * n for _ in range(n)]
+        for (a, b), row in self.tensor.items():
+            pm[a][b] = mask_of(row)
+        return tuple(map(tuple, pm))
+
+    @cached_property
+    def left_absorb(self):
+        """left_absorb[g]: the union of supp(b_b * b_g) over every b."""
+        pm = self.product_masks
+        out = [0] * len(self.labels)
+        for a, b in self.tensor:
+            out[b] |= pm[a][b]
+        return tuple(out)
+
+    @cached_property
+    def right_absorb(self):
+        """right_absorb[g]: the union of supp(b_g * b_b) over every b."""
+        pm = self.product_masks
+        out = [0] * len(self.labels)
+        for a, b in self.tensor:
+            out[a] |= pm[a][b]
+        return tuple(out)
+
+    @cached_property
+    def two_sided_absorb(self):
+        """left_absorb[g] | right_absorb[g] for each g."""
+        return tuple(map(or_, self.left_absorb, self.right_absorb))
+
+    @cached_property
+    def triple_masks(self):
+        """triple_masks[a][b]: the union of supp(b_a * b_t * b_b) over
+        every middle factor t, and of the bare product supp(b_a * b_b).
+
+        The support of b_a * b_t * b_b is the union of product_masks[d][b]
+        over d in supp(b_a * b_t), so row a is product_masks[a] or-ed with
+        product_masks[d] for every d in right_absorb[a].
+
+        The bare product adds nothing to a ring with declared units: the
+        unit sum is a two-sided identity, so b_a * b_b = sum over units u
+        of (b_a * b_u) * b_b, and by positivity the support of each summand
+        lies in the union of product_masks[d][b] over d in right_absorb[a].
+        Without units it keeps the two-step test meaningful.
+        """
+        pm = self.product_masks
+        triple = list(pm)
+        for a, middle in enumerate(self.right_absorb):
+            for d in iter_bits(middle):
+                triple[a] = tuple(map(or_, triple[a], pm[d]))
+        return tuple(triple)
 
     def __eq__(self, other):
         if not isinstance(other, ZPlusRing):
@@ -271,38 +319,6 @@ def format_element(labels, coeffs):
     return " + ".join(parts)
 
 
-def _derived_tables(n, tensor, units):
-    pm = [[0] * n for _ in range(n)]
-    for (a, b), row in tensor.items():
-        m = 0
-        for g in row:
-            m |= 1 << g
-        pm[a][b] = m
-    left = [0] * n
-    right = [0] * n
-    for g in range(n):
-        lm = rm = 0
-        for b in range(n):
-            lm |= pm[b][g]
-            rm |= pm[g][b]
-        left[g] = lm
-        right[g] = rm
-    # triple[a][b] = union over middle factors t of supp(b_a b_t b_b); for
-    # non-unital rings the bare product b_a b_b is adjoined so the two-step
-    # test stays meaningful without identity classes.
-    include_bare = units is None
-    triple = [[0] * n for _ in range(n)]
-    for a in range(n):
-        delta_list = list(iter_bits(right[a]))
-        for b in range(n):
-            acc = pm[a][b] if include_bare else 0
-            for d in delta_list:
-                acc |= pm[d][b]
-            triple[a][b] = acc
-    return (tuple(map(tuple, pm)), tuple(map(tuple, triple)),
-            tuple(left), tuple(right))
-
-
 def _flat(tensor):
     """(alpha, beta) -> {(gamma, q-exponent): positive int}."""
     return {ab: {(g, e): v for g, c in row.items() for e, v in c.terms.items()}
@@ -324,13 +340,17 @@ def _product(flat, row, b, row_first):
     return out
 
 
-def _format_row(labels, mode, row):
-    """format_element of a flat row (diagnostics only)."""
+def _format_row(labels, row):
+    """format_element of a flat row (diagnostics only).
+
+    Formatting reads only the terms, and a row of an int table has only
+    exponent 0, so building every Coefficient in LAURENT mode gives the
+    same text in either mode and keeps the mode out of the checks."""
     coeffs = {}
     for (g, e), v in row.items():
         coeffs.setdefault(g, {})[e] = v
     return format_element(
-        labels, {g: Coefficient(mode, t) for g, t in coeffs.items()})
+        labels, {g: Coefficient(LAURENT, t) for g, t in coeffs.items()})
 
 
 #: the packing rule: a table is packed only when 3 * n^2 ints of
@@ -345,7 +365,7 @@ def _format_row(labels, mode, row):
 _BITS_PER_ENTRY = 8192
 
 
-def _associativity_violations(labels, mode, flat):
+def _associativity_violations(labels, flat):
     """An AssociativityViolation for every triple with (ab)c != a(bc), in
     (a, b, c) order.  The violating triples come from the packed path
     when the packing rule admits the table and from the sparse path
@@ -362,7 +382,7 @@ def _associativity_violations(labels, mode, flat):
                     if lhs.get((g, e)) != rhs.get((g, e)))
         out.append(AssociativityViolation(
             labels[a], labels[b], labels[c], labels[first],
-            _format_row(labels, mode, lhs), _format_row(labels, mode, rhs)))
+            _format_row(labels, lhs), _format_row(labels, rhs)))
     return out
 
 
@@ -508,13 +528,13 @@ def _combine(row, table, shifts, zero):
     return acc
 
 
-def unit_decomposition_violations(labels, tensor, mode, units):
+def unit_decomposition_violations(labels, tensor, units):
     """Check that each unit is idempotent and the unit sum is a two-sided
     identity on every basis element; returns UnitViolation records."""
-    return _unit_violations(labels, _flat(tensor), mode, units)
+    return _unit_violations(labels, _flat(tensor), units)
 
 
-def _unit_violations(labels, flat, mode, units):
+def _unit_violations(labels, flat, units):
     out = []
     unit_list = sorted(units)
     for u in unit_list:
@@ -523,7 +543,7 @@ def _unit_violations(labels, flat, mode, units):
             out.append(UnitViolation(
                 labels[u], labels[u],
                 f"{labels[u]} is not idempotent: square is "
-                f"{_format_row(labels, mode, sq)}"))
+                f"{_format_row(labels, sq)}"))
     unit_sum = {(u, 0): 1 for u in unit_list}
     for g in range(len(labels)):
         left = _product(flat, unit_sum, g, True)
@@ -532,12 +552,12 @@ def _unit_violations(labels, flat, mode, units):
             out.append(UnitViolation(
                 None, labels[g],
                 f"unit sum times {labels[g]} is "
-                f"{_format_row(labels, mode, left)}, expected {labels[g]}"))
+                f"{_format_row(labels, left)}, expected {labels[g]}"))
         if right != {(g, 0): 1}:
             out.append(UnitViolation(
                 None, labels[g],
                 f"{labels[g]} times unit sum is "
-                f"{_format_row(labels, mode, right)}, expected {labels[g]}"))
+                f"{_format_row(labels, right)}, expected {labels[g]}"))
     return out
 
 
@@ -550,19 +570,14 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
     nonnegative constants, block compatibility, unit axioms, and full
     associativity.  Raises RingValidationError listing every failure.
 
-    Once the constants are known to be positive, associativity is checked
-    on one of two paths.  A table packs when 3 * n^2 * W * n *
-    (2 * span + 1) bits fit in _BITS_PER_ENTRY bits per flat entry, W the
-    bit length of max row mass * max constant and span the exponent range
-    after dividing by the exponents' gcd; this is decided before any int
-    is packed.  Packed, each product row is one int of W-bit fields, so by
-    positivity no field overflows and packed sums are equal exactly when
-    rows are, and for each middle factor b the n x n slices of (ab)c and
-    a(bc) are compared whole.  Otherwise (ab)c and a(bc) are summed into
-    dicts over the nonzero partial products of each b, and no triple with
-    none is visited.  The violating triples are multiplied out on flat
-    rows and described in (a, b, c) order.  The unit checks also multiply
-    flat rows.  Coefficients are rebuilt only to describe a violation.
+    build_ring only validates and assembles: the ring derives its support
+    tables from the tensor on first read (see ZPlusRing).  Once the
+    constants are known to be positive, associativity is checked on the
+    packed or the sparse path, chosen by the packing rule stated at
+    _BITS_PER_ENTRY and argued in _packed_mismatches; the violating
+    triples are multiplied out on flat rows and described in (a, b, c)
+    order.  The unit checks also multiply flat rows.  Coefficients are
+    rebuilt only to describe a violation.
     """
     labels = tuple(labels)
     if not labels:
@@ -640,16 +655,15 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
                         f"{blocks_t[gi]}, expected ({sb}, {ta})"))
 
     flat = _flat(tens)
-    violations.extend(_associativity_violations(labels, mode, flat))
+    violations.extend(_associativity_violations(labels, flat))
 
     if units_f is not None:
-        violations.extend(_unit_violations(labels, flat, mode, units_f))
+        violations.extend(_unit_violations(labels, flat, units_f))
 
     if violations:
         raise RingValidationError(name, violations)
 
-    derived = _derived_tables(len(labels), tens, units_f)
-    return ZPlusRing(name, labels, mode, tens, blocks_t, units_f, *derived)
+    return ZPlusRing(name, labels, mode, tens, blocks_t, units_f)
 
 
 def sub_ring(ring, keep, name):
@@ -722,6 +736,6 @@ def support_of(x):
 
 
 def triple_support(ring, alpha, beta):
-    """Union of supp(b_alpha b_t b_beta) over middle basis factors t,
-    plus supp(b_alpha b_beta) itself when the ring declares no units."""
+    """Union of supp(b_alpha b_t b_beta) over middle basis factors t and
+    of supp(b_alpha b_beta) itself (see ZPlusRing.triple_masks)."""
     return ring.triple_masks[alpha][beta]

@@ -224,7 +224,13 @@ def scan_pairs_inside(ring, subsets, target):
 
 
 def naive_triple_support(ring, a, b):
-    out = naive_product_mask(ring, a, b) if ring.units is None else 0
+    """The bare product's support and every supp(b_a b_t b_b)."""
+    return naive_product_mask(ring, a, b) | naive_middle_support(ring, a, b)
+
+
+def naive_middle_support(ring, a, b):
+    """Union of supp(b_a b_t b_b) over every middle factor t."""
+    out = 0
     for t in range(ring.size):
         at = multiply_elements(ring, basis_element(ring, a),
                                basis_element(ring, t))

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from serrespec import cli, gallery_names, load_gallery
 from serrespec.cli import EXIT_FALSE, EXIT_GUARD, EXIT_INPUT, EXIT_OK, \
     render_report, run_command
+from serrespec.io import serialize_ring
+from serrespec.zring import ZPlusRing
 
 from golden_manifest import GOLDEN_COMMANDS
+from ladder import upper_triangular
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -144,6 +147,26 @@ def test_render_report_of_ten_thousand_label_lists(shared):
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv,reads", [
+    (["validate", "gallery:ising"], False),
+    (["validate", "tri-3.ring"], False),
+    (["closure", "gallery:ising", "--gens", "eps"], False),
+    (["closure", "tri-3.ring", "--gens", "e2_2", "--side", "l"], False),
+    (["spec", "gallery:ising"], True),
+], ids=["validate", "validate-file", "closure", "closure-file", "spec"])
+def test_only_commands_that_need_it_build_the_triple_table(
+        argv, reads, tmp_path, monkeypatch):
+    (tmp_path / "tri-3.ring").write_text(serialize_ring(upper_triangular(3)))
+    monkeypatch.chdir(tmp_path)
+    built = []
+    derive = ZPlusRing.triple_masks.func
+    monkeypatch.setattr(ZPlusRing, "triple_masks",
+                        property(lambda ring: built.append(ring) or
+                                 derive(ring)))
+    assert run_command(argv).exit_code == EXIT_OK
+    assert bool(built) == reads
 
 
 @pytest.mark.parametrize("argv", [

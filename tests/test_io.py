@@ -2,7 +2,8 @@ import pytest
 
 from serrespec import (RingError, RingFileError, RingValidationError,
                        build_ring, gallery_names, load_gallery,
-                       parse_ring_file, serialize_ring)
+                       mask_from_labels, parse_ring_file, quotient_ring,
+                       serialize_ring)
 from serrespec.cli import EXIT_INPUT, run_command
 
 ISING_FIXTURE = """\
@@ -77,11 +78,57 @@ def test_round_trip_all_gallery_rings():
 
 
 def test_round_trip_after_quotient():
-    from serrespec import mask_from_labels, quotient_ring
     zx = load_gallery("zx2-x")
     quo = quotient_ring(zx, mask_from_labels(zx, ["x"]))
     text = serialize_ring(quo)
     assert parse_ring_file(text) == quo
+
+
+ZERO_LABELLED = {
+    # 0 is the unit, and e * e = 0 has it as its only output
+    "only": (["0", "e"], {("0", "0"): {"0": 1}, ("0", "e"): {"e": 1},
+                          ("e", "0"): {"e": 1}, ("e", "e"): {"0": 1}},
+             ["0"], "mul e e = 1*0\n"),
+    # the Ising table with 0 for 1, so sigma * sigma = 0 + eps
+    "several": (["0", "eps", "sigma"],
+                {("0", g): {g: 1} for g in ("0", "eps", "sigma")}
+                | {(g, "0"): {g: 1} for g in ("eps", "sigma")}
+                | {("eps", "eps"): {"0": 1}, ("eps", "sigma"): {"sigma": 1},
+                   ("sigma", "eps"): {"sigma": 1},
+                   ("sigma", "sigma"): {"0": 1, "eps": 1}},
+                ["0"], "mul sigma sigma = 1*0 + eps\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_LABELLED))
+def test_basis_element_named_0_round_trips(case):
+    labels, tensor, units, line = ZERO_LABELLED[case]
+    ring = build_ring(labels, tensor, units=units, name=case)
+    text = serialize_ring(ring)
+    assert line in text
+    assert parse_ring_file(text) == ring
+
+
+def test_quotient_keeping_a_basis_element_named_0_round_trips(tmp_path):
+    # tri-2 with e1_1, e1_2, e2_2 named 0, a, e: the quotient by the
+    # radical {a} keeps 0 * 0 = 0
+    text = """\
+ring "tri"
+coeff int
+basis 0 a e
+unit 0 e
+mul 0 0 = 1*0
+mul 0 a = a
+mul a e = a
+mul e e = e
+"""
+    (tmp_path / "tri.ring").write_text(text)
+    result = run_command(["quotient", str(tmp_path / "tri.ring"),
+                          "--ideal", "a"])
+    assert "mul 0 0 = 1*0" in result.report["ring_file"]
+    ring = parse_ring_file(text)
+    quo = quotient_ring(ring, mask_from_labels(ring, ["a"]))
+    assert parse_ring_file(result.report["ring_file"]) == quo
 
 
 def test_empty_tensor_ring_serializes_without_mul_lines():

@@ -1,7 +1,8 @@
 import random
 import tracemalloc
 from dataclasses import astuple
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +16,14 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        multiply_elements, quotient_ring, ring_element,
                        support_of, triple_support)
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             _flat, _packed_mismatches, _sparse_mismatches,
-                             iter_bits, mask_of, select_by_mask, subset_key)
+                             ZPlusRing, _flat, _packed_mismatches,
+                             _sparse_mismatches, iter_bits, mask_of,
+                             select_by_mask, subset_key)
 
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
-from oracles import (index_tuple, naive_product_mask, naive_triple_support,
-                     naive_violations)
+from oracles import (index_tuple, naive_middle_support, naive_product_mask,
+                     naive_triple_support, naive_violations)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,65 @@ def test_product_masks_match_naive_oracle(gallery):
         for a in range(ring.size):
             for b in range(ring.size):
                 assert ring.product_masks[a][b] == naive_product_mask(ring, a, b)
+
+
+TABLES = ("product_masks", "left_absorb", "right_absorb", "two_sided_absorb",
+          "triple_masks")
+
+
+def _table_rings():
+    rings = [load_gallery(name) for name in gallery_names()]
+    rings += [upper_triangular(k) for k in range(1, 5)]
+    rings += [diagonal(k) for k in range(1, 5)]
+    rings += [matrix_corner(2), matrix_corner(2, blocks=False)]
+    # no units and x * x = y beside x * y = 0: only the bare product
+    # puts y in triple_masks[x][x]
+    rings.append(build_ring(["x", "y"], {("x", "x"): {"y": 1}},
+                            name="square-zero"))
+    return rings
+
+
+def _naive_tables(ring):
+    n = ring.size
+    pm = tuple(tuple(naive_product_mask(ring, a, b) for b in range(n))
+               for a in range(n))
+    left = tuple(reduce(or_, (pm[b][g] for b in range(n))) for g in range(n))
+    right = tuple(reduce(or_, pm[g]) for g in range(n))
+    return {
+        "product_masks": pm,
+        "left_absorb": left,
+        "right_absorb": right,
+        "two_sided_absorb": tuple(x | y for x, y in zip(left, right)),
+        "triple_masks": tuple(tuple(naive_triple_support(ring, a, b)
+                                    for b in range(n)) for a in range(n)),
+    }
+
+
+def test_build_ring_stores_no_table():
+    ring = upper_triangular(3)
+    assert not set(TABLES) & set(vars(ring))
+    assert ring.triple_masks is ring.triple_masks
+    assert "triple_masks" in vars(ring)
+    assert "left_absorb" not in vars(ring)
+
+
+@pytest.mark.parametrize("ring", _table_rings(), ids=lambda r: r.name)
+def test_directly_constructed_ring_derives_the_build_ring_tables(ring):
+    direct = ZPlusRing(ring.name, ring.labels, ring.mode, ring.tensor,
+                       ring.blocks, ring.units)
+    naive = _naive_tables(ring)
+    for name in TABLES:
+        assert getattr(direct, name) == getattr(ring, name) == naive[name]
+
+
+@pytest.mark.parametrize("ring", [r for r in _table_rings() if r.units],
+                         ids=lambda r: r.name)
+def test_bare_product_lies_in_the_middle_factor_union_with_units(ring):
+    for a in range(ring.size):
+        for b in range(ring.size):
+            middle = naive_middle_support(ring, a, b)
+            assert not ring.product_masks[a][b] & ~middle
+            assert ring.triple_masks[a][b] == middle
 
 
 def _random_positive(ring, rng):

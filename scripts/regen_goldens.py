@@ -26,7 +26,7 @@ def main():
     for filename, argv in sorted(GOLDEN_COMMANDS.items()):
         result = run_command(argv)
         text = render_report(result.report)
-        if text != json.dumps(result.report, indent=2) + "\n":
+        if text != json.dumps(result.report, indent=2, default=list) + "\n":
             sys.exit(f"{filename}: render_report differs from json.dumps; "
                      "no golden written")
         texts[filename] = text, result.exit_code

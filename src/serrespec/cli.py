@@ -5,6 +5,12 @@ identical inputs produce byte-identical reports.  Exit codes: 0 success,
 1 well-formed input but the queried property is false, 2 input error,
 3 basis-size guard exceeded.  Ring arguments accept a file path or
 ``gallery:NAME``.
+
+A report value is JSON data or a ``MaskList``: the subsets of a report
+(the ideal lattice, the product chain, the closed sets) stay bitmasks
+until ``render_report`` writes them, and a MaskList iterates as the
+list of their label lists, so ``json.dumps(report, default=list)``
+serializes any report.
 """
 
 import argparse
@@ -37,6 +43,39 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 _SIDES = {"l": LEFT, "r": RIGHT, "2": TWO_SIDED}
+
+
+class MaskList:
+    """Subsets of ``names`` held as bitmasks, read as the list of their
+    name lists.
+
+    Iterating yields ``select_by_mask(names, mask)`` per mask, and None
+    for a mask that is None.  With ``tags``, a MaskList holding one mask
+    (or None) per set, each item is ``{"points": ..., "tag": ...}`` as a
+    closed set reads.  Equality compares the materialized lists.
+    """
+
+    __slots__ = ("names", "masks", "tags")
+
+    def __init__(self, names, masks, tags=None):
+        self.names = names
+        self.masks = masks
+        self.tags = tags
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __iter__(self):
+        lists = (None if m is None else select_by_mask(self.names, m)
+                 for m in self.masks)
+        if self.tags is None:
+            return lists
+        return ({"points": p, "tag": t} for p, t in zip(lists, self.tags))
+
+    def __eq__(self, other):
+        if isinstance(other, MaskList):
+            other = list(other)
+        return list(self) == other
 
 
 @dataclass
@@ -172,7 +211,7 @@ def _cmd_ideals(args):
         "ring": ring.name,
         "side": side,
         "count": len(ideals),
-        "ideals": [labels_from_mask(ring, i) for i in ideals],
+        "ideals": MaskList(ring.labels, ideals),
     }
     return EXIT_OK, report
 
@@ -242,9 +281,8 @@ def _cmd_closure(args):
 def _cmd_minimal_primes(args):
     """Minimal primes over an ideal and the product chain of them.
 
-    The chain repeats a few minimal primes many times, so each minimal
-    prime gets one label list and every chain entry shares its prime's
-    list; ``render_report`` then renders that list once.
+    The chain repeats a few minimal primes many times; it stays a
+    MaskList, and ``render_report`` writes each distinct prime once.
     """
     ring = resolve_ring_arg(args.ring)
     ideal = _ideal_from_arg(ring, args.ideal)
@@ -261,13 +299,12 @@ def _cmd_minimal_primes(args):
         }
         return EXIT_FALSE, report
     fold = chain_product_support(ring, chain)
-    names = {p: labels_from_mask(ring, p) for p in minimal}
     report = {
         "command": "minimal-primes",
         "ring": ring.name,
         "ideal": labels_from_mask(ring, ideal),
-        "minimal_primes": [names[p] for p in minimal],
-        "chain": [names[p] for p in chain],
+        "minimal_primes": [labels_from_mask(ring, p) for p in minimal],
+        "chain": MaskList(ring.labels, chain),
         "chain_product_support": labels_from_mask(ring, fold),
         "chain_verified": not fold & ~ideal,
     }
@@ -300,21 +337,14 @@ def _cmd_topology(args):
         with open(args.dot, "w") as fh:
             fh.write(to_dot(ring, family))
     points = [ideal_node_name(ring, p) for p in family.space]
-    sets = []
-    for s in family.sets:
-        tag = None
-        if s.tag is not None:
-            tag = labels_from_mask(ring, s.tag)
-        sets.append({
-            "points": select_by_mask(points, s.extent),
-            "tag": tag,
-        })
+    tags = MaskList(ring.labels, [s.tag for s in family.sets])
     report = {
         "command": "topology",
         "ring": ring.name,
         "style": args.style,
         "points": points,
-        "closed_sets": sets,
+        "closed_sets": MaskList(points, [s.extent for s in family.sets],
+                                tags),
         "generators_union_closed": family.generators_union_closed,
         "empty_set_adjoined": family.empty_set_adjoined,
         "specialization": [[points[i], points[j]]
@@ -472,7 +502,11 @@ _HANDLERS = {
 
 
 def run_command(argv):
-    """Run one CLI invocation; returns CommandResult(exit_code, report)."""
+    """Run one CLI invocation; returns CommandResult(exit_code, report).
+
+    The report's values are JSON data or MaskLists, which iterate as
+    label lists; ``json.dumps(report, default=list)`` serializes it.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -495,56 +529,101 @@ def run_command(argv):
 
 
 def render_report(report):
-    """The report as JSON text: exactly ``json.dumps(report, indent=2)``
-    plus a newline.
+    """The report as JSON text: exactly ``json.dumps(report, indent=2,
+    default=list)`` plus a newline.
 
     On CPython 3.11, ``json.dumps`` with any ``indent`` falls back from
     the C encoder to the pure-Python one, which costs Python work per
-    item; reports are mostly lists of labels, and ``_render`` writes each
-    such list as one join over the C string encoder.  Dict keys must be
-    ``str``.  Not recursive itself, so one call is one report.
+    item.  Here a list of labels is one join over the C string encoder,
+    a MaskList is written from its masks, and the text is one join of
+    the pieces ``_write`` appends.  Dict keys must be ``str``.
     """
-    return _render(report, "") + "\n"
+    return "".join(_pieces(report))
 
 
-def _render(value, indent):
-    """``json.dumps(value, indent=2)`` with every line after the first
-    prefixed by ``indent``.
+def _pieces(report):
+    out = []
+    _write(out, report, "")
+    out.append("\n")
+    return out
 
-    A list of lists that holds one object several times, such as a
-    product chain sharing its primes' label lists, renders each distinct
-    object once and joins the cached texts.
-    """
-    if isinstance(value, (list, tuple)):
+
+def _write(out, value, indent):
+    """Append the pieces of ``json.dumps(value, indent=2, default=list)``
+    to ``out``, every line after the first prefixed by ``indent``."""
+    if isinstance(value, MaskList):
+        _write_masks(out, value, indent)
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
         sep = ",\n" + inner
         try:  # a list of labels; checking every item first is slower
-            body = sep.join(map(encode_basestring_ascii, value))
+            out.append("[\n" + inner
+                       + sep.join(map(encode_basestring_ascii, value)))
         except TypeError:
-            # only lists of lists repeat objects here (chain entries share
-            # label lists); the type test spares lists of dicts the id
-            # scan, and the id scan spares lists of distinct lists the memo
-            if (type(value[0]) is list
-                    and len(set(map(id, value))) < len(value)):
-                distinct = {id(v): v for v in value}
-                texts = {i: _render(v, inner) for i, v in distinct.items()}
-                body = sep.join([texts[id(v)] for v in value])
-            else:
-                body = sep.join([_render(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, dict):
+            lead = "[\n" + inner
+            for v in value:
+                out.append(lead)
+                _write(out, v, inner)
+                lead = sep
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
-        body = (",\n" + inner).join(
-            [encode_basestring_ascii(k) + ": " + _render(v, inner)
-             for k, v in value.items()])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
+        lead = "{\n" + inner
+        for k, v in value.items():
+            out.append(lead + encode_basestring_ascii(k) + ": ")
+            _write(out, v, inner)
+            lead = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    else:
+        out.append(json.dumps(value))
+
+
+def _write_masks(out, value, indent):
+    """Append a MaskList's pieces.  Each distinct mask's text is made
+    once, and every repeat of it is the same string."""
+    if not value.masks:
+        out.append("[]")
+        return
+    inner = indent + "  "
+    if value.tags is None:
+        texts = _subset_texts(value.names, value.masks, inner)
+        items = [texts[m] for m in value.masks]
+    else:
+        field = inner + "  "
+        points = _subset_texts(value.names, value.masks, field)
+        tags = _subset_texts(value.tags.names, value.tags.masks, field)
+        head = "{\n" + field + '"points": '
+        mid = ",\n" + field + '"tag": '
+        tail = "\n" + inner + "}"
+        items = [head + points[m] + mid + tags[t] + tail
+                 for m, t in zip(value.masks, value.tags.masks)]
+    pieces = [",\n" + inner] * (2 * len(items) - 1)
+    pieces[::2] = items  # the items with a separator between each two
+    out.append("[\n" + inner)
+    out.extend(pieces)
+    out.append("\n" + indent + "]")
+
+
+def _subset_texts(names, masks, indent):
+    """{mask: the JSON list of the names at its bits} over the distinct
+    masks, each list opening on a line indented by ``indent``; a mask
+    that is None maps to ``null``."""
+    names = list(map(encode_basestring_ascii, names))
+    inner = indent + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    texts = {m: head + sep.join(select_by_mask(names, m)) + tail
+             for m in set(masks) if m}
+    texts[0] = "[]"
+    texts[None] = "null"
+    return texts
 
 
 def main(argv=None):
@@ -554,7 +633,7 @@ def main(argv=None):
         result = run_command(argv)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    sys.stdout.write(render_report(result.report))
+    sys.stdout.writelines(_pieces(result.report))
     return result.exit_code
 
 

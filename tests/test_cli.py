@@ -4,6 +4,7 @@ written."""
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from serrespec import cli, gallery_names, load_gallery
 from serrespec.cli import EXIT_FALSE, EXIT_GUARD, EXIT_INPUT, EXIT_OK, \
-    render_report, run_command
+    MaskList, render_report, run_command
 from serrespec.io import serialize_ring
 from serrespec.zring import ZPlusRing
 
@@ -143,6 +144,73 @@ def test_render_report_of_ten_thousand_label_lists(shared):
         chain = [list(labels) for _ in range(10_000)]
     report = {"command": "minimal-primes", "chain": chain}
     assert render_report(report) == json.dumps(report, indent=2) + "\n"
+
+
+def _members(names, mask):
+    return [name for i, name in enumerate(names) if mask >> i & 1]
+
+
+@st.composite
+def mask_lists(draw):
+    """(MaskList, the label lists it reads as): masks with repeats, the
+    zero and full masks among them, and sometimes closed-set tags."""
+    def subsets(names):
+        full = (1 << len(names)) - 1
+        return st.sampled_from([0, full]) | st.integers(0, full)
+
+    names = draw(st.lists(AWKWARD_TEXT, max_size=5))
+    masks = draw(st.just([]) | aliased_lists(subsets(names)))
+    expected = [_members(names, m) for m in masks]
+    if not draw(st.booleans()):
+        return MaskList(names, masks), expected
+    tag_names = draw(st.lists(AWKWARD_TEXT, max_size=4))
+    tags = [draw(st.none() | subsets(tag_names)) for _ in masks]
+    expected = [{"points": p, "tag": None if t is None
+                 else _members(tag_names, t)}
+                for p, t in zip(expected, tags)]
+    return MaskList(names, masks, MaskList(tag_names, tags)), expected
+
+
+def holding(carrier):
+    """JSON values holding the carrier, and maybe others, at any depth."""
+    return st.recursive(
+        st.just(carrier) | mask_lists().map(lambda t: t[0]) | JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(AWKWARD_TEXT, inner, max_size=3),
+        max_leaves=8)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_mask_list_reads_and_renders_as_its_label_lists(data):
+    carrier, expected = data.draw(mask_lists())
+    assert len(carrier) == len(carrier.masks) == len(expected)
+    assert carrier == expected and expected == carrier
+    assert list(carrier) == expected
+    value = data.draw(holding(carrier))
+    assert render_report(value) == \
+        json.dumps(value, indent=2, default=list) + "\n"
+
+
+LONG_CHAIN = ["minimal-primes", "gallery:qplane-trunc-4", "--ideal", ""]
+
+
+def test_rendering_a_long_chain_allocates_little_beyond_its_text():
+    report = run_command(LONG_CHAIN).report
+    tracemalloc.start()
+    try:
+        text = render_report(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000  # the 16,384-entry product chain
+    assert peak <= 2.5 * len(text)
+
+
+def test_main_prints_the_rendered_report(capsys):
+    assert cli.main(LONG_CHAIN) == EXIT_OK
+    assert capsys.readouterr().out == render_report(
+        run_command(LONG_CHAIN).report)
 
 
 def test_parser_is_built_once():
@@ -316,7 +384,7 @@ def test_every_argv_ends_in_one_report_with_a_documented_exit(argv):
     assert time.perf_counter() - start < 2.0, argv
     assert result.exit_code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_GUARD)
     assert isinstance(report, dict)
-    assert text == json.dumps(report, indent=2) + "\n"
+    assert text == json.dumps(report, indent=2, default=list) + "\n"
     if result.exit_code in (EXIT_INPUT, EXIT_GUARD):
         assert "error" in report and "message" in report
     else:

@@ -3,8 +3,8 @@
 
 Run after an intentional report-format change, then review the diff.
 Nothing is written unless every report renders exactly as
-``json.dumps(report, indent=2)`` does, so the goldens never depend on
-the CLI's own JSON writer.
+``json.dumps(report, indent=2, default=list)`` does, so the goldens never
+depend on the CLI's own JSON writer.
 """
 
 import json

@@ -18,7 +18,9 @@ the commands run, so file arguments read the same in every run.  Every
 ring gets every ring command; a ring with at most SMALL basis elements
 also gets check (every property, both modes), quotient and minimal-primes
 over every ideal of its lattice.  The gallery and monomial commands run
-once each.
+once each.  Every ring above has n <= 24, so one ring past the guard,
+qplane-trunc-6 (n = 28), gets spec with and without --allow-large: once
+exit 0, once the guard's exit 3.
 
 Violation and hint text is covered too: for every product of every
 ring, two perturbed ring files are written, one with a constant of the
@@ -110,6 +112,8 @@ def main():
     lines = [digest(["gallery"])]
     lines += [digest(["gallery", name]) for name in gallery_names()]
     lines += [digest(["monomial", *argv]) for argv in MONOMIAL]
+    lines += [digest(["spec", "gallery:qplane-trunc-6", *flag])
+              for flag in (["--allow-large"], [])]
     with tempfile.TemporaryDirectory() as tmp:
         home = os.getcwd()
         os.chdir(tmp)

@@ -7,14 +7,15 @@ from .coefficients import (INT, LAURENT, Coefficient, CoefficientError,
                            CoefficientSyntaxError, add_coefficients,
                            format_coefficient, multiply_coefficients,
                            parse_coefficient)
-from .zring import (BASIS_GUARD, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
-                    RingElement, RingError, RingValidationError, UnknownLabel,
-                    ZPlusRing, basis_element, build_ring, labels_from_mask,
+from .zring import (LEFT, RIGHT, TWO_SIDED, RingElement, RingError,
+                    RingValidationError, UnknownLabel, ZPlusRing,
+                    basis_element, build_ring, labels_from_mask,
                     mask_from_labels, multiply_elements, ring_element,
-                    support_of, triple_support)
-from .ideals import (ImproperIdeal, NotAnIdeal, enumerate_serre_ideals,
-                     is_serre_ideal, pairs_inside, product_support,
-                     quotient_ring, serre_closure)
+                    support_of)
+from .ideals import (BASIS_GUARD, BasisTooLarge, ImproperIdeal, NotAnIdeal,
+                     allow_large, enumerate_serre_ideals, is_serre_ideal,
+                     pairs_inside, product_support, quotient_ring,
+                     serre_closure)
 from .spectrum import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        MultiplicativeSet, NoPrimeOver, SpectrumReport,
                        chain_product_support, is_completely_prime,
@@ -22,8 +23,8 @@ from .spectrum import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        maximal_disjoint_primes, minimal_primes_over,
                        serre_spec)
 from .topology import (BALMER, ZARISKI, ClosedSet, ClosedSetFamily,
-                       build_topology, closed_set, point_closure,
-                       specialization_edges, to_dot)
+                       build_topology, closed_set, specialization_edges,
+                       to_dot)
 from .twocat import (BlockRingView, MissingBlocks, block_view,
                      check_unit_decomposition, classify_completely_primes,
                      corner_ring)

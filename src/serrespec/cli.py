@@ -23,7 +23,8 @@ from json.encoder import encode_basestring_ascii
 from .coefficients import CoefficientError
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
     load_gallery
-from .ideals import enumerate_serre_ideals, quotient_ring, serre_closure
+from .ideals import (BasisTooLarge, allow_large, enumerate_serre_ideals,
+                     quotient_ring, serre_closure)
 from .io import resolve_ring_arg, serialize_ring
 from .monomial import MonomialRing, build_monoid_ideal, face_quotient, \
     monoid_ideal_is_prime, truncate_to_ring
@@ -33,9 +34,8 @@ from .spectrum import (DEFINITIONAL, FAST, NoPrimeOver, chain_product_support,
 from .topology import (BALMER, ZARISKI, build_topology, ideal_node_name,
                        specialization_edges, to_dot)
 from .twocat import check_unit_decomposition, classify_completely_primes
-from .zring import (LEFT, RIGHT, TWO_SIDED, BasisTooLarge, RingError,
-                    RingValidationError, labels_from_mask, mask_from_labels,
-                    select_by_mask)
+from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, RingValidationError,
+                    labels_from_mask, mask_from_labels, select_by_mask)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -205,7 +205,7 @@ def _cmd_validate(args):
 def _cmd_ideals(args):
     ring = resolve_ring_arg(args.ring)
     side = _SIDES[args.side]
-    ideals = enumerate_serre_ideals(ring, side, args.allow_large)
+    ideals = enumerate_serre_ideals(ring, side)
     report = {
         "command": "ideals",
         "ring": ring.name,
@@ -235,7 +235,7 @@ def _spec_doc(ring, spec):
 
 def _cmd_spec(args):
     ring = resolve_ring_arg(args.ring)
-    spec = serre_spec(ring, args.allow_large)
+    spec = serre_spec(ring)
     report = {"command": "spec"}
     report.update(_spec_doc(ring, spec))
     return EXIT_OK, report
@@ -246,11 +246,11 @@ def _cmd_check(args):
     ideal = _ideal_from_arg(ring, args.ideal)
     mode = FAST if args.mode == "fast" else DEFINITIONAL
     if args.prop == "prime":
-        holds, witness = is_serre_prime(ring, ideal, mode, args.allow_large)
+        holds, witness = is_serre_prime(ring, ideal, mode)
     elif args.prop == "cprime":
         holds, witness = is_completely_prime(ring, ideal)
     else:
-        holds, witness = is_semiprime(ring, ideal, mode, args.allow_large)
+        holds, witness = is_semiprime(ring, ideal, mode)
     report = {
         "command": "check",
         "ring": ring.name,
@@ -287,7 +287,7 @@ def _cmd_minimal_primes(args):
     ring = resolve_ring_arg(args.ring)
     ideal = _ideal_from_arg(ring, args.ideal)
     try:
-        minimal, chain = minimal_primes_over(ring, ideal, args.allow_large)
+        minimal, chain = minimal_primes_over(ring, ideal)
     except NoPrimeOver as exc:
         report = {
             "command": "minimal-primes",
@@ -332,7 +332,7 @@ def _cmd_quotient(args):
 
 def _cmd_topology(args):
     ring = resolve_ring_arg(args.ring)
-    family = build_topology(ring, args.style, allow_large=args.allow_large)
+    family = build_topology(ring, args.style)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(ring, family))
@@ -364,7 +364,7 @@ def _cmd_twocat(args):
         "unit_witness": witness,
     }
     if args.classify_cprimes:
-        primes = classify_completely_primes(ring, args.allow_large)
+        primes = classify_completely_primes(ring)
         report["completely_primes"] = [labels_from_mask(ring, p)
                                        for p in primes]
     return (EXIT_OK if ok else EXIT_FALSE), report
@@ -454,9 +454,9 @@ def _cmd_gallery(args):
 
 def _cmd_oracle(args):
     ring = resolve_ring_arg(args.ring)
-    ideals = enumerate_serre_ideals(ring, TWO_SIDED, args.allow_large)
+    ideals = enumerate_serre_ideals(ring, TWO_SIDED)
     # a lattice ideal is fast-prime exactly when the spectrum lists it
-    primes = set(serre_spec(ring, args.allow_large).primes)
+    primes = set(serre_spec(ring).primes)
     full = ring.full_mask
     mismatches = []
     checked = 0
@@ -465,9 +465,9 @@ def _cmd_oracle(args):
             continue
         checked += 1
         fast_p = ideal in primes
-        def_p = is_serre_prime(ring, ideal, DEFINITIONAL, args.allow_large)[0]
+        def_p = is_serre_prime(ring, ideal, DEFINITIONAL)[0]
         fast_s = is_semiprime(ring, ideal, FAST)[0]
-        def_s = is_semiprime(ring, ideal, DEFINITIONAL, args.allow_large)[0]
+        def_s = is_semiprime(ring, ideal, DEFINITIONAL)[0]
         labels = labels_from_mask(ring, ideal)
         if fast_p != def_p:
             mismatches.append({"ideal": labels, "property": "prime",
@@ -515,7 +515,9 @@ def run_command(argv):
                                           "message": str(exc),
                                           "usage": exc.usage})
     try:
-        code, report = _HANDLERS[args.command](args)
+        # monomial and gallery have no --allow-large and run guarded
+        with allow_large(getattr(args, "allow_large", False)):
+            code, report = _HANDLERS[args.command](args)
     except _UsageError as exc:
         return CommandResult(EXIT_INPUT, {"error": "usage",
                                           "message": str(exc)})

@@ -18,12 +18,23 @@ sort follows it.
 An ideal is its int bitmask in basis order, here and in every module that
 takes or returns one.  One-sided lattices are masks too: a mask does not
 record its side, so the caller keeps track of which side it asked for.
+
+This module also owns the basis-size guard, the one gate before any
+lattice is listed: a lattice not yet cached is built for a basis over
+BASIS_GUARD only inside ``allow_large()``.  The setting is a context
+variable, so it holds for the code run in its block and in that context
+only; every new thread starts guarded.
 """
 
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 
-from .zring import (BASIS_GUARD, LEFT, RIGHT, TWO_SIDED, BasisTooLarge,
-                    RingError, iter_bits, labels_from_mask, sub_ring)
+from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, iter_bits,
+                    labels_from_mask, sub_ring)
+
+BASIS_GUARD = 24
+_ALLOW_LARGE = ContextVar("serrespec_allow_large", default=False)
 
 
 class NotAnIdeal(RingError):
@@ -32,6 +43,27 @@ class NotAnIdeal(RingError):
 
 class ImproperIdeal(RingError):
     pass
+
+
+class BasisTooLarge(RingError):
+    pass
+
+
+@contextmanager
+def allow_large(allowed=True):
+    """Lift (or, with allowed=False, restore) the basis-size guard for
+    the code run inside the block, as ``decimal.localcontext`` scopes a
+    decimal context.
+
+    The previous setting comes back when the block exits, also when it
+    raises.  The scope is per context: a thread started inside the block
+    begins in a fresh context and is guarded.
+    """
+    token = _ALLOW_LARGE.set(allowed)
+    try:
+        yield
+    finally:
+        _ALLOW_LARGE.reset(token)
 
 
 def _absorb_table(ring, side):
@@ -123,7 +155,7 @@ def down_sets(closures, full):
     return [mask for bucket in buckets for mask in bucket]
 
 
-def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
+def enumerate_serre_ideals(ring, side=TWO_SIDED):
     """Every ideal subset, empty and full included, ordered by
     (cardinality, lexicographic index tuple).
 
@@ -131,13 +163,18 @@ def enumerate_serre_ideals(ring, side=TWO_SIDED, allow_large=False):
     the order down_sets emits them; nothing sorts them afterwards.  The
     result is a tuple of masks, cached on the ring and returned as is.
     This is the one place BasisTooLarge is raised: a lattice not yet
-    cached is built for a basis over BASIS_GUARD only with allow_large.
+    cached is built for a basis over BASIS_GUARD only inside
+    ``allow_large()`` in the current context; a cached one is returned
+    in any context.
     """
     key = ("ideals", side)
     cached = ring.cache.get(key)
     if cached is None:
-        if ring.size > BASIS_GUARD and not allow_large:
-            raise BasisTooLarge(ring.size)
+        if ring.size > BASIS_GUARD and not _ALLOW_LARGE.get():
+            raise BasisTooLarge(
+                f"basis of size {ring.size} exceeds the basis-size guard "
+                f"({BASIS_GUARD}); pass --allow-large or use "
+                f"serrespec.allow_large() to override")
         up = [serre_closure(ring, 1 << g, side) for g in range(ring.size)]
         cached = tuple(down_sets(up, ring.full_mask))
         ring.cache[key] = cached

@@ -81,21 +81,20 @@ def _first_pair(table, members):
     return None
 
 
-def _prime_masks(ring, allow_large=False):
+def _prime_masks(ring):
     """Serre prime masks in canonical order, computed once per ring over
     the cached two-sided lattice."""
     cached = ring.cache.get("primes")
     if cached is None:
         full = ring.full_mask
         tm = ring.triple_masks
-        cached = tuple(m for m in
-                       enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
+        cached = tuple(m for m in enumerate_serre_ideals(ring, TWO_SIDED)
                        if m != full and _first_pair(tm, m) is None)
         ring.cache["primes"] = cached
     return cached
 
 
-def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
+def is_serre_prime(ring, ideal, mode=FAST):
     """Serre primality of a proper two-sided ideal subset.
 
     Fast mode: no pair of basis elements outside P whose two-step product
@@ -124,7 +123,7 @@ def is_serre_prime(ring, ideal, mode=FAST, allow_large=False):
         }
     if mode != DEFINITIONAL:
         raise RingError(f"unknown primality mode {mode!r}")
-    escaping = [m for m in enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
+    escaping = [m for m in enumerate_serre_ideals(ring, TWO_SIDED)
                 if m & ~members]
     pair = next(pairs_inside(ring, escaping, members), None)
     if pair is None:
@@ -143,7 +142,7 @@ def is_completely_prime(ring, ideal):
     return False, {"alpha": ring.labels[a], "beta": ring.labels[b]}
 
 
-def is_semiprime(ring, ideal, mode=FAST, allow_large=False):
+def is_semiprime(ring, ideal, mode=FAST):
     """Serre semiprimality of a proper two-sided ideal subset.
 
     Fast mode scans basis elements against the two-step self-products;
@@ -161,7 +160,7 @@ def is_semiprime(ring, ideal, mode=FAST, allow_large=False):
         return True, None
     if mode != DEFINITIONAL:
         raise RingError(f"unknown semiprimality mode {mode!r}")
-    over = [p for p in _prime_masks(ring, allow_large) if not members & ~p]
+    over = [p for p in _prime_masks(ring) if not members & ~p]
     if not over:
         return False, {"note": "no Serre prime ideal contains this ideal"}
     inter = ring.full_mask
@@ -184,8 +183,8 @@ class SpectrumReport:
     inclusions: list = field(default_factory=list)  # (i, j): primes[i] < primes[j]
 
 
-def serre_spec(ring, allow_large=False):
-    primes = list(_prime_masks(ring, allow_large))
+def serre_spec(ring):
+    primes = list(_prime_masks(ring))
     cp = [_first_pair(ring.product_masks, p) is None for p in primes]
     inclusions = []
     for i, p in enumerate(primes):
@@ -196,7 +195,7 @@ def serre_spec(ring, allow_large=False):
                           inclusions)
 
 
-def minimal_primes_over(ring, ideal, allow_large=False):
+def minimal_primes_over(ring, ideal):
     """Inclusion-minimal Serre primes over a proper two-sided ideal, plus a
     finite product chain of them (repetition allowed) whose iterated
     product support lies inside the ideal.
@@ -217,8 +216,8 @@ def minimal_primes_over(ring, ideal, allow_large=False):
     its minimal prime once and the chain is read through that map.
     """
     members = require_proper_two_sided(ring, ideal)
-    masks = enumerate_serre_ideals(ring, TWO_SIDED, allow_large)
-    prime_masks = _prime_masks(ring, allow_large)
+    masks = enumerate_serre_ideals(ring, TWO_SIDED)
+    prime_masks = _prime_masks(ring)
     over = [p for p in prime_masks if not members & ~p]
     if not over:
         raise NoPrimeOver(
@@ -283,7 +282,7 @@ def chain_product_support(ring, chain):
     return acc
 
 
-def maximal_disjoint_primes(ring, mult_set, ideal, allow_large=False):
+def maximal_disjoint_primes(ring, mult_set, ideal):
     """Maximal ideal subsets containing the given one and avoiding every
     power of the multiplicative generator; each is Serre prime.
 
@@ -299,7 +298,7 @@ def maximal_disjoint_primes(ring, mult_set, ideal, allow_large=False):
             raise GeneratorInsideIdeal(
                 "a power of the generator lies inside the ideal")
     # the prime list keeps the lattice's canonical order
-    candidates = [m for m in _prime_masks(ring, allow_large)
+    candidates = [m for m in _prime_masks(ring)
                   if not ideal & ~m and all(s & ~m for s in mult_set.orbit)]
     return [m for m in candidates
             if not any(k != m and not m & ~k for k in candidates)]

@@ -48,7 +48,7 @@ class ClosedSetFamily:
     closures: list = field(default_factory=list)  # point -> closure extent
 
 
-def closed_set(ring, spec, arg, style):
+def closed_set(spec, arg, style):
     """Extent mask of one closed set over the given spectrum.
 
     Zariski: primes containing the ideal subset; Balmer style: primes
@@ -78,8 +78,7 @@ def _balmer_tags(ring, spec, space):
     above their largest, and in that order the first candidate to reach
     an extent is its first subset.
     """
-    single = [closed_set(ring, spec, 1 << x, BALMER)
-              for x in range(ring.size)]
+    single = [closed_set(spec, 1 << x, BALMER) for x in range(ring.size)]
     tags = {space: 0}
     level = [(0, space)]
     while level:
@@ -94,17 +93,17 @@ def _balmer_tags(ring, spec, space):
     return tags
 
 
-def build_topology(ring, style, allow_large=False):
+def build_topology(ring, style):
     """Family of all closed sets of the chosen style in canonical extent
     order; every set keeps the first defining subset in canonical order
     as its tag (None for unions of generators and an adjoined empty
     set)."""
-    spec = serre_spec(ring, allow_large)
+    spec = serre_spec(ring)
     space = (1 << len(spec.primes)) - 1
     if style == ZARISKI:
         tags = {}
-        for ideal in enumerate_serre_ideals(ring, allow_large=allow_large):
-            tags.setdefault(closed_set(ring, spec, ideal, style), ideal)
+        for ideal in enumerate_serre_ideals(ring):
+            tags.setdefault(closed_set(spec, ideal, style), ideal)
     elif style == BALMER:
         tags = _balmer_tags(ring, spec, space)
     else:
@@ -120,11 +119,6 @@ def build_topology(ring, style, allow_large=False):
                            [ClosedSet(e, tags.get(e)) for e in extents],
                            all(e in tags for e in extents if e),
                            0 not in tags, closures)
-
-
-def point_closure(family, point):
-    """Smallest closed set containing the point."""
-    return family.closures[point]
 
 
 def specialization_edges(family):

@@ -94,7 +94,7 @@ def corner_ring(ring, obj):
     return corner, list(iter_bits(corner_mask))
 
 
-def classify_completely_primes(ring, allow_large=False):
+def classify_completely_primes(ring):
     """All completely prime ideal subsets: the completely prime points of
     the Serre spectrum, read per corner ring and lifted when blocks are
     declared.
@@ -106,7 +106,7 @@ def classify_completely_primes(ring, allow_large=False):
     among those checked.
     """
     if ring.blocks is None:
-        spec = serre_spec(ring, allow_large)
+        spec = serre_spec(ring)
         return [p for p, cp in zip(spec.primes, spec.completely_prime) if cp]
     view = block_view(ring)
     results = []
@@ -121,7 +121,7 @@ def classify_completely_primes(ring, allow_large=False):
             arrows_out = view.block_masks.get((obj, other), 0)
             cross |= product_support(ring, arrows_in, arrows_out)
         outside = ring.full_mask & ~corner_mask
-        spec = serre_spec(corner, allow_large)
+        spec = serre_spec(corner)
         for q, cp in zip(spec.primes, spec.completely_prime):
             lifted = mask_of(old[i] for i in iter_bits(q))
             if not cp or cross & ~lifted:

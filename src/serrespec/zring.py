@@ -33,13 +33,6 @@ RIGHT = "right"
 TWO_SIDED = "two"
 SIDES = (LEFT, RIGHT, TWO_SIDED)
 
-#: an ideal lattice that is not cached yet is built only for bases up to
-#: this size unless allow_large is passed; the one check sits where
-#: enumerate_serre_ideals builds an uncached lattice, and keeps the CLI
-#: contract (exit 3).  The searches behind it cost per ideal and per
-#: closed set, not per basis subset
-BASIS_GUARD = 24
-
 
 class RingError(Exception):
     pass
@@ -47,15 +40,6 @@ class RingError(Exception):
 
 class UnknownLabel(RingError):
     pass
-
-
-class BasisTooLarge(RingError):
-    def __init__(self, size):
-        super().__init__(
-            f"basis of size {size} exceeds the basis-size guard "
-            f"({BASIS_GUARD}); pass --allow-large (allow_large=True) to "
-            f"override")
-        self.size = size
 
 
 @dataclass(frozen=True)
@@ -733,9 +717,3 @@ def multiply_elements(ring, x, y):
 def support_of(x):
     """Bitmask of basis indices with nonzero coefficient."""
     return mask_of(x.coeffs)
-
-
-def triple_support(ring, alpha, beta):
-    """Union of supp(b_alpha b_t b_beta) over middle basis factors t and
-    of supp(b_alpha b_beta) itself (see ZPlusRing.triple_masks)."""
-    return ring.triple_masks[alpha][beta]

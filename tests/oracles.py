@@ -23,9 +23,9 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
-                       basis_element, closed_set, enumerate_serre_ideals,
-                       multiply_elements, product_support, serre_spec,
-                       support_of)
+                       allow_large, basis_element, closed_set,
+                       enumerate_serre_ideals, multiply_elements,
+                       product_support, serre_spec, support_of)
 from serrespec.zring import RingElement, ZPlusRing, format_element
 
 
@@ -115,15 +115,16 @@ def sweep_topology(ring, style):
     basis subsets, the first subset per extent as its tag, then the
     empty set adjoined if missing and pairwise unions added until
     nothing changes."""
-    spec = serre_spec(ring, allow_large=True)
-    if style == ZARISKI:
-        args = enumerate_serre_ideals(ring, allow_large=True)
-    else:
-        assert style == BALMER
-        args = sorted(range(1 << ring.size), key=canonical_key)
+    with allow_large():
+        spec = serre_spec(ring)
+        if style == ZARISKI:
+            args = enumerate_serre_ideals(ring)
+        else:
+            assert style == BALMER
+            args = sorted(range(1 << ring.size), key=canonical_key)
     tags = {}
     for arg in args:
-        tags.setdefault(closed_set(ring, spec, arg, style), arg)
+        tags.setdefault(closed_set(spec, arg, style), arg)
     sets = dict(tags)
     union_closed = True
     adjoined = 0 not in sets
@@ -145,7 +146,9 @@ def lattice_maximal_disjoint(ring, mult_set, base):
     """Masks maximal among the two-sided ideal subsets that contain the
     base mask and no power support of the multiplicative set, in
     canonical order."""
-    candidates = [m for m in enumerate_serre_ideals(ring, allow_large=True)
+    with allow_large():
+        lattice = enumerate_serre_ideals(ring)
+    candidates = [m for m in lattice
                   if not base & ~m and all(s & ~m for s in mult_set.orbit)]
     return [m for m in candidates
             if not any(k != m and not m & ~k for k in candidates)]

@@ -84,6 +84,15 @@ def test_every_command_reading_the_lattice_is_guarded(argv):
         (GOLDEN / "guard_ideals_qplane-trunc-6.json").read_text()
 
 
+def test_allow_large_flag_lifts_the_guard_for_its_own_command_only():
+    argv = ["spec", "gallery:qplane-trunc-6"]
+    assert run_command(argv + ["--allow-large"]).exit_code == EXIT_OK
+    result = run_command(argv)
+    assert result.exit_code == EXIT_GUARD
+    assert render_report(result.report) == \
+        (GOLDEN / "guard_ideals_qplane-trunc-6.json").read_text()
+
+
 @pytest.mark.parametrize("filename", sorted(
     name for name in GOLDEN_COMMANDS if name.startswith("usage_")))
 def test_usage_goldens_hold_on_a_narrow_terminal(filename, monkeypatch):

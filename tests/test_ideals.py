@@ -1,3 +1,4 @@
+import threading
 from itertools import combinations
 from math import comb, factorial
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrespec import (DEFINITIONAL, FAST, LEFT, RIGHT, TWO_SIDED,
-                       BasisTooLarge, ImproperIdeal, NotAnIdeal,
+                       BasisTooLarge, ImproperIdeal, NotAnIdeal, allow_large,
                        enumerate_serre_ideals, gallery_names,
                        is_completely_prime, is_semiprime, is_serre_ideal,
                        is_serre_prime, labels_from_mask, load_gallery,
@@ -134,20 +135,22 @@ def test_quantum_plane_truncations_past_the_guard(degree):
     # n = 28, 36: far beyond a 2^n scan; C(D+2) ideals, and the only prime
     # is the ideal of all monomials of positive degree
     ring = truncate_to_ring(quantum_plane(), degree)
-    ideals = enumerate_serre_ideals(ring, allow_large=True)
-    assert len(ideals) == catalan(degree + 2)
-    assert serre_spec(ring, allow_large=True).primes \
-        == [ring.full_mask & ~members(ring, ["1"])]
+    with allow_large():
+        ideals = enumerate_serre_ideals(ring)
+        assert len(ideals) == catalan(degree + 2)
+        assert serre_spec(ring).primes \
+            == [ring.full_mask & ~members(ring, ["1"])]
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_upper_triangular_closed_forms(k):
     ring = upper_triangular(k)
-    count = {side: len(enumerate_serre_ideals(ring, side, allow_large=True))
-             for side in (LEFT, RIGHT, TWO_SIDED)}
-    assert count == {TWO_SIDED: catalan(k + 1), LEFT: factorial(k + 1),
-                     RIGHT: factorial(k + 1)}
-    assert len(serre_spec(ring, allow_large=True).primes) == k
+    with allow_large():
+        count = {side: len(enumerate_serre_ideals(ring, side))
+                 for side in (LEFT, RIGHT, TWO_SIDED)}
+        assert count == {TWO_SIDED: catalan(k + 1), LEFT: factorial(k + 1),
+                         RIGHT: factorial(k + 1)}
+        assert len(serre_spec(ring).primes) == k
 
 
 @pytest.mark.parametrize("k", [1, 3, 12])
@@ -223,9 +226,10 @@ def test_guard_refuses_large_basis():
 
 def test_guard_refuses_only_a_lattice_not_yet_built():
     # the guard is checked where an uncached lattice would be built: once
-    # allow_large has built the two-sided lattice, later calls read it
+    # allow_large() has built the two-sided lattice, later calls read it
     big = truncate_to_ring(quantum_plane(), 6)
-    ideals = enumerate_serre_ideals(big, allow_large=True)
+    with allow_large():
+        ideals = enumerate_serre_ideals(big)
     assert enumerate_serre_ideals(big) is ideals
     assert serre_spec(big).primes == [big.full_mask & ~members(big, ["1"])]
     with pytest.raises(BasisTooLarge):
@@ -234,6 +238,39 @@ def test_guard_refuses_only_a_lattice_not_yet_built():
     for call in (enumerate_serre_ideals, serre_spec):
         with pytest.raises(BasisTooLarge):
             call(fresh)
+
+
+def test_allow_large_holds_in_its_block_and_context_only():
+    def fresh():
+        return truncate_to_ring(quantum_plane(), 6)  # n = 28 > guard
+
+    refused = []
+
+    def in_thread():
+        try:
+            enumerate_serre_ideals(fresh())
+        except BasisTooLarge:
+            refused.append(True)
+
+    with allow_large():
+        assert len(enumerate_serre_ideals(fresh())) == catalan(8)
+        with allow_large(False):
+            with pytest.raises(BasisTooLarge):
+                enumerate_serre_ideals(fresh())
+        assert len(serre_spec(fresh()).primes) == 1
+        # a new thread starts in a fresh context, so it is guarded
+        thread = threading.Thread(target=in_thread)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert refused == [True]
+    with pytest.raises(BasisTooLarge):
+        enumerate_serre_ideals(fresh())
+    with pytest.raises(ZeroDivisionError):
+        with allow_large():
+            1 / 0
+    with pytest.raises(BasisTooLarge):
+        enumerate_serre_ideals(fresh())
 
 
 def test_product_support_examples():

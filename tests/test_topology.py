@@ -2,12 +2,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from serrespec import (BALMER, ZARISKI, build_topology,
+from serrespec import (BALMER, ZARISKI, allow_large, build_topology,
                        closed_set, enumerate_serre_ideals, gallery_names,
                        labels_from_mask, load_gallery, mask_from_labels,
-                       point_closure, product_support, serre_closure,
-                       serre_spec, specialization_edges, to_dot,
-                       truncate_to_ring)
+                       product_support, serre_closure, serre_spec,
+                       specialization_edges, to_dot, truncate_to_ring)
 from serrespec.gallery import quantum_plane
 
 from ladder import diagonal, proper_quotients, upper_triangular
@@ -33,11 +32,11 @@ def test_closed_set_examples():
     zx = load_gallery("zx2-x")
     spec = serre_spec(zx)
     x = mask_from_labels(zx, ["x"])
-    v_x = closed_set(zx, spec, x, ZARISKI)
+    v_x = closed_set(spec, x, ZARISKI)
     assert v_x == 1 << point_index(zx, spec, ["x"])
-    vb_x = closed_set(zx, spec, x, BALMER)
+    vb_x = closed_set(spec, x, BALMER)
     assert vb_x == 1 << point_index(zx, spec, [])
-    assert closed_set(zx, spec, 0, ZARISKI) == (1 << len(spec.primes)) - 1
+    assert closed_set(spec, 0, ZARISKI) == (1 << len(spec.primes)) - 1
 
 
 def test_two_idem_zariski_topology_is_discrete():
@@ -53,8 +52,8 @@ def test_zx2_x_zariski_chain_and_generic_point():
     zero = point_index(zx, spec, [])
     x = point_index(zx, spec, ["x"])
     assert sorted(s.extent for s in family.sets) == [0, 1 << x, 0b11]
-    assert point_closure(family, zero) == 0b11  # generic point
-    assert point_closure(family, x) == 1 << x
+    assert family.closures[zero] == 0b11  # generic point
+    assert family.closures[x] == 1 << x
 
 
 def test_zx2_x_balmer_chain_is_reversed():
@@ -74,7 +73,7 @@ def test_zx2_x_balmer_chain_is_reversed():
 def test_singleton_spectrum_closure():
     ising = load_gallery("ising")
     family = build_topology(ising, ZARISKI)
-    assert point_closure(family, 0) == 0b1
+    assert family.closures[0] == 0b1
 
 
 def test_topology_axioms_both_styles(gallery, spectra):
@@ -97,10 +96,10 @@ def test_zariski_union_identity(gallery, spectra):
         ideals = list(enumerate_serre_ideals(ring))
         for i in ideals:
             for j in ideals:
-                left = closed_set(ring, spec, i, ZARISKI) \
-                    | closed_set(ring, spec, j, ZARISKI)
+                left = closed_set(spec, i, ZARISKI) \
+                    | closed_set(spec, j, ZARISKI)
                 prod = serre_closure(ring, product_support(ring, i, j))
-                assert left == closed_set(ring, spec, prod, ZARISKI)
+                assert left == closed_set(spec, prod, ZARISKI)
 
 
 def test_zariski_intersection_identity_families_up_to_three(gallery, spectra):
@@ -111,10 +110,10 @@ def test_zariski_intersection_identity_families_up_to_three(gallery, spectra):
             inter = (1 << len(spec.primes)) - 1
             union = 0
             for i in family:
-                inter &= closed_set(ring, spec, i, ZARISKI)
+                inter &= closed_set(spec, i, ZARISKI)
                 union |= i
-            assert inter == closed_set(ring, spec,
-                                       serre_closure(ring, union), ZARISKI)
+            assert inter == closed_set(spec, serre_closure(ring, union),
+                                       ZARISKI)
 
 
 def test_zariski_closed_sets_decompose_into_prime_cones(gallery, spectra):
@@ -126,7 +125,7 @@ def test_zariski_closed_sets_decompose_into_prime_cones(gallery, spectra):
     for name, ring in gallery.items():
         spec = spectra[name]
         for ideal in enumerate_serre_ideals(ring):
-            ext = closed_set(ring, spec, ideal, ZARISKI)
+            ext = closed_set(spec, ideal, ZARISKI)
             if ideal == ring.full_mask:
                 assert ext == 0
                 continue
@@ -137,7 +136,7 @@ def test_zariski_closed_sets_decompose_into_prime_cones(gallery, spectra):
                 continue
             combined = 0
             for p in minimal:
-                combined |= closed_set(ring, spec, p, ZARISKI)
+                combined |= closed_set(spec, p, ZARISKI)
             assert ext == combined
 
 
@@ -149,9 +148,9 @@ def test_balmer_generated_sets_closed_under_intersection(gallery, spectra):
         spec = spectra[name]
         for x in range(1 << ring.size):
             for y in range(1 << ring.size):
-                assert (closed_set(ring, spec, x, BALMER)
-                        & closed_set(ring, spec, y, BALMER)) \
-                    == closed_set(ring, spec, x | y, BALMER)
+                assert (closed_set(spec, x, BALMER)
+                        & closed_set(spec, y, BALMER)) \
+                    == closed_set(spec, x | y, BALMER)
 
 
 def test_tags_name_defining_sets(gallery):
@@ -162,7 +161,7 @@ def test_tags_name_defining_sets(gallery):
             for s in family.sets:
                 if s.tag is None:
                     continue
-                assert closed_set(ring, spec, s.tag, style) == s.extent
+                assert closed_set(spec, s.tag, style) == s.extent
 
 
 def test_dot_export_stable():
@@ -203,8 +202,9 @@ def test_triangular_and_diagonal_topologies_are_discrete(build, k):
     # singletons and, unless the zero ideal is the one prime (k = 1),
     # the empty set
     ring = build(k)
-    zariski = build_topology(ring, ZARISKI, allow_large=True)
-    balmer = build_topology(ring, BALMER, allow_large=True)
+    with allow_large():
+        zariski = build_topology(ring, ZARISKI)
+        balmer = build_topology(ring, BALMER)
     assert [s.extent for s in zariski.sets] \
         == [s.extent for s in balmer.sets]
     assert len(zariski.sets) == 2 ** k
@@ -222,7 +222,8 @@ def test_quantum_plane_balmer_topology_past_the_guard(degree):
     # n = 21, 28, 36: one prime, every monomial of positive degree;
     # V_B(X) is the whole point exactly when X lies inside {1}
     ring = truncate_to_ring(quantum_plane(), degree)
-    family = build_topology(ring, BALMER, allow_large=True)
+    with allow_large():
+        family = build_topology(ring, BALMER)
     assert [(s.extent, s.tag) for s in family.sets] \
         == [(0, mask_from_labels(ring, ["x"])), (1, 0)]
     assert family.generators_union_closed

@@ -23,9 +23,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from ladder import diagonal, upper_triangular  # noqa: E402
+from oracles import table_of  # noqa: E402
 
 from serrespec import build_ring, load_gallery  # noqa: E402
-from serrespec.zring import _flat, _packed_mismatches  # noqa: E402
+from serrespec.zring import _packed_mismatches  # noqa: E402
 
 RINGS = {
     **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
@@ -37,28 +38,28 @@ RINGS = {
 REPEATS = 3
 
 
-def build(ring):
-    return build_ring(ring.labels, ring.tensor, ring.mode,
+def build(ring, table):
+    return build_ring(ring.labels, table, ring.mode,
                       units=ring.units, name=ring.name)
 
 
 def measure(name):
     ring = RINGS[name](name)
-    flat = _flat(ring.tensor)
-    route = "sparse" if _packed_mismatches(flat, ring.size) is None \
+    table = table_of(ring)
+    route = "sparse" if _packed_mismatches(ring.tensor, ring.size) is None \
         else "packed"
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        build(ring)
+        build(ring, table)
         best = min(best, time.perf_counter() - start)
     tracemalloc.start()
     try:
-        build(ring)
+        build(ring, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    terms = sum(map(len, flat.values()))
+    terms = sum(map(len, ring.tensor.values()))
     return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {route:<7}"
             f"best={best * 1000:9.1f} ms  peak={peak / 2 ** 20:6.1f} MB")
 

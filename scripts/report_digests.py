@@ -11,9 +11,10 @@ byte-identical:
 
 Each line is "sha256  argv" for one command.  The digest covers the exit
 code and the report as the CLI prints it, and for topology also the DOT
-file that --dot writes.  The rings are every gallery ring and the ladder
-rings tri-1..5 and diag-1..8 of tests/ladder.py, written as ring files to
-a temporary directory.  That directory is the working directory while
+file that --dot writes.  The rings are every gallery ring, the ladder
+rings tri-1..5 and diag-1..8 of tests/ladder.py and MULTI_TERM, a Laurent
+ring whose constants have several monomials, written as ring files to a
+temporary directory.  That directory is the working directory while
 the commands run, so file arguments read the same in every run.  Every
 ring gets every ring command; a ring with at most SMALL basis elements
 also gets check (every property, both modes), quotient and minimal-primes
@@ -43,7 +44,7 @@ from ladder import diagonal, upper_triangular  # noqa: E402
 
 from serrespec import gallery_names, load_gallery  # noqa: E402
 from serrespec.cli import render_report, run_command  # noqa: E402
-from serrespec.io import serialize_ring  # noqa: E402
+from serrespec.io import parse_ring_file, serialize_ring  # noqa: E402
 
 SMALL = 10
 PROPS = ("prime", "cprime", "semiprime")
@@ -57,6 +58,18 @@ MONOMIAL = [
     ["--vars", "3", "--twist", "0,0,0;1,0,0;1,1,0", "--face", "1"],
     ["--vars", "3", "--twist", "0,0,0;1,0,0;1,1,0", "--face", "3,1"],
 ]
+# x x = c x and x y = y x = c y with c = q^-1 + 2 + q^3: associative, with
+# the four ideals 0, {y}, {x, y} and the whole ring; its quotients and
+# perturbed copies serialize and describe multi-term constants
+MULTI_TERM = """\
+ring "multi-term"
+coeff laurent
+basis 1 x y
+unit 1
+mul x x = q^-1*x + 2*x + q^3*x
+mul x y = q^-1*y + 2*y + q^3*y
+mul y x = q^-1*y + 2*y + q^3*y
+"""
 
 
 def digest(argv, dot=None):
@@ -109,6 +122,7 @@ def main():
              for name in gallery_names()]
     ladder = [upper_triangular(k) for k in range(1, 6)]
     ladder += [diagonal(k) for k in range(1, 9)]
+    ladder.append(parse_ring_file(MULTI_TERM))
     lines = [digest(["gallery"])]
     lines += [digest(["gallery", name]) for name in gallery_names()]
     lines += [digest(["monomial", *argv]) for argv in MONOMIAL]

@@ -179,8 +179,9 @@ _ENTRIES = [
 
 _BY_NAME = {e.name: e for e in _ENTRIES}
 
-_VERLINDE_RE = re.compile(r"verlinde-sl2-(\d+)\Z")
-_QPLANE_RE = re.compile(r"qplane-trunc-(\d+)\Z")
+# canonical ASCII numerals only, so each ring has one name
+_VERLINDE_RE = re.compile(r"verlinde-sl2-(0|[1-9][0-9]*)\Z")
+_QPLANE_RE = re.compile(r"qplane-trunc-(0|[1-9][0-9]*)\Z")
 
 
 def gallery_names():

@@ -28,7 +28,7 @@ from pathlib import Path
 from .coefficients import (INT, LAURENT, Coefficient, CoefficientError,
                            parse_coefficient)
 from .zring import (AssociativityViolation, RingError, RingValidationError,
-                    block_objects, build_ring)
+                    _assemble, _require_distinct, block_objects)
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -47,14 +47,24 @@ def _check_label(label, source, line):
     return label
 
 
+def _index_of(index, label, source, line):
+    if label not in index:
+        raise RingFileError(f"unknown label {label!r}", source, line)
+    return index[label]
+
+
 def parse_ring_file(text, source="<ring>"):
-    """Parse and fully validate a ring file; diagnostics carry line numbers."""
+    """Parse and fully validate a ring file; diagnostics carry line numbers.
+
+    Each label is resolved to its basis index once, where it is read, and
+    the products are added up as the flat rows the ring stores.
+    """
     name = None
     mode = None
     labels = None
     units = None
-    blocks = {}
-    rows = {}
+    blocks = {}  # basis index -> (source, target)
+    rows = {}    # (a, b) index pair -> flat row, empty for '= 0'
     pair_lines = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -84,7 +94,6 @@ def parse_ring_file(text, source="<ring>"):
                     f"coeff must be 'int' or 'laurent', got {rest!r}",
                     source, line_no)
             mode = rest
-            one = Coefficient.one(mode)  # shared by every coefficient-1 term
         elif word == "basis":
             if name is None or mode is None:
                 raise RingFileError(
@@ -95,6 +104,7 @@ def parse_ring_file(text, source="<ring>"):
             labels = [_check_label(t, source, line_no) for t in rest.split()]
             if not labels:
                 raise RingFileError("empty basis", source, line_no)
+            index = {lab: i for i, lab in enumerate(labels)}
         elif word == "unit":
             _require_header(name, mode, labels, source, line_no)
             if units is not None:
@@ -115,10 +125,11 @@ def parse_ring_file(text, source="<ring>"):
                 if not lab:
                     raise RingFileError("empty block member", source, line_no)
                 _check_label(lab, source, line_no)
-                if lab in blocks:
+                i = _index_of(index, lab, source, line_no)
+                if i in blocks:
                     raise RingFileError(
                         f"label {lab!r} assigned to two blocks", source, line_no)
-                blocks[lab] = (src, dst)
+                blocks[i] = (src, dst)
         elif word == "mul":
             _require_header(name, mode, labels, source, line_no)
             head, sep, sum_text = rest.partition("=")
@@ -129,36 +140,37 @@ def parse_ring_file(text, source="<ring>"):
                 raise RingFileError(
                     "mul line needs two factor labels", source, line_no)
             a, b = factors
-            for lab in (a, b):
-                if lab not in labels:
-                    raise RingFileError(
-                        f"unknown label {lab!r}", source, line_no)
-            if (a, b) in rows:
+            pair = (_index_of(index, a, source, line_no),
+                    _index_of(index, b, source, line_no))
+            if (a, b) in pair_lines:
                 raise RingFileError(
                     f"duplicate 'mul {a} {b}' (first at line "
                     f"{pair_lines[(a, b)]})", source, line_no)
-            rows[(a, b)] = _parse_sum(sum_text.strip(), mode, one, labels,
-                                      source, line_no)
+            rows[pair] = _parse_sum(
+                sum_text.strip(), mode, index, source, line_no)
             pair_lines[(a, b)] = line_no
         else:
             raise RingFileError(f"unknown directive {word!r}", source, line_no)
 
     _require_header(name, mode, labels, source, line_no=None)
     if blocks:
-        missing = [lab for lab in labels if lab not in blocks]
+        missing = [lab for lab in labels if index[lab] not in blocks]
         if missing:
             raise RingFileError(
                 f"labels without a block: {', '.join(missing)}", source)
     if units is not None:
         for u in units:
-            if u not in labels:
+            if u not in index:
                 raise RingFileError(f"unknown unit label {u!r}", source)
-        _fill_unit_defaults(rows, labels, units, blocks or None, one)
+    _require_distinct(labels, name)
+    blocks = tuple(blocks[i] for i in range(len(labels))) if blocks else None
+    if units is not None:
+        units = frozenset(index[u] for u in units)
+        _fill_unit_defaults(rows, len(labels), units, blocks)
 
     tensor = {pair: row for pair, row in rows.items() if row}
     try:
-        return build_ring(labels, tensor, mode, blocks or None, units,
-                          name=name)
+        return _assemble(tuple(labels), mode, tensor, blocks, units, name)
     except RingValidationError as exc:
         hints = list(exc.hints)
         for v in exc.violations:
@@ -180,7 +192,8 @@ def _require_header(name, mode, labels, source, line_no):
             source, line_no)
 
 
-def _parse_sum(text, mode, one, labels, source, line_no):
+def _parse_sum(text, mode, index, source, line_no):
+    """The flat row {(gamma, q-exponent): positive int} of a product."""
     if text == "0":
         return {}
     if not text:
@@ -189,29 +202,21 @@ def _parse_sum(text, mode, one, labels, source, line_no):
     for piece in text.split("+"):
         piece = piece.strip()
         coeff_text, star, label = piece.rpartition("*")
-        label = label.strip()
-        if label not in labels:
-            raise RingFileError(f"unknown label {label!r}", source, line_no)
+        g = _index_of(index, label.strip(), source, line_no)
+        terms = {0: 1}
         if star:
             try:
-                c = parse_coefficient(coeff_text.strip(), mode)
+                terms = parse_coefficient(coeff_text.strip(), mode).terms
             except CoefficientError as exc:
                 raise RingFileError(str(exc), source, line_no) from None
-        else:
-            c = one
-        if label in row:
-            c = row[label] + c
-        if c:
-            row[label] = c
-        else:
-            row.pop(label, None)
+        for e, v in terms.items():
+            row[g, e] = row.get((g, e), 0) + v
     return row
 
 
-def _fill_unit_defaults(rows, labels, units, blocks, one):
-    unit_set = set(units)
+def _fill_unit_defaults(rows, n, units, blocks):
     for u in units:
-        for g in labels:
+        for g in range(n):
             for pair, unit_on_left in (((u, g), True), ((g, u), False)):
                 if pair in rows:
                     continue
@@ -219,12 +224,12 @@ def _fill_unit_defaults(rows, labels, units, blocks, one):
                     obj = blocks[u][0]
                     src, dst = blocks[g]
                     acts = (dst == obj) if unit_on_left else (src == obj)
-                elif len(unit_set) == 1:
+                elif len(units) == 1:
                     acts = True
                 else:
                     continue  # several units, no blocks: nothing is forced
                 if acts:
-                    rows[pair] = {g: one}
+                    rows[pair] = {(g, 0): 1}
 
 
 def serialize_ring(ring):
@@ -256,14 +261,13 @@ def serialize_ring(ring):
             if not row:
                 continue
             terms = []
-            for g in sorted(row):
-                for exp, value in row[g].terms.items():
-                    # a bare "0" would read back as the zero product
-                    if exp == 0 and value == 1 and ring.labels[g] != "0":
-                        terms.append(ring.labels[g])
-                    else:
-                        mono = Coefficient(ring.mode, {exp: value})
-                        terms.append(f"{mono}*{ring.labels[g]}")
+            for (g, exp), value in sorted(row.items()):
+                # a bare "0" would read back as the zero product
+                if exp == 0 and value == 1 and ring.labels[g] != "0":
+                    terms.append(ring.labels[g])
+                else:
+                    mono = Coefficient(ring.mode, {exp: value})
+                    terms.append(f"{mono}*{ring.labels[g]}")
             lines.append(
                 f"mul {ring.labels[a]} {ring.labels[b]} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"

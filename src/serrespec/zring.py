@@ -10,14 +10,17 @@ optional unit set records the identity classes.
 
 Positivity means supports multiply without cancellation, so ideal and
 primality questions reduce to bitmask algebra over product-support
-tables.  build_ring only validates and assembles; the ring derives each
-table from its tensor on first read, so a command pays only for the
-tables it uses.  Positivity also makes validation cheap: associativity
-is checked on packed integer rows when the packing rule at
-_BITS_PER_ENTRY admits the table and on sparse flat rows otherwise, and
-either path returns exactly the violating triples.  The unit checks also
-use the flat rows.  Basis subsets are bitmasks in basis order throughout
-the package.
+tables.  The tensor is stored in one form from input to tables: flat
+rows {(gamma, q-exponent): positive int}, index-keyed.  build_ring and
+the ring-file parser resolve labels once and hand such rows to one
+assembler, which only validates; the ring derives each table from its
+tensor on first read, so a command pays only for the tables it uses.
+Positivity also makes validation cheap: associativity is checked on
+packed integer rows when the packing rule at _BITS_PER_ENTRY admits the
+table and on the sparse rows otherwise, and either path returns exactly
+the violating triples.  Coefficients are built only at the edges: input
+coercion in build_ring, element arithmetic and violation text.  Basis
+subsets are bitmasks in basis order throughout the package.
 """
 
 from dataclasses import dataclass, field
@@ -102,15 +105,17 @@ class RingValidationError(RingError):
 class ZPlusRing:
     """Immutable validated ring value.  Construct with build_ring().
 
-    The support tables are functions of the tensor, derived on first read
-    and kept in the instance dict; they are not part of the ring's
-    identity.
+    ``tensor`` maps each (alpha, beta) index pair with a nonzero product
+    to its flat row {(gamma, q-exponent): positive int}; an int-mode row
+    has only exponent 0.  The support tables are functions of the tensor,
+    derived on first read and kept in the instance dict; they are not part
+    of the ring's identity.
     """
 
     name: str
     labels: tuple
     mode: str
-    tensor: dict  # (alpha, beta) index pair -> {gamma index: Coefficient}
+    tensor: dict  # (alpha, beta) -> {(gamma, q-exponent): positive int}
     blocks: tuple | None  # per basis index: (source object, target object)
     units: frozenset | None
     cache: dict = field(repr=False, default_factory=dict)
@@ -121,7 +126,7 @@ class ZPlusRing:
         n = len(self.labels)
         pm = [[0] * n for _ in range(n)]
         for (a, b), row in self.tensor.items():
-            pm[a][b] = mask_of(row)
+            pm[a][b] = mask_of(g for g, _ in row)
         return tuple(map(tuple, pm))
 
     @cached_property
@@ -303,12 +308,6 @@ def format_element(labels, coeffs):
     return " + ".join(parts)
 
 
-def _flat(tensor):
-    """(alpha, beta) -> {(gamma, q-exponent): positive int}."""
-    return {ab: {(g, e): v for g, c in row.items() for e, v in c.terms.items()}
-            for ab, row in tensor.items()}
-
-
 def _product(flat, row, b, row_first):
     """row * b (row_first) or b * row for a flat row and basis index b.
 
@@ -339,12 +338,12 @@ def _format_row(labels, row):
 
 #: the packing rule: a table is packed only when 3 * n^2 ints of
 #: W * n * (2 * span + 1) bits, a bound on its packed rows plus one middle
-#: factor's two slices, take at most this many bits per entry of its flat
-#: rows {(gamma, q-exponent): positive int}, that is 1 KB, a few times
-#: the 100 to 300 bytes a flat entry takes (its key tuple, value and dict
-#: slot).  Packed ints grow with n and with the exponent range left after
-#: the gcd rescaling (q^3000 beside q), and the slices with n^2 whatever
-#: the table's sparsity; flat entries do neither.  Any other table takes
+#: factor's two slices, take at most this many bits per entry of its
+#: tensor, the flat rows {(gamma, q-exponent): positive int}, that is
+#: 1 KB, a few times the 100 to 300 bytes a flat entry takes (its key
+#: tuple, value and dict slot).  Packed ints grow with n and with the
+#: exponent range left after the gcd rescaling (q^3000 beside q), and the
+#: slices with n^2 whatever the table's sparsity; flat entries do neither.  Any other table takes
 #: the sparse path, whose dicts hold only nonzero partial products.
 _BITS_PER_ENTRY = 8192
 
@@ -514,15 +513,12 @@ def _combine(row, table, shifts, zero):
 
 def unit_decomposition_violations(labels, tensor, units):
     """Check that each unit is idempotent and the unit sum is a two-sided
-    identity on every basis element; returns UnitViolation records."""
-    return _unit_violations(labels, _flat(tensor), units)
-
-
-def _unit_violations(labels, flat, units):
+    identity on every basis element of a tensor; returns UnitViolation
+    records."""
     out = []
     unit_list = sorted(units)
     for u in unit_list:
-        sq = flat.get((u, u), {})
+        sq = tensor.get((u, u), {})
         if sq != {(u, 0): 1}:
             out.append(UnitViolation(
                 labels[u], labels[u],
@@ -530,8 +526,8 @@ def _unit_violations(labels, flat, units):
                 f"{_format_row(labels, sq)}"))
     unit_sum = {(u, 0): 1 for u in unit_list}
     for g in range(len(labels)):
-        left = _product(flat, unit_sum, g, True)
-        right = _product(flat, unit_sum, g, False)
+        left = _product(tensor, unit_sum, g, True)
+        right = _product(tensor, unit_sum, g, False)
         if left != {(g, 0): 1}:
             out.append(UnitViolation(
                 None, labels[g],
@@ -550,39 +546,29 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
 
     ``tensor`` maps (label, label) pairs to {label: coefficient} rows;
     plain ints are accepted as coefficients and missing pairs mean the
-    product is zero.  Every invariant is checked: distinct labels,
-    nonnegative constants, block compatibility, unit axioms, and full
-    associativity.  Raises RingValidationError listing every failure.
+    product is zero.  Indices may stand for labels.  Every invariant is
+    checked: distinct labels, nonnegative constants, block compatibility,
+    unit axioms, and full associativity.  Raises RingValidationError
+    listing every failure.
 
-    build_ring only validates and assembles: the ring derives its support
-    tables from the tensor on first read (see ZPlusRing).  Once the
-    constants are known to be positive, associativity is checked on the
-    packed or the sparse path, chosen by the packing rule stated at
-    _BITS_PER_ENTRY and argued in _packed_mismatches; the violating
-    triples are multiplied out on flat rows and described in (a, b, c)
-    order.  The unit checks also multiply flat rows.  Coefficients are
-    rebuilt only to describe a violation.
+    Each label is resolved and each coefficient coerced once here, into
+    the flat rows the ring stores as its tensor (see ZPlusRing); the
+    checks after that run in _assemble, which the ring-file parser
+    shares.  The ring derives its support tables on first read.
     """
     labels = tuple(labels)
     if not labels:
         raise RingError("basis must be nonempty")
     if mode not in (INT, LAURENT):
         raise RingError(f"unknown coefficient mode {mode!r}")
-    violations = []
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            violations.append(DuplicateLabel(lab))
-        seen.add(lab)
-    if violations:
-        raise RingValidationError(name, violations)
+    _require_distinct(labels, name)
     index = {lab: i for i, lab in enumerate(labels)}
 
-    tens = {}
+    rows = {}
     for (a, b), row in tensor.items():
         ai = _resolve(index, labels, a)
         bi = _resolve(index, labels, b)
-        if (ai, bi) in tens:
+        if (ai, bi) in rows:
             raise RingError(f"duplicate tensor entry for ({a}, {b})")
         clean = {}
         for g, v in row.items():
@@ -596,9 +582,10 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
                     f"nonnegative, got {c}")
             if gi in clean:
                 raise RingError(f"duplicate output {g} in entry ({a}, {b})")
-            clean[gi] = c
+            clean[gi] = c.terms
         if clean:
-            tens[(ai, bi)] = clean
+            rows[ai, bi] = {(gi, e): x for gi, terms in clean.items()
+                            for e, x in terms.items()}
 
     blocks_t = None
     if blocks is not None:
@@ -614,65 +601,84 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
             raise RingError(f"labels without a block: {', '.join(missing)}")
         blocks_t = tuple(per_index[i] for i in range(len(labels)))
 
-    units_f = None
     if units is not None:
-        us = frozenset(_resolve(index, labels, u) for u in units)
-        if not us:
-            raise RingError("unit set must be nonempty when given")
-        units_f = us
+        units = frozenset(_resolve(index, labels, u) for u in units)
+    return _assemble(labels, mode, rows, blocks_t, units, name)
 
-    if blocks_t is not None:
-        for (ai, bi) in sorted(tens):
-            sa, ta = blocks_t[ai]
-            sb, tb = blocks_t[bi]
+
+def _require_distinct(labels, name):
+    """Raise RingValidationError listing each repeat of a basis label."""
+    seen = set()
+    repeats = []
+    for lab in labels:
+        if lab in seen:
+            repeats.append(DuplicateLabel(lab))
+        seen.add(lab)
+    if repeats:
+        raise RingValidationError(name, repeats)
+
+
+def _assemble(labels, mode, tensor, blocks, units, name):
+    """The ring on distinct labels with index-keyed flat rows, after the
+    block, associativity and unit checks.
+
+    blocks is a (source, target) pair per index or None, and units a
+    frozenset of indices or None.  Associativity is checked on the packed
+    or the sparse path, chosen by the packing rule stated at
+    _BITS_PER_ENTRY and argued in _packed_mismatches; the violating
+    triples are described in (a, b, c) order.
+    """
+    if units is not None and not units:
+        raise RingError("unit set must be nonempty when given")
+    violations = []
+    if blocks is not None:
+        for ai, bi in sorted(tensor):
+            sa, ta = blocks[ai]
+            sb, tb = blocks[bi]
             if tb != sa:
                 violations.append(BlockIncompatibility(
                     labels[ai], labels[bi],
                     f"target of {labels[bi]} is {tb} but source of "
                     f"{labels[ai]} is {sa}; the product must vanish"))
                 continue
-            for gi in tens[(ai, bi)]:
-                if blocks_t[gi] != (sb, ta):
+            for gi in dict.fromkeys(g for g, _ in tensor[ai, bi]):
+                if blocks[gi] != (sb, ta):
                     violations.append(BlockIncompatibility(
                         labels[ai], labels[bi],
                         f"output {labels[gi]} lies in block "
-                        f"{blocks_t[gi]}, expected ({sb}, {ta})"))
+                        f"{blocks[gi]}, expected ({sb}, {ta})"))
 
-    flat = _flat(tens)
-    violations.extend(_associativity_violations(labels, flat))
-
-    if units_f is not None:
-        violations.extend(_unit_violations(labels, flat, units_f))
-
+    violations.extend(_associativity_violations(labels, tensor))
+    if units is not None:
+        violations.extend(unit_decomposition_violations(labels, tensor, units))
     if violations:
         raise RingValidationError(name, violations)
-
-    return ZPlusRing(name, labels, mode, tens, blocks_t, units_f)
+    return ZPlusRing(name, labels, mode, tensor, blocks, units)
 
 
 def sub_ring(ring, keep, name):
     """The ring on the basis elements in the mask keep, in basis order.
 
-    The table keeps the products of kept elements restricted to the kept
-    outputs, and the blocks and the declared units restrict to keep (a
-    dropped unit is gone).  The result is rebuilt through build_ring, so
-    it is validated from scratch rather than trusted.
+    The tensor keeps the rows of kept pairs restricted to the kept outputs
+    and renumbered, and the blocks and the declared units restrict to keep
+    (a dropped unit is gone).  The result goes through the same checks as
+    build_ring's, so it is validated from scratch rather than trusted.
     """
-    labels = ring.labels
+    new = {old: i for i, old in enumerate(iter_bits(keep))}
     tensor = {}
     for (a, b), row in ring.tensor.items():
-        if keep >> a & keep >> b & 1:
-            kept = {labels[g]: c for g, c in row.items() if keep >> g & 1}
+        if a in new and b in new:
+            kept = {(new[g], e): v for (g, e), v in row.items() if g in new}
             if kept:
-                tensor[labels[a], labels[b]] = kept
-    kept_labels = select_by_mask(labels, keep)
-    blocks = None
-    if ring.blocks is not None:
-        blocks = dict(zip(kept_labels, select_by_mask(ring.blocks, keep)))
-    units = None
-    if ring.units is not None:
-        units = [labels[u] for u in sorted(ring.units) if keep >> u & 1]
-    return build_ring(kept_labels, tensor, ring.mode, blocks, units, name)
+                tensor[new[a], new[b]] = kept
+    blocks = ring.blocks
+    if blocks is not None:
+        blocks = tuple(select_by_mask(blocks, keep))
+    units = ring.units
+    if units is not None:
+        units = frozenset(new[u] for u in units if u in new)
+    return _assemble(tuple(select_by_mask(ring.labels, keep)), ring.mode,
+                     tensor, blocks, units, name)
 
 
 def ring_element(ring, coeffs):
@@ -704,9 +710,11 @@ def multiply_elements(ring, x, y):
             if not row:
                 continue
             scale = ca * cb
-            for g, n in row.items():
+            for (g, e), n in row.items():
+                term = Coefficient(
+                    ring.mode, {e + f: n * v for f, v in scale.terms.items()})
                 acc = out.get(g)
-                acc = n * scale if acc is None else acc + n * scale
+                acc = term if acc is None else acc + term
                 if acc:
                     out[g] = acc
                 else:

@@ -15,7 +15,8 @@ down-set searches, the reading of the prime list and the memoised fold
 that replaced them; scan_pairs_inside is the former double loop of the
 definitional primality check and the minimal-primes splitting search,
 kept on naive_product_support as the order-exact oracle for
-ideals.pairs_inside.
+ideals.pairs_inside; rebuilt_sub_ring is the former label-keyed
+zring.sub_ring, which rebuilt the restricted table through build_ring.
 """
 
 from itertools import combinations_with_replacement, product
@@ -23,10 +24,11 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
-                       allow_large, basis_element, closed_set,
-                       enumerate_serre_ideals, multiply_elements,
+                       Coefficient, allow_large, basis_element, build_ring,
+                       closed_set, enumerate_serre_ideals, multiply_elements,
                        product_support, serre_spec, support_of)
-from serrespec.zring import RingElement, ZPlusRing, format_element
+from serrespec.zring import (RingElement, ZPlusRing, format_element,
+                             select_by_mask)
 
 
 def naive_product_mask(ring, a, b):
@@ -164,12 +166,51 @@ def plain_fold(ring, chain):
     return acc
 
 
+def table_of(ring):
+    """The ring's tensor as build_ring input: a fresh index-keyed table
+    {(a, b): {g: Coefficient}}, safe to edit."""
+    table = {}
+    for ab, row in ring.tensor.items():
+        terms = {}
+        for (g, e), v in row.items():
+            terms.setdefault(g, {})[e] = v
+        table[ab] = {g: Coefficient(ring.mode, t) for g, t in terms.items()}
+    return table
+
+
+def flat_rows(table):
+    """An index-keyed Coefficient table as the flat rows a ring stores,
+    {(a, b): {(g, q-exponent): value}}."""
+    return {ab: {(g, e): v for g, c in row.items() for e, v in c.terms.items()}
+            for ab, row in table.items()}
+
+
+def rebuilt_sub_ring(ring, keep, name):
+    """The ring on the basis mask keep, its label-keyed table restricted
+    to keep and validated through build_ring."""
+    labels = ring.labels
+    tensor = {}
+    for (a, b), row in table_of(ring).items():
+        if keep >> a & keep >> b & 1:
+            kept = {labels[g]: c for g, c in row.items() if keep >> g & 1}
+            if kept:
+                tensor[labels[a], labels[b]] = kept
+    kept_labels = select_by_mask(labels, keep)
+    blocks = None
+    if ring.blocks is not None:
+        blocks = dict(zip(kept_labels, select_by_mask(ring.blocks, keep)))
+    units = None
+    if ring.units is not None:
+        units = [labels[u] for u in sorted(ring.units) if keep >> u & 1]
+    return build_ring(kept_labels, tensor, ring.mode, blocks, units, name)
+
+
 def naive_violations(labels, tensor, mode, units=None):
     """Associativity and unit-axiom failures of an index-keyed Coefficient
     tensor, in build_ring's order: (alpha, beta, gamma, first differing
     label, lhs text, rhs text) for every triple in lexicographic order,
     then (unit or None, witness, detail) for the unit checks."""
-    ring = ZPlusRing("", tuple(labels), mode, tensor, None, units)
+    ring = ZPlusRing("", tuple(labels), mode, flat_rows(tensor), None, units)
     basis = [basis_element(ring, i) for i in range(ring.size)]
 
     def mul(x, y):

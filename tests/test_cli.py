@@ -261,6 +261,23 @@ def test_unwritable_output_path_is_an_input_error(tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gallery", "qplane-trunc-\u0663"],
+    ["gallery", "qplane-trunc-03"],
+    ["gallery", "qplane-trunc-00"],
+    ["gallery", "verlinde-sl2-07"],
+    ["spec", "gallery:qplane-trunc-\u0663"],
+    ["validate", "gallery:verlinde-sl2-\uff13"],
+], ids=" ".join)
+def test_gallery_parameters_are_canonical_ascii_numerals(argv):
+    # one name per ring: "03", "00" and non-ASCII digits are not numerals
+    result = run_command(argv)
+    assert result.exit_code == EXIT_INPUT
+    assert result.report["message"].startswith("unknown gallery ring")
+    canonical = run_command(["gallery", "qplane-trunc-0"]).report
+    assert 'ring "qplane-trunc-0"' in canonical["ring_file"]
+
+
 def test_topology_renders_dot_only_when_asked(tmp_path, monkeypatch):
     argv = ["topology", "gallery:zx2-x", "--style", "zariski"]
     expected = run_command(argv)

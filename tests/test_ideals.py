@@ -345,7 +345,7 @@ def test_quotient_examples():
     zx = load_gallery("zx2-x")
     q = quotient_ring(zx, members(zx, ["x"]))
     assert q.labels == ("1",)
-    assert q.tensor == {(0, 0): {0: list(q.tensor.values())[0][0]}}
+    assert q.tensor == {(0, 0): {(0, 0): 1}}
 
     qp = load_gallery("qplane-trunc-2")
     face_x = serre_closure(qp, members(qp, ["x"]))

@@ -1,7 +1,8 @@
 import pytest
 
-from serrespec import (RingError, RingFileError, RingValidationError,
-                       build_ring, gallery_names, load_gallery,
+from serrespec import (LAURENT, Coefficient, RingError, RingFileError,
+                       RingValidationError, build_ring, gallery_names,
+                       load_gallery,
                        mask_from_labels, parse_ring_file, quotient_ring,
                        serialize_ring)
 from serrespec.cli import EXIT_INPUT, run_command
@@ -155,8 +156,59 @@ mul a a = a + q*a
 """
     ring = parse_ring_file(text)
     a = ring.index("a")
-    assert str(ring.tensor[(a, a)][a]) == "1 + q"
+    assert ring.tensor[(a, a)] == {(a, 0): 1, (a, 1): 1}
     assert "mul a a = a + q*a" in serialize_ring(ring)
+
+
+# the same ring as a ring file and as build_ring input: repeated terms
+# add up, omitted unit products default, and block lines assign blocks
+SAME_RING = {
+    "laurent-repeated-terms": ("""\
+ring "multi-term"
+coeff laurent
+basis 1 x y
+unit 1
+mul x x = q^-1*x + x + q^3*x + x
+mul x y = 2*y + q^3*y + q^-1*y
+mul y x = q^-1*y + 2*y + q^3*y
+mul y y = 0
+""", lambda: build_ring(
+        ["1", "x", "y"],
+        {("1", g): {g: 1} for g in ("1", "x", "y")}
+        | {(g, "1"): {g: 1} for g in ("x", "y")}
+        | {pair: {out: Coefficient(LAURENT, {-1: 1, 0: 2, 3: 1})}
+           for pair, out in ((("x", "x"), "x"), (("x", "y"), "y"),
+                             (("y", "x"), "y"))},
+        LAURENT, units=["1"], name="multi-term")),
+    "int-repeated-terms": ("""\
+ring "doubled"
+coeff int
+basis x y
+mul x x = x + x
+mul x y = 0*y + y + 1*y
+""", lambda: build_ring(["x", "y"],
+                        {("x", "x"): {"x": 2}, ("x", "y"): {"y": 2}},
+                        name="doubled")),
+    "blocks-and-unit-defaults": ("""\
+ring "mixed-3obj"
+coeff int
+basis uA uB uC f g h
+unit uA uB uC
+block A A: uA
+block B B: uB
+block C C: uC
+block A B: f
+block B C: g
+block A C: h
+mul g f = h
+""", lambda: load_gallery("mixed-3obj")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_RING))
+def test_parser_and_build_ring_give_equal_rings(case):
+    text, build = SAME_RING[case]
+    assert parse_ring_file(text) == build()
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -169,6 +221,8 @@ mul a a = a + q*a
     ("ring \"x\"\ncoeff int\nbasis a!\n", "bad label"),
     ("ring \"x\"\ncoeff int\nbasis a\nfoo bar\n", "unknown directive"),
     ("ring \"x\"\ncoeff int\nbasis a b\nblock A A: a\n", "without a block"),
+    ("ring \"x\"\ncoeff int\nbasis a\nblock A A: a, z\n",
+     "bad.ring:4: unknown label 'z'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(RingFileError) as exc:

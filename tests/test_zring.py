@@ -13,17 +13,21 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        block_view, build_ring, corner_ring,
                        enumerate_serre_ideals, gallery_names,
                        labels_from_mask, load_gallery, mask_from_labels,
-                       multiply_elements, quotient_ring, ring_element,
-                       support_of)
+                       multiply_elements, parse_ring_file, quotient_ring,
+                       ring_element, serialize_ring, support_of,
+                       truncate_to_ring)
+from serrespec.gallery import quantum_plane
+from serrespec.monomial import MonomialRing
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             ZPlusRing, _flat, _packed_mismatches,
+                             ZPlusRing, _packed_mismatches,
                              _sparse_mismatches, iter_bits, mask_of,
-                             select_by_mask, subset_key)
+                             select_by_mask, sub_ring, subset_key)
 
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
-from oracles import (index_tuple, naive_middle_support, naive_product_mask,
-                     naive_triple_support, naive_violations)
+from oracles import (flat_rows, index_tuple, naive_middle_support,
+                     naive_product_mask, naive_triple_support,
+                     naive_violations, rebuilt_sub_ring, table_of)
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +378,78 @@ def test_quotient_ring_is_the_sub_ring_off_each_proper_ideal(gallery):
                                  ring.full_mask & ~ideal)
 
 
+# x x = c x and x y = y x = c y with c = q^-1 + 2 + q^3
+MULTI_TERM = build_ring(
+    ["1", "x", "y"],
+    {("1", "1"): {"1": 1}, ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1},
+     ("1", "y"): {"y": 1}, ("y", "1"): {"y": 1},
+     ("x", "x"): {"x": Coefficient(LAURENT, {-1: 1, 0: 2, 3: 1})},
+     ("x", "y"): {"y": Coefficient(LAURENT, {-1: 1, 0: 2, 3: 1})},
+     ("y", "x"): {"y": Coefficient(LAURENT, {-1: 1, 0: 2, 3: 1})}},
+    LAURENT, units=["1"], name="multi-term")
+
+
+def _tensor_producers():
+    """producer name -> the rings it makes."""
+    built = [load_gallery(name) for name in gallery_names()]
+    built += [upper_triangular(3, True), diagonal(3), matrix_corner(2),
+              MULTI_TERM]
+    cube = MonomialRing(3, ((0, 0, 0), (1, 0, 0), (1, 1, 0)))
+    return {
+        "build_ring": built,
+        "parse_ring_file": [parse_ring_file(serialize_ring(r))
+                            for r in built],
+        "quotient": [quotient_ring(r, ideal) for r in built
+                     for ideal in enumerate_serre_ideals(r)
+                     if ideal != r.full_mask],
+        "corner": [corner_ring(BLOCK_RINGS[name](), obj)[0]
+                   for name in sorted(BLOCK_RINGS)
+                   for obj in block_view(BLOCK_RINGS[name]()).objects],
+        "truncate_to_ring": [truncate_to_ring(quantum_plane(), 3),
+                             truncate_to_ring(cube, 2)],
+    }
+
+
+TENSOR_PRODUCERS = _tensor_producers()
+
+
+@pytest.mark.parametrize("producer", sorted(TENSOR_PRODUCERS))
+def test_tensor_rows_are_nonempty_flat_rows_of_positive_ints(producer):
+    for ring in TENSOR_PRODUCERS[producer]:
+        n = ring.size
+        for (a, b), row in ring.tensor.items():
+            assert 0 <= a < n and 0 <= b < n and row
+            for (g, e), v in row.items():
+                assert type(g) is type(e) is type(v) is int
+                assert 0 <= g < n and v > 0
+                assert e == 0 or ring.mode == LAURENT
+
+
+SUB_RING_BASES = [load_gallery(name) for name in gallery_names()]
+SUB_RING_BASES += [upper_triangular(3, True), matrix_corner(2), MULTI_TERM]
+
+
+def _outcome(build):
+    """The ring, or what build_ring's checks refused in it."""
+    try:
+        return build()
+    except RingValidationError as exc:
+        return [astuple(v) for v in exc.violations]
+    except RingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ring", SUB_RING_BASES, ids=lambda r: r.name)
+def test_sub_ring_equals_the_label_keyed_rebuild(ring):
+    # every nonempty mask, so the restrictions that fail a check too
+    outcomes = set()
+    for keep in range(1, ring.full_mask + 1):
+        got = _outcome(lambda: sub_ring(ring, keep, "sub"))
+        assert got == _outcome(lambda: rebuilt_sub_ring(ring, keep, "sub"))
+        outcomes.add(type(got))
+    assert ZPlusRing in outcomes
+
+
 def _broken_ising():
     labels = ("1", "eps", "sigma")
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -387,7 +463,7 @@ def _edited(name, edit):
     """A gallery ring's index-keyed tensor after one in-place edit."""
     def case():
         ring = load_gallery(name)
-        tensor = {ab: dict(row) for ab, row in ring.tensor.items()}
+        tensor = table_of(ring)
         edit(tensor)
         return ring.labels, tensor, ring.mode, ring.units
     return case
@@ -537,7 +613,7 @@ def perturbed_tables(draw):
     dropped or extra term, or (Laurent mode) a shifted exponent."""
     ring = draw(st.sampled_from(PERTURBATION_BASES))
     mode = ring.mode
-    tensor = {ab: dict(row) for ab, row in ring.tensor.items()}
+    tensor = table_of(ring)
     ab = draw(st.sampled_from(sorted(tensor)))
     g = draw(st.sampled_from(sorted(tensor[ab])))
     kind = draw(st.sampled_from(
@@ -574,7 +650,7 @@ def test_violation_list_matches_oracle_on_perturbed_rings(case):
 def test_packed_and_sparse_paths_find_the_oracle_triples(case):
     # build_ring runs only the path the packing rule picks; here both run
     labels, tensor, mode, _ = case
-    flat, n = _flat(tensor), len(labels)
+    flat, n = flat_rows(tensor), len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     expected = [(index[a], index[b], index[c]) for a, b, c, *_
                 in naive_violations(labels, tensor, mode)]
@@ -598,7 +674,7 @@ def _qplane_times_billion():
     return {ab: {g: Coefficient(LAURENT, {e * 10 ** 9: v
                                           for e, v in c.terms.items()})
                  for g, c in row.items()}
-            for ab, row in ring.tensor.items()}
+            for ab, row in table_of(ring).items()}
 
 
 def _raise_value(tensor):  # still every exponent a multiple of 10^9
@@ -627,7 +703,7 @@ def test_billion_scaled_exponents_stay_small(edit):
                                      ring.units)
     assert bool(found) == (edit is not None)
     # the gcd keeps the 10^9 grid packed; one exponent off it does not
-    assert (_packed_mismatches(_flat(tensor), ring.size) is None) \
+    assert (_packed_mismatches(flat_rows(tensor), ring.size) is None) \
         == (edit is _shift_exponent)
 
 
@@ -656,7 +732,7 @@ def test_exponent_gaps_stay_within_the_packing_budget(perturbed):
     assert peak < 5
     assert found == naive_violations(labels, tensor, LAURENT, units)
     assert bool(found) == perturbed
-    assert _packed_mismatches(_flat(tensor), len(labels)) is None
+    assert _packed_mismatches(flat_rows(tensor), len(labels)) is None
 
 
 LADDER = {
@@ -668,7 +744,7 @@ LADDER = {
 
 
 def _table_of(ring):
-    return ring.labels, ring.tensor
+    return ring.labels, table_of(ring)
 
 
 # name -> (labels and index-keyed tensor, whether the table packs): dense
@@ -687,7 +763,7 @@ ROUTES = {
 def test_packing_rule_picks_the_route(name):
     make, packs = ROUTES[name]
     labels, tensor = make()
-    packed = _packed_mismatches(_flat(tensor), len(labels))
+    packed = _packed_mismatches(flat_rows(tensor), len(labels))
     assert (packed is not None) == packs
     assert packed in (None, [])
 
@@ -695,8 +771,9 @@ def test_packing_rule_picks_the_route(name):
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_ladder_rings_build_in_small_memory(name):
     ring = LADDER[name]()
+    table = table_of(ring)
     built, peak = _peak_mb(lambda: build_ring(
-        ring.labels, ring.tensor, ring.mode, units=ring.units, name=name))
+        ring.labels, table, ring.mode, units=ring.units, name=name))
     assert peak < 5
     assert built.product_masks == ring.product_masks
     assert built.triple_masks == ring.triple_masks

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Time the CLI's oracle command on a fixed ladder of rings, one line per
-ring.
+"""Time the CLI's oracle and spec commands on a fixed ladder of rings,
+one line per ring.
 
     python3 scripts/oracle_ladder.py [ring name ...]
 
 Each line gives the ring, its basis size n, its number of two-sided
 ideals, its number of Serre primes, whether the oracle found the fast
 and definitional checks in agreement, and the best of three wall times
-of `oracle RING`.  Each run parses the ring afresh, so no lattice is
-cached between runs.  The rings are diag-6..10 and tri-4..6 from
-tests/ladder.py, written as ring files to a temporary directory, and the
-gallery's qplane-trunc-3..5; names given on the command line pick a
-subset.  Run it in two checkouts to compare them.
+of `oracle RING` and of `spec RING` on the same ring file.  Each run
+parses the ring afresh, so no lattice is cached between runs.  The rings
+are diag-6..10 and tri-4..6 from tests/ladder.py, written as ring files
+to a temporary directory, and the gallery's qplane-trunc-3..5; names
+given on the command line pick a subset.  Run it in two checkouts to
+compare them.
 """
 
 import sys
@@ -38,21 +39,27 @@ RINGS = {
 REPEATS = 3
 
 
-def measure(name, tmp):
-    ring = RINGS[name](name)
-    path = Path(tmp) / f"{name}.ring"
-    path.write_text(serialize_ring(ring))
-    argv = ["oracle", str(path)]
+def best_of(argv):
+    """The last result of REPEATS runs of argv, and the least wall time."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = run_command(argv)
         best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def measure(name, tmp):
+    ring = RINGS[name](name)
+    path = Path(tmp) / f"{name}.ring"
+    path.write_text(serialize_ring(ring))
+    result, best = best_of(["oracle", str(path)])
+    _, spec = best_of(["spec", str(path)])
     ideals = len(enumerate_serre_ideals(ring))
     primes = len(serre_spec(ring).primes)
     return (f"{name:<16} n={ring.size:<3} ideals={ideals:<6} "
             f"primes={primes:<3} ok={str(result.report['ok']):<5} "
-            f"best={best * 1000:9.1f} ms")
+            f"best={best * 1000:9.1f} ms  spec={spec * 1000:7.1f} ms")
 
 
 def main():

@@ -133,26 +133,39 @@ def down_sets(closures, full):
     The order needs no sort.  Two leaves that part at g agree on every
     index below g, all of which were decided before g was; so of two
     leaves of one cardinality, the one holding g has the smaller index
-    tuple.  The include branch is popped first, so the search also emits
-    that leaf first, and each cardinality's leaves, bucketed in emission
-    order, are already in canonical order.
+    tuple.  From each popped node the search follows the include chain
+    down to a leaf, pushing the exclude branch of every index it
+    includes; the stack is last in, first out, so every leaf holding g
+    comes out before the exclude branch at g is popped, and each
+    cardinality's leaves, bucketed in emission order, are already in
+    canonical order.
     """
-    below = [0] * len(closures)
-    for h, closure in enumerate(closures):
-        for g in iter_bits(closure):
-            below[g] |= 1 << h
+    below = transpose(closures)
     buckets = [[] for _ in range(full.bit_count() + 1)]
     stack = [(0, 0)]
     while stack:
         inside, outside = stack.pop()
         free = full & ~(inside | outside)
-        if not free:
-            buckets[inside.bit_count()].append(inside)
-            continue
-        g = (free & -free).bit_length() - 1
-        stack.append((inside, outside | below[g]))
-        stack.append((inside | closures[g], outside))
+        while free:
+            g = (free & -free).bit_length() - 1
+            stack.append((inside, outside | below[g]))
+            inside |= closures[g]
+            free &= ~closures[g]
+        buckets[inside.bit_count()].append(inside)
     return [mask for bucket in buckets for mask in bucket]
+
+
+def transpose(closures):
+    """below[g]: the mask of every h whose closure holds g.
+
+    For principal closures, the complement of below[g] is the principal
+    complement {h : g not in closure(h)}, the largest down-set missing g.
+    """
+    below = [0] * len(closures)
+    for h, closure in enumerate(closures):
+        for g in iter_bits(closure):
+            below[g] |= 1 << h
+    return below
 
 
 def enumerate_serre_ideals(ring, side=TWO_SIDED):

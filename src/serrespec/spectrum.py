@@ -7,6 +7,12 @@ ideal lattice; the two are asserted equivalent in the test suite.  The
 definitional quantifiers deliberately include the improper ideal: that is
 what keeps the equivalences true for rings without units.
 
+The spectrum scans only the n principal complements {h : g not in
+serre_closure(h)} for primality, since every Serre prime is
+meet-irreducible in the ideal lattice and so one of them; the cached
+lattice is read only to list them in canonical order, which also keeps
+the basis-size guard in front of every spectrum.
+
 Definitional primality still quantifies over every pair of ideals, but
 decides each containment I*J inside P with one AND instead of a product
 support: the product escapes P exactly when I meets the escape mask of J,
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
                      pairs_inside, product_support, require_proper_two_sided,
-                     serre_closure)
+                     serre_closure, transpose)
 from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
                     support_of)
 
@@ -82,14 +88,31 @@ def _first_pair(table, members):
 
 
 def _prime_masks(ring):
-    """Serre prime masks in canonical order, computed once per ring over
-    the cached two-sided lattice."""
+    """Serre prime masks in canonical order, computed once per ring.
+
+    Only the principal complements {h : g not in serre_closure(h)} are
+    scanned, at most n of them.  A prime P is meet-irreducible: if
+    P = I & J for ideals I, J strictly above P, then IJ lies in I & J = P
+    with neither factor inside P, so P is not prime.  The ideal subsets
+    are the down-sets of a finite preorder, and there the
+    meet-irreducible members are exactly the principal complements: a
+    proper down-set is the meet of the complements of the g outside it,
+    and the complement of g is the largest down-set missing g.
+
+    The cached two-sided lattice is read all the same, one set lookup
+    per member: it lists the candidates in canonical order with no sort, and
+    it keeps the basis-size guard in front of every spectrum.
+    """
     cached = ring.cache.get("primes")
     if cached is None:
+        lattice = enumerate_serre_ideals(ring, TWO_SIDED)
         full = ring.full_mask
+        # below[g] holds g, so no complement is the full mask
+        complements = {full & ~below for below in transpose(
+            [serre_closure(ring, 1 << g) for g in range(ring.size)])}
         tm = ring.triple_masks
-        cached = tuple(m for m in enumerate_serre_ideals(ring, TWO_SIDED)
-                       if m != full and _first_pair(tm, m) is None)
+        cached = tuple(m for m in lattice
+                       if m in complements and _first_pair(tm, m) is None)
         ring.cache["primes"] = cached
     return cached
 

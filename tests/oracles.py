@@ -5,14 +5,16 @@ on basis elements), deliberately avoiding the precomputed support tables,
 the absorb-mask ideal test, and the fast primality scans that the library
 itself uses; naive_violations runs multiply_elements on a ring assembled
 without validation.  Tests compare library output against these.  The
-exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint
-and plain_fold, copies of the library's former 2^n absorb-mask lattice
-scan, its former topology construction (a 2^n Balmer sweep and a
-pairwise union fixpoint), its former search for maximal ideals avoiding
-a multiplicative set (a filter over the whole ideal lattice) and its
-former memo-free product fold, kept as order-exact oracles for the
-down-set searches, the reading of the prime list and the memoised fold
-that replaced them; scan_pairs_inside is the former double loop of the
+exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint,
+lattice_filtered_primes and plain_fold, copies of the library's former
+2^n absorb-mask lattice scan, its former topology construction (a 2^n
+Balmer sweep and a pairwise union fixpoint), its former search for
+maximal ideals avoiding a multiplicative set (a filter over the whole
+ideal lattice), its former prime list (the fast primality scan run on
+every lattice member) and its former memo-free product fold, kept as
+order-exact oracles for the down-set searches, the reading of the prime
+list, the principal-complement candidates and the memoised fold that
+replaced them; scan_pairs_inside is the former double loop of the
 definitional primality check and the minimal-primes splitting search,
 kept on naive_product_support as the order-exact oracle for
 ideals.pairs_inside; rebuilt_sub_ring is the former label-keyed
@@ -27,6 +29,7 @@ from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
                        Coefficient, allow_large, basis_element, build_ring,
                        closed_set, enumerate_serre_ideals, multiply_elements,
                        product_support, serre_spec, support_of)
+from serrespec.spectrum import _first_pair
 from serrespec.zring import (RingElement, ZPlusRing, format_element,
                              select_by_mask)
 
@@ -154,6 +157,16 @@ def lattice_maximal_disjoint(ring, mult_set, base):
                   if not base & ~m and all(s & ~m for s in mult_set.orbit)]
     return [m for m in candidates
             if not any(k != m and not m & ~k for k in candidates)]
+
+
+def lattice_filtered_primes(ring):
+    """Proper two-sided ideal subsets that pass the fast primality scan,
+    every lattice member tested, in lattice order."""
+    with allow_large():
+        lattice = enumerate_serre_ideals(ring)
+    tm = ring.triple_masks
+    return [m for m in lattice
+            if m != ring.full_mask and _first_pair(tm, m) is None]
 
 
 def plain_fold(ring, chain):

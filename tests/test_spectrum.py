@@ -16,8 +16,9 @@ from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
 from serrespec.gallery import quantum_plane
 
 from ladder import diagonal, proper_quotients, upper_triangular
-from oracles import (lattice_maximal_disjoint, naive_is_completely_prime,
-                     naive_is_prime, naive_is_semiprime, plain_fold)
+from oracles import (lattice_filtered_primes, lattice_maximal_disjoint,
+                     naive_is_completely_prime, naive_is_prime,
+                     naive_is_semiprime, plain_fold)
 
 
 @pytest.fixture(scope="module")
@@ -401,11 +402,23 @@ def test_quotient_spectrum_is_the_spectrum_above_the_ideal(ladder_rings):
 
 def test_every_prime_is_a_principal_complement(ladder_rings):
     # each Serre prime is {h : g not in the closure of h} for a basis
-    # element g: primes are meet-irreducible in the lattice
+    # element g: primes are meet-irreducible in the lattice.  The primes
+    # come from the whole lattice, not from serre_spec, which scans only
+    # these complements
     for ring in ladder_rings:
         up = [serre_closure(ring, 1 << h) for h in range(ring.size)]
         complements = {sum(1 << h for h in range(ring.size)
                            if not up[h] >> g & 1)
                        for g in range(ring.size)}
-        for p in serre_spec(ring).primes:
+        for p in lattice_filtered_primes(ring):
             assert p in complements, (ring.name, p)
+
+
+def test_spec_primes_are_the_whole_lattice_filtered(ladder_rings):
+    rings = list(ladder_rings)
+    rings += [upper_triangular(k) for k in (5, 6)]
+    rings += [diagonal(k) for k in range(8, 12)]
+    rings += [load_gallery(f"qplane-trunc-{d}") for d in (4, 5)]
+    for ring in rings:
+        assert serre_spec(ring).primes == lattice_filtered_primes(ring), \
+            ring.name

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Time the CLI's oracle and spec commands on a fixed ladder of rings,
-one line per ring.
+"""Time the CLI's oracle, spec and Zariski topology commands on a fixed
+ladder of rings, one line per ring.
 
     python3 scripts/oracle_ladder.py [ring name ...]
 
 Each line gives the ring, its basis size n, its number of two-sided
 ideals, its number of Serre primes, whether the oracle found the fast
 and definitional checks in agreement, and the best of three wall times
-of `oracle RING` and of `spec RING` on the same ring file.  Each run
-parses the ring afresh, so no lattice is cached between runs.  The rings
+of `oracle RING`, of `spec RING` and of `topology RING --style zariski`
+on the same ring file.  A timed run is what one CLI call does,
+run_command and then render_report, and it parses the ring afresh, so
+no lattice is cached between runs.  The rings
 are diag-6..10 and tri-4..6 from tests/ladder.py, written as ring files
 to a temporary directory, and the gallery's qplane-trunc-3..5; names
 given on the command line pick a subset.  Run it in two checkouts to
@@ -28,7 +30,7 @@ from ladder import diagonal, upper_triangular  # noqa: E402
 
 from serrespec import (enumerate_serre_ideals, load_gallery,  # noqa: E402
                        serre_spec)
-from serrespec.cli import run_command  # noqa: E402
+from serrespec.cli import render_report, run_command  # noqa: E402
 from serrespec.io import serialize_ring  # noqa: E402
 
 RINGS = {
@@ -40,11 +42,13 @@ REPEATS = 3
 
 
 def best_of(argv):
-    """The last result of REPEATS runs of argv, and the least wall time."""
+    """The last result of REPEATS runs of argv, each rendered, and the
+    least wall time."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = run_command(argv)
+        render_report(result.report)
         best = min(best, time.perf_counter() - start)
     return result, best
 
@@ -55,11 +59,13 @@ def measure(name, tmp):
     path.write_text(serialize_ring(ring))
     result, best = best_of(["oracle", str(path)])
     _, spec = best_of(["spec", str(path)])
+    _, zariski = best_of(["topology", str(path), "--style", "zariski"])
     ideals = len(enumerate_serre_ideals(ring))
     primes = len(serre_spec(ring).primes)
     return (f"{name:<16} n={ring.size:<3} ideals={ideals:<6} "
             f"primes={primes:<3} ok={str(result.report['ok']):<5} "
-            f"best={best * 1000:9.1f} ms  spec={spec * 1000:7.1f} ms")
+            f"best={best * 1000:9.1f} ms  spec={spec * 1000:7.1f} ms  "
+            f"zariski={zariski * 1000:7.1f} ms")
 
 
 def main():

@@ -22,9 +22,8 @@ from .spectrum import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
                        is_semiprime, is_serre_prime, make_multiplicative_set,
                        maximal_disjoint_primes, minimal_primes_over,
                        serre_spec)
-from .topology import (BALMER, ZARISKI, ClosedSet, ClosedSetFamily,
-                       build_topology, closed_set, specialization_edges,
-                       to_dot)
+from .topology import (BALMER, ZARISKI, ClosedSetFamily, build_topology,
+                       closed_set, specialization_edges, to_dot)
 from .twocat import (BlockRingView, MissingBlocks, block_view,
                      check_unit_decomposition, classify_completely_primes,
                      corner_ring)

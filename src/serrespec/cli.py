@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from itertools import compress, product
 from json.encoder import encode_basestring_ascii
 
 from .coefficients import CoefficientError
@@ -337,14 +338,13 @@ def _cmd_topology(args):
         with open(args.dot, "w") as fh:
             fh.write(to_dot(ring, family))
     points = [ideal_node_name(ring, p) for p in family.space]
-    tags = MaskList(ring.labels, [s.tag for s in family.sets])
+    tags = MaskList(ring.labels, family.tags)
     report = {
         "command": "topology",
         "ring": ring.name,
         "style": args.style,
         "points": points,
-        "closed_sets": MaskList(points, [s.extent for s in family.sets],
-                                tags),
+        "closed_sets": MaskList(points, family.extents, tags),
         "generators_union_closed": family.generators_union_closed,
         "empty_set_adjoined": family.empty_set_adjoined,
         "specialization": [[points[i], points[j]]
@@ -614,17 +614,57 @@ def _write_masks(out, value, indent):
     out.append("\n" + indent + "]")
 
 
+#: _BITS[b]: the bits of the byte b from bit 0 up, as 0/1 selectors
+_BITS = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
+
+
 def _subset_texts(names, masks, indent):
     """{mask: the JSON list of the names at its bits} over the distinct
     masks, each list opening on a line indented by ``indent``; a mask
-    that is None maps to ``null``."""
+    that is None maps to ``null``.
+
+    The list bodies come from ``_joined``, which works a byte of names
+    at a time and makes the text of each byte value once per run of 8
+    names, so the work grows with the distinct masks, not with the
+    names."""
     names = list(map(encode_basestring_ascii, names))
     inner = indent + "  "
     head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-    texts = {m: head + sep.join(select_by_mask(names, m)) + tail
-             for m in set(masks) if m}
+    texts = {m: head + body + tail for m, body
+             in _joined(names, set(masks) - {0, None}, sep).items()}
     texts[0] = "[]"
     texts[None] = "null"
+    return texts
+
+
+def _joined(names, masks, sep):
+    """{mask: the names at its bits joined by sep} over a set of nonzero
+    masks.
+
+    Level k holds the distinct masks shifted right by 8k bits, and its
+    texts are made from the top level down: a mask at level k is its
+    low byte, over names 8k to 8k + 7, and its rest, whose text level
+    k + 1 already made.  Each low byte's text is made once per level, so
+    a mask costs one or two memo reads and one concatenation.
+    """
+    levels = [masks]
+    while 8 * len(levels) < len(names):
+        levels.append({m >> 8 for m in levels[-1]} - {0})
+    run = names[8 * len(levels) - 8:]
+    texts = {m: sep.join(compress(run, _BITS[m])) for m in levels.pop()}
+    while levels:
+        run = names[8 * len(levels) - 8:8 * len(levels)]
+        lows = [None] * 256
+        rests, texts = texts, {}
+        for m in levels.pop():
+            low, rest = m & 255, m >> 8
+            if not low:
+                texts[m] = rests[rest]
+                continue
+            text = lows[low]
+            if text is None:
+                text = lows[low] = sep.join(compress(run, _BITS[low]))
+            texts[m] = text + sep + rests[rest] if rest else text
     return texts
 
 

@@ -127,16 +127,20 @@ class Coefficient:
 
 def format_coefficient(c):
     """Canonical text: terms in increasing exponent order, e.g. 'q^-1 + 1 + 2q^3'."""
-    if not c.terms:
-        return "0"
+    return format_terms(c.terms.items())
+
+
+def format_terms(terms):
+    """format_coefficient of nonzero (exponent, value) pairs given in
+    increasing exponent order, with no Coefficient built."""
     parts = []
-    for exp, value in c.terms.items():
+    for exp, value in terms:
         if exp == 0:
             parts.append(str(value))
         else:
             q = "q" if exp == 1 else f"q^{exp}"
             parts.append(q if value == 1 else f"{value}{q}")
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 def parse_coefficient(text, mode):

@@ -168,6 +168,26 @@ def transpose(closures):
     return below
 
 
+def principal_closures(ring, side=TWO_SIDED):
+    """The n principal ideal subsets serre_closure(g), g in basis order:
+    a tuple cached on the ring per side, read by the lattice, the
+    spectrum and the Zariski tags alike."""
+    key = ("principal", side)
+    cached = ring.cache.get(key)
+    if cached is None:
+        cached = tuple(serre_closure(ring, 1 << g, side)
+                       for g in range(ring.size))
+        ring.cache[key] = cached
+    return cached
+
+
+def principal_complements(ring):
+    """complements[g]: {h : g not in serre_closure(h)}, the largest
+    two-sided ideal subset missing g, for each g in basis order."""
+    full = ring.full_mask
+    return [full & ~below for below in transpose(principal_closures(ring))]
+
+
 def enumerate_serre_ideals(ring, side=TWO_SIDED):
     """Every ideal subset, empty and full included, ordered by
     (cardinality, lexicographic index tuple).
@@ -188,8 +208,8 @@ def enumerate_serre_ideals(ring, side=TWO_SIDED):
                 f"basis of size {ring.size} exceeds the basis-size guard "
                 f"({BASIS_GUARD}); pass --allow-large or use "
                 f"serrespec.allow_large() to override")
-        up = [serre_closure(ring, 1 << g, side) for g in range(ring.size)]
-        cached = tuple(down_sets(up, ring.full_mask))
+        cached = tuple(down_sets(principal_closures(ring, side),
+                                 ring.full_mask))
         ring.cache[key] = cached
     return cached
 

@@ -23,8 +23,8 @@ the set of basis elements a sending some b in J outside P
 from dataclasses import dataclass, field
 
 from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
-                     pairs_inside, product_support, require_proper_two_sided,
-                     serre_closure, transpose)
+                     pairs_inside, principal_complements, product_support,
+                     require_proper_two_sided, serre_closure)
 from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
                     support_of)
 
@@ -106,10 +106,8 @@ def _prime_masks(ring):
     cached = ring.cache.get("primes")
     if cached is None:
         lattice = enumerate_serre_ideals(ring, TWO_SIDED)
-        full = ring.full_mask
-        # below[g] holds g, so no complement is the full mask
-        complements = {full & ~below for below in transpose(
-            [serre_closure(ring, 1 << g) for g in range(ring.size)])}
+        # no complement is the full mask: it misses its own g
+        complements = set(principal_complements(ring))
         tm = ring.triple_masks
         cached = tuple(m for m in lattice
                        if m in complements and _first_pair(tm, m) is None)

@@ -20,32 +20,42 @@ Balmer-style set may be only a union of generators and then has no tag,
 and the empty set is adjoined untagged exactly when the zero ideal is
 prime, since every V_B(X) then contains it.  Both facts are recorded per
 ring.
+
+The Zariski tags cost one AND per lattice member.  Every Serre prime P
+is a principal complement {h : g not in serre_closure(h)}; take for each
+prime the first such g, its generator g_P.  An ideal I lies inside P
+exactly when g_P is not in I: I holds the closure of each of its
+members, and g_P lies in the closure of h exactly when h is outside P.
+So V(I) is read off the key I & G, G the mask of the generators, and
+key and extent determine each other; the first ideal per key is the
+first ideal per extent.
 """
 
 from dataclasses import dataclass, field
 
-from .ideals import down_sets, enumerate_serre_ideals
-from .zring import RingError, iter_bits, labels_from_mask
+from .ideals import (down_sets, enumerate_serre_ideals,
+                     principal_complements)
+from .zring import RingError, iter_bits, labels_from_mask, mask_of
 from .spectrum import serre_spec
 
 ZARISKI = "zariski"
 BALMER = "balmer"
 
 
-@dataclass(frozen=True)
-class ClosedSet:
-    extent: int       # bitmask over spectrum points
-    tag: int | None   # defining ideal / basis subset; None if none defines it
-
-
 @dataclass
 class ClosedSetFamily:
     style: str
     space: list                  # prime masks, canonical order
-    sets: list = field(default_factory=list)
+    extents: list                # closed sets over space, canonical order
+    tags: list                   # per extent: defining subset, or None
     generators_union_closed: bool = True
     empty_set_adjoined: bool = False
     closures: list = field(default_factory=list)  # point -> closure extent
+
+    @property
+    def sets(self):
+        """The closed sets as (extent, tag) pairs."""
+        return list(zip(self.extents, self.tags))
 
 
 def closed_set(spec, arg, style):
@@ -93,17 +103,52 @@ def _balmer_tags(ring, spec, space):
     return tags
 
 
+def prime_generators(ring, primes):
+    """g_P for each prime P of the list: the first basis index whose
+    principal complement {h : g not in serre_closure(h)} is P."""
+    first = {}
+    for g, complement in enumerate(principal_complements(ring)):
+        first.setdefault(complement, g)
+    return [first[p] for p in primes]
+
+
+def _zariski_tags(ring, primes):
+    """The first ideal in canonical order for every extent V(I).
+
+    V(I) holds prime i exactly when its generator g_i is not in I, so the
+    lattice is walked once, keyed by I & G; each distinct key then gives
+    its extent."""
+    gens = prime_generators(ring, primes)
+    key_mask = mask_of(gens)
+    first = {}
+    for ideal in enumerate_serre_ideals(ring):
+        first.setdefault(ideal & key_mask, ideal)
+    bits = [(1 << g, 1 << i) for i, g in enumerate(gens)]
+    space = (1 << len(primes)) - 1
+    tags = {}
+    for key, ideal in first.items():
+        extent = space
+        for g_bit, i_bit in bits:
+            if key & g_bit:
+                extent ^= i_bit
+        tags[extent] = ideal
+    return tags
+
+
 def build_topology(ring, style):
     """Family of all closed sets of the chosen style in canonical extent
     order; every set keeps the first defining subset in canonical order
     as its tag (None for unions of generators and an adjoined empty
-    set)."""
+    set).
+
+    Zariski tags come from the lattice by key, one AND per ideal (see
+    the module docstring); Balmer-style tags from a breadth-first search
+    over basis subsets.  The extents themselves are the down-sets of the
+    point closures."""
     spec = serre_spec(ring)
     space = (1 << len(spec.primes)) - 1
     if style == ZARISKI:
-        tags = {}
-        for ideal in enumerate_serre_ideals(ring):
-            tags.setdefault(closed_set(spec, ideal, style), ideal)
+        tags = _zariski_tags(ring, spec.primes)
     elif style == BALMER:
         tags = _balmer_tags(ring, spec, space)
     else:
@@ -115,8 +160,8 @@ def build_topology(ring, style):
         else:
             closures[j] |= 1 << i
     extents = down_sets(closures, space)
-    return ClosedSetFamily(style, list(spec.primes),
-                           [ClosedSet(e, tags.get(e)) for e in extents],
+    return ClosedSetFamily(style, list(spec.primes), extents,
+                           [tags.get(e) for e in extents],
                            all(e in tags for e in extents if e),
                            0 not in tags, closures)
 

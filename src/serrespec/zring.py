@@ -29,7 +29,7 @@ from itertools import compress, repeat
 from math import gcd
 from operator import add, index, lshift, mul, or_, sub
 
-from .coefficients import INT, LAURENT, Coefficient
+from .coefficients import INT, LAURENT, Coefficient, format_terms
 
 LEFT = "left"
 RIGHT = "right"
@@ -324,16 +324,17 @@ def _product(flat, row, b, row_first):
 
 
 def _format_row(labels, row):
-    """format_element of a flat row (diagnostics only).
-
-    Formatting reads only the terms, and a row of an int table has only
-    exponent 0, so building every Coefficient in LAURENT mode gives the
-    same text in either mode and keeps the mode out of the checks."""
-    coeffs = {}
-    for (g, e), v in row.items():
-        coeffs.setdefault(g, {})[e] = v
-    return format_element(
-        labels, {g: Coefficient(LAURENT, t) for g, t in coeffs.items()})
+    """format_element of a flat row (diagnostics only), written straight
+    from its positive terms: per output in basis order, the label alone
+    for the coefficient 1, else the coefficient's text times the label.
+    The text reads only the terms, so it is the same in either mode."""
+    outputs = {}
+    for (g, e), v in sorted(row.items()):
+        outputs.setdefault(g, []).append((e, v))
+    return " + ".join(
+        labels[g] if terms == [(0, 1)]
+        else f"({format_terms(terms)})*{labels[g]}"
+        for g, terms in outputs.items()) or "0"
 
 
 #: the packing rule: a table is packed only when 3 * n^2 ints of

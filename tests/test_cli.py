@@ -167,12 +167,13 @@ def mask_lists(draw):
         full = (1 << len(names)) - 1
         return st.sampled_from([0, full]) | st.integers(0, full)
 
-    names = draw(st.lists(AWKWARD_TEXT, max_size=5))
+    # up to 20 names, so masks reach past one and two 8-name bytes
+    names = draw(st.lists(AWKWARD_TEXT, max_size=20))
     masks = draw(st.just([]) | aliased_lists(subsets(names)))
     expected = [_members(names, m) for m in masks]
     if not draw(st.booleans()):
         return MaskList(names, masks), expected
-    tag_names = draw(st.lists(AWKWARD_TEXT, max_size=4))
+    tag_names = draw(st.lists(AWKWARD_TEXT, max_size=20))
     tags = [draw(st.none() | subsets(tag_names)) for _ in masks]
     expected = [{"points": p, "tag": None if t is None
                  else _members(tag_names, t)}
@@ -199,6 +200,23 @@ def test_mask_list_reads_and_renders_as_its_label_lists(data):
     value = data.draw(holding(carrier))
     assert render_report(value) == \
         json.dumps(value, indent=2, default=list) + "\n"
+
+
+def test_mask_lists_over_seventy_names_render_as_json_dumps():
+    # nine bytes of names, the last one partly filled: masks that touch
+    # only the top byte, every byte, and the bits either side of 64
+    names = [f"n{i}" for i in range(68)] + ['"q\\', "\u00e9\n"]
+    full = (1 << 70) - 1
+    one_per_byte = sum(1 << (9 * k) for k in range(8))
+    masks = [1 << 69, 0b11 << 68, 0x3f << 64, full, one_per_byte,
+             one_per_byte | 1 << 64, 1 << 63, 1 << 64, 0b11 << 63, 0,
+             0x3f << 64, full, 1 << 63]
+    plain = MaskList(names, masks)
+    tagged = MaskList(names, masks,
+                      MaskList(names[::-1], masks[::-1][:-1] + [None]))
+    for value in (plain, tagged, {"a": [plain, {"b": tagged}]}):
+        assert render_report(value) == \
+            json.dumps(value, indent=2, default=list) + "\n"
 
 
 LONG_CHAIN = ["minimal-primes", "gallery:qplane-trunc-4", "--ideal", ""]

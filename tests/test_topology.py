@@ -8,6 +8,7 @@ from serrespec import (BALMER, ZARISKI, allow_large, build_topology,
                        product_support, serre_closure, serre_spec,
                        specialization_edges, to_dot, truncate_to_ring)
 from serrespec.gallery import quantum_plane
+from serrespec.topology import prime_generators
 
 from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import sweep_topology
@@ -42,7 +43,7 @@ def test_closed_set_examples():
 def test_two_idem_zariski_topology_is_discrete():
     ti = load_gallery("two-idem")
     family = build_topology(ti, ZARISKI)
-    assert sorted(s.extent for s in family.sets) == [0b00, 0b01, 0b10, 0b11]
+    assert sorted(e for e, _ in family.sets) == [0b00, 0b01, 0b10, 0b11]
 
 
 def test_zx2_x_zariski_chain_and_generic_point():
@@ -51,7 +52,7 @@ def test_zx2_x_zariski_chain_and_generic_point():
     spec = serre_spec(zx)
     zero = point_index(zx, spec, [])
     x = point_index(zx, spec, ["x"])
-    assert sorted(s.extent for s in family.sets) == [0, 1 << x, 0b11]
+    assert sorted(e for e, _ in family.sets) == [0, 1 << x, 0b11]
     assert family.closures[zero] == 0b11  # generic point
     assert family.closures[x] == 1 << x
 
@@ -62,7 +63,7 @@ def test_zx2_x_balmer_chain_is_reversed():
     zero = point_index(zx, spec, [])
     x = point_index(zx, spec, ["x"])
     family = build_topology(zx, BALMER)
-    assert sorted(s.extent for s in family.sets) == [0, 1 << zero, 0b11]
+    assert sorted(e for e, _ in family.sets) == [0, 1 << zero, 0b11]
     assert family.empty_set_adjoined  # the zero ideal is prime here
     z_edges = set(specialization_edges(build_topology(zx, ZARISKI)))
     b_edges = set(specialization_edges(family))
@@ -81,7 +82,7 @@ def test_topology_axioms_both_styles(gallery, spectra):
         space = (1 << len(spectra[name].primes)) - 1
         for style in (ZARISKI, BALMER):
             family = build_topology(ring, style)
-            extents = {s.extent for s in family.sets}
+            extents = {e for e, _ in family.sets}
             assert 0 in extents and space in extents
             for a in extents:
                 for b in extents:
@@ -158,10 +159,10 @@ def test_tags_name_defining_sets(gallery):
         for style in (ZARISKI, BALMER):
             family = build_topology(ring, style)
             spec = serre_spec(ring)
-            for s in family.sets:
-                if s.tag is None:
+            for extent, tag in family.sets:
+                if tag is None:
                     continue
-                assert closed_set(spec, s.tag, style) == s.extent
+                assert closed_set(spec, tag, style) == extent
 
 
 def test_dot_export_stable():
@@ -177,21 +178,50 @@ def test_dot_export_stable():
 
 
 def family_summary(family):
-    return ([(s.extent, s.tag) for s in family.sets],
+    return (family.sets,
             family.generators_union_closed, family.empty_set_adjoined)
 
 
-def test_build_topology_equals_the_sweep(gallery):
+@pytest.fixture(scope="module")
+def sweep_rings(gallery):
+    """Rings of at most 10 basis elements: the gallery, small ladder rings
+    and the proper quotients of all of them."""
     rings = list(gallery.values())
     rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
     rings += [upper_triangular(k) for k in range(1, 5)]
     rings += [diagonal(k) for k in range(1, 8)]
     rings += [q for q in proper_quotients(rings) if q.size <= 10]
-    for ring in rings:
-        assert ring.size <= 10
+    assert all(ring.size <= 10 for ring in rings)
+    return rings
+
+
+def test_build_topology_equals_the_sweep(sweep_rings):
+    for ring in sweep_rings:
         for style in (ZARISKI, BALMER):
             assert family_summary(build_topology(ring, style)) \
                 == sweep_topology(ring, style), (ring.name, style)
+
+
+@pytest.mark.parametrize("ring", [
+    diagonal(8), diagonal(9), upper_triangular(5), upper_triangular(6),
+    load_gallery("qplane-trunc-4"), load_gallery("qplane-trunc-5"),
+], ids=lambda ring: ring.name)
+def test_zariski_topology_equals_the_sweep_on_larger_rings(ring):
+    # Zariski only: the Balmer-style sweep visits all 2^n basis subsets
+    assert family_summary(build_topology(ring, ZARISKI)) \
+        == sweep_topology(ring, ZARISKI)
+
+
+def test_an_ideal_lies_in_a_prime_exactly_when_it_misses_its_generator(
+        sweep_rings):
+    # the key argument of the Zariski tags: I inside P iff g_P not in I
+    for ring in sweep_rings:
+        primes = serre_spec(ring).primes
+        gens = prime_generators(ring, primes)
+        for ideal in enumerate_serre_ideals(ring):
+            for p, g in zip(primes, gens):
+                assert (not ideal & ~p) == (not ideal >> g & 1), \
+                    (ring.name, ideal, p, g)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -205,16 +235,15 @@ def test_triangular_and_diagonal_topologies_are_discrete(build, k):
     with allow_large():
         zariski = build_topology(ring, ZARISKI)
         balmer = build_topology(ring, BALMER)
-    assert [s.extent for s in zariski.sets] \
-        == [s.extent for s in balmer.sets]
+    assert zariski.extents == balmer.extents
     assert len(zariski.sets) == 2 ** k
     assert zariski.generators_union_closed
     assert not zariski.empty_set_adjoined
-    assert all(s.tag is not None for s in zariski.sets)
+    assert None not in zariski.tags
     assert balmer.generators_union_closed == (k <= 2)
     assert balmer.empty_set_adjoined == (k == 1)
     tagged = 1 if k == 1 else min(k + 2, 2 ** k)
-    assert sum(s.tag is not None for s in balmer.sets) == tagged
+    assert sum(t is not None for t in balmer.tags) == tagged
 
 
 @pytest.mark.parametrize("degree", [5, 6, 7])
@@ -224,7 +253,6 @@ def test_quantum_plane_balmer_topology_past_the_guard(degree):
     ring = truncate_to_ring(quantum_plane(), degree)
     with allow_large():
         family = build_topology(ring, BALMER)
-    assert [(s.extent, s.tag) for s in family.sets] \
-        == [(0, mask_from_labels(ring, ["x"])), (1, 0)]
+    assert family.sets == [(0, mask_from_labels(ring, ["x"])), (1, 0)]
     assert family.generators_union_closed
     assert not family.empty_set_adjoined

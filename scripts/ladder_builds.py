@@ -5,12 +5,14 @@
 
 Each line gives the ring, its basis size n, its number of nonzero
 structure-constant terms, the route its associativity check takes
-("packed" or "sparse"), the best of three build times and the peak of a
-fourth build traced with tracemalloc.  Every build validates the ring's
-table from scratch through build_ring.  The rings are the gallery's
-verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, and tri-16 and
-diag-150/400 from tests/ladder.py; names given on the command line pick
-a subset.  Run it in two checkouts to compare them.
+("packed"; "commutative", the packed check of a commutative table,
+which builds only the (ab)c slices; or "sparse"), the best of three
+build times and the peak of a fourth build traced with tracemalloc.
+Every build validates the ring's table from scratch through
+build_ring.  The rings are the gallery's verlinde-sl2-16/40/60 and
+qplane-trunc-5/10/15/19/20/25, and tri-16 and diag-150/400 from
+tests/ladder.py; names given on the command line pick a subset.  Run
+it in two checkouts to compare them.
 """
 
 import sys
@@ -26,7 +28,7 @@ from ladder import diagonal, upper_triangular  # noqa: E402
 from oracles import table_of  # noqa: E402
 
 from serrespec import build_ring, load_gallery  # noqa: E402
-from serrespec.zring import _packed_mismatches  # noqa: E402
+from serrespec.zring import _packed_mismatches, is_commutative  # noqa: E402
 
 RINGS = {
     **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
@@ -46,8 +48,12 @@ def build(ring, table):
 def measure(name):
     ring = RINGS[name](name)
     table = table_of(ring)
-    route = "sparse" if _packed_mismatches(ring.tensor, ring.size) is None \
-        else "packed"
+    if _packed_mismatches(ring.tensor, ring.size) is None:
+        route = "sparse"
+    elif is_commutative(ring.tensor):
+        route = "commutative"
+    else:
+        route = "packed"
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -60,7 +66,7 @@ def measure(name):
     finally:
         tracemalloc.stop()
     terms = sum(map(len, ring.tensor.values()))
-    return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {route:<7}"
+    return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {route:<12}"
             f"best={best * 1000:9.1f} ms  peak={peak / 2 ** 20:6.1f} MB")
 
 

@@ -16,6 +16,7 @@ serializes any report.
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from itertools import compress, product
@@ -25,13 +26,15 @@ from .coefficients import CoefficientError
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
     load_gallery
 from .ideals import (BasisTooLarge, allow_large, enumerate_serre_ideals,
-                     quotient_ring, serre_closure)
+                     quotient_ring, require_proper_two_sided, serre_closure)
 from .io import resolve_ring_arg, serialize_ring
 from .monomial import MonomialRing, build_monoid_ideal, face_quotient, \
     monoid_ideal_is_prime, truncate_to_ring
-from .spectrum import (DEFINITIONAL, FAST, NoPrimeOver, chain_product_support,
-                       is_completely_prime, is_serre_prime, is_semiprime,
-                       minimal_primes_over, serre_spec)
+from .spectrum import (DEFINITIONAL, FAST, NoPrimeOver, _definitional_prime,
+                       _definitional_semiprime, _fast_semiprime,
+                       chain_product_support, is_completely_prime,
+                       is_serre_prime, is_semiprime, minimal_primes_over,
+                       serre_spec)
 from .topology import (BALMER, ZARISKI, build_topology, ideal_node_name,
                        specialization_edges, to_dot)
 from .twocat import check_unit_decomposition, classify_completely_primes
@@ -464,10 +467,12 @@ def _cmd_oracle(args):
         if ideal == full:
             continue
         checked += 1
+        # checked once here; the predicates' bodies take it as vouched for
+        require_proper_two_sided(ring, ideal)
         fast_p = ideal in primes
-        def_p = is_serre_prime(ring, ideal, DEFINITIONAL)[0]
-        fast_s = is_semiprime(ring, ideal, FAST)[0]
-        def_s = is_semiprime(ring, ideal, DEFINITIONAL)[0]
+        def_p = _definitional_prime(ring, ideal)[0]
+        fast_s = _fast_semiprime(ring, ideal)[0]
+        def_s = _definitional_semiprime(ring, ideal)[0]
         labels = labels_from_mask(ring, ideal)
         if fast_p != def_p:
             mismatches.append({"ideal": labels, "property": "prime",
@@ -674,9 +679,19 @@ def main(argv=None):
     try:
         result = run_command(argv)
     except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
-    sys.stdout.writelines(_pieces(result.report))
-    return result.exit_code
+        code, pieces = int(exc.code or 0), ()
+    else:
+        code, pieces = result.exit_code, _pieces(result.report)
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (| head); the rest of the report,
+        # and the flush at exit, go to devnull and the code stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

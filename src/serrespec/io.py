@@ -31,6 +31,7 @@ from .zring import (AssociativityViolation, RingError, RingValidationError,
                     _assemble, _require_distinct, block_objects)
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_HEADER_FIRST = "'ring', 'coeff' and 'basis' lines must come first"
 
 
 class RingFileError(RingError):
@@ -57,21 +58,48 @@ def parse_ring_file(text, source="<ring>"):
     """Parse and fully validate a ring file; diagnostics carry line numbers.
 
     Each label is resolved to its basis index once, where it is read, and
-    the products are added up as the flat rows the ring stores.
+    the products are added up as the flat rows the ring stores.  'mul'
+    lines, nearly all of a file, are tested for first; a 'basis' line
+    needs 'ring' and 'coeff' before it, so a read basis stands for the
+    whole header.
     """
     name = None
     mode = None
     labels = None
     units = None
-    blocks = {}  # basis index -> (source, target)
-    rows = {}    # (a, b) index pair -> flat row, empty for '= 0'
-    pair_lines = {}
+    blocks = {}      # basis index -> (source, target)
+    rows = {}        # (a, b) index pair -> flat row, empty for '= 0'
+    pair_lines = {}  # (a, b) index pair -> line number of its 'mul' line
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         word, _, rest = line.partition(" ")
+        if word == "mul":
+            if labels is None:
+                raise RingFileError(_HEADER_FIRST, source, line_no)
+            head, sep, sum_text = rest.partition("=")
+            if not sep:
+                raise RingFileError("mul line needs '='", source, line_no)
+            factors = head.split()
+            if len(factors) != 2:
+                raise RingFileError(
+                    "mul line needs two factor labels", source, line_no)
+            a, b = factors
+            try:
+                pair = index[a], index[b]
+            except KeyError as exc:
+                raise RingFileError(f"unknown label {exc.args[0]!r}",
+                                    source, line_no) from None
+            if pair in pair_lines:
+                raise RingFileError(
+                    f"duplicate 'mul {a} {b}' (first at line "
+                    f"{pair_lines[pair]})", source, line_no)
+            rows[pair] = _parse_sum(
+                sum_text.strip(), mode, index, source, line_no)
+            pair_lines[pair] = line_no
+            continue
         rest = rest.strip()
         if word == "ring":
             if name is not None:
@@ -84,9 +112,7 @@ def parse_ring_file(text, source="<ring>"):
                 raise RingFileError(f"bad ring name {rest!r}", source, line_no)
         elif word == "coeff":
             if name is None:
-                raise RingFileError(
-                    "'ring', 'coeff' and 'basis' lines must come first",
-                    source, line_no)
+                raise RingFileError(_HEADER_FIRST, source, line_no)
             if mode is not None:
                 raise RingFileError("duplicate 'coeff' line", source, line_no)
             if rest not in (INT, LAURENT):
@@ -96,9 +122,7 @@ def parse_ring_file(text, source="<ring>"):
             mode = rest
         elif word == "basis":
             if name is None or mode is None:
-                raise RingFileError(
-                    "'ring', 'coeff' and 'basis' lines must come first",
-                    source, line_no)
+                raise RingFileError(_HEADER_FIRST, source, line_no)
             if labels is not None:
                 raise RingFileError("duplicate 'basis' line", source, line_no)
             labels = [_check_label(t, source, line_no) for t in rest.split()]
@@ -106,12 +130,14 @@ def parse_ring_file(text, source="<ring>"):
                 raise RingFileError("empty basis", source, line_no)
             index = {lab: i for i, lab in enumerate(labels)}
         elif word == "unit":
-            _require_header(name, mode, labels, source, line_no)
+            if labels is None:
+                raise RingFileError(_HEADER_FIRST, source, line_no)
             if units is not None:
                 raise RingFileError("duplicate 'unit' line", source, line_no)
             units = [_check_label(t, source, line_no) for t in rest.split()]
         elif word == "block":
-            _require_header(name, mode, labels, source, line_no)
+            if labels is None:
+                raise RingFileError(_HEADER_FIRST, source, line_no)
             head, sep, members = rest.partition(":")
             if not sep:
                 raise RingFileError("block line needs ':'", source, line_no)
@@ -130,29 +156,11 @@ def parse_ring_file(text, source="<ring>"):
                     raise RingFileError(
                         f"label {lab!r} assigned to two blocks", source, line_no)
                 blocks[i] = (src, dst)
-        elif word == "mul":
-            _require_header(name, mode, labels, source, line_no)
-            head, sep, sum_text = rest.partition("=")
-            if not sep:
-                raise RingFileError("mul line needs '='", source, line_no)
-            factors = head.split()
-            if len(factors) != 2:
-                raise RingFileError(
-                    "mul line needs two factor labels", source, line_no)
-            a, b = factors
-            pair = (_index_of(index, a, source, line_no),
-                    _index_of(index, b, source, line_no))
-            if (a, b) in pair_lines:
-                raise RingFileError(
-                    f"duplicate 'mul {a} {b}' (first at line "
-                    f"{pair_lines[(a, b)]})", source, line_no)
-            rows[pair] = _parse_sum(
-                sum_text.strip(), mode, index, source, line_no)
-            pair_lines[(a, b)] = line_no
         else:
             raise RingFileError(f"unknown directive {word!r}", source, line_no)
 
-    _require_header(name, mode, labels, source, line_no=None)
+    if labels is None:
+        raise RingFileError(_HEADER_FIRST, source)
     if blocks:
         missing = [lab for lab in labels if index[lab] not in blocks]
         if missing:
@@ -175,9 +183,10 @@ def parse_ring_file(text, source="<ring>"):
         hints = list(exc.hints)
         for v in exc.violations:
             if isinstance(v, AssociativityViolation):
-                for pair in ((v.alpha, v.beta), (v.beta, v.gamma)):
-                    if pair not in pair_lines:
-                        hint = (f"hint: no 'mul {pair[0]} {pair[1]}' line in "
+                # labels are distinct here, so each names one index
+                for x, y in ((v.alpha, v.beta), (v.beta, v.gamma)):
+                    if (index[x], index[y]) not in pair_lines:
+                        hint = (f"hint: no 'mul {x} {y}' line in "
                                 f"{source}; the product defaulted to 0")
                         if hint not in hints:
                             hints.append(hint)
@@ -185,30 +194,31 @@ def parse_ring_file(text, source="<ring>"):
             from None
 
 
-def _require_header(name, mode, labels, source, line_no):
-    if name is None or mode is None or labels is None:
-        raise RingFileError(
-            "'ring', 'coeff' and 'basis' lines must come first",
-            source, line_no)
-
-
 def _parse_sum(text, mode, index, source, line_no):
-    """The flat row {(gamma, q-exponent): positive int} of a product."""
+    """The flat row {(gamma, q-exponent): positive int} of a product.
+
+    A bare label adds 1 at exponent 0; only a term with '*' goes through
+    the coefficient grammar."""
     if text == "0":
         return {}
     if not text:
         raise RingFileError("empty product (write '= 0')", source, line_no)
     row = {}
     for piece in text.split("+"):
-        piece = piece.strip()
         coeff_text, star, label = piece.rpartition("*")
-        g = _index_of(index, label.strip(), source, line_no)
-        terms = {0: 1}
-        if star:
-            try:
-                terms = parse_coefficient(coeff_text.strip(), mode).terms
-            except CoefficientError as exc:
-                raise RingFileError(str(exc), source, line_no) from None
+        try:
+            g = index[label.strip()]
+        except KeyError as exc:
+            raise RingFileError(f"unknown label {exc.args[0]!r}",
+                                source, line_no) from None
+        if not star:
+            key = g, 0
+            row[key] = row.get(key, 0) + 1
+            continue
+        try:
+            terms = parse_coefficient(coeff_text.strip(), mode).terms
+        except CoefficientError as exc:
+            raise RingFileError(str(exc), source, line_no) from None
         for e, v in terms.items():
             row[g, e] = row.get((g, e), 0) + v
     return row

@@ -144,6 +144,12 @@ def is_serre_prime(ring, ideal, mode=FAST):
         }
     if mode != DEFINITIONAL:
         raise RingError(f"unknown primality mode {mode!r}")
+    return _definitional_prime(ring, members)
+
+
+def _definitional_prime(ring, members):
+    """is_serre_prime's definitional mode on a mask the caller vouches is
+    a proper two-sided ideal."""
     escaping = [m for m in enumerate_serre_ideals(ring, TWO_SIDED)
                 if m & ~members]
     pair = next(pairs_inside(ring, escaping, members), None)
@@ -172,15 +178,27 @@ def is_semiprime(ring, ideal, mode=FAST):
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
-        tm = ring.triple_masks
-        for a in range(ring.size):
-            if members >> a & 1:
-                continue
-            if not tm[a][a] & ~members:
-                return False, {"element": ring.labels[a]}
-        return True, None
+        return _fast_semiprime(ring, members)
     if mode != DEFINITIONAL:
         raise RingError(f"unknown semiprimality mode {mode!r}")
+    return _definitional_semiprime(ring, members)
+
+
+def _fast_semiprime(ring, members):
+    """is_semiprime's fast mode on a mask the caller vouches is a proper
+    two-sided ideal."""
+    tm = ring.triple_masks
+    for a in range(ring.size):
+        if members >> a & 1:
+            continue
+        if not tm[a][a] & ~members:
+            return False, {"element": ring.labels[a]}
+    return True, None
+
+
+def _definitional_semiprime(ring, members):
+    """is_semiprime's definitional mode on a mask the caller vouches is a
+    proper two-sided ideal."""
     over = [p for p in _prime_masks(ring) if not members & ~p]
     if not over:
         return False, {"note": "no Serre prime ideal contains this ideal"}

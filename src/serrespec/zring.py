@@ -17,8 +17,9 @@ assembler, which only validates; the ring derives each table from its
 tensor on first read, so a command pays only for the tables it uses.
 Positivity also makes validation cheap: associativity is checked on
 packed integer rows when the packing rule at _BITS_PER_ENTRY admits the
-table and on the sparse rows otherwise, and either path returns exactly
-the violating triples.  Coefficients are built only at the edges: input
+table (a commutative one builds only its (ab)c slices there) and on the
+sparse rows otherwise, and either path returns exactly the violating
+triples.  Coefficients are built only at the edges: input
 coercion in build_ring, element arithmetic and violation text.  Basis
 subsets are bitmasks in basis order throughout the package.
 """
@@ -442,6 +443,14 @@ def _packed_mismatches(flat, n):
     from rows[k], the packed a k over a; lhs is compared with the
     transpose of rhs.
 
+    Commutative tables, those with every flat row ab equal to ba, skip
+    rhs: there a(bc) = (bc)a = (cb)a, since x a = a x for every element x
+    once the basis commutes, so rhs[c][a] = lhs[c][a] as packed ints as
+    well as flat rows.  The associator A(a, b, c) = (ab)c - a(bc) is then
+    antisymmetric, A(c, b, a) = (cb)a - c(ba) = a(bc) - (ab)c =
+    -A(a, b, c), and lhs compared with its own transpose finds the same
+    triples (each with its mirror (c, b, a)) at half the _combine work.
+
     Memory: the at most n^2 packed rows of W * n * (span + 1) bits and
     one middle factor's two n x n slices of W * n * (2 * span + 1) bits
     are within 3 * n^2 * W * n * (2 * span + 1) bits, which the rule,
@@ -461,6 +470,7 @@ def _packed_mismatches(flat, n):
             > _BITS_PER_ENTRY * sum(map(len, values)):
         return None
     shifts = {e: slot * ((e - emin) // step) for e in exps}
+    commutative = is_commutative(flat)
     # cols[g][c] = rows[c][g] = packed g c; None for a g (or c) with no
     # nonzero product, which adds nothing to a sum
     cols = [None] * n
@@ -481,9 +491,12 @@ def _packed_mismatches(flat, n):
         lhs = [zero] * n
         for a, row in ending[b]:
             lhs[a] = _combine(row, cols, shifts, zero)
-        rhs = [zero] * n
-        for c, row in starting[b]:
-            rhs[c] = _combine(row, rows, shifts, zero)
+        if commutative:  # a(bc) = (cb)a
+            rhs = lhs
+        else:
+            rhs = [zero] * n
+            for c, row in starting[b]:
+                rhs[c] = _combine(row, rows, shifts, zero)
         rhs = list(map(list, zip(*rhs)))
         if lhs == rhs:
             continue
@@ -493,6 +506,11 @@ def _packed_mismatches(flat, n):
                           if u != w]
     found.sort()
     return found
+
+
+def is_commutative(flat):
+    """Whether every row ab of an index-keyed table equals its row ba."""
+    return all(flat.get((b, a)) == row for (a, b), row in flat.items())
 
 
 def _combine(row, table, shifts, zero):

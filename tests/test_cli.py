@@ -3,6 +3,9 @@ and one JSON input-error report for every output path that cannot be
 written."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrespec import cli, gallery_names, load_gallery
+from serrespec import cli, gallery_names, load_gallery, spectrum
 from serrespec.cli import EXIT_FALSE, EXIT_GUARD, EXIT_INPUT, EXIT_OK, \
     MaskList, render_report, run_command
 from serrespec.io import serialize_ring
@@ -238,6 +241,42 @@ def test_main_prints_the_rendered_report(capsys):
     assert cli.main(LONG_CHAIN) == EXIT_OK
     assert capsys.readouterr().out == render_report(
         run_command(LONG_CHAIN).report)
+
+
+def test_a_reader_closing_stdout_early_ends_quietly_with_the_code():
+    # a 212 KB report: more than a pipe holds, so writes meet the closed end
+    argv = ["ideals", "gallery:qplane-trunc-6", "--allow-large"]
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "serrespec.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head.startswith(b'{\n  "command": "ideals"')
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert code == EXIT_OK
+
+
+def test_oracle_checks_each_lattice_member_once(monkeypatch):
+    calls = []
+    check = spectrum.require_proper_two_sided
+
+    def counted(ring, members):
+        calls.append(members)
+        return check(ring, members)
+
+    for module in (cli, spectrum):
+        monkeypatch.setattr(module, "require_proper_two_sided", counted)
+    result = run_command(["oracle", "gallery:qplane-trunc-3"])
+    assert result.exit_code == EXIT_OK
+    assert len(calls) == len(set(calls)) == result.report["ideals_checked"]
 
 
 def test_parser_is_built_once():

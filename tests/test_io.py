@@ -67,6 +67,20 @@ mul sigma sigma = 1 + eps
     assert any("mul eps sigma" in h for h in exc.value.hints)
     assert any(v.describe().startswith("associativity fails on (eps, eps, sigma)")
                for v in exc.value.violations)
+    # the whole message; the hint reads the 'mul' lines by index pair
+    assert str(exc.value) == "\n  ".join([
+        "invalid ring 'broken':",
+        "associativity fails on (eps, eps, sigma): (eps*eps)*sigma = sigma "
+        "but eps*(eps*sigma) = 0 (first difference at sigma)",
+        "associativity fails on (eps, sigma, sigma): (eps*sigma)*sigma = 0 "
+        "but eps*(sigma*sigma) = 1 + eps (first difference at 1)",
+        "associativity fails on (sigma, eps, sigma): (sigma*eps)*sigma = "
+        "1 + eps but sigma*(eps*sigma) = 0 (first difference at 1)",
+        "associativity fails on (sigma, sigma, sigma): (sigma*sigma)*sigma "
+        "= sigma but sigma*(sigma*sigma) = (2)*sigma (first difference at "
+        "sigma)",
+        "hint: no 'mul eps sigma' line in broken.ring; the product "
+        "defaulted to 0"])
 
 
 def test_round_trip_all_gallery_rings():
@@ -228,6 +242,42 @@ def test_parse_errors(text, fragment):
     with pytest.raises(RingFileError) as exc:
         parse_ring_file(text, "bad.ring")
     assert fragment in str(exc.value)
+
+
+_HEADER = 'ring "x"\ncoeff int\nbasis a b\n'
+_FIRST = "'ring', 'coeff' and 'basis' lines must come first"
+
+
+# whole messages, line numbers included
+@pytest.mark.parametrize("text,message", [
+    ('ring "x"\ncoeff int\nmul a a = a\nbasis a\n', f"bad.ring:3: {_FIRST}"),
+    ("mul a a = a\nring \"x\"\n", f"bad.ring:1: {_FIRST}"),
+    ('ring "x"\ncoeff int\nunit a\nbasis a\n', f"bad.ring:3: {_FIRST}"),
+    ("# no header\n", f"bad.ring: {_FIRST}"),
+    (_HEADER + "mul a b = a\n# between\nmul a b = b\n",
+     "bad.ring:6: duplicate 'mul a b' (first at line 4)"),
+    (_HEADER + "mul a a = a + z\n", "bad.ring:4: unknown label 'z'"),
+    (_HEADER.replace("int", "laurent") + "mul a a = a + q*z\n",
+     "bad.ring:4: unknown label 'z'"),
+    (_HEADER + "mul a a = a + + b\n", "bad.ring:4: unknown label ''"),
+    (_HEADER + "mul y z = a\n", "bad.ring:4: unknown label 'y'"),
+    (_HEADER + "mul a a = 2x*a\n",
+     "bad.ring:4: expected '+', found 'x' at offset 1"),
+    (_HEADER + "mul a a = q*a\n",
+     "bad.ring:4: 'q' is not allowed in int mode at offset 0"),
+    (_HEADER + "mul a a a\n", "bad.ring:4: mul line needs '='"),
+    (_HEADER + "mul a = a\n", "bad.ring:4: mul line needs two factor labels"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(RingFileError) as exc:
+        parse_ring_file(text, "bad.ring")
+    assert str(exc.value) == message
+
+
+def test_comment_after_a_sum_is_ignored():
+    ring = parse_ring_file(
+        _HEADER + "mul a a = a  # = 2*b + q\nmul b b = 0#\n")
+    assert ring.tensor == {(0, 0): {(0, 0): 1}}
 
 
 def test_error_carries_line_number():

@@ -20,8 +20,8 @@ from serrespec.gallery import quantum_plane
 from serrespec.monomial import MonomialRing
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
                              ZPlusRing, _packed_mismatches,
-                             _sparse_mismatches, iter_bits, mask_of,
-                             select_by_mask, sub_ring, subset_key)
+                             _sparse_mismatches, is_commutative, iter_bits,
+                             mask_of, select_by_mask, sub_ring, subset_key)
 
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
@@ -610,29 +610,39 @@ PERTURBATION_BASES = _perturbation_bases()
 @st.composite
 def perturbed_tables(draw):
     """A gallery or ladder ring's table after one drawn edit: a raised,
-    dropped or extra term, or (Laurent mode) a shifted exponent."""
+    dropped or extra term, or (Laurent mode) a shifted exponent.  On a
+    commutative base (Verlinde, diagonal) the kind "symmetric" makes one
+    such edit at both (a, b) and (b, a): the table stays commutative, so
+    the packed check takes its commutative route when the table packs."""
     ring = draw(st.sampled_from(PERTURBATION_BASES))
     mode = ring.mode
     tensor = table_of(ring)
     ab = draw(st.sampled_from(sorted(tensor)))
     g = draw(st.sampled_from(sorted(tensor[ab])))
-    kind = draw(st.sampled_from(
-        ["raise", "drop", "extra"] + ["shift"] * (mode == LAURENT)))
+    edits = ["raise", "drop", "extra"] + ["shift"] * (mode == LAURENT)
+    symmetric = ["symmetric"] * is_commutative(tensor)
+    kind = draw(st.sampled_from(edits + symmetric))
+    pairs = {ab}
+    if kind == "symmetric":  # tensor[ab] == tensor[ba] on these bases
+        pairs.add(ab[::-1])
+        kind = draw(st.sampled_from(edits))
+    row = tensor[ab]
     if kind == "drop":
-        del tensor[ab][g]
+        del row[g]
     elif kind == "extra":
         h = draw(st.integers(0, ring.size - 1))
-        tensor[ab][h] = tensor[ab].get(h, Coefficient.zero(mode)) \
-            + Coefficient.one(mode)
+        row[h] = row.get(h, Coefficient.zero(mode)) + Coefficient.one(mode)
     else:
-        terms = dict(tensor[ab][g].terms)
+        terms = dict(row[g].terms)
         e = draw(st.sampled_from(sorted(terms)))
         if kind == "raise":
             terms[e] += draw(st.integers(1, 2 ** 80))
         else:  # 10^9 leaves the table too wide to pack
             terms[e + draw(st.sampled_from([-1, 1, 10 ** 9]))] = \
                 terms.pop(e)
-        tensor[ab][g] = Coefficient(mode, terms)
+        row[g] = Coefficient(mode, terms)
+    for pair in pairs:
+        tensor[pair] = row
     tensor = {pair: row for pair, row in tensor.items() if row}
     return ring.labels, tensor, mode, ring.units
 

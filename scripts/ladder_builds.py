@@ -7,12 +7,18 @@ Each line gives the ring, its basis size n, its number of nonzero
 structure-constant terms, the route its associativity check takes
 ("packed"; "commutative", the packed check of a commutative table,
 which builds only the (ab)c slices; or "sparse"), the best of three
-build times and the peak of a fourth build traced with tracemalloc.
-Every build validates the ring's table from scratch through
-build_ring.  The rings are the gallery's verlinde-sl2-16/40/60 and
-qplane-trunc-5/10/15/19/20/25, and tri-16 and diag-150/400 from
-tests/ladder.py; names given on the command line pick a subset.  Run
-it in two checkouts to compare them.
+build times on the host clock and at reference speed, and the peak of a
+fourth build traced with tracemalloc.  Every build validates the ring's
+table from scratch through build_ring.  The rings are the gallery's
+verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, and tri-16 and
+diag-150/400 from tests/ladder.py; names given on the command line pick
+a subset.  Run it in two checkouts to compare them.
+
+Host-clock times on a shared host can move by half between runs of the
+same code.  The reference-speed time scales each build by REF_S over
+the mean time of bench/run.py's fixed reference loop, run just before
+and just after it, as the benchmark scales its commands; compare those
+across checkouts.
 """
 
 import sys
@@ -23,9 +29,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 from ladder import diagonal, upper_triangular  # noqa: E402
 from oracles import table_of  # noqa: E402
+from run import REF_S, reference_s  # noqa: E402
 
 from serrespec import build_ring, load_gallery  # noqa: E402
 from serrespec.zring import _packed_mismatches, is_commutative  # noqa: E402
@@ -54,11 +62,15 @@ def measure(name):
         route = "commutative"
     else:
         route = "packed"
-    best = float("inf")
+    best = best_ref = float("inf")
     for _ in range(REPEATS):
+        before = reference_s()
         start = time.perf_counter()
         build(ring, table)
-        best = min(best, time.perf_counter() - start)
+        elapsed = time.perf_counter() - start
+        best = min(best, elapsed)
+        scale = 2 * REF_S / (before + reference_s())
+        best_ref = min(best_ref, elapsed * scale)
     tracemalloc.start()
     try:
         build(ring, table)
@@ -67,7 +79,8 @@ def measure(name):
         tracemalloc.stop()
     terms = sum(map(len, ring.tensor.values()))
     return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {route:<12}"
-            f"best={best * 1000:9.1f} ms  peak={peak / 2 ** 20:6.1f} MB")
+            f"best={best * 1000:9.1f} ms  ref={best_ref * 1000:9.1f} ms  "
+            f"peak={peak / 2 ** 20:6.1f} MB")
 
 
 def main():

@@ -220,29 +220,21 @@ def _cmd_ideals(args):
     return EXIT_OK, report
 
 
-def _spec_doc(ring, spec):
-    primes = []
-    for i, p in enumerate(spec.primes):
-        primes.append({
-            "ideal": labels_from_mask(ring, p),
-            "completely_prime": spec.completely_prime[i],
-            "semiprime": spec.semiprime[i],
-        })
-    return {
+def _cmd_spec(args):
+    ring = resolve_ring_arg(args.ring)
+    spec = serre_spec(ring)
+    primes = [{"ideal": labels_from_mask(ring, p),
+               "completely_prime": spec.completely_prime[i],
+               "semiprime": spec.semiprime[i]}
+              for i, p in enumerate(spec.primes)]
+    return EXIT_OK, {
+        "command": "spec",
         "ring": ring.name,
         "basis": list(ring.labels),
         "prime_count": len(primes),
         "primes": primes,
         "inclusions": [list(pair) for pair in spec.inclusions],
     }
-
-
-def _cmd_spec(args):
-    ring = resolve_ring_arg(args.ring)
-    spec = serre_spec(ring)
-    report = {"command": "spec"}
-    report.update(_spec_doc(ring, spec))
-    return EXIT_OK, report
 
 
 def _cmd_check(args):

@@ -21,21 +21,27 @@ and the empty set is adjoined untagged exactly when the zero ideal is
 prime, since every V_B(X) then contains it.  Both facts are recorded per
 ring.
 
-The Zariski tags cost one AND per lattice member.  Every Serre prime P
-is a principal complement {h : g not in serre_closure(h)}; take for each
-prime the first such g, its generator g_P.  An ideal I lies inside P
-exactly when g_P is not in I: I holds the closure of each of its
-members, and g_P lies in the closure of h exactly when h is outside P.
-So V(I) is read off the key I & G, G the mask of the generators, and
-key and extent determine each other; the first ideal per key is the
-first ideal per extent.
+The Zariski tags read no lattice.  Every Serre prime P is a principal
+complement {h : g not in serre_closure(h)}, the largest ideal missing
+g; take for each prime the first such g, its generator g_P.  An ideal
+I is not inside P exactly when g_P is in I, that is when
+serre_closure(g_P) lies in I: the least ideal not inside P.  For a
+closed set E let U_E be the union of serre_closure(g_P) over the primes
+P outside E, an ideal since ideal subsets are the down-sets of a
+preorder.  A prime Q of E lies inside no P outside E, as E holds every
+prime above Q; so Q holds every such g_P, and U_E lies inside the
+intersection of E.  U_E lies inside no P outside E, so V(U_E) = E.
+Every ideal I with V(I) = E lies inside no such P and so holds U_E;
+U_E is smaller unless it is I, and comes first in canonical order,
+which puts cardinality first.  So every closed set has a defining
+ideal, U_E is its tag, and no Zariski union is left untagged and no
+empty set adjoined.
 """
 
 from dataclasses import dataclass, field
 
-from .ideals import (down_sets, enumerate_serre_ideals,
-                     principal_complements)
-from .zring import RingError, iter_bits, labels_from_mask, mask_of
+from .ideals import down_sets, principal_closures, principal_complements
+from .zring import RingError, iter_bits, labels_from_mask
 from .spectrum import serre_spec
 
 ZARISKI = "zariski"
@@ -112,26 +118,30 @@ def prime_generators(ring, primes):
     return [first[p] for p in primes]
 
 
-def _zariski_tags(ring, primes):
-    """The first ideal in canonical order for every extent V(I).
+def _zariski_tags(ring, primes, extents):
+    """The first ideal in canonical order for every extent V(I): the
+    union of least[i] = serre_closure(g_i) over the primes i outside it
+    (see the module docstring).
 
-    V(I) holds prime i exactly when its generator g_i is not in I, so the
-    lattice is walked once, keyed by I & G; each distinct key then gives
-    its extent."""
-    gens = prime_generators(ring, primes)
-    key_mask = mask_of(gens)
-    first = {}
-    for ideal in enumerate_serre_ideals(ring):
-        first.setdefault(ideal & key_mask, ideal)
-    bits = [(1 << g, 1 << i) for i, g in enumerate(gens)]
+    The unions are read one byte of primes at a time: each run of 8
+    primes has a table of the unions of its 256 subsets, built by
+    doubling, so a tag costs one lookup per run."""
+    closures = principal_closures(ring)
+    least = [closures[g] for g in prime_generators(ring, primes)]
+    tables = []
+    for start in range(0, len(least), 8):
+        table = [0]
+        for closure in least[start:start + 8]:
+            table += [union | closure for union in table]
+        tables.append(table)
     space = (1 << len(primes)) - 1
     tags = {}
-    for key, ideal in first.items():
-        extent = space
-        for g_bit, i_bit in bits:
-            if key & g_bit:
-                extent ^= i_bit
-        tags[extent] = ideal
+    for extent in extents:
+        outside, tag = space & ~extent, 0
+        for table in tables:
+            tag |= table[outside & 255]
+            outside >>= 8
+        tags[extent] = tag
     return tags
 
 
@@ -141,18 +151,12 @@ def build_topology(ring, style):
     as its tag (None for unions of generators and an adjoined empty
     set).
 
-    Zariski tags come from the lattice by key, one AND per ideal (see
-    the module docstring); Balmer-style tags from a breadth-first search
-    over basis subsets.  The extents themselves are the down-sets of the
-    point closures."""
+    The extents are the down-sets of the point closures.  Zariski tags
+    are then unions of the least ideals outside each prime, read per
+    extent from byte tables (see the module docstring); Balmer-style
+    tags come from a breadth-first search over basis subsets."""
     spec = serre_spec(ring)
     space = (1 << len(spec.primes)) - 1
-    if style == ZARISKI:
-        tags = _zariski_tags(ring, spec.primes)
-    elif style == BALMER:
-        tags = _balmer_tags(ring, spec, space)
-    else:
-        raise RingError(f"unknown topology style {style!r}")
     closures = [1 << i for i in range(len(spec.primes))]
     for i, j in spec.inclusions:
         if style == ZARISKI:
@@ -160,6 +164,12 @@ def build_topology(ring, style):
         else:
             closures[j] |= 1 << i
     extents = down_sets(closures, space)
+    if style == ZARISKI:
+        tags = _zariski_tags(ring, spec.primes, extents)
+    elif style == BALMER:
+        tags = _balmer_tags(ring, spec, space)
+    else:
+        raise RingError(f"unknown topology style {style!r}")
     return ClosedSetFamily(style, list(spec.primes), extents,
                            [tags.get(e) for e in extents],
                            all(e in tags for e in extents if e),

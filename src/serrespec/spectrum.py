@@ -26,7 +26,7 @@ from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
                      pairs_inside, principal_complements, product_support,
                      require_proper_two_sided, serre_closure)
 from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
-                    support_of)
+                    subset_key, support_of)
 
 FAST = "fast"
 DEFINITIONAL = "definitional"
@@ -323,11 +323,20 @@ def chain_product_support(ring, chain):
 
 def maximal_disjoint_primes(ring, mult_set, ideal):
     """Maximal ideal subsets containing the given one and avoiding every
-    power of the multiplicative generator; each is Serre prime.
+    power of the multiplicative generator, in canonical order; each is
+    Serre prime.
 
-    Read from the prime list: every maximal candidate is prime, and every
-    prime candidate lies under a maximal one, so the maximal primes among
-    the prime candidates are exactly the maximal candidates.
+    Read from the at most n distinct principal complements, with no
+    primality test and no lattice:
+
+    - every maximal candidate is prime, so it is a principal complement
+      (_prime_masks) and a maximal one among the complement candidates;
+    - a complement that is maximal among the complement candidates lies
+      below some maximal candidate, which is also a complement, so the
+      two are equal.
+
+    So the maximal complement candidates are exactly the maximal
+    candidates.
     """
     ok, _ = is_serre_ideal(ring, ideal, TWO_SIDED)
     if not ok:
@@ -336,8 +345,8 @@ def maximal_disjoint_primes(ring, mult_set, ideal):
         if not s & ~ideal:
             raise GeneratorInsideIdeal(
                 "a power of the generator lies inside the ideal")
-    # the prime list keeps the lattice's canonical order
-    candidates = [m for m in _prime_masks(ring)
+    candidates = [m for m in set(principal_complements(ring))
                   if not ideal & ~m and all(s & ~m for s in mult_set.orbit)]
-    return [m for m in candidates
-            if not any(k != m and not m & ~k for k in candidates)]
+    return sorted((m for m in candidates
+                   if not any(k != m and not m & ~k for k in candidates)),
+                  key=subset_key)

@@ -1,26 +1,33 @@
 """Block-structured rings viewed as arrow algebras over finitely many
-objects: unit-decomposition checking and the corner-ring classification of
-completely prime ideal subsets.
+objects: unit-decomposition checking, corner rings, and the
+classification of completely prime ideal subsets.
 
 A completely prime ideal of a block ring singles out one object A: it
 contains every class outside the diagonal block of A, and meets that
 block in a completely prime ideal Q of the corner ring, subject to the
 cross-block condition that arrows through any other object compose into
-Q.  Conversely every such (A, Q) pair yields a completely prime ideal, so
-the classification below agrees with brute-force filtering of the ideal
-lattice (asserted in the tests).
+Q.  The classification needs no corner rings to find them, though,
+because of two inclusions:
 
-Every completely prime ideal is Serre prime, so the candidates Q (and,
-without blocks, the answers themselves) are the flagged primes of a
-spectrum; no ideal lattice is filtered here.
+- every completely prime ideal is Serre prime, since triple_masks[a][b]
+  contains product_masks[a][b]: a pair outside P whose two-step
+  products all land in P has its bare product in P as well;
+- every Serre prime is a principal complement {h : g not in
+  serre_closure(h)} (spectrum._prime_masks).
+
+So the answers are the completely prime ones among the at most n
+principal complements, for every ring with or without blocks; no ideal
+lattice and no spectrum is read.  The tests check them against
+brute-force filtering of the lattice and against the corner-ring
+classification (tests/oracles.py:corner_classified_cprimes).
 """
 
 from dataclasses import dataclass
 
-from .ideals import product_support
-from .spectrum import serre_spec
-from .zring import (RingError, block_objects, iter_bits, mask_of, sub_ring,
-                    subset_key, unit_decomposition_violations)
+from .ideals import principal_complements
+from .spectrum import is_completely_prime
+from .zring import (RingError, block_objects, iter_bits, sub_ring, subset_key,
+                    unit_decomposition_violations)
 
 
 class MissingBlocks(RingError):
@@ -95,36 +102,16 @@ def corner_ring(ring, obj):
 
 
 def classify_completely_primes(ring):
-    """All completely prime ideal subsets: the completely prime points of
-    the Serre spectrum, read per corner ring and lifted when blocks are
-    declared.
+    """All completely prime ideal subsets, in canonical order: the
+    distinct principal complements that pass is_completely_prime.
 
-    Exact because every completely prime ideal is Serre prime: were
-    a t b inside P for all t with a, b outside P, each class c of a t
-    would have c b inside P and so lie in P itself; but a is a class of
-    a u for some declared unit u, and without units the product a b is
-    among those checked.
+    Complete primality implies Serre primality (the bare product is among
+    the two-step products), and every Serre prime is a principal
+    complement, so no completely prime ideal lies outside the candidates.
+    A ring that declares blocks must also pass block_view, whose
+    MissingBlocks refusals name what the block structure lacks.
     """
-    if ring.blocks is None:
-        spec = serre_spec(ring)
-        return [p for p, cp in zip(spec.primes, spec.completely_prime) if cp]
-    view = block_view(ring)
-    results = []
-    for obj in view.objects:
-        corner_mask = view.block_masks.get((obj, obj), 0)
-        corner, old = corner_ring(ring, obj)
-        cross = 0
-        for other in view.objects:
-            if other == obj:
-                continue
-            arrows_in = view.block_masks.get((other, obj), 0)
-            arrows_out = view.block_masks.get((obj, other), 0)
-            cross |= product_support(ring, arrows_in, arrows_out)
-        outside = ring.full_mask & ~corner_mask
-        spec = serre_spec(corner)
-        for q, cp in zip(spec.primes, spec.completely_prime):
-            lifted = mask_of(old[i] for i in iter_bits(q))
-            if not cp or cross & ~lifted:
-                continue
-            results.append(outside | lifted)
-    return sorted(set(results), key=subset_key)
+    if ring.blocks is not None:
+        block_view(ring)
+    return sorted((c for c in set(principal_complements(ring))
+                   if is_completely_prime(ring, c)[0]), key=subset_key)

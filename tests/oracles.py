@@ -18,7 +18,10 @@ replaced them; scan_pairs_inside is the former double loop of the
 definitional primality check and the minimal-primes splitting search,
 kept on naive_product_support as the order-exact oracle for
 ideals.pairs_inside; rebuilt_sub_ring is the former label-keyed
-zring.sub_ring, which rebuilt the restricted table through build_ring.
+zring.sub_ring, which rebuilt the restricted table through build_ring;
+corner_classified_cprimes is the former twocat classification, which read
+each object's corner-ring spectrum and lifted it, the paper's block
+theorem for completely prime ideals.
 """
 
 from itertools import combinations_with_replacement, product
@@ -26,12 +29,13 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
-                       Coefficient, allow_large, basis_element, build_ring,
-                       closed_set, enumerate_serre_ideals, multiply_elements,
+                       Coefficient, allow_large, basis_element, block_view,
+                       build_ring, closed_set, corner_ring,
+                       enumerate_serre_ideals, multiply_elements,
                        product_support, serre_spec, support_of)
 from serrespec.spectrum import _first_pair
-from serrespec.zring import (RingElement, ZPlusRing, format_element,
-                             select_by_mask)
+from serrespec.zring import (RingElement, ZPlusRing, format_element, iter_bits,
+                             mask_of, select_by_mask, subset_key)
 
 
 def naive_product_mask(ring, a, b):
@@ -167,6 +171,34 @@ def lattice_filtered_primes(ring):
     tm = ring.triple_masks
     return [m for m in lattice
             if m != ring.full_mask and _first_pair(tm, m) is None]
+
+
+def corner_classified_cprimes(ring):
+    """Completely prime ideal subsets in canonical order.  Without blocks,
+    the completely prime points of the Serre spectrum.  With blocks, per
+    object A: every class outside A's diagonal block, together with a
+    completely prime ideal Q of A's corner ring such that the arrows
+    through every other object compose into Q."""
+    if ring.blocks is None:
+        spec = serre_spec(ring)
+        return [p for p, cp in zip(spec.primes, spec.completely_prime) if cp]
+    view = block_view(ring)
+    results = set()
+    for obj in view.objects:
+        corner, old = corner_ring(ring, obj)
+        cross = 0
+        for other in view.objects:
+            if other != obj:
+                cross |= product_support(
+                    ring, view.block_masks.get((other, obj), 0),
+                    view.block_masks.get((obj, other), 0))
+        outside = ring.full_mask & ~view.block_masks[obj, obj]
+        spec = serre_spec(corner)
+        for q, cp in zip(spec.primes, spec.completely_prime):
+            lifted = mask_of(old[i] for i in iter_bits(q))
+            if cp and not cross & ~lifted:
+                results.add(outside | lifted)
+    return sorted(results, key=subset_key)
 
 
 def plain_fold(ring, chain):

@@ -75,7 +75,6 @@ def test_report_matches_golden_on_a_wide_terminal(filename, monkeypatch):
     ["minimal-primes", "--ideal", ""],
     ["check", "--ideal", "", "--mode", "oracle", "--prop", "prime"],
     ["check", "--ideal", "", "--mode", "oracle", "--prop", "semiprime"],
-    ["twocat", "--classify-cprimes"],
     ["oracle"],
 ], ids=lambda argv: " ".join(a or "''" for a in argv))
 def test_every_command_reading_the_lattice_is_guarded(argv):
@@ -85,6 +84,16 @@ def test_every_command_reading_the_lattice_is_guarded(argv):
     assert result.exit_code == EXIT_GUARD
     assert render_report(result.report) == \
         (GOLDEN / "guard_ideals_qplane-trunc-6.json").read_text()
+
+
+def test_twocat_classification_needs_no_allow_large():
+    # n = 28: the classification reads the principal complements, not the
+    # lattice, so the guard has nothing to refuse
+    argv = ["twocat", "gallery:qplane-trunc-6", "--classify-cprimes"]
+    result = run_command(argv)
+    assert result.exit_code == EXIT_OK
+    assert render_report(result.report) == \
+        render_report(run_command(argv + ["--allow-large"]).report)
 
 
 def test_allow_large_flag_lifts_the_guard_for_its_own_command_only():

@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Run a fixed list of mutants and report which the tests kill.
+
+Each mutant is one defect that a test is known to catch: a file under
+src/ or tests/, an exact snippet of it, the replacement, and the pytest
+node ids that must fail once the snippet is replaced.
+
+    python3 scripts/mutants.py
+
+For each mutant, src/, tests/ and pyproject.toml are copied to a
+temporary directory, the replacement is made there and only the named
+tests run.  The result is "killed" when a named test fails, "survived"
+when they all pass, and "stale" when the snippet does not occur exactly
+once or a named test function no longer exists; a stale mutant is not
+run.  The named tests first run once unmutated, and must pass.  The exit
+code is 0 when every mutant is killed, 1 otherwise.  The whole list
+takes about a minute on a 2-vCPU host, so tier-1 runs only the stale
+check (tests/test_mutants.py).  A new fast path adds its mutant here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name, file, snippet, replacement, node ids that must fail
+MUTANTS = (
+    ("packing-one-bit-narrower", "src/serrespec/zring.py",
+     "width = (max(map(sum, values)) * max(map(max, values))).bit_length()",
+     "width = (max(map(sum, values)) * max(map(max, values))).bit_length() - 1",
+     ["tests/test_zring.py::test_violation_list_matches_oracle_on_drawn_tables"]),
+    ("prime-generators-rotated", "src/serrespec/topology.py",
+     "return [first[p] for p in primes]",
+     "return [first[p] for p in primes[1:] + primes[:1]]",
+     ["tests/test_topology.py::"
+      "test_an_ideal_lies_in_a_prime_exactly_when_it_misses_its_generator",
+      "tests/test_topology.py::test_zariski_topology_reads_no_lattice"]),
+    ("joined-halves-swapped", "src/serrespec/cli.py",
+     "texts[m] = text + sep + rests[rest] if rest else text",
+     "texts[m] = rests[rest] + sep + text if rest else text",
+     ["tests/test_cli.py::test_mask_lists_over_seventy_names_render_as_json_dumps"]),
+    ("allow-flag-in-a-module-global", "src/serrespec/ideals.py",
+     '_ALLOW_LARGE = ContextVar("serrespec_allow_large", default=False)',
+     "class _Flag:\n"
+     "    value = False\n"
+     "    def get(self):\n"
+     "        return self.value\n"
+     "    def set(self, value):\n"
+     "        old, self.value = self.value, value\n"
+     "        return old\n"
+     "    def reset(self, old):\n"
+     "        self.value = old\n"
+     "_ALLOW_LARGE = _Flag()",
+     ["tests/test_ideals.py::test_allow_large_holds_in_its_block_and_context_only"]),
+    ("pairs-inside-hits-keyed-by-i", "src/serrespec/ideals.py",
+     "    for i in subsets[1:]:\n"
+     "        for j, hit in zip(subsets, hits):\n"
+     "            if not i & hit:\n",
+     "    for i, hit in zip(subsets[1:], hits[1:]):\n"
+     "        for j in subsets:\n"
+     "            if not j & hit:\n",
+     ["tests/test_ideals.py::test_pairs_inside_is_the_pair_scan_in_order"]),
+    ("complements-not-scanned-for-primality", "src/serrespec/spectrum.py",
+     "if m in complements and _first_pair(tm, m) is None)",
+     "if m in complements)",
+     ["tests/test_spectrum.py::"
+      "test_spec_primes_are_the_lattice_filtered_by_primality"]),
+    ("ring-accepts-field-assignment", "src/serrespec/zring.py",
+     '        raise AttributeError(f"cannot assign to field {name!r}")',
+     "        object.__setattr__(self, name, value)",
+     ["tests/test_records.py::"
+      "test_formerly_frozen_records_refuse_field_assignment"]),
+)
+
+
+def stale_reason(root, mutant):
+    """Why the mutant no longer applies to the tree at root, or None."""
+    _, path, snippet, _, node_ids = mutant
+    count = (root / path).read_text().count(snippet)
+    if count != 1:
+        return f"snippet occurs {count} times in {path}"
+    for node_id in node_ids:
+        test_path, _, function = node_id.partition("::")
+        function = function.partition("[")[0]
+        if f"def {function}(" not in (root / test_path).read_text():
+            return f"no test {node_id}"
+    return None
+
+
+def _copy_tree(dest):
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tests_pass(tree, node_ids):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *node_ids],
+        cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if proc.returncode not in (0, 1):
+        sys.exit(f"pytest could not run {node_ids}:\n{proc.stdout}{proc.stderr}")
+    return proc.returncode == 0
+
+
+def run(mutant):
+    """'killed', 'survived' or 'stale: <reason>' for one mutant."""
+    reason = stale_reason(ROOT, mutant)
+    if reason:
+        return f"stale: {reason}"
+    _, path, snippet, replacement, node_ids = mutant
+    with tempfile.TemporaryDirectory(prefix="serrespec-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        if not _tests_pass(tree, node_ids):
+            sys.exit(f"{node_ids} fail before any mutation")
+        target = tree / path
+        target.write_text(target.read_text().replace(snippet, replacement))
+        return "survived" if _tests_pass(tree, node_ids) else "killed"
+
+
+def main():
+    ok = True
+    for mutant in MUTANTS:
+        result = run(mutant)
+        ok &= result == "killed"
+        print(f"{result:10} {mutant[0]}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

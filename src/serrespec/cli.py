@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii
 
@@ -82,10 +81,22 @@ class MaskList:
         return list(self) == other
 
 
-@dataclass
 class CommandResult:
-    exit_code: int
-    report: dict
+    __slots__ = ("exit_code", "report")
+
+    def __init__(self, exit_code, report):
+        self.exit_code = exit_code
+        self.report = report
+
+    def __eq__(self, other):
+        if not isinstance(other, CommandResult):
+            return NotImplemented
+        return (self.exit_code == other.exit_code
+                and self.report == other.report)
+
+    def __repr__(self):
+        return (f"CommandResult(exit_code={self.exit_code!r}, "
+                f"report={self.report!r})")
 
 
 class _UsageError(Exception):

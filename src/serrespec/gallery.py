@@ -8,19 +8,16 @@ parameterized families accept a trailing integer: ``verlinde-sl2-K`` and
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coefficients import INT
 from .monomial import MonomialRing, truncate_to_ring
 from .zring import RingError, build_ring
 
 
-@dataclass(frozen=True)
-class GalleryEntry:
-    name: str
-    summary: str
-    build: object
-    expected: dict | None = None
+class GalleryEntry(namedtuple("GalleryEntry", "name summary build expected",
+                              defaults=(None,))):
+    __slots__ = ()
 
 
 def _trivial():

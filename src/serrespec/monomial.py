@@ -8,7 +8,7 @@ honest finite rings (with zero divisors above the cut), while quotients by
 face ideals stay inside the monomial class and keep the domain property.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index
 
 from .coefficients import LAURENT, Coefficient
@@ -20,21 +20,20 @@ class FullFace(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class MonomialRing:
-    nvars: int
-    twist: tuple  # n x n integer matrix, rows as tuples
+class MonomialRing(namedtuple("MonomialRing", "nvars twist")):
+    """``twist`` is the n x n integer matrix L, rows as tuples."""
 
-    def __post_init__(self):
-        nvars = _integer(self.nvars, "the number of variables")
+    __slots__ = ()
+
+    def __new__(cls, nvars, twist):
+        nvars = _integer(nvars, "the number of variables")
         if nvars < 1:
             raise RingError(
                 f"a monomial ring needs at least one variable, got {nvars}")
-        rows = tuple(_integers(row, "twist entries") for row in self.twist)
+        rows = tuple(_integers(row, "twist entries") for row in twist)
         if len(rows) != nvars or any(len(r) != nvars for r in rows):
             raise RingError(f"twist matrix must be {nvars}x{nvars}")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "twist", rows)
+        return super().__new__(cls, nvars, rows)
 
     def kappa(self, a, b):
         """Bilinear twist exponent sum_ij L[i][j] a_i b_j."""
@@ -49,13 +48,11 @@ class MonomialRing:
         return total
 
 
-@dataclass(frozen=True)
-class MonoidIdeal:
+class MonoidIdeal(namedtuple("MonoidIdeal", "nvars gens")):
     """Upward-closed subset of N^n given by its minimal generators
     (pairwise incomparable, lexicographically sorted)."""
 
-    nvars: int
-    gens: tuple
+    __slots__ = ()
 
 
 def _integer(value, what):

@@ -20,7 +20,7 @@ the set of basis elements a sending some b in J outside P
 (ideals.pairs_inside).
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
                      pairs_inside, principal_complements, product_support,
@@ -40,8 +40,7 @@ class GeneratorInsideIdeal(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class MultiplicativeSet:
+class MultiplicativeSet(namedtuple("MultiplicativeSet", "generator orbit")):
     """Power orbit {g, g^2, ...} of a positive element.
 
     ``orbit`` lists the support mask of every power that occurs; the
@@ -49,8 +48,7 @@ class MultiplicativeSet:
     finite tuple is exact (no power bound involved).
     """
 
-    generator: object
-    orbit: tuple
+    __slots__ = ()
 
 
 def make_multiplicative_set(ring, generator):
@@ -210,16 +208,40 @@ def _definitional_semiprime(ring, members):
     return False, {"intersection": labels_from_mask(ring, inter)}
 
 
-@dataclass
 class SpectrumReport:
     """Serre prime ideals in canonical order with per-prime flags and the
-    inclusion (specialization) preorder."""
+    inclusion (specialization) preorder.
 
-    ring_name: str
-    primes: list  # prime masks in canonical order
-    completely_prime: list
-    semiprime: list
-    inclusions: list = field(default_factory=list)  # (i, j): primes[i] < primes[j]
+    ``primes`` lists the prime masks in canonical order; ``inclusions``
+    holds (i, j) for every primes[i] < primes[j].
+    """
+
+    __slots__ = ("ring_name", "primes", "completely_prime", "semiprime",
+                 "inclusions")
+
+    def __init__(self, ring_name, primes, completely_prime, semiprime,
+                 inclusions=None):
+        self.ring_name = ring_name
+        self.primes = primes
+        self.completely_prime = completely_prime
+        self.semiprime = semiprime
+        self.inclusions = [] if inclusions is None else inclusions
+
+    def __eq__(self, other):
+        if not isinstance(other, SpectrumReport):
+            return NotImplemented
+        return (self.ring_name == other.ring_name
+                and self.primes == other.primes
+                and self.completely_prime == other.completely_prime
+                and self.semiprime == other.semiprime
+                and self.inclusions == other.inclusions)
+
+    def __repr__(self):
+        return (f"SpectrumReport(ring_name={self.ring_name!r}, "
+                f"primes={self.primes!r}, "
+                f"completely_prime={self.completely_prime!r}, "
+                f"semiprime={self.semiprime!r}, "
+                f"inclusions={self.inclusions!r})")
 
 
 def serre_spec(ring):

@@ -38,8 +38,6 @@ ideal, U_E is its tag, and no Zariski union is left untagged and no
 empty set adjoined.
 """
 
-from dataclasses import dataclass, field
-
 from .ideals import down_sets, principal_closures, principal_complements
 from .zring import RingError, iter_bits, labels_from_mask
 from .spectrum import serre_spec
@@ -48,15 +46,27 @@ ZARISKI = "zariski"
 BALMER = "balmer"
 
 
-@dataclass
 class ClosedSetFamily:
-    style: str
-    space: list                  # prime masks, canonical order
-    extents: list                # closed sets over space, canonical order
-    tags: list                   # per extent: defining subset, or None
-    generators_union_closed: bool = True
-    empty_set_adjoined: bool = False
-    closures: list = field(default_factory=list)  # point -> closure extent
+    """The closed sets of one topology on the spectrum.
+
+    ``space`` lists the prime masks and ``extents`` the closed sets over
+    them, both in canonical order; ``tags`` gives each extent its defining
+    subset, or None; ``closures`` maps each point to its closure extent.
+    """
+
+    __slots__ = ("style", "space", "extents", "tags",
+                 "generators_union_closed", "empty_set_adjoined", "closures")
+
+    def __init__(self, style, space, extents, tags,
+                 generators_union_closed=True, empty_set_adjoined=False,
+                 closures=None):
+        self.style = style
+        self.space = space
+        self.extents = extents
+        self.tags = tags
+        self.generators_union_closed = generators_union_closed
+        self.empty_set_adjoined = empty_set_adjoined
+        self.closures = [] if closures is None else closures
 
     @property
     def sets(self):

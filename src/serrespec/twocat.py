@@ -22,7 +22,7 @@ brute-force filtering of the lattice and against the corner-ring
 classification (tests/oracles.py:corner_classified_cprimes).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ideals import principal_complements
 from .spectrum import is_completely_prime
@@ -34,11 +34,13 @@ class MissingBlocks(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class BlockRingView:
-    objects: tuple        # first-appearance order along the basis
-    block_masks: dict     # (source, target) -> basis mask
-    diagonal_units: dict  # object -> unit basis index
+class BlockRingView(namedtuple("BlockRingView",
+                               "objects block_masks diagonal_units")):
+    """``objects`` in first-appearance order along the basis;
+    ``block_masks`` maps (source, target) to a basis mask and
+    ``diagonal_units`` maps an object to its unit's basis index."""
+
+    __slots__ = ()
 
 
 def block_view(ring):

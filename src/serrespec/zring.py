@@ -24,7 +24,7 @@ coercion in build_ring, element arithmetic and violation text.  Basis
 subsets are bitmasks in basis order throughout the package.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
@@ -46,22 +46,18 @@ class UnknownLabel(RingError):
     pass
 
 
-@dataclass(frozen=True)
-class DuplicateLabel:
-    label: str
+class DuplicateLabel(namedtuple("DuplicateLabel", "label")):
+    __slots__ = ()
 
     def describe(self):
         return f"duplicate basis label {self.label!r}"
 
 
-@dataclass(frozen=True)
-class AssociativityViolation:
-    alpha: str
-    beta: str
-    gamma: str
-    output: str  # first basis label where the two sides differ
-    lhs: str
-    rhs: str
+class AssociativityViolation(namedtuple(
+        "AssociativityViolation", "alpha beta gamma output lhs rhs")):
+    """``output`` is the first basis label where the two sides differ."""
+
+    __slots__ = ()
 
     def describe(self):
         return (f"associativity fails on ({self.alpha}, {self.beta}, {self.gamma}): "
@@ -70,21 +66,19 @@ class AssociativityViolation:
                 f"(first difference at {self.output})")
 
 
-@dataclass(frozen=True)
-class BlockIncompatibility:
-    alpha: str
-    beta: str
-    detail: str
+class BlockIncompatibility(namedtuple("BlockIncompatibility",
+                                      "alpha beta detail")):
+    __slots__ = ()
 
     def describe(self):
         return f"block structure violated at ({self.alpha}, {self.beta}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class UnitViolation:
-    unit: str | None  # offending unit, or None for a failure of the sum
-    witness: str      # basis label where the identity property breaks
-    detail: str
+class UnitViolation(namedtuple("UnitViolation", "unit witness detail")):
+    """``unit`` is the offending unit, or None for a failure of the sum;
+    ``witness`` is the basis label where the identity property breaks."""
+
+    __slots__ = ()
 
     def describe(self):
         return f"unit axiom fails (witness {self.witness}): {self.detail}"
@@ -102,24 +96,32 @@ class RingValidationError(RingError):
             f"invalid ring {ring_name!r}:\n  " + "\n  ".join(lines))
 
 
-@dataclass(frozen=True, eq=False)
 class ZPlusRing:
     """Immutable validated ring value.  Construct with build_ring().
 
     ``tensor`` maps each (alpha, beta) index pair with a nonzero product
     to its flat row {(gamma, q-exponent): positive int}; an int-mode row
-    has only exponent 0.  The support tables are functions of the tensor,
-    derived on first read and kept in the instance dict; they are not part
-    of the ring's identity.
+    has only exponent 0.  ``blocks`` gives each basis index its (source
+    object, target object), or is None.  The support tables are functions
+    of the tensor, derived on first read and kept in the instance dict;
+    they and ``cache`` are not part of the ring's identity.
     """
 
-    name: str
-    labels: tuple
-    mode: str
-    tensor: dict  # (alpha, beta) -> {(gamma, q-exponent): positive int}
-    blocks: tuple | None  # per basis index: (source object, target object)
-    units: frozenset | None
-    cache: dict = field(repr=False, default_factory=dict)
+    def __init__(self, name, labels, mode, tensor, blocks, units, cache=None):
+        vars(self).update(name=name, labels=labels, mode=mode, tensor=tensor,
+                          blocks=blocks, units=units,
+                          cache={} if cache is None else cache)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return (f"ZPlusRing(name={self.name!r}, labels={self.labels!r}, "
+                f"mode={self.mode!r}, tensor={self.tensor!r}, "
+                f"blocks={self.blocks!r}, units={self.units!r})")
 
     @cached_property
     def product_masks(self):

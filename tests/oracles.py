@@ -154,13 +154,20 @@ def sweep_topology(ring, style):
 def lattice_maximal_disjoint(ring, mult_set, base):
     """Masks maximal among the two-sided ideal subsets that contain the
     base mask and no power support of the multiplicative set, in
-    canonical order."""
+    canonical order.
+
+    Canonical order puts cardinality first, so walking the lattice in
+    reverse meets every candidate after each one strictly above it.  A
+    candidate that is not maximal lies below a maximal one, which is
+    then already kept, so testing against the kept ones suffices."""
     with allow_large():
         lattice = enumerate_serre_ideals(ring)
-    candidates = [m for m in lattice
-                  if not base & ~m and all(s & ~m for s in mult_set.orbit)]
-    return [m for m in candidates
-            if not any(k != m and not m & ~k for k in candidates)]
+    kept = []
+    for m in reversed(lattice):
+        if (not base & ~m and all(s & ~m for s in mult_set.orbit)
+                and all(m & ~k for k in kept)):
+            kept.append(m)
+    return kept[::-1]
 
 
 def lattice_filtered_primes(ring):

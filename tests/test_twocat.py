@@ -112,22 +112,22 @@ def idempotent_orbits(ring):
 def test_classification_and_disjoint_primes_read_no_lattice(build):
     # n = 28, 45 and 36, past the guard: a lattice listed outside
     # allow_large() would raise, and none is left in the cache.  The
-    # disjoint primes are taken over the intersection of the completely
-    # primes, which keeps the lattice scan they are checked against short
+    # disjoint primes are taken over the zero ideal and over the
+    # intersection of the completely primes
     ring = build()
     classified = classify_completely_primes(ring)
-    base = ring.full_mask
+    meet = ring.full_mask
     for p in classified:
-        base &= p
+        meet &= p
     disjoint = [maximal_disjoint_primes(ring, m, base)
-                for m in idempotent_orbits(ring)]
+                for base in (0, meet) for m in idempotent_orbits(ring)]
     assert not [side for side in (LEFT, RIGHT, TWO_SIDED)
                 if ("ideals", side) in ring.cache]
     fresh = build()
     with allow_large():
         assert classified == brute_completely_primes(fresh)
     assert disjoint == [lattice_maximal_disjoint(fresh, m, base)
-                        for m in idempotent_orbits(fresh)]
+                        for base in (0, meet) for m in idempotent_orbits(fresh)]
     assert all(disjoint)
 
 

@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import astuple
 from functools import partial, reduce
 from operator import or_
 
@@ -434,7 +433,7 @@ def _outcome(build):
     try:
         return build()
     except RingValidationError as exc:
-        return [astuple(v) for v in exc.violations]
+        return [tuple(v) for v in exc.violations]
     except RingError as exc:
         return str(exc)
 
@@ -500,7 +499,7 @@ def test_violation_list_matches_oracle_in_order(case):
     expected = naive_violations(labels, tensor, mode, units)
     with pytest.raises(RingValidationError) as exc:
         build_ring(labels, tensor, mode, units=units)
-    assert [astuple(v) for v in exc.value.violations] == expected
+    assert [tuple(v) for v in exc.value.violations] == expected
 
 
 def test_oracle_sees_a_zero_left_product_with_nonzero_right_side():
@@ -517,7 +516,7 @@ def _found(labels, tensor, mode, units=None):
     try:
         build_ring(labels, tensor, mode, units=units)
     except RingValidationError as exc:
-        return [astuple(v) for v in exc.violations]
+        return [tuple(v) for v in exc.violations]
     return []
 
 

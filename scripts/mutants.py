@@ -74,6 +74,10 @@ MUTANTS = (
      "        object.__setattr__(self, name, value)",
      ["tests/test_records.py::"
       "test_formerly_frozen_records_refuse_field_assignment"]),
+    ("report-head-drops-the-ring", "src/serrespec/cli.py",
+     'return code, {"command": args.command, "ring": ring.name, **fields}',
+     'return code, {"command": args.command, **fields}',
+     ["tests/test_cli.py::test_report_matches_golden"]),
 )
 
 

@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from collections import namedtuple
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii
 
@@ -81,22 +82,8 @@ class MaskList:
         return list(self) == other
 
 
-class CommandResult:
-    __slots__ = ("exit_code", "report")
-
-    def __init__(self, exit_code, report):
-        self.exit_code = exit_code
-        self.report = report
-
-    def __eq__(self, other):
-        if not isinstance(other, CommandResult):
-            return NotImplemented
-        return (self.exit_code == other.exit_code
-                and self.report == other.report)
-
-    def __repr__(self):
-        return (f"CommandResult(exit_code={self.exit_code!r}, "
-                f"report={self.report!r})")
+class CommandResult(namedtuple("CommandResult", "exit_code report")):
+    __slots__ = ()
 
 
 class _UsageError(Exception):
@@ -118,6 +105,7 @@ def _formatter(prog):
 @functools.cache
 def _build_parser():
     """The argparse tree, built on first use and shared by every call.
+    Each subcommand's parser holds its handler as the ``handler`` default.
 
     Usage text of every parser wraps at a fixed width rather than the
     terminal's, so usage reports do not depend on where the command runs.
@@ -126,50 +114,58 @@ def _build_parser():
                      formatter_class=_formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        return sub.add_parser(name, help=help_text, formatter_class=_formatter)
+    def add(name, help_text, handler):
+        p = sub.add_parser(name, help=help_text, formatter_class=_formatter)
+        p.set_defaults(handler=handler)
+        return p
 
-    def ring_cmd(name, help_text):
-        p = add(name, help_text)
+    def ring_cmd(name, help_text, handler):
+        p = add(name, help_text, handler)
         p.add_argument("ring", metavar="F",
                        help="ring file path or gallery:NAME")
         p.add_argument("--allow-large", action="store_true",
                        help="override the basis-size guard")
         return p
 
-    ring_cmd("validate", "parse and validate a ring file")
+    ring_cmd("validate", "parse and validate a ring file", _cmd_validate)
 
-    p = ring_cmd("ideals", "list the Serre ideal lattice")
+    p = ring_cmd("ideals", "list the Serre ideal lattice", _cmd_ideals)
     p.add_argument("--side", choices=sorted(_SIDES), default="2")
 
-    ring_cmd("spec", "Serre prime spectrum with flags")
+    ring_cmd("spec", "Serre prime spectrum with flags", _cmd_spec)
 
-    p = ring_cmd("check", "test one ideal for a primality property")
+    p = ring_cmd("check", "test one ideal for a primality property",
+                 _cmd_check)
     p.add_argument("--ideal", required=True,
                    help="comma-separated labels; empty string for the zero ideal")
     p.add_argument("--prop", required=True,
                    choices=["prime", "cprime", "semiprime"])
     p.add_argument("--mode", choices=["fast", "oracle"], default="fast")
 
-    p = ring_cmd("closure", "smallest Serre ideal containing the generators")
+    p = ring_cmd("closure", "smallest Serre ideal containing the generators",
+                 _cmd_closure)
     p.add_argument("--gens", required=True)
     p.add_argument("--side", choices=sorted(_SIDES), default="2")
 
-    p = ring_cmd("minimal-primes", "minimal primes over an ideal plus a product chain")
+    p = ring_cmd("minimal-primes",
+                 "minimal primes over an ideal plus a product chain",
+                 _cmd_minimal_primes)
     p.add_argument("--ideal", required=True)
 
-    p = ring_cmd("quotient", "quotient ring by a two-sided Serre ideal")
+    p = ring_cmd("quotient", "quotient ring by a two-sided Serre ideal",
+                 _cmd_quotient)
     p.add_argument("--ideal", required=True)
     p.add_argument("-o", "--output", help="write the quotient ring file here")
 
-    p = ring_cmd("topology", "closed-set family on the spectrum")
+    p = ring_cmd("topology", "closed-set family on the spectrum",
+                 _cmd_topology)
     p.add_argument("--style", choices=[ZARISKI, BALMER], required=True)
     p.add_argument("--dot", help="write the specialization digraph here")
 
-    p = ring_cmd("twocat", "block-ring analysis")
+    p = ring_cmd("twocat", "block-ring analysis", _cmd_twocat)
     p.add_argument("--classify-cprimes", action="store_true")
 
-    p = add("monomial", "q-twisted monomial ring operations")
+    p = add("monomial", "q-twisted monomial ring operations", _cmd_monomial)
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--twist", required=True,
                    help="rows separated by ';', entries by ','")
@@ -177,10 +173,11 @@ def _build_parser():
     p.add_argument("--truncate", type=int, help="truncation degree")
     p.add_argument("--face", help="1-based variable indices, ','-separated")
 
-    p = add("gallery", "list or show built-in rings")
+    p = add("gallery", "list or show built-in rings", _cmd_gallery)
     p.add_argument("name", nargs="?")
 
-    ring_cmd("oracle", "run every fast-vs-definitional cross-check")
+    ring_cmd("oracle", "run every fast-vs-definitional cross-check",
+             _cmd_oracle)
 
     return parser
 
@@ -217,30 +214,36 @@ def _cmd_validate(args):
     return EXIT_OK, report
 
 
-def _cmd_ideals(args):
-    ring = resolve_ring_arg(args.ring)
+def _ring_report(handler):
+    """The handler of a command on one ring: ``handler(ring, args)``
+    returns the exit code and the report's own fields, and every report
+    opens with the command and the ring's name."""
+    def run(args):
+        ring = resolve_ring_arg(args.ring)
+        code, fields = handler(ring, args)
+        return code, {"command": args.command, "ring": ring.name, **fields}
+    return run
+
+
+@_ring_report
+def _cmd_ideals(ring, args):
     side = _SIDES[args.side]
     ideals = enumerate_serre_ideals(ring, side)
-    report = {
-        "command": "ideals",
-        "ring": ring.name,
+    return EXIT_OK, {
         "side": side,
         "count": len(ideals),
         "ideals": MaskList(ring.labels, ideals),
     }
-    return EXIT_OK, report
 
 
-def _cmd_spec(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_spec(ring, args):
     spec = serre_spec(ring)
     primes = [{"ideal": labels_from_mask(ring, p),
                "completely_prime": spec.completely_prime[i],
                "semiprime": spec.semiprime[i]}
               for i, p in enumerate(spec.primes)]
     return EXIT_OK, {
-        "command": "spec",
-        "ring": ring.name,
         "basis": list(ring.labels),
         "prime_count": len(primes),
         "primes": primes,
@@ -248,8 +251,8 @@ def _cmd_spec(args):
     }
 
 
-def _cmd_check(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_check(ring, args):
     ideal = _ideal_from_arg(ring, args.ideal)
     mode = FAST if args.mode == "fast" else DEFINITIONAL
     if args.prop == "prime":
@@ -258,96 +261,79 @@ def _cmd_check(args):
         holds, witness = is_completely_prime(ring, ideal)
     else:
         holds, witness = is_semiprime(ring, ideal, mode)
-    report = {
-        "command": "check",
-        "ring": ring.name,
+    return (EXIT_OK if holds else EXIT_FALSE), {
         "ideal": labels_from_mask(ring, ideal),
         "property": args.prop,
         "mode": args.mode,
         "holds": holds,
         "witness": witness,
     }
-    return (EXIT_OK if holds else EXIT_FALSE), report
 
 
-def _cmd_closure(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_closure(ring, args):
     side = _SIDES[args.side]
     gens = mask_from_labels(ring, _parse_labels(args.gens))
     closed = serre_closure(ring, gens, side)
-    report = {
-        "command": "closure",
-        "ring": ring.name,
+    return EXIT_OK, {
         "side": side,
         "generators": labels_from_mask(ring, gens),
         "closure": labels_from_mask(ring, closed),
     }
-    return EXIT_OK, report
 
 
-def _cmd_minimal_primes(args):
+@_ring_report
+def _cmd_minimal_primes(ring, args):
     """Minimal primes over an ideal and the product chain of them.
 
     The chain repeats a few minimal primes many times; it stays a
     MaskList, and ``render_report`` writes each distinct prime once.
     """
-    ring = resolve_ring_arg(args.ring)
     ideal = _ideal_from_arg(ring, args.ideal)
     try:
         minimal, chain = minimal_primes_over(ring, ideal)
     except NoPrimeOver as exc:
-        report = {
-            "command": "minimal-primes",
-            "ring": ring.name,
+        return EXIT_FALSE, {
             "ideal": labels_from_mask(ring, ideal),
             "minimal_primes": [],
             "chain": [],
             "note": str(exc),
         }
-        return EXIT_FALSE, report
     fold = chain_product_support(ring, chain)
-    report = {
-        "command": "minimal-primes",
-        "ring": ring.name,
+    return EXIT_OK, {
         "ideal": labels_from_mask(ring, ideal),
         "minimal_primes": [labels_from_mask(ring, p) for p in minimal],
         "chain": MaskList(ring.labels, chain),
         "chain_product_support": labels_from_mask(ring, fold),
         "chain_verified": not fold & ~ideal,
     }
-    return EXIT_OK, report
 
 
-def _cmd_quotient(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_quotient(ring, args):
     ideal = _ideal_from_arg(ring, args.ideal)
     result = quotient_ring(ring, ideal)
     text = serialize_ring(result)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-    report = {
-        "command": "quotient",
-        "ring": ring.name,
+    return EXIT_OK, {
         "ideal": labels_from_mask(ring, ideal),
         "quotient_basis": list(result.labels),
         "output": args.output,
         "ring_file": text,
     }
-    return EXIT_OK, report
 
 
-def _cmd_topology(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_topology(ring, args):
     family = build_topology(ring, args.style)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(ring, family))
     points = [ideal_node_name(ring, p) for p in family.space]
     tags = MaskList(ring.labels, family.tags)
-    report = {
-        "command": "topology",
-        "ring": ring.name,
+    return EXIT_OK, {
         "style": args.style,
         "points": points,
         "closed_sets": MaskList(points, family.extents, tags),
@@ -357,23 +343,17 @@ def _cmd_topology(args):
                            for i, j in specialization_edges(family)],
         "dot": args.dot,
     }
-    return EXIT_OK, report
 
 
-def _cmd_twocat(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_twocat(ring, args):
     ok, witness = check_unit_decomposition(ring)
-    report = {
-        "command": "twocat",
-        "ring": ring.name,
-        "unit_decomposition": ok,
-        "unit_witness": witness,
-    }
+    fields = {"unit_decomposition": ok, "unit_witness": witness}
     if args.classify_cprimes:
         primes = classify_completely_primes(ring)
-        report["completely_primes"] = [labels_from_mask(ring, p)
+        fields["completely_primes"] = [labels_from_mask(ring, p)
                                        for p in primes]
-    return (EXIT_OK if ok else EXIT_FALSE), report
+    return (EXIT_OK if ok else EXIT_FALSE), fields
 
 
 def _parse_vectors(text):
@@ -458,8 +438,8 @@ def _cmd_gallery(args):
     return EXIT_OK, report
 
 
-def _cmd_oracle(args):
-    ring = resolve_ring_arg(args.ring)
+@_ring_report
+def _cmd_oracle(ring, args):
     ideals = enumerate_serre_ideals(ring, TWO_SIDED)
     # a lattice ideal is fast-prime exactly when the spectrum lists it
     primes = set(serre_spec(ring).primes)
@@ -483,30 +463,11 @@ def _cmd_oracle(args):
         if fast_s != def_s:
             mismatches.append({"ideal": labels, "property": "semiprime",
                                "fast": fast_s, "definitional": def_s})
-    report = {
-        "command": "oracle",
-        "ring": ring.name,
+    return (EXIT_OK if not mismatches else EXIT_FALSE), {
         "ideals_checked": checked,
         "mismatches": mismatches,
         "ok": not mismatches,
     }
-    return (EXIT_OK if not mismatches else EXIT_FALSE), report
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "ideals": _cmd_ideals,
-    "spec": _cmd_spec,
-    "check": _cmd_check,
-    "closure": _cmd_closure,
-    "minimal-primes": _cmd_minimal_primes,
-    "quotient": _cmd_quotient,
-    "topology": _cmd_topology,
-    "twocat": _cmd_twocat,
-    "monomial": _cmd_monomial,
-    "gallery": _cmd_gallery,
-    "oracle": _cmd_oracle,
-}
 
 
 def run_command(argv):
@@ -525,7 +486,7 @@ def run_command(argv):
     try:
         # monomial and gallery have no --allow-large and run guarded
         with allow_large(getattr(args, "allow_large", False)):
-            code, report = _HANDLERS[args.command](args)
+            code, report = args.handler(args)
     except _UsageError as exc:
         return CommandResult(EXIT_INPUT, {"error": "usage",
                                           "message": str(exc)})

@@ -25,7 +25,7 @@ pin individual products down, so nothing is defaulted.
 import re
 from pathlib import Path
 
-from .coefficients import (INT, LAURENT, Coefficient, CoefficientError,
+from .coefficients import (INT, LAURENT, CoefficientError, format_terms,
                            parse_coefficient)
 from .zring import (AssociativityViolation, RingError, RingValidationError,
                     _assemble, _require_distinct, block_objects)
@@ -264,22 +264,17 @@ def serialize_ring(ring):
         for pair in sorted(grouped, key=lambda p: (order[p[0]], order[p[1]])):
             lines.append(
                 f"block {pair[0]} {pair[1]}: " + ",".join(grouped[pair]))
-    n = ring.size
-    for a in range(n):
-        for b in range(n):
-            row = ring.tensor.get((a, b))
-            if not row:
-                continue
-            terms = []
-            for (g, exp), value in sorted(row.items()):
-                # a bare "0" would read back as the zero product
-                if exp == 0 and value == 1 and ring.labels[g] != "0":
-                    terms.append(ring.labels[g])
-                else:
-                    mono = Coefficient(ring.mode, {exp: value})
-                    terms.append(f"{mono}*{ring.labels[g]}")
-            lines.append(
-                f"mul {ring.labels[a]} {ring.labels[b]} = " + " + ".join(terms))
+    for a, b in sorted(ring.tensor):  # every stored row is nonempty
+        terms = []
+        for (g, exp), value in sorted(ring.tensor[a, b].items()):
+            # a bare "0" would read back as the zero product
+            if exp == 0 and value == 1 and ring.labels[g] != "0":
+                terms.append(ring.labels[g])
+            else:
+                mono = format_terms(((exp, value),))
+                terms.append(f"{mono}*{ring.labels[g]}")
+        lines.append(
+            f"mul {ring.labels[a]} {ring.labels[b]} = " + " + ".join(terms))
     return "\n".join(lines) + "\n"
 
 

@@ -208,7 +208,9 @@ def _definitional_semiprime(ring, members):
     return False, {"intersection": labels_from_mask(ring, inter)}
 
 
-class SpectrumReport:
+class SpectrumReport(namedtuple("SpectrumReport",
+                                "ring_name primes completely_prime "
+                                "semiprime inclusions", defaults=((),))):
     """Serre prime ideals in canonical order with per-prime flags and the
     inclusion (specialization) preorder.
 
@@ -216,32 +218,7 @@ class SpectrumReport:
     holds (i, j) for every primes[i] < primes[j].
     """
 
-    __slots__ = ("ring_name", "primes", "completely_prime", "semiprime",
-                 "inclusions")
-
-    def __init__(self, ring_name, primes, completely_prime, semiprime,
-                 inclusions=None):
-        self.ring_name = ring_name
-        self.primes = primes
-        self.completely_prime = completely_prime
-        self.semiprime = semiprime
-        self.inclusions = [] if inclusions is None else inclusions
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectrumReport):
-            return NotImplemented
-        return (self.ring_name == other.ring_name
-                and self.primes == other.primes
-                and self.completely_prime == other.completely_prime
-                and self.semiprime == other.semiprime
-                and self.inclusions == other.inclusions)
-
-    def __repr__(self):
-        return (f"SpectrumReport(ring_name={self.ring_name!r}, "
-                f"primes={self.primes!r}, "
-                f"completely_prime={self.completely_prime!r}, "
-                f"semiprime={self.semiprime!r}, "
-                f"inclusions={self.inclusions!r})")
+    __slots__ = ()
 
 
 def serre_spec(ring):

@@ -38,6 +38,8 @@ ideal, U_E is its tag, and no Zariski union is left untagged and no
 empty set adjoined.
 """
 
+from collections import namedtuple
+
 from .ideals import down_sets, principal_closures, principal_complements
 from .zring import RingError, iter_bits, labels_from_mask
 from .spectrum import serre_spec
@@ -46,7 +48,10 @@ ZARISKI = "zariski"
 BALMER = "balmer"
 
 
-class ClosedSetFamily:
+class ClosedSetFamily(namedtuple("ClosedSetFamily",
+                                 "style space extents tags "
+                                 "generators_union_closed empty_set_adjoined "
+                                 "closures")):
     """The closed sets of one topology on the spectrum.
 
     ``space`` lists the prime masks and ``extents`` the closed sets over
@@ -54,19 +59,7 @@ class ClosedSetFamily:
     subset, or None; ``closures`` maps each point to its closure extent.
     """
 
-    __slots__ = ("style", "space", "extents", "tags",
-                 "generators_union_closed", "empty_set_adjoined", "closures")
-
-    def __init__(self, style, space, extents, tags,
-                 generators_union_closed=True, empty_set_adjoined=False,
-                 closures=None):
-        self.style = style
-        self.space = space
-        self.extents = extents
-        self.tags = tags
-        self.generators_union_closed = generators_union_closed
-        self.empty_set_adjoined = empty_set_adjoined
-        self.closures = [] if closures is None else closures
+    __slots__ = ()
 
     @property
     def sets(self):

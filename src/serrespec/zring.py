@@ -107,10 +107,9 @@ class ZPlusRing:
     they and ``cache`` are not part of the ring's identity.
     """
 
-    def __init__(self, name, labels, mode, tensor, blocks, units, cache=None):
+    def __init__(self, name, labels, mode, tensor, blocks, units):
         vars(self).update(name=name, labels=labels, mode=mode, tensor=tensor,
-                          blocks=blocks, units=units,
-                          cache={} if cache is None else cache)
+                          blocks=blocks, units=units, cache={})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

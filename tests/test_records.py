@@ -1,4 +1,4 @@
-"""The public record types: what importing them costs, which of them
+"""The public record types: what importing them costs, that they
 refuse assignment, and the equality callers compare them by."""
 
 import os
@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import serrespec
-from serrespec import (RingError, basis_element, block_view,
-                       build_monoid_ideal, load_gallery,
-                       make_multiplicative_set)
+from serrespec import (ZARISKI, RingError, basis_element, block_view,
+                       build_monoid_ideal, build_topology, load_gallery,
+                       make_multiplicative_set, serre_spec)
 from serrespec.cli import CommandResult
 from serrespec.gallery import GalleryEntry
 from serrespec.monomial import MonomialRing
@@ -62,6 +62,13 @@ FROZEN = {
         "generator orbit"),
     "BlockRingView": (lambda: block_view(_two_idem()),
                       "objects block_masks diagonal_units"),
+    "CommandResult": (lambda: CommandResult(0, {}), "exit_code report"),
+    "SpectrumReport": (lambda: serre_spec(_two_idem()),
+                       "ring_name primes completely_prime semiprime "
+                       "inclusions"),
+    "ClosedSetFamily": (lambda: build_topology(_two_idem(), ZARISKI),
+                        "style space extents tags generators_union_closed "
+                        "empty_set_adjoined closures"),
 }
 
 

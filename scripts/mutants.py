@@ -78,6 +78,13 @@ MUTANTS = (
      'return code, {"command": args.command, "ring": ring.name, **fields}',
      'return code, {"command": args.command, **fields}',
      ["tests/test_cli.py::test_report_matches_golden"]),
+    ("negative-constant-accepted", "src/serrespec/zring.py",
+     "            if not c.is_nonnegative():\n"
+     "                raise RingError(\n"
+     '                    f"structure constant for ({a}, {b}) -> {g} must be "\n'
+     '                    f"nonnegative, got {c}")\n',
+     "",
+     ["tests/test_zring.py::test_negative_constant_rejected"]),
 )
 
 

@@ -27,6 +27,15 @@ Violation and hint text is covered too: for every product of every
 ring, two perturbed ring files are written, one with a constant of the
 product bumped by one and one with the product dropped, and each gets a
 validate run.
+
+    python3 scripts/report_digests.py --summary > tests/report_digests.txt
+
+prints one "sha256  name" line per group instead: one per ring argument,
+over the lines of its commands and of its perturbed copies' validate
+runs, and one named "gallery monomial guard" over the rest.  The
+committed summary is checked in tier-1 (tests/test_report_digests.py),
+which names each group whose reports moved; the full listing then finds
+the exact commands.
 """
 
 import hashlib
@@ -47,6 +56,7 @@ from serrespec.cli import render_report, run_command  # noqa: E402
 from serrespec.io import parse_ring_file, serialize_ring  # noqa: E402
 
 SMALL = 10
+HEAD = "gallery monomial guard"
 PROPS = ("prime", "cprime", "semiprime")
 MODES = ("fast", "oracle")
 MONOMIAL = [
@@ -117,17 +127,23 @@ def perturbed(text):
     return out
 
 
-def main():
+def digest_lines():
+    """The digest lines as (head, validate, commands): head the gallery,
+    monomial and guard lines, and validate and commands the lines of
+    each ring argument's perturbed copies and of its own commands, keyed
+    by the argument in ring order."""
     rings = [(f"gallery:{name}", load_gallery(name))
              for name in gallery_names()]
     ladder = [upper_triangular(k) for k in range(1, 6)]
     ladder += [diagonal(k) for k in range(1, 9)]
     ladder.append(parse_ring_file(MULTI_TERM))
-    lines = [digest(["gallery"])]
-    lines += [digest(["gallery", name]) for name in gallery_names()]
-    lines += [digest(["monomial", *argv]) for argv in MONOMIAL]
-    lines += [digest(["spec", "gallery:qplane-trunc-6", *flag])
-              for flag in (["--allow-large"], [])]
+    head = [digest(["gallery"])]
+    head += [digest(["gallery", name]) for name in gallery_names()]
+    head += [digest(["monomial", *argv]) for argv in MONOMIAL]
+    head += [digest(["spec", "gallery:qplane-trunc-6", *flag])
+             for flag in (["--allow-large"], [])]
+    validate = {}
+    commands = {}
     with tempfile.TemporaryDirectory() as tmp:
         home = os.getcwd()
         os.chdir(tmp)
@@ -136,21 +152,46 @@ def main():
                 path = f"{ring.name}.ring"
                 Path(path).write_text(serialize_ring(ring))
                 rings.append((path, ring))
-            for _, ring in rings:
+            for arg, ring in rings:
+                validate[arg] = []
                 for j, text in enumerate(perturbed(serialize_ring(ring))):
                     path = f"perturbed-{ring.name}-{j}.ring"
                     Path(path).write_text(text)
-                    lines.append(digest(["validate", path]))
+                    validate[arg].append(digest(["validate", path]))
             for arg, ring in rings:
                 report = run_command(["ideals", arg]).report
                 ideals = [",".join(ideal) for ideal in report["ideals"]]
-                for argv in ring_commands(arg, ring.labels, ideals):
-                    dot = argv[-1] if argv[0] == "topology" else None
-                    lines.append(digest(argv, dot))
+                commands[arg] = [
+                    digest(argv, argv[-1] if argv[0] == "topology" else None)
+                    for argv in ring_commands(arg, ring.labels, ideals)]
         finally:
             os.chdir(home)
+    return head, validate, commands
+
+
+def summary():
+    """{group name: sha256 of the group's lines}, "gallery monomial
+    guard" first, then each ring argument."""
+    head, validate, commands = digest_lines()
+    groups = {HEAD: head}
+    groups.update((arg, validate[arg] + commands[arg]) for arg in validate)
+    return {name: hashlib.sha256(
+                "".join(line + "\n" for line in lines).encode()).hexdigest()
+            for name, lines in groups.items()}
+
+
+def main(argv):
+    if argv[1:] not in ([], ["--summary"]):
+        sys.exit(f"usage: {argv[0]} [--summary]")
+    if argv[1:]:
+        lines = [f"{h}  {name}" for name, h in summary().items()]
+    else:
+        head, validate, commands = digest_lines()
+        lines = head + [line for group in (validate, commands)
+                        for ring_lines in group.values()
+                        for line in ring_lines]
     sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)

@@ -4,23 +4,17 @@ two spectral topologies, block-ring classification, and a q-twisted
 monomial model of quantum affine space."""
 
 from .coefficients import (INT, LAURENT, Coefficient, CoefficientError,
-                           CoefficientSyntaxError, add_coefficients,
-                           format_coefficient, multiply_coefficients,
-                           parse_coefficient)
-from .zring import (LEFT, RIGHT, TWO_SIDED, RingElement, RingError,
-                    RingValidationError, UnknownLabel, ZPlusRing,
-                    basis_element, build_ring, labels_from_mask,
-                    mask_from_labels, multiply_elements, ring_element,
-                    support_of)
+                           CoefficientSyntaxError, parse_coefficient)
+from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, RingValidationError,
+                    UnknownLabel, ZPlusRing, build_ring, labels_from_mask,
+                    mask_from_labels)
 from .ideals import (BASIS_GUARD, BasisTooLarge, ImproperIdeal, NotAnIdeal,
                      allow_large, enumerate_serre_ideals, is_serre_ideal,
                      pairs_inside, product_support, quotient_ring,
                      serre_closure)
-from .spectrum import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
-                       MultiplicativeSet, NoPrimeOver, SpectrumReport,
+from .spectrum import (DEFINITIONAL, FAST, NoPrimeOver, SpectrumReport,
                        chain_product_support, is_completely_prime,
-                       is_semiprime, is_serre_prime, make_multiplicative_set,
-                       maximal_disjoint_primes, minimal_primes_over,
+                       is_semiprime, is_serre_prime, minimal_primes_over,
                        serre_spec)
 from .topology import (BALMER, ZARISKI, ClosedSetFamily, build_topology,
                        closed_set, specialization_edges, to_dot)

@@ -1,13 +1,13 @@
-"""Exact coefficient arithmetic for structure constants.
+"""Exact coefficients for structure constants: values, canonical text
+and parsing.
 
 Two modes: plain arbitrary-precision integers (``int``) and sparse Laurent
 polynomials in q (``laurent``).  A value is a map from q-exponent to a
 nonzero integer; int mode only ever uses exponent 0.  Values are immutable
 and hashable.
 
-Structure constants must be nonnegative, but general ring elements need
-signed coefficients, so the sign restriction is enforced at the validation
-boundaries (parsing and table building), not here.
+Structure constants must be nonnegative; the sign restriction is enforced
+at the validation boundaries (parsing and table building), not here.
 """
 
 from operator import index
@@ -18,7 +18,7 @@ _MODES = (INT, LAURENT)
 
 
 class CoefficientError(ValueError):
-    """Bad mode, or arithmetic across modes."""
+    """Bad mode, a non-integer term, or a value of the wrong mode."""
 
 
 class CoefficientSyntaxError(CoefficientError):
@@ -53,14 +53,6 @@ class Coefficient:
         self.terms = dict(sorted(clean.items()))
 
     @classmethod
-    def zero(cls, mode):
-        return cls(mode)
-
-    @classmethod
-    def one(cls, mode):
-        return cls(mode, {0: 1})
-
-    @classmethod
     def of(cls, value, mode):
         """Coerce an int (or pass through a matching Coefficient)."""
         if isinstance(value, Coefficient):
@@ -87,52 +79,16 @@ class Coefficient:
     def __hash__(self):
         return hash((self.mode, tuple(self.terms.items())))
 
-    def _check_mode(self, other):
-        if not isinstance(other, Coefficient):
-            raise TypeError(
-                f"cannot combine Coefficient with {type(other).__name__}")
-        if self.mode != other.mode:
-            raise CoefficientError(f"mode mismatch: {self.mode} vs {other.mode}")
-
-    def __add__(self, other):
-        self._check_mode(other)
-        terms = dict(self.terms)
-        for exp, value in other.terms.items():
-            new = terms.get(exp, 0) + value
-            if new:
-                terms[exp] = new
-            else:
-                del terms[exp]
-        return Coefficient(self.mode, terms)
-
-    def __mul__(self, other):
-        self._check_mode(other)
-        terms = {}
-        for ea, va in self.terms.items():
-            for eb, vb in other.terms.items():
-                exp = ea + eb
-                new = terms.get(exp, 0) + va * vb
-                if new:
-                    terms[exp] = new
-                else:
-                    del terms[exp]
-        return Coefficient(self.mode, terms)
-
     def __str__(self):
-        return format_coefficient(self)
+        return format_terms(self.terms.items())
 
     def __repr__(self):
         return f"Coefficient({self.mode!r}, {self.terms!r})"
 
 
-def format_coefficient(c):
-    """Canonical text: terms in increasing exponent order, e.g. 'q^-1 + 1 + 2q^3'."""
-    return format_terms(c.terms.items())
-
-
 def format_terms(terms):
-    """format_coefficient of nonzero (exponent, value) pairs given in
-    increasing exponent order, with no Coefficient built."""
+    """Canonical text of nonzero (exponent, value) pairs given in
+    increasing exponent order, e.g. 'q^-1 + 1 + 2q^3'."""
     parts = []
     for exp, value in terms:
         if exp == 0:
@@ -172,16 +128,6 @@ def parse_coefficient(text, mode):
         if pos == n:
             raise CoefficientSyntaxError("dangling '+'", pos)
     return Coefficient(mode, terms)
-
-
-def add_coefficients(a, b):
-    """Exponent-wise sum; requires matching modes."""
-    return a + b
-
-
-def multiply_coefficients(a, b):
-    """Convolution product; requires matching modes."""
-    return a * b
 
 
 def _skip_ws(text, pos):

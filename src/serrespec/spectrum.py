@@ -1,5 +1,5 @@
-"""Primality predicates, the full spectrum, minimal primes with product
-chains, and maximal ideals avoiding a multiplicative set.
+"""Primality predicates, the full spectrum, and minimal primes with
+product chains.
 
 Each predicate comes in a fast form (bitmask scans over basis pairs) and,
 where the theory provides one, a definitional form quantifying over the
@@ -22,11 +22,10 @@ the set of basis elements a sending some b in J outside P
 
 from collections import namedtuple
 
-from .ideals import (NotAnIdeal, enumerate_serre_ideals, is_serre_ideal,
-                     pairs_inside, principal_complements, product_support,
+from .ideals import (enumerate_serre_ideals, pairs_inside,
+                     principal_complements, product_support,
                      require_proper_two_sided, serre_closure)
-from .zring import (TWO_SIDED, RingError, iter_bits, labels_from_mask,
-                    subset_key, support_of)
+from .zring import TWO_SIDED, RingError, labels_from_mask
 
 FAST = "fast"
 DEFINITIONAL = "definitional"
@@ -34,42 +33,6 @@ DEFINITIONAL = "definitional"
 
 class NoPrimeOver(RingError):
     pass
-
-
-class GeneratorInsideIdeal(RingError):
-    pass
-
-
-class MultiplicativeSet(namedtuple("MultiplicativeSet", "generator orbit")):
-    """Power orbit {g, g^2, ...} of a positive element.
-
-    ``orbit`` lists the support mask of every power that occurs; the
-    sequence of supports is deterministic and eventually periodic, so the
-    finite tuple is exact (no power bound involved).
-    """
-
-    __slots__ = ()
-
-
-def make_multiplicative_set(ring, generator):
-    if not generator:
-        raise RingError("multiplicative generator must be nonzero")
-    if not generator.is_positive():
-        raise RingError("multiplicative generator must be positive")
-    gmask = support_of(generator)
-    if ring.blocks is not None:
-        blocks = {ring.blocks[i] for i in iter_bits(gmask)}
-        if len(blocks) != 1 or any(s != t for s, t in blocks):
-            raise RingError(
-                "multiplicative generator must lie in one diagonal block")
-    seen = set()
-    orbit = []
-    cur = gmask
-    while cur not in seen:
-        seen.add(cur)
-        orbit.append(cur)
-        cur = product_support(ring, cur, gmask)
-    return MultiplicativeSet(generator, tuple(orbit))
 
 
 def _first_pair(table, members):
@@ -318,34 +281,3 @@ def chain_product_support(ring, chain):
             products[pair] = product_support(ring, acc, nxt)
         acc = products[pair]
     return acc
-
-
-def maximal_disjoint_primes(ring, mult_set, ideal):
-    """Maximal ideal subsets containing the given one and avoiding every
-    power of the multiplicative generator, in canonical order; each is
-    Serre prime.
-
-    Read from the at most n distinct principal complements, with no
-    primality test and no lattice:
-
-    - every maximal candidate is prime, so it is a principal complement
-      (_prime_masks) and a maximal one among the complement candidates;
-    - a complement that is maximal among the complement candidates lies
-      below some maximal candidate, which is also a complement, so the
-      two are equal.
-
-    So the maximal complement candidates are exactly the maximal
-    candidates.
-    """
-    ok, _ = is_serre_ideal(ring, ideal, TWO_SIDED)
-    if not ok:
-        raise NotAnIdeal("a two-sided Serre ideal is required")
-    for s in mult_set.orbit:
-        if not s & ~ideal:
-            raise GeneratorInsideIdeal(
-                "a power of the generator lies inside the ideal")
-    candidates = [m for m in set(principal_complements(ring))
-                  if not ideal & ~m and all(s & ~m for s in mult_set.orbit)]
-    return sorted((m for m in candidates
-                   if not any(k != m and not m & ~k for k in candidates)),
-                  key=subset_key)

@@ -1,5 +1,5 @@
-"""Positive-basis rings: validated structure-constant tables, element
-arithmetic, and the support calculus everything downstream is built on.
+"""Positive-basis rings: validated structure-constant tables and the
+support calculus everything downstream is built on.
 
 A ring here is a free abelian group on a finite labeled basis whose
 structure constants are nonnegative (integers or Laurent polynomials in q
@@ -19,9 +19,9 @@ Positivity also makes validation cheap: associativity is checked on
 packed integer rows when the packing rule at _BITS_PER_ENTRY admits the
 table (a commutative one builds only its (ab)c slices there) and on the
 sparse rows otherwise, and either path returns exactly the violating
-triples.  Coefficients are built only at the edges: input
-coercion in build_ring, element arithmetic and violation text.  Basis
-subsets are bitmasks in basis order throughout the package.
+triples.  Coefficients are built only at input coercion in build_ring;
+violation text is written from the flat rows.  Basis subsets are
+bitmasks in basis order throughout the package.
 """
 
 from collections import namedtuple
@@ -200,42 +200,6 @@ class ZPlusRing:
             raise UnknownLabel(f"unknown basis label {label!r}") from None
 
 
-class RingElement:
-    """Sparse element of the Z-span of the basis; coefficients may be signed."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        self.coeffs = {i: c for i, c in dict(coeffs).items() if c}
-
-    def is_positive(self):
-        """Membership in the nonnegative cone spanned by the basis."""
-        return all(c.is_nonnegative() for c in self.coeffs.values())
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, RingElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            acc = out.get(i)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[i] = acc
-            else:
-                del out[i]
-        return RingElement(out)
-
-    def __repr__(self):
-        return f"RingElement({self.coeffs!r})"
-
-
 def iter_bits(mask):
     while mask:
         low = mask & -mask
@@ -296,20 +260,6 @@ def _resolve(index_map, labels, key):
     return i
 
 
-def format_element(labels, coeffs):
-    """Human-readable '2*eps + sigma' form (for diagnostics)."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for g in sorted(coeffs):
-        c = coeffs[g]
-        if c.terms == {0: 1}:
-            parts.append(labels[g])
-        else:
-            parts.append(f"({c})*{labels[g]}")
-    return " + ".join(parts)
-
-
 def _product(flat, row, b, row_first):
     """row * b (row_first) or b * row for a flat row and basis index b.
 
@@ -326,10 +276,11 @@ def _product(flat, row, b, row_first):
 
 
 def _format_row(labels, row):
-    """format_element of a flat row (diagnostics only), written straight
-    from its positive terms: per output in basis order, the label alone
-    for the coefficient 1, else the coefficient's text times the label.
-    The text reads only the terms, so it is the same in either mode."""
+    """'(2)*eps + sigma'-style text of a flat row (diagnostics only),
+    written straight from its positive terms: per output in basis order,
+    the label alone for the coefficient 1, else the coefficient's text
+    times the label.  The text reads only the terms, so it is the same in
+    either mode."""
     outputs = {}
     for (g, e), v in sorted(row.items()):
         outputs.setdefault(g, []).append((e, v))
@@ -699,49 +650,3 @@ def sub_ring(ring, keep, name):
         units = frozenset(new[u] for u in units if u in new)
     return _assemble(tuple(select_by_mask(ring.labels, keep)), ring.mode,
                      tensor, blocks, units, name)
-
-
-def ring_element(ring, coeffs):
-    """Element from {label or index: int or Coefficient}."""
-    index = {lab: i for i, lab in enumerate(ring.labels)}
-    out = {}
-    for key, v in dict(coeffs).items():
-        i = _resolve(index, ring.labels, key)
-        c = v if isinstance(v, Coefficient) else Coefficient.of(v, ring.mode)
-        if c.mode != ring.mode:
-            raise RingError(f"coefficient mode {c.mode} does not match ring")
-        if c:
-            out[i] = c
-    return RingElement(out)
-
-
-def basis_element(ring, key):
-    index = {lab: i for i, lab in enumerate(ring.labels)}
-    i = _resolve(index, ring.labels, key)
-    return RingElement({i: Coefficient.one(ring.mode)})
-
-
-def multiply_elements(ring, x, y):
-    """Bilinear extension of the structure-constant table (signed safe)."""
-    out = {}
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            row = ring.tensor.get((a, b))
-            if not row:
-                continue
-            scale = ca * cb
-            for (g, e), n in row.items():
-                term = Coefficient(
-                    ring.mode, {e + f: n * v for f, v in scale.terms.items()})
-                acc = out.get(g)
-                acc = term if acc is None else acc + term
-                if acc:
-                    out[g] = acc
-                else:
-                    del out[g]
-    return RingElement(out)
-
-
-def support_of(x):
-    """Bitmask of basis indices with nonzero coefficient."""
-    return mask_of(x.coeffs)

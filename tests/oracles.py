@@ -1,20 +1,21 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here recomputes from raw element arithmetic (multiply_elements
-on basis elements), deliberately avoiding the precomputed support tables,
-the absorb-mask ideal test, and the fast primality scans that the library
-itself uses; naive_violations runs multiply_elements on a ring assembled
-without validation.  Tests compare library output against these.  The
+Everything here recomputes from element arithmetic on flat rows
+(tests/arith.py: products of basis elements read straight off the
+tensor), deliberately avoiding the precomputed support tables, the
+absorb-mask ideal test, and the fast primality scans that the library
+itself uses; naive_violations multiplies on a table that was never
+validated.  Tests compare library output against these.  The
 exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint,
 lattice_filtered_primes and plain_fold, copies of the library's former
 2^n absorb-mask lattice scan, its former topology construction (a 2^n
 Balmer sweep and a pairwise union fixpoint), its former search for
-maximal ideals avoiding a multiplicative set (a filter over the whole
-ideal lattice), its former prime list (the fast primality scan run on
-every lattice member) and its former memo-free product fold, kept as
+maximal ideals avoiding a power orbit (a filter over the whole ideal
+lattice), its former prime list (the fast primality scan run on every
+lattice member) and its former memo-free product fold, kept as
 order-exact oracles for the down-set searches, the reading of the prime
-list, the principal-complement candidates and the memoised fold that
-replaced them; scan_pairs_inside is the former double loop of the
+list, the paper's statement that such maximal ideals are prime and the
+memoised fold; scan_pairs_inside is the former double loop of the
 definitional primality check and the minimal-primes splitting search,
 kept on naive_product_support as the order-exact oracle for
 ideals.pairs_inside; rebuilt_sub_ring is the former label-keyed
@@ -29,18 +30,17 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
-                       Coefficient, allow_large, basis_element, block_view,
-                       build_ring, closed_set, corner_ring,
-                       enumerate_serre_ideals, multiply_elements,
-                       product_support, serre_spec, support_of)
+                       Coefficient, allow_large, block_view, build_ring,
+                       closed_set, corner_ring, enumerate_serre_ideals,
+                       product_support, serre_spec)
 from serrespec.spectrum import _first_pair
-from serrespec.zring import (RingElement, ZPlusRing, format_element, iter_bits,
-                             mask_of, select_by_mask, subset_key)
+from serrespec.zring import iter_bits, mask_of, select_by_mask, subset_key
+
+from arith import add, basis, mul, support, text
 
 
 def naive_product_mask(ring, a, b):
-    return support_of(
-        multiply_elements(ring, basis_element(ring, a), basis_element(ring, b)))
+    return support(mul(ring.tensor, basis(a), basis(b)))
 
 
 def naive_is_serre_ideal(ring, members, side=TWO_SIDED):
@@ -151,10 +151,23 @@ def sweep_topology(ring, style):
     return ordered, union_closed, adjoined
 
 
-def lattice_maximal_disjoint(ring, mult_set, base):
+def power_orbit(ring, gens):
+    """The supports of g, g^2, g^3, ... each listed once, for g the sum of
+    the basis elements in the mask gens.  By positivity the support of
+    x * g is the product support of supp(x) and supp(g), so each support
+    follows from the one before and the sequence is eventually periodic:
+    the list is exact, with no power bound."""
+    orbit = []
+    cur = gens
+    while cur not in orbit:
+        orbit.append(cur)
+        cur = naive_product_support(ring, cur, gens)
+    return orbit
+
+
+def lattice_maximal_disjoint(ring, orbit, base):
     """Masks maximal among the two-sided ideal subsets that contain the
-    base mask and no power support of the multiplicative set, in
-    canonical order.
+    base mask and no mask of the orbit, in canonical order.
 
     Canonical order puts cardinality first, so walking the lattice in
     reverse meets every candidate after each one strictly above it.  A
@@ -164,7 +177,7 @@ def lattice_maximal_disjoint(ring, mult_set, base):
         lattice = enumerate_serre_ideals(ring)
     kept = []
     for m in reversed(lattice):
-        if (not base & ~m and all(s & ~m for s in mult_set.orbit)
+        if (not base & ~m and all(s & ~m for s in orbit)
                 and all(m & ~k for k in kept)):
             kept.append(m)
     return kept[::-1]
@@ -257,47 +270,46 @@ def rebuilt_sub_ring(ring, keep, name):
     return build_ring(kept_labels, tensor, ring.mode, blocks, units, name)
 
 
-def naive_violations(labels, tensor, mode, units=None):
+def naive_violations(labels, tensor, units=None):
     """Associativity and unit-axiom failures of an index-keyed Coefficient
     tensor, in build_ring's order: (alpha, beta, gamma, first differing
     label, lhs text, rhs text) for every triple in lexicographic order,
     then (unit or None, witness, detail) for the unit checks."""
-    ring = ZPlusRing("", tuple(labels), mode, flat_rows(tensor), None, units)
-    basis = [basis_element(ring, i) for i in range(ring.size)]
+    flat = flat_rows(tensor)
+    elem = [basis(i) for i in range(len(labels))]
 
-    def mul(x, y):
-        return multiply_elements(ring, x, y)
+    def times(x, y):
+        return mul(flat, x, y)
 
-    def text(x):
-        return format_element(labels, x.coeffs)
+    def show(x):
+        return text(labels, x)
 
     out = []
-    for a, b, c in product(range(ring.size), repeat=3):
-        lhs = mul(mul(basis[a], basis[b]), basis[c])
-        rhs = mul(basis[a], mul(basis[b], basis[c]))
+    for a, b, c in product(range(len(labels)), repeat=3):
+        lhs = times(times(elem[a], elem[b]), elem[c])
+        rhs = times(elem[a], times(elem[b], elem[c]))
         if lhs != rhs:
-            first = min(g for g in lhs.coeffs.keys() | rhs.coeffs.keys()
-                        if lhs.coeffs.get(g) != rhs.coeffs.get(g))
+            first = min(g for g, e in lhs.keys() | rhs.keys()
+                        if lhs.get((g, e)) != rhs.get((g, e)))
             out.append((labels[a], labels[b], labels[c], labels[first],
-                        text(lhs), text(rhs)))
+                        show(lhs), show(rhs)))
     if units is None:
         return out
-    unit_sum = RingElement()
     for u in sorted(units):
-        unit_sum = unit_sum + basis[u]
-        sq = mul(basis[u], basis[u])
-        if sq != basis[u]:
+        sq = times(elem[u], elem[u])
+        if sq != elem[u]:
             out.append((labels[u], labels[u],
                         f"{labels[u]} is not idempotent: square is "
-                        f"{text(sq)}"))
-    for g, e in enumerate(basis):
-        left, right = mul(unit_sum, e), mul(e, unit_sum)
-        if left != e:
+                        f"{show(sq)}"))
+    unit_sum = add(*(elem[u] for u in units))
+    for g, x in enumerate(elem):
+        left, right = times(unit_sum, x), times(x, unit_sum)
+        if left != x:
             out.append((None, labels[g], f"unit sum times {labels[g]} is "
-                        f"{text(left)}, expected {labels[g]}"))
-        if right != e:
+                        f"{show(left)}, expected {labels[g]}"))
+        if right != x:
             out.append((None, labels[g], f"{labels[g]} times unit sum is "
-                        f"{text(right)}, expected {labels[g]}"))
+                        f"{show(right)}, expected {labels[g]}"))
     return out
 
 
@@ -328,10 +340,8 @@ def naive_middle_support(ring, a, b):
     """Union of supp(b_a b_t b_b) over every middle factor t."""
     out = 0
     for t in range(ring.size):
-        at = multiply_elements(ring, basis_element(ring, a),
-                               basis_element(ring, t))
-        atb = multiply_elements(ring, at, basis_element(ring, b))
-        out |= support_of(atb)
+        at = mul(ring.tensor, basis(a), basis(t))
+        out |= support(mul(ring.tensor, at, basis(b)))
     return out
 
 

@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from serrespec import (Coefficient, FullFace, ImproperIdeal,
-                       MonomialRing, RingError, basis_element,
+from serrespec import (FullFace, ImproperIdeal, MonomialRing, RingError,
                        build_monoid_ideal, face_quotient, labels_from_mask,
                        mask_from_labels, monoid_ideal_is_prime,
-                       monoid_membership, monomial_label, multiply_elements,
-                       quotient_ring, ring_element, serre_closure,
-                       support_of, truncate_to_ring)
+                       monoid_membership, monomial_label, quotient_ring,
+                       serre_closure, truncate_to_ring)
 from serrespec.cli import EXIT_INPUT, run_command
 from serrespec.gallery import quantum_plane
 
+from arith import basis, mul, support
 from oracles import all_small_gen_sets, box_monoid_prime
 
 
@@ -169,20 +168,16 @@ def test_monomial_labels():
 def test_truncate_quantum_plane_degree_one():
     ring = truncate_to_ring(quantum_plane(), 1)
     assert ring.labels == ("1", "x", "y")
-    y_x = multiply_elements(ring, basis_element(ring, "y"),
-                            basis_element(ring, "x"))
-    assert not y_x
+    y, x = basis(ring.index("y")), basis(ring.index("x"))
+    assert not mul(ring.tensor, y, x)
 
 
 def test_truncate_quantum_plane_degree_two():
     ring = truncate_to_ring(quantum_plane(), 2)
     assert ring.labels == ("1", "x", "y", "x2", "xy", "y2")
-    y_x = multiply_elements(ring, basis_element(ring, "y"),
-                            basis_element(ring, "x"))
-    assert y_x == ring_element(ring, {"xy": Coefficient.q_power(1)})
-    x_y = multiply_elements(ring, basis_element(ring, "x"),
-                            basis_element(ring, "y"))
-    assert x_y == ring_element(ring, {"xy": Coefficient.q_power(0)})
+    y, x = basis(ring.index("y")), basis(ring.index("x"))
+    assert mul(ring.tensor, y, x) == basis(ring.index("xy"), 1, 1)
+    assert mul(ring.tensor, x, y) == basis(ring.index("xy"))
 
 
 def test_truncate_degree_zero():
@@ -277,9 +272,8 @@ def test_symbolic_and_truncated_membership_agree():
                 total = tuple(x + y for x, y in zip(v, w))
                 if sum(total) > degree:
                     continue
-                prod = multiply_elements(
-                    big, basis_element(big, monomial_label(v)),
-                    basis_element(big, monomial_label(w)))
+                prod = mul(big.tensor, basis(big.index(monomial_label(v))),
+                           basis(big.index(monomial_label(w))))
                 in_sym = monoid_membership(ideal, total)
-                in_trunc = bool(support_of(prod) & mask)
+                in_trunc = bool(support(prod) & mask)
                 assert in_sym == in_trunc

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import serrespec
-from serrespec import (ZARISKI, RingError, basis_element, block_view,
-                       build_monoid_ideal, build_topology, load_gallery,
-                       make_multiplicative_set, serre_spec)
+from serrespec import (ZARISKI, RingError, block_view, build_monoid_ideal,
+                       build_topology, load_gallery, serre_spec)
 from serrespec.cli import CommandResult
 from serrespec.gallery import GalleryEntry
 from serrespec.monomial import MonomialRing
@@ -56,10 +55,6 @@ FROZEN = {
     "MonomialRing": (lambda: MonomialRing(2, ((0, 0), (1, 0))),
                      "nvars twist"),
     "MonoidIdeal": (lambda: build_monoid_ideal(2, [(1, 0)]), "nvars gens"),
-    "MultiplicativeSet": (
-        lambda: make_multiplicative_set(_two_idem(),
-                                        basis_element(_two_idem(), 0)),
-        "generator orbit"),
     "BlockRingView": (lambda: block_view(_two_idem()),
                       "objects block_masks diagonal_units"),
     "CommandResult": (lambda: CommandResult(0, {}), "exit_code report"),

@@ -4,21 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrespec import (DEFINITIONAL, FAST, GeneratorInsideIdeal,
-                       ImproperIdeal, NoPrimeOver, NotAnIdeal, basis_element,
-                       chain_product_support, enumerate_serre_ideals,
-                       gallery_names, is_completely_prime, is_semiprime,
-                       is_serre_prime, labels_from_mask, load_gallery,
-                       make_multiplicative_set, mask_from_labels,
-                       maximal_disjoint_primes, minimal_primes_over,
-                       product_support, quotient_ring, ring_element,
+from serrespec import (DEFINITIONAL, FAST, ImproperIdeal, NoPrimeOver,
+                       NotAnIdeal, chain_product_support,
+                       enumerate_serre_ideals, gallery_names,
+                       is_completely_prime, is_semiprime, is_serre_prime,
+                       labels_from_mask, load_gallery, mask_from_labels,
+                       minimal_primes_over, product_support, quotient_ring,
                        serre_closure, serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
 
+from arith import basis, mul
 from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import (lattice_filtered_primes, lattice_maximal_disjoint,
                      naive_is_completely_prime, naive_is_prime,
-                     naive_is_semiprime, plain_fold)
+                     naive_is_semiprime, plain_fold, power_orbit)
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +71,8 @@ def test_completely_prime_examples():
     holds, witness = is_completely_prime(m2, 0)
     # first vanishing product in basis order; e12*e12 = 0 refutes as well
     assert not holds and witness == {"alpha": "e11", "beta": "e21"}
-    from serrespec import multiply_elements
-    assert not multiply_elements(m2, basis_element(m2, "e12"),
-                                 basis_element(m2, "e12"))
+    e12 = basis(m2.index("e12"))
+    assert not mul(m2.tensor, e12, e12)
     ising = load_gallery("ising")
     assert is_completely_prime(ising, 0)[0]
     ti = load_gallery("two-idem")
@@ -291,92 +289,49 @@ def test_chain_product_support_is_the_plain_fold(case):
 
 def test_multiplicative_set_orbit_is_exact():
     ising = load_gallery("ising")
-    m = make_multiplicative_set(ising, basis_element(ising, "sigma"))
-    assert [labels_from_mask(ising, o) for o in m.orbit] \
+    orbit = power_orbit(ising, mask_from_labels(ising, ["sigma"]))
+    assert [labels_from_mask(ising, o) for o in orbit] \
         == [["sigma"], ["1", "eps"]]
 
 
-def test_multiplicative_set_rejects_bad_generators():
-    from serrespec import RingError, ring_element
-    ising = load_gallery("ising")
-    with pytest.raises(RingError):
-        make_multiplicative_set(ising, ring_element(ising, {}))
-    with pytest.raises(RingError):
-        make_multiplicative_set(ising, ring_element(ising, {"sigma": -1}))
-    m2 = load_gallery("m2-block")
-    with pytest.raises(RingError):
-        make_multiplicative_set(m2, basis_element(m2, "e12"))
+def _maximal_disjoint(ring, generator, base=0):
+    orbit = power_orbit(ring, mask_from_labels(ring, generator))
+    return [labels_from_mask(ring, m)
+            for m in lattice_maximal_disjoint(ring, orbit, base)]
 
 
 def test_maximal_disjoint_examples():
-    zx = load_gallery("zx2-1")
-    m = make_multiplicative_set(zx, basis_element(zx, "1"))
-    out = maximal_disjoint_primes(zx, m, 0)
-    assert out == [0]
-    assert is_serre_prime(zx, out[0])[0]
-
-    ti = load_gallery("two-idem")
-    m = make_multiplicative_set(ti, basis_element(ti, "a"))
-    out = maximal_disjoint_primes(ti, m, 0)
-    assert [labels_from_mask(ti, p) for p in out] == [["b"]]
-
-    ising = load_gallery("ising")
-    m = make_multiplicative_set(ising, basis_element(ising, "sigma"))
-    out = maximal_disjoint_primes(ising, m, 0)
-    assert out == [0]
-
-
-def test_generator_inside_ideal_rejected():
+    assert _maximal_disjoint(load_gallery("zx2-1"), ["1"]) == [[]]
+    assert _maximal_disjoint(load_gallery("two-idem"), ["a"]) == [["b"]]
+    assert _maximal_disjoint(load_gallery("ising"), ["sigma"]) == [[]]
+    # a power inside the base leaves no candidate
     zx = load_gallery("zx2-x")
-    m = make_multiplicative_set(zx, basis_element(zx, "x"))
-    with pytest.raises(GeneratorInsideIdeal):
-        maximal_disjoint_primes(zx, m, mask_from_labels(zx, ["x"]))
+    assert _maximal_disjoint(zx, ["x"]) == [[]]
+    assert _maximal_disjoint(zx, ["x"], mask_from_labels(zx, ["x"])) == []
 
 
-def test_maximal_disjoint_always_prime(gallery):
-    for ring in gallery.values():
-        for g in range(ring.size):
-            if ring.blocks is not None:
-                src, dst = ring.blocks[g]
-                if src != dst:
-                    continue
-            m = make_multiplicative_set(ring, basis_element(ring, g))
-            if any(s == 0 for s in m.orbit):
-                continue  # some power vanishes: not disjoint from 0
-            for p in maximal_disjoint_primes(ring, m, 0):
-                assert is_serre_prime(ring, p, FAST)[0]
-                assert is_serre_prime(ring, p, DEFINITIONAL)[0]
-
-
-def diagonal_generators(ring, terms):
-    """Sums of `terms` distinct basis elements of one diagonal block."""
-    for combo in combinations(range(ring.size), terms):
-        if ring.blocks is not None:
-            blocks = {ring.blocks[g] for g in combo}
-            if len(blocks) != 1 or any(s != t for s, t in blocks):
-                continue
-        yield ring_element(ring, dict.fromkeys(combo, 1))
-
-
-@pytest.mark.parametrize("terms, count", [(1, 2862), (2, 11460)])
-def test_maximal_disjoint_matches_the_lattice_scan(ladder_rings, terms,
-                                                   count):
+def test_maximal_disjoint_always_prime(ladder_rings):
+    # the paper's statement: an ideal maximal among those that contain a
+    # base ideal and avoid the powers of a positive element is prime.
+    # The element is a basis element or a sum of two, and the base every
+    # ideal of the lattice that no power lies inside, the zero ideal too
     cases = 0
     for ring in ladder_rings:
-        lattice = list(enumerate_serre_ideals(ring))
-        for gen in diagonal_generators(ring, terms):
-            m = make_multiplicative_set(ring, gen)
+        lattice = enumerate_serre_ideals(ring)
+        prime = {}
+        generators = [(g,) for g in range(ring.size)]
+        generators += combinations(range(ring.size), 2)
+        for gens in generators:
+            orbit = power_orbit(ring, sum(1 << g for g in gens))
             for base in lattice:
-                if any(not s & ~base for s in m.orbit):
-                    with pytest.raises(GeneratorInsideIdeal):
-                        maximal_disjoint_primes(ring, m, base)
+                if any(not s & ~base for s in orbit):
                     continue
-                out = maximal_disjoint_primes(ring, m, base)
-                assert out \
-                    == lattice_maximal_disjoint(ring, m, base), \
-                    (ring.name, gen, base)
+                for p in lattice_maximal_disjoint(ring, orbit, base):
+                    if p not in prime:
+                        prime[p] = naive_is_prime(ring, p)
+                    assert prime[p], (ring.name, gens, base, p)
                 cases += 1
-    assert cases == count
+    assert cases == 14687
 
 
 def test_quotient_spectrum_is_the_spectrum_above_the_ideal(ladder_rings):

@@ -1,18 +1,16 @@
 import pytest
 
 from serrespec import (FAST, LEFT, RIGHT, TWO_SIDED, MissingBlocks,
-                       allow_large, basis_element,
-                       block_view, check_unit_decomposition,
+                       allow_large, block_view, check_unit_decomposition,
                        classify_completely_primes, corner_ring,
                        enumerate_serre_ideals, gallery_names,
                        is_completely_prime, is_serre_prime, labels_from_mask,
-                       load_gallery, make_multiplicative_set,
-                       maximal_disjoint_primes, multiply_elements,
-                       quotient_ring, serre_spec)
+                       load_gallery, quotient_ring, serre_spec)
 
+from arith import basis, mul
 from ladder import (diagonal, matrix_corner, proper_quotients,
                     upper_triangular)
-from oracles import corner_classified_cprimes, lattice_maximal_disjoint
+from oracles import corner_classified_cprimes
 
 BLOCK_RINGS = ["m2-block", "m3-block", "two-idem", "mixed-3obj"]
 
@@ -93,42 +91,20 @@ def test_classify_matches_brute_force_on_the_ladder():
         assert classified == corner_classified_cprimes(ring), ring.name
 
 
-def idempotent_orbits(ring):
-    """Power orbits of the diagonal basis elements none of whose powers
-    vanish."""
-    for g in range(ring.size):
-        if ring.blocks is not None and len(set(ring.blocks[g])) != 1:
-            continue
-        m = make_multiplicative_set(ring, basis_element(ring, g))
-        if all(m.orbit):
-            yield m
-
-
 @pytest.mark.parametrize("build", [
     lambda: upper_triangular(7), lambda: upper_triangular(7, blocks=True),
     lambda: upper_triangular(9), lambda: upper_triangular(9, blocks=True),
     lambda: load_gallery("qplane-trunc-7")],
     ids=["tri-7", "tri-block-7", "tri-9", "tri-block-9", "qplane-trunc-7"])
-def test_classification_and_disjoint_primes_read_no_lattice(build):
+def test_classification_reads_no_lattice(build):
     # n = 28, 45 and 36, past the guard: a lattice listed outside
-    # allow_large() would raise, and none is left in the cache.  The
-    # disjoint primes are taken over the zero ideal and over the
-    # intersection of the completely primes
+    # allow_large() would raise, and none is left in the cache
     ring = build()
     classified = classify_completely_primes(ring)
-    meet = ring.full_mask
-    for p in classified:
-        meet &= p
-    disjoint = [maximal_disjoint_primes(ring, m, base)
-                for base in (0, meet) for m in idempotent_orbits(ring)]
     assert not [side for side in (LEFT, RIGHT, TWO_SIDED)
                 if ("ideals", side) in ring.cache]
-    fresh = build()
     with allow_large():
-        assert classified == brute_completely_primes(fresh)
-    assert disjoint == [lattice_maximal_disjoint(fresh, m, base)
-                        for base in (0, meet) for m in idempotent_orbits(fresh)]
-    assert all(disjoint)
+        assert classified == brute_completely_primes(build())
 
 
 @pytest.mark.parametrize("name", ["m2-block", "m3-block"])
@@ -152,6 +128,5 @@ def test_quotient_by_classified_prime_is_domain_like():
                     if q.blocks is not None:
                         if q.blocks[b][1] != q.blocks[a][0]:
                             continue
-                    prod = multiply_elements(q, basis_element(q, a),
-                                             basis_element(q, b))
+                    prod = mul(q.tensor, basis(a), basis(b))
                     assert prod, (name, q.labels[a], q.labels[b])

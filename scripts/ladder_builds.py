@@ -6,12 +6,16 @@
 Each line gives the ring, its basis size n, its number of nonzero
 structure-constant terms, the route its associativity check takes
 ("packed"; "commutative", the packed check of a commutative table,
-which builds only the (ab)c slices; or "sparse"), the best of three
-build times on the host clock and at reference speed, and the peak of a
-fourth build traced with tracemalloc.  Every build validates the ring's
-table from scratch through build_ring.  The rings are the gallery's
-verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, and tri-16 and
-diag-150/400 from tests/ladder.py; names given on the command line pick
+which builds only the (ab)c slices; "sparse", where the work rule
+refuses packing; or "sparse-wide", where the work rule admits it and the
+memory rule refuses), the best of three build times on the host clock
+and at reference speed, and the peak of a fourth build traced with
+tracemalloc.  Every build validates the ring's table from scratch
+through build_ring.  The rings are the gallery's
+verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, tri-6/16 and
+diag-10/150/400 from tests/ladder.py, and the benchmark's qmono-3-deg4;
+the bench-sized ones (qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time
+the sparse side of the work rule.  Names given on the command line pick
 a subset.  Run it in two checkouts to compare them.
 
 Host-clock times on a shared host can move by half between runs of the
@@ -34,16 +38,20 @@ sys.path.insert(0, str(ROOT / "bench"))
 from ladder import diagonal, upper_triangular  # noqa: E402
 from oracles import table_of  # noqa: E402
 from run import REF_S, reference_s  # noqa: E402
+from workloads import TWISTS  # noqa: E402
 
 from serrespec import build_ring, load_gallery  # noqa: E402
-from serrespec.zring import _packed_mismatches, is_commutative  # noqa: E402
+from serrespec.monomial import MonomialRing, truncate_to_ring  # noqa: E402
+from serrespec.zring import (_packed_mismatches, _packing_pays,  # noqa: E402
+                             is_commutative)
 
 RINGS = {
     **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
     **{f"qplane-trunc-{d}": load_gallery for d in (5, 10, 15, 19, 20, 25)},
-    "tri-16": lambda name: upper_triangular(16),
-    "diag-150": lambda name: diagonal(150),
-    "diag-400": lambda name: diagonal(400),
+    **{f"tri-{k}": (lambda name, k=k: upper_triangular(k)) for k in (6, 16)},
+    **{f"diag-{k}": (lambda name, k=k: diagonal(k)) for k in (10, 150, 400)},
+    "qmono-3-deg4": lambda name: truncate_to_ring(
+        MonomialRing(3, TWISTS[1]), 4, name),
 }
 REPEATS = 3
 
@@ -53,15 +61,20 @@ def build(ring, table):
                       units=ring.units, name=ring.name)
 
 
+def route(ring):
+    """The associativity route build_ring takes: the work rule first, then
+    the memory rule, as in zring._associativity_violations."""
+    if not _packing_pays(ring.tensor, ring.size):
+        return "sparse"
+    if _packed_mismatches(ring.tensor, ring.size) is None:
+        return "sparse-wide"
+    return "commutative" if is_commutative(ring.tensor) else "packed"
+
+
 def measure(name):
     ring = RINGS[name](name)
     table = table_of(ring)
-    if _packed_mismatches(ring.tensor, ring.size) is None:
-        route = "sparse"
-    elif is_commutative(ring.tensor):
-        route = "commutative"
-    else:
-        route = "packed"
+    path = route(ring)
     best = best_ref = float("inf")
     for _ in range(REPEATS):
         before = reference_s()
@@ -78,8 +91,8 @@ def measure(name):
     finally:
         tracemalloc.stop()
     terms = sum(map(len, ring.tensor.values()))
-    return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {route:<12}"
-            f"best={best * 1000:9.1f} ms  ref={best_ref * 1000:9.1f} ms  "
+    return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {path:<12}"
+            f"best={best * 1000:10.3f} ms  ref={best_ref * 1000:10.3f} ms  "
             f"peak={peak / 2 ** 20:6.1f} MB")
 
 

@@ -32,7 +32,17 @@ MUTANTS = (
     ("packing-one-bit-narrower", "src/serrespec/zring.py",
      "width = (max(map(sum, values)) * max(map(max, values))).bit_length()",
      "width = (max(map(sum, values)) * max(map(max, values))).bit_length() - 1",
-     ["tests/test_zring.py::test_violation_list_matches_oracle_on_drawn_tables"]),
+     ["tests/test_zring.py::"
+      "test_width_boundary_tables_hold_the_carried_violation"]),
+    ("route-rule-inverted", "src/serrespec/zring.py",
+     "return weighted > cells",
+     "return weighted <= cells",
+     ["tests/test_zring.py::test_packing_rule_picks_the_route"]),
+    ("unpacked-at-the-wrong-exponent-base", "src/serrespec/zring.py",
+     "unpacked = {s: _unpack(s, width, n, 2 * emin, step) for s in sums}",
+     "unpacked = {s: _unpack(s, width, n, emin, step) for s in sums}",
+     ["tests/test_zring.py::"
+      "test_packed_and_sparse_paths_find_the_oracle_triples"]),
     ("prime-generators-rotated", "src/serrespec/topology.py",
      "return [first[p] for p in primes]",
      "return [first[p] for p in primes[1:] + primes[:1]]",

@@ -269,13 +269,18 @@ def chain_product_support(ring, chain):
     Each step's result depends only on the pair (acc, nxt), and a long
     chain of few distinct entries meets few distinct pairs; so the fold
     keeps the products it has computed in a memo local to this call.  The
-    memo is exact: every value in it is a real ``product_support``.
+    memo is exact: every value in it is a real ``product_support``.  The
+    fold stops once the product is 0, which is exact too: the zero subset
+    times any subset is 0 (tri-5's 16,384-entry chain reaches it at step
+    1,098).
     """
     if not chain:
         return 0
     products = {}
     acc = chain[0]
     for nxt in chain[1:]:
+        if not acc:
+            break
         pair = acc, nxt
         if pair not in products:
             products[pair] = product_support(ring, acc, nxt)

@@ -16,19 +16,23 @@ the ring-file parser resolve labels once and hand such rows to one
 assembler, which only validates; the ring derives each table from its
 tensor on first read, so a command pays only for the tables it uses.
 Positivity also makes validation cheap: associativity is checked on
-packed integer rows when the packing rule at _BITS_PER_ENTRY admits the
-table (a commutative one builds only its (ab)c slices there) and on the
-sparse rows otherwise, and either path returns exactly the violating
-triples.  Coefficients are built only at input coercion in build_ring;
-violation text is written from the flat rows.  Basis subsets are
-bitmasks in basis order throughout the package.
+packed integer rows or on the sparse flat rows.  Two gates, both read
+from the flat rows before any packed int is built, admit a table to the
+packed path: the work rule at _CELLS_PER_PARTIAL_PRODUCT weighs the
+packed path's cells against the sparse path's partial products, and the
+memory rule at _BITS_PER_ENTRY bounds the packed ints (a commutative
+table builds only its (ab)c slices there).  Either path returns exactly
+the violating triples, each with the rows (ab)c and a(bc) it summed, and
+violation text is written from those rows.  Coefficients are built only
+at input coercion in build_ring.  Basis subsets are bitmasks in basis
+order throughout the package.
 """
 
 from collections import namedtuple
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
-from operator import add, index, lshift, mul, or_, sub
+from operator import add, index, itemgetter, lshift, mul, or_, sub
 
 from .coefficients import INT, LAURENT, Coefficient, format_terms
 
@@ -290,37 +294,94 @@ def _format_row(labels, row):
         for g, terms in outputs.items()) or "0"
 
 
-#: the packing rule: a table is packed only when 3 * n^2 ints of
-#: W * n * (2 * span + 1) bits, a bound on its packed rows plus one middle
-#: factor's two slices, take at most this many bits per entry of its
-#: tensor, the flat rows {(gamma, q-exponent): positive int}, that is
-#: 1 KB, a few times the 100 to 300 bytes a flat entry takes (its key
-#: tuple, value and dict slot).  Packed ints grow with n and with the
-#: exponent range left after the gcd rescaling (q^3000 beside q), and the
-#: slices with n^2 whatever the table's sparsity; flat entries do neither.  Any other table takes
-#: the sparse path, whose dicts hold only nonzero partial products.
+#: the work rule: a table is packed only when the packed path's cell work
+#: is below this many times the sparse path's partial products (see
+#: _packing_pays).  On dense fusion tables a partial product, one dict
+#: update, costs about three cells, one big-int operation in a C-level map
+#: (verlinde-sl2-16 on a 2-vCPU host, Python 3.11: 0.31 and 0.09
+#: microseconds).
+_CELLS_PER_PARTIAL_PRODUCT = 3
+
+#: the memory rule, the second gate: a table is packed only when 3 * n^2
+#: ints of W * n * (2 * span + 1) bits, a bound on its packed rows plus one
+#: middle factor's two slices, take at most this many bits per entry of its
+#: tensor, the flat rows {(gamma, q-exponent): positive int}, that is 1 KB,
+#: a few times the 100 to 300 bytes a flat entry takes (its key tuple,
+#: value and dict slot).  Packed ints grow with n and with the exponent
+#: range left after the gcd rescaling (q^3000 beside q), and the slices
+#: with n^2 whatever the table's sparsity; flat entries do neither.  A
+#: table either rule refuses takes the sparse path, whose dicts hold only
+#: nonzero partial products.
 _BITS_PER_ENTRY = 8192
 
 
 def _associativity_violations(labels, flat):
     """An AssociativityViolation for every triple with (ab)c != a(bc), in
-    (a, b, c) order.  The violating triples come from the packed path
-    when the packing rule admits the table and from the sparse path
-    otherwise; each is multiplied out on flat rows to be described."""
+    (a, b, c) order.
+
+    Two gates pick the path before any packed int is built: the work rule
+    at _CELLS_PER_PARTIAL_PRODUCT, then the memory rule at _BITS_PER_ENTRY
+    (checked in _packed_mismatches); a table either refuses takes the
+    sparse path.  Either path hands back the rows (ab)c and a(bc) it summed
+    for each violating triple, so describing a failure multiplies nothing
+    again and formats each distinct row once.
+    """
     n = len(labels)
-    found = _packed_mismatches(flat, n)
+    found = _packed_mismatches(flat, n) if _packing_pays(flat, n) else None
     if found is None:
         found = _sparse_mismatches(flat, n)
+    texts = {}
     out = []
-    for a, b, c in found:
-        lhs = _product(flat, flat.get((a, b), {}), c, True)
-        rhs = _product(flat, flat.get((b, c), {}), a, False)
+    for a, b, c, lhs, rhs in found:
         first = min(g for g, e in lhs.keys() | rhs.keys()
                     if lhs.get((g, e)) != rhs.get((g, e)))
         out.append(AssociativityViolation(
             labels[a], labels[b], labels[c], labels[first],
-            _format_row(labels, lhs), _format_row(labels, rhs)))
+            _row_text(labels, lhs, texts), _row_text(labels, rhs, texts)))
     return out
+
+
+def _row_text(labels, row, texts):
+    """_format_row's text of a flat row, kept in texts by the row's terms."""
+    key = frozenset(row.items())
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = _format_row(labels, row)
+    return text
+
+
+def _packing_pays(flat, n):
+    """The work rule: whether the packed path's cell work is below
+    _CELLS_PER_PARTIAL_PRODUCT times the sparse path's partial products,
+    both counted from the flat rows.
+
+    The sparse path makes one partial product per term (g, e) of a row
+    and term of a row g c (its (ab)c sums), and one per such term and term
+    of a row a g (its a(bc) sums).  The packed path moves n cells per row
+    term of each of its two sums, since _combine maps over a slice row,
+    and n^2 cells per middle factor to transpose and compare the slice:
+    n * (2 * terms + n^2) in all.  A commutative table sums one side only,
+    so the rule leans to the sparse path there; on the tables measured
+    that changes no route.  Dense fusion tables pack (verlinde-sl2-6:
+    6,552 weighted partial products against 1,519 cells); small sparse
+    ones do not, their n^3 slice cells outweighing the few partial
+    products (tri-6: 756 against 11,613).
+    """
+    starts = [0] * n  # the terms of the rows g c, over every c
+    ends = [0] * n    # the terms of the rows a g, over every a
+    for (a, b), size in zip(flat, map(len, flat.values())):
+        starts[a] += size
+        ends[b] += size
+    # a term of output g makes starts[g] + ends[g] partial products
+    weight = list(map(add, starts, ends)).__getitem__
+    cells = n * (2 * sum(starts) + n * n)
+    weighted = 0
+    for row in flat.values():  # a dense table passes within a few rows
+        weighted += _CELLS_PER_PARTIAL_PRODUCT * sum(map(weight, map(
+            itemgetter(0), row)))
+        if weighted > cells:
+            break
+    return weighted > cells
 
 
 def _by_middle(flat, n):
@@ -335,15 +396,18 @@ def _by_middle(flat, n):
 
 
 def _sparse_mismatches(flat, n):
-    """The sorted (a, b, c) with (ab)c != a(bc), summed on flat rows.
+    """The (a, b, c, (ab)c, a(bc)) with (ab)c != a(bc), in (a, b, c)
+    order, summed on flat rows.
 
     For each middle factor b, (ab)c is summed into a dict keyed
     (a, c, h, exponent) over the terms (g, e, v) of each nonzero ab and
     the nonzero rows g c, and a(bc) the same way over the terms (k, f, w)
     of each nonzero bc and the nonzero rows a k; the two dicts are
-    compared whole.  A triple with no nonzero partial product is 0 on
-    both sides and is never visited.  Nothing is packed, so the path has
-    no width, span or memory bound.
+    compared whole, and only when they differ are the entries of each
+    pair (a, c) that differs grouped into its two flat rows.  A triple
+    with no nonzero partial product is 0 on both sides and is never
+    visited.  Nothing is packed, so the path has no width, span or memory
+    bound.
     """
     ending, starting = _by_middle(flat, n)
     found = []
@@ -363,15 +427,28 @@ def _sparse_mismatches(flat, n):
                         key = a, c, h, e + f
                         rhs[key] = rhs.get(key, 0) + v * w
         if lhs != rhs:
-            found += {(key[0], b, key[1]) for key in lhs.keys() | rhs.keys()
-                      if lhs.get(key) != rhs.get(key)}
-    found.sort()
+            pairs = {key[:2] for key in lhs.keys() | rhs.keys()
+                     if lhs.get(key) != rhs.get(key)}
+            left, right = _rows_of(lhs, pairs), _rows_of(rhs, pairs)
+            found += [(a, b, c, left[a, c], right[a, c]) for a, c in pairs]
+    found.sort(key=itemgetter(0, 1, 2))
     return found
 
 
+def _rows_of(sums, pairs):
+    """{(a, c): flat row} for the given pairs, from one slice's sums keyed
+    (a, c, h, exponent)."""
+    rows = {pair: {} for pair in pairs}
+    for (a, c, h, e), v in sums.items():
+        row = rows.get((a, c))
+        if row is not None:
+            row[h, e] = v
+    return rows
+
+
 def _packed_mismatches(flat, n):
-    """The sorted (a, b, c) with packed (ab)c != packed a(bc), or None
-    when the packing rule refuses the table.
+    """The (a, b, c, (ab)c, a(bc)) with packed (ab)c != packed a(bc), in
+    (a, b, c) order, or None when the memory rule refuses the table.
 
     A flat row {(h, e): v} packs into one int whose field
     (e - emin) / step * n + h, W bits wide, holds v; step is the gcd of
@@ -388,7 +465,8 @@ def _packed_mismatches(flat, n):
     the bit length of max mass * max C, so no field, partial sum or not,
     reaches 2^W: nothing borrows (positivity) and nothing carries into the
     next field.  Each packed sum is then the base-2^W spelling of its row,
-    so two are equal exactly when the rows are.
+    so two are equal exactly when the rows are, and _unpack reads the row
+    back from the sum.
 
     For each middle factor b the whole n x n slice is built with C-level
     maps: lhs[a][c] from cols[g], the packed g c over c, and rhs[c][a]
@@ -405,9 +483,9 @@ def _packed_mismatches(flat, n):
 
     Memory: the at most n^2 packed rows of W * n * (span + 1) bits and
     one middle factor's two n x n slices of W * n * (2 * span + 1) bits
-    are within 3 * n^2 * W * n * (2 * span + 1) bits, which the rule,
-    decided before any packed int is built, caps at _BITS_PER_ENTRY bits
-    per flat entry.
+    are within 3 * n^2 * W * n * (2 * span + 1) bits, which the memory
+    rule, decided before any packed int is built, caps at _BITS_PER_ENTRY
+    bits per flat entry.
     """
     if not flat:
         return []
@@ -454,10 +532,28 @@ def _packed_mismatches(flat, n):
             continue
         for a, (x, y) in enumerate(zip(lhs, rhs)):
             if x != y:
-                found += [(a, b, c) for c, (u, w) in enumerate(zip(x, y))
+                found += [(a, b, c, u, w) for c, (u, w) in enumerate(zip(x, y))
                           if u != w]
     found.sort()
-    return found
+    # field j of a sum holds q^(2 emin + step * (j // n)) b_(j % n)
+    sums = {s for _, _, _, u, w in found for s in (u, w)}
+    unpacked = {s: _unpack(s, width, n, 2 * emin, step) for s in sums}
+    return [(a, b, c, unpacked[u], unpacked[w]) for a, b, c, u, w in found]
+
+
+def _unpack(x, width, n, base, step):
+    """The flat row of a packed sum whose field j, width bits wide, holds
+    the coefficient of q^(base + step * (j // n)) b_(j % n)."""
+    row = {}
+    mask = (1 << width) - 1
+    j = 0
+    while x:
+        v = x & mask
+        if v:
+            row[j % n, base + step * (j // n)] = v
+        x >>= width
+        j += 1
+    return row
 
 
 def is_commutative(flat):
@@ -595,9 +691,9 @@ def _assemble(labels, mode, tensor, blocks, units, name):
 
     blocks is a (source, target) pair per index or None, and units a
     frozenset of indices or None.  Associativity is checked on the packed
-    or the sparse path, chosen by the packing rule stated at
-    _BITS_PER_ENTRY and argued in _packed_mismatches; the violating
-    triples are described in (a, b, c) order.
+    or the sparse path, chosen by the work and memory rules stated at
+    _CELLS_PER_PARTIAL_PRODUCT and _BITS_PER_ENTRY; the violating triples
+    are described in (a, b, c) order.
     """
     if units is not None and not units:
         raise RingError("unit set must be nonempty when given")

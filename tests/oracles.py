@@ -4,8 +4,8 @@ Everything here recomputes from element arithmetic on flat rows
 (tests/arith.py: products of basis elements read straight off the
 tensor), deliberately avoiding the precomputed support tables, the
 absorb-mask ideal test, and the fast primality scans that the library
-itself uses; naive_violations multiplies on a table that was never
-validated.  Tests compare library output against these.  The
+itself uses; naive_mismatches and naive_violations multiply on a table
+that was never validated.  Tests compare library output against these.  The
 exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint,
 lattice_filtered_primes and plain_fold, copies of the library's former
 2^n absorb-mask lattice scan, its former topology construction (a 2^n
@@ -270,6 +270,19 @@ def rebuilt_sub_ring(ring, keep, name):
     return build_ring(kept_labels, tensor, ring.mode, blocks, units, name)
 
 
+def naive_mismatches(flat, n):
+    """(a, b, c, (ab)c, a(bc)) for every triple of basis indices whose two
+    products differ, in lexicographic order, multiplied out on the flat
+    rows {(a, b): {(g, q-exponent): value}} of a table."""
+    out = []
+    for a, b, c in product(range(n), repeat=3):
+        lhs = mul(flat, mul(flat, basis(a), basis(b)), basis(c))
+        rhs = mul(flat, basis(a), mul(flat, basis(b), basis(c)))
+        if lhs != rhs:
+            out.append((a, b, c, lhs, rhs))
+    return out
+
+
 def naive_violations(labels, tensor, units=None):
     """Associativity and unit-axiom failures of an index-keyed Coefficient
     tensor, in build_ring's order: (alpha, beta, gamma, first differing
@@ -285,14 +298,11 @@ def naive_violations(labels, tensor, units=None):
         return text(labels, x)
 
     out = []
-    for a, b, c in product(range(len(labels)), repeat=3):
-        lhs = times(times(elem[a], elem[b]), elem[c])
-        rhs = times(elem[a], times(elem[b], elem[c]))
-        if lhs != rhs:
-            first = min(g for g, e in lhs.keys() | rhs.keys()
-                        if lhs.get((g, e)) != rhs.get((g, e)))
-            out.append((labels[a], labels[b], labels[c], labels[first],
-                        show(lhs), show(rhs)))
+    for a, b, c, lhs, rhs in naive_mismatches(flat, len(labels)):
+        first = min(g for g, e in lhs.keys() | rhs.keys()
+                    if lhs.get((g, e)) != rhs.get((g, e)))
+        out.append((labels[a], labels[b], labels[c], labels[first],
+                    show(lhs), show(rhs)))
     if units is None:
         return out
     for u in sorted(units):

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -285,6 +286,26 @@ def repeating_chains(draw):
 def test_chain_product_support_is_the_plain_fold(case):
     ring, chain = case
     assert chain_product_support(ring, chain) == plain_fold(ring, chain)
+
+
+# the minimal-primes rings of the lattice ladder (bench/workloads.py)
+FOLD_LADDER = {
+    **{f"qplane-trunc-{d}": partial(load_gallery, f"qplane-trunc-{d}")
+       for d in (3, 4)},
+    **{f"tri-{k}": partial(upper_triangular, k) for k in (4, 5)},
+    **{f"diag-{k}": partial(diagonal, k) for k in (6, 10)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_LADDER))
+def test_chain_fold_stopping_at_zero_is_the_plain_fold(name):
+    # over 0 the fold reaches 0 early (tri-5: step 1,098 of 16,384); over
+    # the least nonzero ideal it may not (diag-k)
+    ring = FOLD_LADDER[name]()
+    least = next(i for i in enumerate_serre_ideals(ring) if i)
+    for ideal in (0, least):
+        _, chain = minimal_primes_over(ring, ideal)
+        assert chain_product_support(ring, chain) == plain_fold(ring, chain)
 
 
 def test_multiplicative_set_orbit_is_exact():

@@ -13,10 +13,12 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        gallery_names, labels_from_mask, load_gallery,
                        mask_from_labels, parse_ring_file, quotient_ring,
                        serialize_ring, truncate_to_ring)
+from serrespec import zring
 from serrespec.gallery import quantum_plane
 from serrespec.monomial import MonomialRing
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             ZPlusRing, _packed_mismatches,
+                             ZPlusRing, _associativity_violations,
+                             _packed_mismatches,
                              _sparse_mismatches, is_commutative, iter_bits,
                              mask_of, select_by_mask, sub_ring, subset_key)
 
@@ -24,8 +26,9 @@ from arith import add, basis, mul, support
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
 from oracles import (flat_rows, index_tuple, naive_middle_support,
-                     naive_product_mask, naive_triple_support,
-                     naive_violations, rebuilt_sub_ring, table_of)
+                     naive_mismatches, naive_product_mask,
+                     naive_triple_support, naive_violations,
+                     rebuilt_sub_ring, table_of)
 
 
 @pytest.fixture(scope="module")
@@ -523,12 +526,16 @@ WIDTH_BOUNDARY = {
 
 
 def test_width_boundary_tables_hold_the_carried_violation():
-    # the drawn-table property runs both tables through build_ring
     labels = ("b0", "b1", "b2")
     assert ("b2", "b2", "b2", "b0", "(2)*b0", "b1") \
         in naive_violations(labels, WIDTH_BOUNDARY[INT])
     assert ("b1", "b1", "b1", "b0", "(2)*b2", "(q)*b0") \
         in naive_violations(labels, WIDTH_BOUNDARY[LAURENT])
+    # build_ring sends these small tables down the sparse path, so the
+    # packed path runs here, at the exact width
+    for table in WIDTH_BOUNDARY.values():
+        flat = flat_rows(table)
+        assert _packed_mismatches(flat, 3) == naive_mismatches(flat, 3)
 
 
 EXPONENT_SCALES = {
@@ -641,12 +648,11 @@ def test_violation_list_matches_oracle_on_perturbed_rings(case):
 @given(st.one_of(positive_tables(), perturbed_tables()))
 @settings(max_examples=300)
 def test_packed_and_sparse_paths_find_the_oracle_triples(case):
-    # build_ring runs only the path the packing rule picks; here both run
+    # build_ring runs only the path the rules pick; here both run, and
+    # each triple's two rows are the flat-row products (ab)c and a(bc)
     labels, tensor, mode, _ = case
     flat, n = flat_rows(tensor), len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    expected = [(index[a], index[b], index[c]) for a, b, c, *_
-                in naive_violations(labels, tensor)]
+    expected = naive_mismatches(flat, n)
     assert _sparse_mismatches(flat, n) == expected
     packed = _packed_mismatches(flat, n)
     assert packed is None or packed == expected
@@ -740,25 +746,45 @@ def _table_of(ring):
     return ring.labels, table_of(ring)
 
 
-# name -> (labels and index-keyed tensor, whether the table packs): dense
-# fusion tables pack (the sparse check takes seconds on verlinde-sl2-40);
-# sparse, wide or long-span tables do not
+# name -> (labels and index-keyed tensor, the paths the check runs):
+# dense fusion tables pack, their partial products outweighing the
+# packed path's cells (the sparse check takes seconds on verlinde-sl2-40);
+# small or sparse tables go sparse without packing anything, their n^3
+# slice cells outweighing the partial products; the carry group passes
+# the work rule, but the memory rule refuses its exponent range
+PACKED = [("_packed_mismatches", True)]
+SPARSE = [("_sparse_mismatches", True)]
 ROUTES = {
-    "verlinde-sl2-40": (lambda: _table_of(LADDER["verlinde-sl2-40"]()), True),
-    "tri-6": (lambda: _table_of(upper_triangular(6)), True),
-    "diag-150": (lambda: _table_of(LADDER["diag-150"]()), False),
-    "qplane-trunc-12": (lambda: _table_of(LADDER["qplane-trunc-12"]()), False),
-    "carry-5x8-gap-3000": (lambda: _carry_group(5, 8, 3000), False),
+    **{f"verlinde-sl2-{k}": (
+        lambda k=k: _table_of(load_gallery(f"verlinde-sl2-{k}")), PACKED)
+       for k in (6, 16)},
+    "verlinde-sl2-40": (lambda: _table_of(LADDER["verlinde-sl2-40"]()),
+                        PACKED),
+    "tri-6": (lambda: _table_of(upper_triangular(6)), SPARSE),
+    "diag-10": (lambda: _table_of(diagonal(10)), SPARSE),
+    "qmono-3-deg3": (lambda: _table_of(truncate_to_ring(
+        MonomialRing(3, ((0, 0, 0), (1, 0, 0), (1, 1, 0))), 3)), SPARSE),
+    "diag-150": (lambda: _table_of(LADDER["diag-150"]()), SPARSE),
+    "qplane-trunc-12": (lambda: _table_of(LADDER["qplane-trunc-12"]()),
+                        SPARSE),
+    "carry-5x8-gap-3000": (lambda: _carry_group(5, 8, 3000),
+                           [("_packed_mismatches", False)] + SPARSE),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))
-def test_packing_rule_picks_the_route(name):
-    make, packs = ROUTES[name]
+def test_packing_rule_picks_the_route(name, monkeypatch):
+    make, route = ROUTES[name]
     labels, tensor = make()
-    packed = _packed_mismatches(flat_rows(tensor), len(labels))
-    assert (packed is not None) == packs
-    assert packed in (None, [])
+    calls = []
+    for path in ("_packed_mismatches", "_sparse_mismatches"):
+        def spy(flat, n, run=getattr(zring, path), path=path):
+            found = run(flat, n)
+            calls.append((path, found is not None))
+            return found
+        monkeypatch.setattr(zring, path, spy)
+    assert _associativity_violations(labels, flat_rows(tensor)) == []
+    assert calls == route
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

@@ -42,8 +42,8 @@ from workloads import TWISTS  # noqa: E402
 
 from serrespec import build_ring, load_gallery  # noqa: E402
 from serrespec.monomial import MonomialRing, truncate_to_ring  # noqa: E402
-from serrespec.zring import (_packed_mismatches, _packing_pays,  # noqa: E402
-                             is_commutative)
+from serrespec.zring import (_by_middle, _packed_mismatches,  # noqa: E402
+                             _packing_pays, is_commutative)
 
 RINGS = {
     **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
@@ -66,7 +66,8 @@ def route(ring):
     the memory rule, as in zring._associativity_violations."""
     if not _packing_pays(ring.tensor, ring.size):
         return "sparse"
-    if _packed_mismatches(ring.tensor, ring.size) is None:
+    middle = _by_middle(ring.tensor, ring.size)
+    if _packed_mismatches(ring.tensor, middle) is None:
         return "sparse-wide"
     return "commutative" if is_commutative(ring.tensor) else "packed"
 

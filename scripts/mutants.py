@@ -38,6 +38,10 @@ MUTANTS = (
      "return weighted > cells",
      "return weighted <= cells",
      ["tests/test_zring.py::test_packing_rule_picks_the_route"]),
+    ("commutative-with-an-unpaired-row", "src/serrespec/zring.py",
+     "    return upper == lower\n",
+     "    return True\n",
+     ["tests/test_zring.py::test_commutativity_compares_each_unordered_pair"]),
     ("unpacked-at-the-wrong-exponent-base", "src/serrespec/zring.py",
      "unpacked = {s: _unpack(s, width, n, 2 * emin, step) for s in sums}",
      "unpacked = {s: _unpack(s, width, n, emin, step) for s in sums}",
@@ -49,6 +53,20 @@ MUTANTS = (
      ["tests/test_topology.py::"
       "test_an_ideal_lies_in_a_prime_exactly_when_it_misses_its_generator",
       "tests/test_topology.py::test_zariski_topology_reads_no_lattice"]),
+    ("closing-bracket-after-the-last-separator", "src/serrespec/cli.py",
+     'pieces[-1] = tail + "\\n" + indent + "]"',
+     'pieces.append(tail + "\\n" + indent + "]")',
+     ["tests/test_cli.py::"
+      "test_closed_sets_render_as_json_dumps_wherever_the_empty_set_is"]),
+    ("discrete-test-vacuous", "src/serrespec/ideals.py",
+     "if all(c == 1 << g for g, c in enumerate(closures)):",
+     "if all(c >> g & 1 for g, c in enumerate(closures)):",
+     ["tests/test_ideals.py::test_one_comparable_pair_takes_the_search"]),
+    ("discrete-subsets-over-reversed-bits", "src/serrespec/ideals.py",
+     "bits = [1 << g for g in iter_bits(full)]",
+     "bits = [1 << g for g in iter_bits(full)][::-1]",
+     ["tests/test_ideals.py::"
+      "test_discrete_orders_list_every_subset_without_a_search"]),
     ("joined-halves-swapped", "src/serrespec/cli.py",
      "texts[m] = text + sep + rests[rest] if rest else text",
      "texts[m] = rests[rest] + sep + text if rest else text",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the CLI's oracle, spec, Zariski topology and twocat classification
+"""Time the CLI's oracle, spec, topology and twocat classification
 commands on a fixed ladder of rings, one line per ring.
 
     python3 scripts/oracle_ladder.py [ring name ...]
@@ -8,8 +8,9 @@ Each line gives the ring, its basis size n, its number of two-sided
 ideals, its number of Serre primes, whether the oracle found the fast
 and definitional checks in agreement, and the best of three wall times
 of `oracle RING` (best=), of `spec RING` (spec=), of `topology RING
---style zariski` (zariski=) and of `twocat RING --classify-cprimes`
-(twocat=) on the same ring file.  A timed run is what one CLI call does,
+--style zariski` (zariski=), of `topology RING --style balmer`
+(balmer=) and of `twocat RING --classify-cprimes` (twocat=) on the same
+ring file.  A timed run is what one CLI call does,
 run_command and then render_report, and it parses the ring afresh, so
 no lattice is cached between runs.  The rings
 are diag-6..10 and tri-4..6 from tests/ladder.py, written as ring files
@@ -61,6 +62,7 @@ def measure(name, tmp):
     result, best = best_of(["oracle", str(path)])
     _, spec = best_of(["spec", str(path)])
     _, zariski = best_of(["topology", str(path), "--style", "zariski"])
+    _, balmer = best_of(["topology", str(path), "--style", "balmer"])
     _, twocat = best_of(["twocat", str(path), "--classify-cprimes"])
     ideals = len(enumerate_serre_ideals(ring))
     primes = len(serre_spec(ring).primes)
@@ -68,6 +70,7 @@ def measure(name, tmp):
             f"primes={primes:<3} ok={str(result.report['ok']):<5} "
             f"best={best * 1000:9.1f} ms  spec={spec * 1000:7.1f} ms  "
             f"zariski={zariski * 1000:7.1f} ms  "
+            f"balmer={balmer * 1000:7.1f} ms  "
             f"twocat={twocat * 1000:7.1f} ms")
 
 

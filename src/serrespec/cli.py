@@ -559,14 +559,21 @@ def _write(out, value, indent):
 
 def _write_masks(out, value, indent):
     """Append a MaskList's pieces.  Each distinct mask's text is made
-    once, and every repeat of it is the same string."""
+    once, and every repeat of it is the same string.
+
+    No item's text is made either.  An item's pieces, a subset's text or
+    a closed set's points, ``mid`` and tag, go into ``out`` as they are,
+    each item followed by the text that closes it and opens the next;
+    the closing bracket replaces the last of those."""
     if not value.masks:
         out.append("[]")
         return
     inner = indent + "  "
     if value.tags is None:
         texts = _subset_texts(value.names, value.masks, inner)
-        items = [texts[m] for m in value.masks]
+        pieces = [None, ",\n" + inner] * len(value.masks)
+        pieces[::2] = map(texts.__getitem__, value.masks)
+        head = tail = ""
     else:
         field = inner + "  "
         points = _subset_texts(value.names, value.masks, field)
@@ -574,13 +581,13 @@ def _write_masks(out, value, indent):
         head = "{\n" + field + '"points": '
         mid = ",\n" + field + '"tag": '
         tail = "\n" + inner + "}"
-        items = [head + points[m] + mid + tags[t] + tail
-                 for m, t in zip(value.masks, value.tags.masks)]
-    pieces = [",\n" + inner] * (2 * len(items) - 1)
-    pieces[::2] = items  # the items with a separator between each two
-    out.append("[\n" + inner)
+        pieces = [None, mid, None, tail + ",\n" + inner + head] \
+            * len(value.masks)
+        pieces[::4] = map(points.__getitem__, value.masks)
+        pieces[2::4] = map(tags.__getitem__, value.tags.masks)
+    pieces[-1] = tail + "\n" + indent + "]"
+    out.append("[\n" + inner + head)
     out.extend(pieces)
-    out.append("\n" + indent + "]")
 
 
 #: _BITS[b]: the bits of the byte b from bit 0 up, as 0/1 selectors

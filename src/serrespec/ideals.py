@@ -13,7 +13,10 @@ preorder.  The lattice is enumerated by include/exclude branching on the
 principal closures, at a cost proportional to the number of ideals
 rather than to the 2^n basis subsets.  The search emits the ideals in
 canonical order (cardinality, then lexicographic index tuple), so no
-sort follows it.
+sort follows it.  A discrete preorder, every principal closure a single
+element (diag-k on every side), has all 2^n subsets for ideals, the
+most any preorder has; those are listed by ``itertools.combinations``
+in the same order, with no search.
 
 An ideal is its int bitmask in basis order, here and in every module that
 takes or returns one.  One-sided lattices are masks too: a mask does not
@@ -29,6 +32,7 @@ only; every new thread starts guarded.
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import chain, combinations
 
 from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, iter_bits,
                     labels_from_mask, sub_ring)
@@ -123,7 +127,18 @@ def down_sets(closures, full):
     lexicographic index tuple.
 
     closures[g] must contain g and the closure of each of its members
-    (a reflexive, transitive relation).  Branches on the lowest undecided
+    (a reflexive, transitive relation).
+
+    A discrete order, every closures[g] == {g}, constrains nothing: its
+    down-sets are all 2^r subsets of full, the most an order on r points
+    has, and reached by no other order (a comparable pair h < g rules
+    out {g}).  These are the largest families listed (diag-k lattices on
+    every side, the extents of every discrete spectrum), so one O(n)
+    check sends them to ``combinations`` over the bits of full, taken by
+    cardinality: each cardinality comes out in lexicographic index order,
+    which is the canonical order, and nothing is searched or sorted.
+
+    Any other order is searched.  Branches on the lowest undecided
     index g: either g is included, which forces in closures[g], or it is
     excluded, which forces out every h whose closure contains g.  Both
     branches stay consistent (the included part is a union of closures,
@@ -140,6 +155,10 @@ def down_sets(closures, full):
     cardinality's leaves, bucketed in emission order, are already in
     canonical order.
     """
+    if all(c == 1 << g for g, c in enumerate(closures)):
+        bits = [1 << g for g in iter_bits(full)]
+        return list(chain.from_iterable(map(sum, combinations(bits, k))
+                                        for k in range(len(bits) + 1)))
     below = transpose(closures)
     buckets = [[] for _ in range(full.bit_count() + 1)]
     stack = [(0, 0)]
@@ -193,7 +212,9 @@ def enumerate_serre_ideals(ring, side=TWO_SIDED):
     (cardinality, lexicographic index tuple).
 
     The down-sets of the principal closures, found after n closures, in
-    the order down_sets emits them; nothing sorts them afterwards.  The
+    the order down_sets emits them; nothing sorts them afterwards.  When
+    every principal closure is a single element, the lattice is all 2^n
+    subsets, listed by cardinality with no search (see down_sets).  The
     result is a tuple of masks, cached on the ring and returned as is.
     This is the one place BasisTooLarge is raised: a lattice not yet
     cached is built for a basis over BASIS_GUARD only inside

@@ -12,7 +12,9 @@ V_B(complement of P) = {Q : Q inside P} for Balmer style.  Both are read
 from the spectrum's inclusion pairs, the one definition of the
 specialization order, and kept on the family; the closed sets are listed
 by the same down-set search as the ideal lattice, in the canonical extent
-order that search emits, not sorted afterwards.
+order that search emits, not sorted afterwards.  A discrete spectrum, no
+prime inside another, has every subset of the space closed in both
+styles; ``down_sets`` lists those 2^r extents without a search.
 
 Each closed set is tagged with its first defining subset in canonical
 order.  The Zariski generators are already closed under unions.  A
@@ -154,7 +156,8 @@ def build_topology(ring, style):
     as its tag (None for unions of generators and an adjoined empty
     set).
 
-    The extents are the down-sets of the point closures.  Zariski tags
+    The extents are the down-sets of the point closures, all 2^r
+    subsets of the space when no prime lies inside another.  Zariski tags
     are then unions of the least ideals outside each prime, read per
     extent from byte tables (see the module docstring); Balmer-style
     tags come from a breadth-first search over basis subsets."""

@@ -324,12 +324,15 @@ def _associativity_violations(labels, flat):
     (checked in _packed_mismatches); a table either refuses takes the
     sparse path.  Either path hands back the rows (ab)c and a(bc) it summed
     for each violating triple, so describing a failure multiplies nothing
-    again and formats each distinct row once.
+    again and formats each distinct row once.  Both paths read the rows
+    grouped by middle factor, built once here.
     """
     n = len(labels)
-    found = _packed_mismatches(flat, n) if _packing_pays(flat, n) else None
+    middle = _by_middle(flat, n)
+    found = _packed_mismatches(flat, middle) \
+        if _packing_pays(flat, n) else None
     if found is None:
-        found = _sparse_mismatches(flat, n)
+        found = _sparse_mismatches(middle)
     texts = {}
     out = []
     for a, b, c, lhs, rhs in found:
@@ -395,9 +398,9 @@ def _by_middle(flat, n):
     return ending, starting
 
 
-def _sparse_mismatches(flat, n):
+def _sparse_mismatches(middle):
     """The (a, b, c, (ab)c, a(bc)) with (ab)c != a(bc), in (a, b, c)
-    order, summed on flat rows.
+    order, summed on the flat rows of _by_middle's lists.
 
     For each middle factor b, (ab)c is summed into a dict keyed
     (a, c, h, exponent) over the terms (g, e, v) of each nonzero ab and
@@ -409,9 +412,9 @@ def _sparse_mismatches(flat, n):
     visited.  Nothing is packed, so the path has no width, span or memory
     bound.
     """
-    ending, starting = _by_middle(flat, n)
+    ending, starting = middle
     found = []
-    for b in range(n):
+    for b in range(len(ending)):
         lhs = {}
         for a, row in ending[b]:
             for (g, e), v in row.items():
@@ -446,9 +449,10 @@ def _rows_of(sums, pairs):
     return rows
 
 
-def _packed_mismatches(flat, n):
+def _packed_mismatches(flat, middle):
     """The (a, b, c, (ab)c, a(bc)) with packed (ab)c != packed a(bc), in
-    (a, b, c) order, or None when the memory rule refuses the table.
+    (a, b, c) order, or None when the memory rule refuses the table;
+    middle is _by_middle's lists of the flat rows.
 
     A flat row {(h, e): v} packs into one int whose field
     (e - emin) / step * n + h, W bits wide, holds v; step is the gcd of
@@ -489,6 +493,8 @@ def _packed_mismatches(flat, n):
     """
     if not flat:
         return []
+    ending, starting = middle
+    n = len(ending)
     exps = {e for row in flat.values() for _, e in row}
     emin = min(exps)
     step = gcd(*map(sub, exps, repeat(emin))) or 1
@@ -514,7 +520,6 @@ def _packed_mismatches(flat, n):
         if rows[c] is None:
             rows[c] = [0] * n
         cols[g][c] = rows[c][g] = x
-    ending, starting = _by_middle(flat, n)
     zero = [0] * n
     found = []
     for b in range(n):
@@ -557,8 +562,21 @@ def _unpack(x, width, n, base, step):
 
 
 def is_commutative(flat):
-    """Whether every row ab of an index-keyed table equals its row ba."""
-    return all(flat.get((b, a)) == row for (a, b), row in flat.items())
+    """Whether every row ab of an index-keyed table equals its row ba.
+
+    Each unordered pair is compared once, from its row with a < b.  When
+    every such row has an equal row ba, the rows with a > b number at
+    least as many, and exactly as many only when none lacks its partner:
+    so a row ab with no row ba still makes the table non-commutative."""
+    upper = lower = 0
+    for (a, b), row in flat.items():
+        if a < b:
+            if flat.get((b, a)) != row:
+                return False
+            upper += 1
+        elif a > b:
+            lower += 1
+    return upper == lower
 
 
 def _combine(row, table, shifts, zero):

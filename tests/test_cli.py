@@ -231,6 +231,23 @@ def test_mask_lists_over_seventy_names_render_as_json_dumps():
             json.dumps(value, indent=2, default=list) + "\n"
 
 
+@pytest.mark.parametrize("at", [0, 2, 3, None],
+                         ids=["first", "middle", "last", "only"])
+def test_closed_sets_render_as_json_dumps_wherever_the_empty_set_is(at):
+    # an untagged empty extent, as an adjoined empty set reads, at each
+    # end of the family, inside it, and alone: the bracket closing the
+    # family replaces the text between two items
+    points = ["{a}", "{b}", '{"c"}']
+    pairs = [(0b011, 0b10), (0b111, 0), (0b100, 0b11)]
+    empty = [(0, None)]
+    pairs = empty if at is None else pairs[:at] + empty + pairs[at:]
+    extents, tags = map(list, zip(*pairs))
+    family = MaskList(points, extents, MaskList(["x", "y"], tags))
+    for value in (family, {"closed_sets": family, "after": [family]}):
+        assert render_report(value) == \
+            json.dumps(value, indent=2, default=list) + "\n"
+
+
 LONG_CHAIN = ["minimal-primes", "gallery:qplane-trunc-4", "--ideal", ""]
 
 

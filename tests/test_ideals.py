@@ -14,6 +14,7 @@ from serrespec import (DEFINITIONAL, FAST, LEFT, RIGHT, TWO_SIDED,
                        mask_from_labels, minimal_primes_over,
                        pairs_inside, product_support, quotient_ring,
                        serre_closure, serre_spec, truncate_to_ring)
+from serrespec import ideals
 from serrespec.gallery import quantum_plane
 from serrespec.ideals import down_sets
 
@@ -187,14 +188,53 @@ def preorders(draw):
     return closures
 
 
+def brute_down_sets(closures):
+    """Every subset closed under the closures, sorted by canonical_key."""
+    n = len(closures)
+    return sorted((m for m in range(1 << n)
+                   if all(not closures[g] & ~m
+                          for g in range(n) if m >> g & 1)),
+                  key=canonical_key)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(preorders())
 def test_down_sets_come_out_in_canonical_order(closures):
     n = len(closures)
-    brute = [m for m in range(1 << n)
-             if all(not closures[g] & ~m for g in range(n) if m >> g & 1)]
-    assert down_sets(closures, (1 << n) - 1) == sorted(brute,
-                                                       key=canonical_key)
+    assert down_sets(closures, (1 << n) - 1) == brute_down_sets(closures)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The closures each down-set search was started on: the search, and
+    only the search, transposes them first."""
+    started = []
+
+    def spy(closures, transpose=ideals.transpose):
+        started.append(closures)
+        return transpose(closures)
+
+    monkeypatch.setattr(ideals, "transpose", spy)
+    return started
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_discrete_orders_list_every_subset_without_a_search(n, searches):
+    closures = [1 << g for g in range(n)]
+    assert down_sets(closures, (1 << n) - 1) == brute_down_sets(closures)
+    assert searches == []
+
+
+@pytest.mark.parametrize("n, g, h", [(2, 1, 0), (2, 0, 1), (6, 0, 5),
+                                     (9, 6, 2), (12, 11, 10)])
+def test_one_comparable_pair_takes_the_search(n, g, h, searches):
+    # h below g rules out the down-sets holding g but not h, a quarter
+    closures = [1 << i for i in range(n)]
+    closures[g] |= 1 << h
+    found = down_sets(closures, (1 << n) - 1)
+    assert found == brute_down_sets(closures)
+    assert len(found) == 3 << n - 2
+    assert searches == [closures]
 
 
 def test_one_sided_lattices_differ_on_m2():

@@ -226,6 +226,15 @@ def test_an_ideal_lies_in_a_prime_exactly_when_it_misses_its_generator(
                     (ring.name, ideal, p, g)
 
 
+@pytest.mark.parametrize("style", [ZARISKI, BALMER])
+def test_a_discrete_spectrum_of_twelve_points_equals_the_sweep(style):
+    # 4,096 extents, listed without a search; the Balmer-style sweep
+    # visits all 4,096 basis subsets
+    ring = diagonal(12)
+    assert family_summary(build_topology(ring, style)) \
+        == sweep_topology(ring, style)
+
+
 @pytest.mark.parametrize("k", [7, 9])
 def test_zariski_topology_reads_no_lattice(k):
     # n = 28 and 45, past the guard; 9 primes take two byte tables.  The

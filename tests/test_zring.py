@@ -18,7 +18,7 @@ from serrespec.gallery import quantum_plane
 from serrespec.monomial import MonomialRing
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
                              ZPlusRing, _associativity_violations,
-                             _packed_mismatches,
+                             _by_middle, _packed_mismatches,
                              _sparse_mismatches, is_commutative, iter_bits,
                              mask_of, select_by_mask, sub_ring, subset_key)
 
@@ -525,6 +525,31 @@ WIDTH_BOUNDARY = {
 }
 
 
+ROW = {(1, 0): 1}
+
+
+@pytest.mark.parametrize("flat, commutative", [
+    ({}, True),
+    ({(0, 0): ROW, (1, 1): {(0, 2): 3}}, True),           # diagonal only
+    ({(0, 1): ROW, (1, 0): ROW, (2, 2): ROW}, True),
+    ({(0, 1): ROW}, False),                               # ab, no ba
+    ({(1, 0): ROW}, False),                               # ba, no ab
+    ({(0, 1): ROW, (1, 0): ROW, (2, 0): ROW}, False),     # one more ba
+    ({(0, 1): ROW, (1, 0): {(1, 0): 2}}, False),
+    ({(0, 1): ROW, (1, 0): {(1, 1): 1}}, False),
+], ids=["empty", "diagonal", "symmetric", "one-sided-ab", "one-sided-ba",
+        "unpaired-ba", "coefficient", "exponent"])
+def test_commutativity_compares_each_unordered_pair(flat, commutative):
+    assert is_commutative(flat) == commutative
+    assert commutative == all(flat.get((b, a)) == row
+                              for (a, b), row in flat.items())
+
+
+def _packed(flat, n):
+    """The packed path run alone on a table of n basis elements."""
+    return _packed_mismatches(flat, _by_middle(flat, n))
+
+
 def test_width_boundary_tables_hold_the_carried_violation():
     labels = ("b0", "b1", "b2")
     assert ("b2", "b2", "b2", "b0", "(2)*b0", "b1") \
@@ -535,7 +560,7 @@ def test_width_boundary_tables_hold_the_carried_violation():
     # packed path runs here, at the exact width
     for table in WIDTH_BOUNDARY.values():
         flat = flat_rows(table)
-        assert _packed_mismatches(flat, 3) == naive_mismatches(flat, 3)
+        assert _packed(flat, 3) == naive_mismatches(flat, 3)
 
 
 EXPONENT_SCALES = {
@@ -653,8 +678,8 @@ def test_packed_and_sparse_paths_find_the_oracle_triples(case):
     labels, tensor, mode, _ = case
     flat, n = flat_rows(tensor), len(labels)
     expected = naive_mismatches(flat, n)
-    assert _sparse_mismatches(flat, n) == expected
-    packed = _packed_mismatches(flat, n)
+    assert _sparse_mismatches(_by_middle(flat, n)) == expected
+    packed = _packed(flat, n)
     assert packed is None or packed == expected
 
 
@@ -702,7 +727,7 @@ def test_billion_scaled_exponents_stay_small(edit):
     assert found == naive_violations(ring.labels, tensor, ring.units)
     assert bool(found) == (edit is not None)
     # the gcd keeps the 10^9 grid packed; one exponent off it does not
-    assert (_packed_mismatches(flat_rows(tensor), ring.size) is None) \
+    assert (_packed(flat_rows(tensor), ring.size) is None) \
         == (edit is _shift_exponent)
 
 
@@ -731,7 +756,7 @@ def test_exponent_gaps_stay_within_the_packing_budget(perturbed):
     assert peak < 5
     assert found == naive_violations(labels, tensor, units)
     assert bool(found) == perturbed
-    assert _packed_mismatches(flat_rows(tensor), len(labels)) is None
+    assert _packed(flat_rows(tensor), len(labels)) is None
 
 
 LADDER = {
@@ -778,8 +803,8 @@ def test_packing_rule_picks_the_route(name, monkeypatch):
     labels, tensor = make()
     calls = []
     for path in ("_packed_mismatches", "_sparse_mismatches"):
-        def spy(flat, n, run=getattr(zring, path), path=path):
-            found = run(flat, n)
+        def spy(*args, run=getattr(zring, path), path=path):
+            found = run(*args)
             calls.append((path, found is not None))
             return found
         monkeypatch.setattr(zring, path, spy)

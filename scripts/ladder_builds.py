@@ -8,10 +8,11 @@ structure-constant terms, the route its associativity check takes
 ("packed"; "commutative", the packed check of a commutative table,
 which builds only the (ab)c slices; "sparse", where the work rule
 refuses packing; or "sparse-wide", where the work rule admits it and the
-memory rule refuses), the best of three build times on the host clock
-and at reference speed, and the peak of a fourth build traced with
-tracemalloc.  Every build validates the ring's table from scratch
-through build_ring.  The rings are the gallery's
+memory rule refuses), whether the unit triples were skipped ("skip",
+else "full"; see zring._unit_check), the best of three build times on
+the host clock and at reference speed, and the peak of a fourth build
+traced with tracemalloc.  Every build validates the ring's table from
+scratch through build_ring.  The rings are the gallery's
 verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, tri-6/16 and
 diag-10/150/400 from tests/ladder.py, and the benchmark's qmono-3-deg4;
 the bench-sized ones (qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time
@@ -43,7 +44,7 @@ from workloads import TWISTS  # noqa: E402
 from serrespec import build_ring, load_gallery  # noqa: E402
 from serrespec.monomial import MonomialRing, truncate_to_ring  # noqa: E402
 from serrespec.zring import (_by_middle, _packed_mismatches,  # noqa: E402
-                             _packing_pays, is_commutative)
+                             _packing_pays, _unit_check, is_commutative)
 
 RINGS = {
     **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
@@ -61,21 +62,29 @@ def build(ring, table):
                       units=ring.units, name=ring.name)
 
 
-def route(ring):
+def route(ring, skip):
     """The associativity route build_ring takes: the work rule first, then
     the memory rule, as in zring._associativity_violations."""
     if not _packing_pays(ring.tensor, ring.size):
         return "sparse"
-    middle = _by_middle(ring.tensor, ring.size)
+    middle = _by_middle(ring.tensor, ring.size, skip)
     if _packed_mismatches(ring.tensor, middle) is None:
         return "sparse-wide"
     return "commutative" if is_commutative(ring.tensor) else "packed"
 
 
+def skipped_units(ring):
+    """The indices whose triples build_ring's check leaves out."""
+    if ring.units is None:
+        return frozenset()
+    return _unit_check(ring.labels, ring.tensor, ring.units)[1]
+
+
 def measure(name):
     ring = RINGS[name](name)
     table = table_of(ring)
-    path = route(ring)
+    skip = skipped_units(ring)
+    path = route(ring, skip)
     best = best_ref = float("inf")
     for _ in range(REPEATS):
         before = reference_s()
@@ -93,6 +102,7 @@ def measure(name):
         tracemalloc.stop()
     terms = sum(map(len, ring.tensor.values()))
     return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {path:<12}"
+            f"{'skip' if skip else 'full':<5} "
             f"best={best * 1000:10.3f} ms  ref={best_ref * 1000:10.3f} ms  "
             f"peak={peak / 2 ** 20:6.1f} MB")
 

@@ -106,6 +106,16 @@ MUTANTS = (
      'return code, {"command": args.command, "ring": ring.name, **fields}',
      'return code, {"command": args.command, **fields}',
      ["tests/test_cli.py::test_report_matches_golden"]),
+    ("unit-composability-dropped", "src/serrespec/zring.py",
+     "if right[x] != left[y] or any(",
+     "if any(",
+     ["tests/test_io.py::"
+      "test_units_that_do_not_grade_the_table_leave_no_triple_unchecked"]),
+    ("units-skipped-despite-a-failed-unit-axiom", "src/serrespec/zring.py",
+     "    if violations:\n        return violations, frozenset()\n",
+     "",
+     ["tests/test_zring.py::"
+      "test_unit_triples_are_skipped_only_where_they_associate"]),
     ("negative-constant-accepted", "src/serrespec/zring.py",
      "            if not c.is_nonnegative():\n"
      "                raise RingError(\n"

@@ -61,7 +61,8 @@ def parse_ring_file(text, source="<ring>"):
     the products are added up as the flat rows the ring stores.  'mul'
     lines, nearly all of a file, are tested for first; a 'basis' line
     needs 'ring' and 'coeff' before it, so a read basis stands for the
-    whole header.
+    whole header.  Each distinct product text is parsed once, at its
+    first line, and every line with that text shares its read-only row.
     """
     name = None
     mode = None
@@ -70,6 +71,7 @@ def parse_ring_file(text, source="<ring>"):
     blocks = {}      # basis index -> (source, target)
     rows = {}        # (a, b) index pair -> flat row, empty for '= 0'
     pair_lines = {}  # (a, b) index pair -> line number of its 'mul' line
+    parsed = {}      # stripped product text -> its flat row
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -96,8 +98,12 @@ def parse_ring_file(text, source="<ring>"):
                 raise RingFileError(
                     f"duplicate 'mul {a} {b}' (first at line "
                     f"{pair_lines[pair]})", source, line_no)
-            rows[pair] = _parse_sum(
-                sum_text.strip(), mode, index, source, line_no)
+            sum_text = sum_text.strip()
+            row = parsed.get(sum_text)
+            if row is None:
+                row = parsed[sum_text] = _parse_sum(
+                    sum_text, mode, index, source, line_no)
+            rows[pair] = row
             pair_lines[pair] = line_no
             continue
         rest = rest.strip()

@@ -80,7 +80,8 @@ def check_unit_decomposition(ring, units=None):
         raise RingError("no units declared")
     units = frozenset(u if isinstance(u, int) else ring.index(u)
                       for u in units)
-    violations = unit_decomposition_violations(ring.labels, ring.tensor, units)
+    violations = unit_decomposition_violations(
+        ring.labels, ring.tensor, units)[0]
     if violations:
         return False, violations[0].witness
     return True, None

@@ -15,6 +15,7 @@ rows {(gamma, q-exponent): positive int}, index-keyed.  build_ring and
 the ring-file parser resolve labels once and hand such rows to one
 assembler, which only validates; the ring derives each table from its
 tensor on first read, so a command pays only for the tables it uses.
+Rows are read-only: one row object may stand for several products.
 Positivity also makes validation cheap: associativity is checked on
 packed integer rows or on the sparse flat rows.  Two gates, both read
 from the flat rows before any packed int is built, admit a table to the
@@ -23,12 +24,14 @@ packed path's cells against the sparse path's partial products, and the
 memory rule at _BITS_PER_ENTRY bounds the packed ints (a commutative
 table builds only its (ab)c slices there).  Either path returns exactly
 the violating triples, each with the rows (ab)c and a(bc) it summed, and
-violation text is written from those rows.  Coefficients are built only
-at input coercion in build_ring.  Basis subsets are bitmasks in basis
-order throughout the package.
+violation text is written from those rows.  Once the unit axioms hold
+and the units grade the table (see _unit_check), every triple with a
+unit in it associates, and both paths visit only the others.
+Coefficients are built only at input coercion in build_ring.  Basis
+subsets are bitmasks in basis order throughout the package.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import compress, repeat
 from math import gcd
@@ -105,10 +108,11 @@ class ZPlusRing:
 
     ``tensor`` maps each (alpha, beta) index pair with a nonzero product
     to its flat row {(gamma, q-exponent): positive int}; an int-mode row
-    has only exponent 0.  ``blocks`` gives each basis index its (source
-    object, target object), or is None.  The support tables are functions
-    of the tensor, derived on first read and kept in the instance dict;
-    they and ``cache`` are not part of the ring's identity.
+    has only exponent 0; rows are read-only and may be shared between
+    pairs.  ``blocks`` gives each basis index its (source object, target
+    object), or is None.  The support tables are functions of the tensor,
+    derived on first read and kept in the instance dict; they and
+    ``cache`` are not part of the ring's identity.
     """
 
     def __init__(self, name, labels, mode, tensor, blocks, units):
@@ -264,21 +268,6 @@ def _resolve(index_map, labels, key):
     return i
 
 
-def _product(flat, row, b, row_first):
-    """row * b (row_first) or b * row for a flat row and basis index b.
-
-    Constants are positive, so sums never cancel and need no pruning.
-    """
-    out = {}
-    for (g, e), v in row.items():
-        sub = flat.get((g, b) if row_first else (b, g))
-        if sub:
-            for (h, f), w in sub.items():
-                key = (h, e + f)
-                out[key] = out.get(key, 0) + v * w
-    return out
-
-
 def _format_row(labels, row):
     """'(2)*eps + sigma'-style text of a flat row (diagnostics only),
     written straight from its positive terms: per output in basis order,
@@ -315,9 +304,10 @@ _CELLS_PER_PARTIAL_PRODUCT = 3
 _BITS_PER_ENTRY = 8192
 
 
-def _associativity_violations(labels, flat):
+def _associativity_violations(labels, flat, skip=frozenset()):
     """An AssociativityViolation for every triple with (ab)c != a(bc), in
-    (a, b, c) order.
+    (a, b, c) order, among the triples with no index in skip: the caller
+    passes as skip only indices whose triples all associate.
 
     Two gates pick the path before any packed int is built: the work rule
     at _CELLS_PER_PARTIAL_PRODUCT, then the memory rule at _BITS_PER_ENTRY
@@ -328,7 +318,7 @@ def _associativity_violations(labels, flat):
     grouped by middle factor, built once here.
     """
     n = len(labels)
-    middle = _by_middle(flat, n)
+    middle = _by_middle(flat, n, skip)
     found = _packed_mismatches(flat, middle) \
         if _packing_pays(flat, n) else None
     if found is None:
@@ -387,15 +377,19 @@ def _packing_pays(flat, n):
     return weighted > cells
 
 
-def _by_middle(flat, n):
-    """ending[b] = [(a, row of ab)] and starting[b] = [(c, row of bc)]
-    over the nonzero products."""
+def _by_middle(flat, n, skip=frozenset()):
+    """(ending, starting, skip): ending[b] = [(a, row of ab)] and
+    starting[b] = [(c, row of bc)] over the nonzero products with a and c
+    outside skip, and the indices that no path takes as middle factor.
+    The rows of every b stay listed, since sums run through any output."""
     ending = [[] for _ in range(n)]
     starting = [[] for _ in range(n)]
     for (a, b), row in flat.items():
-        ending[b].append((a, row))
-        starting[a].append((b, row))
-    return ending, starting
+        if a not in skip:
+            ending[b].append((a, row))
+        if b not in skip:
+            starting[a].append((b, row))
+    return ending, starting, skip
 
 
 def _sparse_mismatches(middle):
@@ -412,9 +406,11 @@ def _sparse_mismatches(middle):
     visited.  Nothing is packed, so the path has no width, span or memory
     bound.
     """
-    ending, starting = middle
+    ending, starting, skip = middle
     found = []
     for b in range(len(ending)):
+        if b in skip:
+            continue
         lhs = {}
         for a, row in ending[b]:
             for (g, e), v in row.items():
@@ -493,7 +489,7 @@ def _packed_mismatches(flat, middle):
     """
     if not flat:
         return []
-    ending, starting = middle
+    ending, starting, skip = middle
     n = len(ending)
     exps = {e for row in flat.values() for _, e in row}
     emin = min(exps)
@@ -507,22 +503,28 @@ def _packed_mismatches(flat, middle):
         return None
     shifts = {e: slot * ((e - emin) // step) for e in exps}
     commutative = is_commutative(flat)
-    # cols[g][c] = rows[c][g] = packed g c; None for a g (or c) with no
-    # nonzero product, which adds nothing to a sum
+    # cols[g][c] = rows[c][g] = packed g c, cols for c and rows for g
+    # outside skip; None for a g (or c) with no such product, which adds
+    # nothing to a sum
     cols = [None] * n
     rows = [None] * n
     for (g, c), row in flat.items():
         x = 0
         for (h, e), v in row.items():
             x |= v << (shifts[e] + width * h)
-        if cols[g] is None:
-            cols[g] = [0] * n
-        if rows[c] is None:
-            rows[c] = [0] * n
-        cols[g][c] = rows[c][g] = x
+        if c not in skip:
+            if cols[g] is None:
+                cols[g] = [0] * n
+            cols[g][c] = x
+        if g not in skip:
+            if rows[c] is None:
+                rows[c] = [0] * n
+            rows[c][g] = x
     zero = [0] * n
     found = []
     for b in range(n):
+        if b in skip:
+            continue
         lhs = [zero] * n
         for a, row in ending[b]:
             lhs[a] = _combine(row, cols, shifts, zero)
@@ -598,32 +600,72 @@ def _combine(row, table, shifts, zero):
 
 def unit_decomposition_violations(labels, tensor, units):
     """Check that each unit is idempotent and the unit sum is a two-sided
-    identity on every basis element of a tensor; returns UnitViolation
-    records."""
+    identity on every basis element of a tensor.
+
+    Returns (violations, left, right): the UnitViolation records, and
+    for each basis index g the unit u with u g != 0 (left[g]) and with
+    g u != 0 (right[g]), None where there is none.  When no axiom fails
+    each is unique, by positivity: the unit sum times g is g, a sum of
+    positive terms, so one unit product is g and the others are 0.  The
+    unit products of every g are gathered in one pass over the tensor.
+    """
     out = []
-    unit_list = sorted(units)
-    for u in unit_list:
+    for u in sorted(units):
         sq = tensor.get((u, u), {})
         if sq != {(u, 0): 1}:
             out.append(UnitViolation(
                 labels[u], labels[u],
                 f"{labels[u]} is not idempotent: square is "
                 f"{_format_row(labels, sq)}"))
-    unit_sum = {(u, 0): 1 for u in unit_list}
-    for g in range(len(labels)):
-        left = _product(tensor, unit_sum, g, True)
-        right = _product(tensor, unit_sum, g, False)
-        if left != {(g, 0): 1}:
-            out.append(UnitViolation(
-                None, labels[g],
-                f"unit sum times {labels[g]} is "
-                f"{_format_row(labels, left)}, expected {labels[g]}"))
-        if right != {(g, 0): 1}:
-            out.append(UnitViolation(
-                None, labels[g],
-                f"{labels[g]} times unit sum is "
-                f"{_format_row(labels, right)}, expected {labels[g]}"))
-    return out
+    n = len(labels)
+    lefts = [[] for _ in range(n)]   # (u, row of u g) for each unit u
+    rights = [[] for _ in range(n)]  # (u, row of g u) for each unit u
+    for (a, b), row in tensor.items():
+        if a in units:
+            lefts[b].append((a, row))
+        if b in units:
+            rights[a].append((b, row))
+    for g, lab in enumerate(labels):
+        for found, side in ((lefts[g], "unit sum times {}"),
+                            (rights[g], "{} times unit sum")):
+            # rows are nonempty, so two or more never sum to g
+            if len(found) != 1 or found[0][1] != {(g, 0): 1}:
+                text = _format_row(labels, sum(
+                    (Counter(row) for _, row in found), Counter()))
+                out.append(UnitViolation(
+                    None, lab,
+                    f"{side.format(lab)} is {text}, expected {lab}"))
+    left = [found[-1][0] if found else None for found in lefts]
+    right = [found[-1][0] if found else None for found in rights]
+    return out, left, right
+
+
+def _unit_check(labels, tensor, units):
+    """(violations, skip): the unit-axiom violations of a tensor, and the
+    indices whose triples need no associativity check, all the units or
+    none.
+
+    Once the axioms hold, each g has one left unit l(g) and one right unit
+    r(g) (see unit_decomposition_violations), with u g = [u = l(g)] g and
+    g u = [u = r(g)] g.  When every nonzero row xy has r(x) = l(y), and
+    l(h) = l(x) and r(h) = r(y) for each of its outputs h, every triple
+    with a unit u in it associates: (ub)c = [u = l(b)] bc = u(bc), since
+    each output of bc has the left unit of b; (ab)u = a(bu) the same way;
+    and (au)c = [u = r(a)] ac = [u = l(c)] ac = a(uc), as ac = 0 unless
+    r(a) = l(c).  A single unit acts on every g from both sides, so the
+    condition always holds.
+    """
+    violations, left, right = unit_decomposition_violations(
+        labels, tensor, units)
+    if violations:
+        return violations, frozenset()
+    if len(units) > 1:
+        for (x, y), row in tensor.items():
+            if right[x] != left[y] or any(
+                    left[h] != left[x] or right[h] != right[y]
+                    for h, _ in row):
+                return violations, frozenset()
+    return violations, units
 
 
 def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
@@ -710,8 +752,10 @@ def _assemble(labels, mode, tensor, blocks, units, name):
     blocks is a (source, target) pair per index or None, and units a
     frozenset of indices or None.  Associativity is checked on the packed
     or the sparse path, chosen by the work and memory rules stated at
-    _CELLS_PER_PARTIAL_PRODUCT and _BITS_PER_ENTRY; the violating triples
-    are described in (a, b, c) order.
+    _CELLS_PER_PARTIAL_PRODUCT and _BITS_PER_ENTRY, over the triples with
+    no unit in them when _unit_check finds that the others associate; the
+    violating triples are described in (a, b, c) order, then the unit
+    violations.
     """
     if units is not None and not units:
         raise RingError("unit set must be nonempty when given")
@@ -733,9 +777,11 @@ def _assemble(labels, mode, tensor, blocks, units, name):
                         f"output {labels[gi]} lies in block "
                         f"{blocks[gi]}, expected ({sb}, {ta})"))
 
-    violations.extend(_associativity_violations(labels, tensor))
+    unit_violations, skip = [], frozenset()
     if units is not None:
-        violations.extend(unit_decomposition_violations(labels, tensor, units))
+        unit_violations, skip = _unit_check(labels, tensor, units)
+    violations.extend(_associativity_violations(labels, tensor, skip))
+    violations.extend(unit_violations)
     if violations:
         raise RingValidationError(name, violations)
     return ZPlusRing(name, labels, mode, tensor, blocks, units)

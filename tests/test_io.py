@@ -5,7 +5,7 @@ from serrespec import (LAURENT, Coefficient, RingError, RingFileError,
                        load_gallery,
                        mask_from_labels, parse_ring_file, quotient_ring,
                        serialize_ring)
-from serrespec.cli import EXIT_INPUT, run_command
+from serrespec.cli import EXIT_FALSE, EXIT_INPUT, run_command
 
 ISING_FIXTURE = """\
 # Ising fusion table
@@ -334,3 +334,50 @@ def test_ring_name_with_a_stray_quote_is_an_input_error(line, tmp_path):
     result = run_command(["validate", str(path)])
     assert result.exit_code == EXIT_INPUT
     assert result.report["error"] == "input"
+
+
+UNGRADED_LOOP = """\
+ring "ungraded-loop"
+coeff int
+basis e1 e2 x
+unit e1 e2
+mul e1 e1 = e1
+mul e2 e2 = e2
+mul e1 x = x
+mul x e2 = x
+mul x x = x
+"""
+
+
+def test_units_that_do_not_grade_the_table_leave_no_triple_unchecked(
+        tmp_path, monkeypatch):
+    # the unit axioms hold, with l(x) = e1 and r(x) = e2, but x x != 0
+    # while r(x) != l(x): the triples through a unit must still be summed
+    (tmp_path / "ungraded-loop.ring").write_text(UNGRADED_LOOP)
+    monkeypatch.chdir(tmp_path)
+    result = run_command(["validate", "ungraded-loop.ring"])
+    assert result.exit_code == EXIT_FALSE
+    assert result.report == {
+        "command": "validate", "ring": "ungraded-loop", "ok": False,
+        "violations": [
+            "associativity fails on (x, e1, x): (x*e1)*x = 0 but "
+            "x*(e1*x) = x (first difference at x)",
+            "associativity fails on (x, e2, x): (x*e2)*x = x but "
+            "x*(e2*x) = 0 (first difference at x)"],
+        "hints": [
+            "hint: no 'mul x e1' line in ungraded-loop.ring; the product "
+            "defaulted to 0",
+            "hint: no 'mul e2 x' line in ungraded-loop.ring; the product "
+            "defaulted to 0"]}
+
+
+def test_repeated_product_texts_share_one_row():
+    text = _HEADER.replace("basis a b", "basis a b c") + (
+        "mul a a = 2*c\nmul b b = 2*c\nmul a b = 2*c \nmul b a = 3*c\n")
+    tensor = parse_ring_file(text).tensor
+    assert tensor[0, 0] is tensor[1, 1] is tensor[0, 1] == {(2, 0): 2}
+    assert tensor[1, 0] == {(2, 0): 3}
+    bad = _HEADER + "mul a a = 2*z\nmul b b = 2*z\n"
+    with pytest.raises(RingFileError, match="unknown label 'z'") as exc:
+        parse_ring_file(bad)
+    assert exc.value.line == 4

@@ -621,13 +621,13 @@ PERTURBATION_BASES = _perturbation_bases()
 
 
 @st.composite
-def perturbed_tables(draw):
+def perturbed_tables(draw, bases=PERTURBATION_BASES):
     """A gallery or ladder ring's table after one drawn edit: a raised,
     dropped or extra term, or (Laurent mode) a shifted exponent.  On a
     commutative base (Verlinde, diagonal) the kind "symmetric" makes one
     such edit at both (a, b) and (b, a): the table stays commutative, so
     the packed check takes its commutative route when the table packs."""
-    ring = draw(st.sampled_from(PERTURBATION_BASES))
+    ring = draw(st.sampled_from(bases))
     mode = ring.mode
     tensor = table_of(ring)
     ab = draw(st.sampled_from(sorted(tensor)))
@@ -681,6 +681,60 @@ def test_packed_and_sparse_paths_find_the_oracle_triples(case):
     assert _sparse_mismatches(_by_middle(flat, n)) == expected
     packed = _packed(flat, n)
     assert packed is None or packed == expected
+
+
+# rings with units: one unit (qplane, verlinde), blocks (tri, matrix
+# units, mixed-3obj) and several units without blocks (tri, diagonal,
+# the matrix sum)
+UNIT_BASES = [load_gallery(name) for name in (
+    "qplane-trunc-3", "verlinde-sl2-5", "m3-block", "mixed-3obj")] + [
+    upper_triangular(4, blocks=True), matrix_corner(2), upper_triangular(4),
+    diagonal(4), matrix_corner(2, blocks=False)]
+
+
+@st.composite
+def unit_row_edits(draw):
+    """A ring with units after one drawn edit to a unit row, a row u g or
+    g u with u a unit: the row dropped, redirected (moved to a drawn unit
+    on the same side, with a drawn output) or given an extra term."""
+    ring = draw(st.sampled_from(UNIT_BASES))
+    units, n = ring.units, ring.size
+    tensor = table_of(ring)
+    a, b = draw(st.sampled_from(sorted(
+        ab for ab in tensor if ab[0] in units or ab[1] in units)))
+    row = tensor.pop((a, b))
+    kind = draw(st.sampled_from(["drop", "redirect", "extra"]))
+    if kind == "redirect":
+        u = draw(st.sampled_from(sorted(units)))
+        g = b if a in units else a
+        h = draw(st.sampled_from([g, *range(n)]))
+        tensor[(u, g) if a in units else (g, u)] = {
+            h: Coefficient(ring.mode, {0: 1})}
+    elif kind == "extra":
+        h = draw(st.integers(0, n - 1))
+        terms = dict(row[h].terms) if h in row else {}
+        terms[0] = terms.get(0, 0) + 1
+        tensor[a, b] = {**row, h: Coefficient(ring.mode, terms)}
+    return ring.labels, tensor, ring.mode, units
+
+
+@given(st.one_of(perturbed_tables(UNIT_BASES), unit_row_edits()))
+@settings(max_examples=200)
+def test_unit_triples_are_skipped_only_where_they_associate(case):
+    labels, tensor, mode, units = case
+    expected = naive_violations(labels, tensor, units)
+    assert _found(labels, tensor, mode, units) == expected
+    flat = flat_rows(tensor)
+    skip = zring._unit_check(labels, flat, units)[1]
+    skipped = _associativity_violations(labels, flat, skip)
+    assert skipped == _associativity_violations(labels, flat)
+    assert [tuple(v) for v in skipped] == [v for v in expected if len(v) == 6]
+
+
+def test_every_unit_base_skips_its_unit_triples():
+    for ring in UNIT_BASES:
+        assert zring._unit_check(ring.labels, ring.tensor, ring.units) \
+            == ([], ring.units)
 
 
 def _peak_mb(fn):

@@ -68,9 +68,18 @@ MUTANTS = (
      ["tests/test_ideals.py::"
       "test_discrete_orders_list_every_subset_without_a_search"]),
     ("joined-halves-swapped", "src/serrespec/cli.py",
-     "texts[m] = text + sep + rests[rest] if rest else text",
-     "texts[m] = rests[rest] + sep + text if rest else text",
+     "texts = {m: link[m & 255] + rests[m >> 8] if m >> 8 else end[m & 255]",
+     "texts = {m: rests[m >> 8] + link[m & 255] if m >> 8 else end[m & 255]",
      ["tests/test_cli.py::test_mask_lists_over_seventy_names_render_as_json_dumps"]),
+    ("empty-low-byte-links-with-a-separator", "src/serrespec/cli.py",
+     "link[low] = body + sep if low else prefix",
+     "link[low] = body + sep",
+     ["tests/test_cli.py::"
+      "test_every_one_and_two_bit_mask_renders_as_json_dumps"]),
+    ("exclude-branch-forces-out-the-closure", "src/serrespec/ideals.py",
+     "stack.append((inside, free & ~below[g]))",
+     "stack.append((inside, free & ~closures[g]))",
+     ["tests/test_ideals.py::test_down_sets_come_out_in_canonical_order"]),
     ("allow-flag-in-a-module-global", "src/serrespec/ideals.py",
      '_ALLOW_LARGE = ContextVar("serrespec_allow_large", default=False)',
      "class _Flag:\n"

@@ -456,12 +456,13 @@ def _cmd_oracle(ring, args):
         def_p = _definitional_prime(ring, ideal)[0]
         fast_s = _fast_semiprime(ring, ideal)[0]
         def_s = _definitional_semiprime(ring, ideal)[0]
-        labels = labels_from_mask(ring, ideal)
         if fast_p != def_p:
-            mismatches.append({"ideal": labels, "property": "prime",
+            mismatches.append({"ideal": labels_from_mask(ring, ideal),
+                               "property": "prime",
                                "fast": fast_p, "definitional": def_p})
         if fast_s != def_s:
-            mismatches.append({"ideal": labels, "property": "semiprime",
+            mismatches.append({"ideal": labels_from_mask(ring, ideal),
+                               "property": "semiprime",
                                "fast": fast_s, "definitional": def_s})
     return (EXIT_OK if not mismatches else EXIT_FALSE), {
         "ideals_checked": checked,
@@ -599,48 +600,47 @@ def _subset_texts(names, masks, indent):
     masks, each list opening on a line indented by ``indent``; a mask
     that is None maps to ``null``.
 
-    The list bodies come from ``_joined``, which works a byte of names
-    at a time and makes the text of each byte value once per run of 8
-    names, so the work grows with the distinct masks, not with the
-    names."""
-    names = list(map(encode_basestring_ascii, names))
+    ``_joined`` returns each text whole, brackets included (its link
+    and end pieces carry them), so nothing is concatenated per mask
+    here, and the work grows with the distinct masks, not the names."""
     inner = indent + "  "
-    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
-    texts = {m: head + body + tail for m, body
-             in _joined(names, set(masks) - {0, None}, sep).items()}
+    texts = _joined(list(map(encode_basestring_ascii, names)),
+                    set(masks) - {0, None},
+                    "[\n" + inner, ",\n" + inner, "\n" + indent + "]")
     texts[0] = "[]"
     texts[None] = "null"
     return texts
 
 
-def _joined(names, masks, sep):
-    """{mask: the names at its bits joined by sep} over a set of nonzero
-    masks.
+def _joined(names, masks, head, sep, tail):
+    """{mask: head, the names at its bits joined by sep, then tail} over
+    a set of nonzero masks.
 
     Level k holds the distinct masks shifted right by 8k bits, and its
-    texts are made from the top level down: a mask at level k is its
-    low byte, over names 8k to 8k + 7, and its rest, whose text level
-    k + 1 already made.  Each low byte's text is made once per level, so
-    a mask costs one or two memo reads and one concatenation.
+    texts are made from the top level down.  Each distinct low byte of a
+    level has two pieces, made once: its "link", the byte's names and
+    sep (nothing for an empty byte), and its "end", the byte's names and
+    tail; level 0's pieces open with head.  A mask is its byte's link
+    followed by the text level k + 1 made for its rest, or its byte's
+    end when it has no rest.  So every text is whole, and a mask costs
+    at most one concatenation a level.
     """
     levels = [masks]
     while 8 * len(levels) < len(names):
         levels.append({m >> 8 for m in levels[-1]} - {0})
-    run = names[8 * len(levels) - 8:]
-    texts = {m: sep.join(compress(run, _BITS[m])) for m in levels.pop()}
+    texts = {}
     while levels:
         run = names[8 * len(levels) - 8:8 * len(levels)]
-        lows = [None] * 256
-        rests, texts = texts, {}
-        for m in levels.pop():
-            low, rest = m & 255, m >> 8
-            if not low:
-                texts[m] = rests[rest]
-                continue
-            text = lows[low]
-            if text is None:
-                text = lows[low] = sep.join(compress(run, _BITS[low]))
-            texts[m] = text + sep + rests[rest] if rest else text
+        level = levels.pop()
+        prefix = "" if levels else head
+        link, end = {}, {}
+        for low in {m & 255 for m in level}:
+            body = prefix + sep.join(compress(run, _BITS[low]))
+            link[low] = body + sep if low else prefix
+            end[low] = body + tail
+        rests = texts
+        texts = {m: link[m & 255] + rests[m >> 8] if m >> 8 else end[m & 255]
+                 for m in level}
     return texts
 
 

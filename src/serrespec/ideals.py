@@ -143,7 +143,10 @@ def down_sets(closures, full):
     excluded, which forces out every h whose closure contains g.  Both
     branches stay consistent (the included part is a union of closures,
     the excluded part a union of their transposes), so every leaf is a
-    distinct answer and the search costs O(n) per answer.
+    distinct answer and the search costs O(n) per answer.  A node is
+    the pair (inside, free) of its included and undecided indices: the
+    exclude branch at g is pushed with free less the transpose below[g],
+    so no pop works out again which indices are still undecided.
 
     The order needs no sort.  Two leaves that part at g agree on every
     index below g, all of which were decided before g was; so of two
@@ -161,17 +164,16 @@ def down_sets(closures, full):
                                         for k in range(len(bits) + 1)))
     below = transpose(closures)
     buckets = [[] for _ in range(full.bit_count() + 1)]
-    stack = [(0, 0)]
+    stack = [(0, full)]
     while stack:
-        inside, outside = stack.pop()
-        free = full & ~(inside | outside)
+        inside, free = stack.pop()
         while free:
             g = (free & -free).bit_length() - 1
-            stack.append((inside, outside | below[g]))
+            stack.append((inside, free & ~below[g]))
             inside |= closures[g]
             free &= ~closures[g]
         buckets[inside.bit_count()].append(inside)
-    return [mask for bucket in buckets for mask in bucket]
+    return list(chain.from_iterable(buckets))
 
 
 def transpose(closures):

@@ -9,7 +9,7 @@ that was never validated.  Tests compare library output against these.  The
 exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint,
 lattice_filtered_primes and plain_fold, copies of the library's former
 2^n absorb-mask lattice scan, its former topology construction (a 2^n
-Balmer sweep and a pairwise union fixpoint), its former search for
+Balmer sweep closed under unions), its former search for
 maximal ideals avoiding a power orbit (a filter over the whole ideal
 lattice), its former prime list (the fast primality scan run on every
 lattice member) and its former memo-free product fold, kept as
@@ -122,8 +122,8 @@ def sweep_topology(ring, style):
     order, generators_union_closed, empty_set_adjoined): Zariski
     generators from every ideal subset, Balmer-style ones from all 2^n
     basis subsets, the first subset per extent as its tag, then the
-    empty set adjoined if missing and pairwise unions added until
-    nothing changes."""
+    empty set adjoined if missing and the unions of the extents added
+    (a worklist, independent of the library's down-set search)."""
     with allow_large():
         spec = serre_spec(ring)
         if style == ZARISKI:
@@ -135,18 +135,19 @@ def sweep_topology(ring, style):
     for arg in args:
         tags.setdefault(closed_set(spec, arg, style), arg)
     sets = dict(tags)
-    union_closed = True
     adjoined = 0 not in sets
     if adjoined:
         sets[0] = None
-    while True:
-        extents = list(sets)
-        new = {a | b for i, a in enumerate(extents)
-               for b in extents[i + 1:]} - set(sets)
-        if not new:
-            break
-        union_closed = False
+    # every union of generators is reached one generator at a time, so
+    # each round unions only the sets the last one added with the
+    # generators, and the first round each pair of generators once
+    gens = list(sets)
+    new = {a | b for i, a in enumerate(gens) for b in gens[:i]}
+    new.difference_update(sets)
+    union_closed = not new
+    while new:
         sets.update(dict.fromkeys(new))
+        new = {a | b for a in new for b in gens}.difference(sets)
     ordered = sorted(sets.items(), key=lambda item: canonical_key(item[0]))
     return ordered, union_closed, adjoined
 

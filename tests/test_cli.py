@@ -231,6 +231,24 @@ def test_mask_lists_over_seventy_names_render_as_json_dumps():
             json.dumps(value, indent=2, default=list) + "\n"
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 24, 25])
+def test_every_one_and_two_bit_mask_renders_as_json_dumps(n):
+    # around each byte edge: masks whose low byte is empty and whose rest
+    # is not, masks in the top byte only, the empty and the full mask,
+    # and null tags
+    names = [f"n{i}" for i in range(n - 1)] + ['"q\\']
+    full = (1 << n) - 1
+    masks = [1 << i | 1 << j for i in range(n) for j in range(i, n)]
+    masks += [0, full, full & ~255, full >> 8 << 8 | 1, full >> 16 << 16]
+    tags = masks[::-1]
+    tags[::3] = [None] * len(tags[::3])
+    plain = MaskList(names, masks)
+    tagged = MaskList(names, masks, MaskList(names[::-1], tags))
+    for value in (plain, tagged, {"a": [plain, {"b": tagged}]}):
+        assert render_report(value) == \
+            json.dumps(value, indent=2, default=list) + "\n"
+
+
 @pytest.mark.parametrize("at", [0, 2, 3, None],
                          ids=["first", "middle", "last", "only"])
 def test_closed_sets_render_as_json_dumps_wherever_the_empty_set_is(at):

@@ -48,11 +48,9 @@ MUTANTS = (
      ["tests/test_zring.py::"
       "test_packed_and_sparse_paths_find_the_oracle_triples"]),
     ("prime-generators-rotated", "src/serrespec/topology.py",
-     "return [first[p] for p in primes]",
-     "return [first[p] for p in primes[1:] + primes[:1]]",
-     ["tests/test_topology.py::"
-      "test_an_ideal_lies_in_a_prime_exactly_when_it_misses_its_generator",
-      "tests/test_topology.py::test_zariski_topology_reads_no_lattice"]),
+     "least = [closures[first[p]] for p in primes]",
+     "least = [closures[first[p]] for p in primes[1:] + primes[:1]]",
+     ["tests/test_topology.py::test_zariski_topology_reads_no_lattice"]),
     ("closing-bracket-after-the-last-separator", "src/serrespec/cli.py",
      'pieces[-1] = tail + "\\n" + indent + "]"',
      'pieces.append(tail + "\\n" + indent + "]")',
@@ -102,10 +100,25 @@ MUTANTS = (
      "            if not j & hit:\n",
      ["tests/test_ideals.py::test_pairs_inside_is_the_pair_scan_in_order"]),
     ("complements-not-scanned-for-primality", "src/serrespec/spectrum.py",
-     "if m in complements and _first_pair(tm, m) is None)",
-     "if m in complements)",
+     "if m in first and squares[first[m]] & ~m)",
+     "if m in first)",
      ["tests/test_spectrum.py::"
       "test_spec_primes_are_the_lattice_filtered_by_primality"]),
+    ("semiprime-square-test-dropped", "src/serrespec/spectrum.py",
+     "if not members >> a & 1 and not square & ~members:",
+     "if not members >> a & 1:",
+     ["tests/test_spectrum.py::test_semiprime_examples"]),
+    ("fast-witness-over-singletons", "src/serrespec/spectrum.py",
+     "principal = [closures[a] for a in outside]",
+     "principal = [1 << a for a in outside]",
+     ["tests/test_spectrum.py::test_prime_examples"]),
+    ("squares-from-the-bare-product", "src/serrespec/spectrum.py",
+     "cached = tuple(product_support(ring, c, c)\n"
+     "                       for c in principal_closures(ring))",
+     "cached = tuple(ring.product_masks[g][g] for g in range(ring.size))",
+     ["tests/test_spectrum.py::"
+      "test_two_step_supports_land_in_an_ideal_with_the_principal_product",
+      "tests/test_spectrum.py::test_fast_equals_definitional_everywhere"]),
     ("ring-accepts-field-assignment", "src/serrespec/zring.py",
      '        raise AttributeError(f"cannot assign to field {name!r}")',
      "        object.__setattr__(self, name, value)",

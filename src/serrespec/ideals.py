@@ -203,10 +203,14 @@ def principal_closures(ring, side=TWO_SIDED):
 
 
 def principal_complements(ring):
-    """complements[g]: {h : g not in serre_closure(h)}, the largest
-    two-sided ideal subset missing g, for each g in basis order."""
+    """{complement: g} over the principal complements {h : g not in
+    serre_closure(h)}, the largest two-sided ideal subset missing g,
+    each keyed once to its first g in basis order."""
     full = ring.full_mask
-    return [full & ~below for below in transpose(principal_closures(ring))]
+    first = {}
+    for g, below in enumerate(transpose(principal_closures(ring))):
+        first.setdefault(full & ~below, g)
+    return first
 
 
 def enumerate_serre_ideals(ring, side=TWO_SIDED):

@@ -1,17 +1,36 @@
 """Primality predicates, the full spectrum, and minimal primes with
 product chains.
 
-Each predicate comes in a fast form (bitmask scans over basis pairs) and,
-where the theory provides one, a definitional form quantifying over the
-ideal lattice; the two are asserted equivalent in the test suite.  The
-definitional quantifiers deliberately include the improper ideal: that is
-what keeps the equivalences true for rings without units.
+Each predicate comes in a fast form and, where the theory provides one,
+a definitional form quantifying over the ideal lattice; the two are
+asserted equivalent in the test suite.  The definitional quantifiers
+deliberately include the improper ideal: that is what keeps the
+equivalences true for rings without units.
 
-The spectrum scans only the n principal complements {h : g not in
+The fast forms quantify over the n principal ideals <a> =
+serre_closure(a) only.  For an ideal P and basis elements a, b, the
+two-step supports supp(b_a b_b) and supp(b_a b_t b_b), t ranging over
+the basis, all lie in P exactly when product_support(<a>, <b>) does.
+One way is containment: b_a b_b and b_a b_t b_b are sums of products of
+<a> with <b>.  For the other, a product of a basis element x of <a>
+with one x' of <b> lies in the support of (u b_a v)(u' b_b v') for
+basis products u, v, u', v', each possibly empty, and positivity keeps
+every such support inside the ideal generated by the supports of
+b_a (v u') b_b: of b_a b_t b_b for t in supp(v u'), or of b_a b_b when
+v and u' are both empty.  So the fast prime test is the definitional
+quantifier restricted to the pairs (<a>, <b>), a and b outside P: an
+ideal I not inside P holds such an a and then <a>, so a pair (I, J)
+with IJ inside P yields a principal pair with the same property.
+
+The spectrum scans only the n principal complements P_g = {h : g not in
 serre_closure(h)} for primality, since every Serre prime is
-meet-irreducible in the ideal lattice and so one of them; the cached
-lattice is read only to list them in canonical order, which also keeps
-the basis-size guard in front of every spectrum.
+meet-irreducible in the ideal lattice and so one of them.  An ideal not
+inside P_g holds g and so <g>, so a pair of them with product inside
+P_g puts <g><g> inside P_g.  P_g is thus prime exactly when its square
+<g><g> escapes it, which the squares table, one product_support(<g>,
+<g>) per g cached on the ring, answers with one AND.  The cached
+lattice is read only to list the primes in canonical order, which also
+keeps the basis-size guard in front of every spectrum.
 
 Definitional primality still quantifies over every pair of ideals, but
 decides each containment I*J inside P with one AND instead of a product
@@ -23,8 +42,8 @@ the set of basis elements a sending some b in J outside P
 from collections import namedtuple
 
 from .ideals import (enumerate_serre_ideals, pairs_inside,
-                     principal_complements, product_support,
-                     require_proper_two_sided, serre_closure)
+                     principal_closures, principal_complements,
+                     product_support, require_proper_two_sided)
 from .zring import TWO_SIDED, RingError, labels_from_mask
 
 FAST = "fast"
@@ -48,30 +67,44 @@ def _first_pair(table, members):
     return None
 
 
+def _squares(ring):
+    """squares[g]: product_support(<g>, <g>) of the principal ideal
+    <g> = serre_closure(g), for each g in basis order; a tuple computed
+    once per ring and cached on it."""
+    cached = ring.cache.get("squares")
+    if cached is None:
+        cached = tuple(product_support(ring, c, c)
+                       for c in principal_closures(ring))
+        ring.cache["squares"] = cached
+    return cached
+
+
 def _prime_masks(ring):
     """Serre prime masks in canonical order, computed once per ring.
 
-    Only the principal complements {h : g not in serre_closure(h)} are
-    scanned, at most n of them.  A prime P is meet-irreducible: if
-    P = I & J for ideals I, J strictly above P, then IJ lies in I & J = P
-    with neither factor inside P, so P is not prime.  The ideal subsets
-    are the down-sets of a finite preorder, and there the
-    meet-irreducible members are exactly the principal complements: a
-    proper down-set is the meet of the complements of the g outside it,
-    and the complement of g is the largest down-set missing g.
+    Only the principal complements P_g = {h : g not in serre_closure(h)}
+    are scanned, at most n of them, and P_g is kept exactly when
+    squares[g] escapes it (see the module docstring).  A prime P is
+    meet-irreducible: if P = I & J for ideals I, J strictly above P,
+    then IJ lies in I & J = P with neither factor inside P, so P is not
+    prime.  The ideal subsets are the down-sets of a finite preorder,
+    and there the meet-irreducible members are exactly the principal
+    complements: a proper down-set is the meet of the complements of the
+    g outside it, and the complement of g is the largest down-set
+    missing g.
 
-    The cached two-sided lattice is read all the same, one set lookup
-    per member: it lists the candidates in canonical order with no sort, and
-    it keeps the basis-size guard in front of every spectrum.
+    The cached two-sided lattice is read all the same, one dict lookup
+    per member: it lists the candidates in canonical order with no sort,
+    and it keeps the basis-size guard in front of every spectrum.
     """
     cached = ring.cache.get("primes")
     if cached is None:
         lattice = enumerate_serre_ideals(ring, TWO_SIDED)
         # no complement is the full mask: it misses its own g
-        complements = set(principal_complements(ring))
-        tm = ring.triple_masks
+        first = principal_complements(ring)
+        squares = _squares(ring)
         cached = tuple(m for m in lattice
-                       if m in complements and _first_pair(tm, m) is None)
+                       if m in first and squares[first[m]] & ~m)
         ring.cache["primes"] = cached
     return cached
 
@@ -79,29 +112,37 @@ def _prime_masks(ring):
 def is_serre_prime(ring, ideal, mode=FAST):
     """Serre primality of a proper two-sided ideal subset.
 
-    Fast mode: no pair of basis elements outside P whose two-step product
-    supports all land in P.  Definitional mode: no pair (I, J) of
-    two-sided ideal subsets (the improper one included) with
-    product_support(I, J) inside P but neither factor inside P.  It still
-    visits every pair of escaping ideals, in lattice order, but decides
-    each with one AND through pairs_inside: I*J escapes P exactly when I
-    meets the union of the escape masks of J's members.
+    Definitional mode: no pair (I, J) of two-sided ideal subsets (the
+    improper one included) with product_support(I, J) inside P but
+    neither factor inside P.  It visits every pair of escaping ideals, in
+    lattice order, but decides each with one AND through pairs_inside:
+    I*J escapes P exactly when I meets the union of the escape masks of
+    J's members.  Fast mode is the same quantifier over the principal
+    ideals <a> of the basis elements a outside P only, which decides the
+    same (see the module docstring): no pair (<a>, <b>) with
+    product_support(<a>, <b>) inside P, equivalently no a, b outside P
+    whose two-step product supports all land in P.
 
-    Returns (holds, witness); the fast witness names the basis pair along
-    with the principal ideals it generates, which form a definitional
-    witness as well.  The definitional witness is the first such pair.
+    Returns (holds, witness); the fast witness names the first such basis
+    pair (a, b) in basis order along with <a> and <b>, which form a
+    definitional witness as well.  The definitional witness is the first
+    pair of ideals.
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
-        pair = _first_pair(ring.triple_masks, members)
+        closures = principal_closures(ring)
+        outside = [a for a in range(ring.size) if not members >> a & 1]
+        principal = [closures[a] for a in outside]
+        pair = next(pairs_inside(ring, principal, members), None)
         if pair is None:
             return True, None
-        a, b = pair
+        # the first pair holds the first index of each principal ideal
+        a, b = (outside[principal.index(m)] for m in pair)
         return False, {
             "alpha": ring.labels[a],
             "beta": ring.labels[b],
-            "alpha_ideal": labels_from_mask(ring, serre_closure(ring, 1 << a)),
-            "beta_ideal": labels_from_mask(ring, serre_closure(ring, 1 << b)),
+            "alpha_ideal": labels_from_mask(ring, pair[0]),
+            "beta_ideal": labels_from_mask(ring, pair[1]),
         }
     if mode != DEFINITIONAL:
         raise RingError(f"unknown primality mode {mode!r}")
@@ -133,9 +174,13 @@ def is_completely_prime(ring, ideal):
 def is_semiprime(ring, ideal, mode=FAST):
     """Serre semiprimality of a proper two-sided ideal subset.
 
-    Fast mode scans basis elements against the two-step self-products;
-    definitional mode asks for equality with the intersection of the Serre
-    primes above (false with a note when no prime lies above).
+    Fast mode fails at the first basis element a outside P whose
+    principal ideal <a> squares into P, read from the squares table:
+    product_support(<a>, <a>) inside P, equivalently every two-step
+    self-product supp(b_a b_a), supp(b_a b_t b_a) inside P (see the
+    module docstring).  Definitional mode asks for equality with the
+    intersection of the Serre primes above (false with a note when no
+    prime lies above).
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
@@ -148,11 +193,8 @@ def is_semiprime(ring, ideal, mode=FAST):
 def _fast_semiprime(ring, members):
     """is_semiprime's fast mode on a mask the caller vouches is a proper
     two-sided ideal."""
-    tm = ring.triple_masks
-    for a in range(ring.size):
-        if members >> a & 1:
-            continue
-        if not tm[a][a] & ~members:
+    for a, square in enumerate(_squares(ring)):
+        if not members >> a & 1 and not square & ~members:
             return False, {"element": ring.labels[a]}
     return True, None
 

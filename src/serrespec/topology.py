@@ -114,15 +114,6 @@ def _balmer_tags(ring, spec, space):
     return tags
 
 
-def prime_generators(ring, primes):
-    """g_P for each prime P of the list: the first basis index whose
-    principal complement {h : g not in serre_closure(h)} is P."""
-    first = {}
-    for g, complement in enumerate(principal_complements(ring)):
-        first.setdefault(complement, g)
-    return [first[p] for p in primes]
-
-
 def _zariski_tags(ring, primes, extents):
     """The first ideal in canonical order for every extent V(I): the
     union of least[i] = serre_closure(g_i) over the primes i outside it
@@ -132,7 +123,8 @@ def _zariski_tags(ring, primes, extents):
     primes has a table of the unions of its 256 subsets, built by
     doubling, so a tag costs one lookup per run."""
     closures = principal_closures(ring)
-    least = [closures[g] for g in prime_generators(ring, primes)]
+    first = principal_complements(ring)
+    least = [closures[first[p]] for p in primes]
     tables = []
     for start in range(0, len(least), 8):
         table = [0]

@@ -9,9 +9,9 @@ cross-block condition that arrows through any other object compose into
 Q.  The classification needs no corner rings to find them, though,
 because of two inclusions:
 
-- every completely prime ideal is Serre prime, since triple_masks[a][b]
-  contains product_masks[a][b]: a pair outside P whose two-step
-  products all land in P has its bare product in P as well;
+- every completely prime ideal is Serre prime: for a and b outside P,
+  ab lies in the product <a><b> of the principal ideals they generate,
+  so if <a><b> lands in P, so does ab;
 - every Serre prime is a principal complement {h : g not in
   serre_closure(h)} (spectrum._prime_masks).
 
@@ -108,13 +108,13 @@ def classify_completely_primes(ring):
     """All completely prime ideal subsets, in canonical order: the
     distinct principal complements that pass is_completely_prime.
 
-    Complete primality implies Serre primality (the bare product is among
-    the two-step products), and every Serre prime is a principal
-    complement, so no completely prime ideal lies outside the candidates.
+    Complete primality implies Serre primality (ab lies in <a><b>), and
+    every Serre prime is a principal complement, so no completely prime
+    ideal lies outside the candidates.
     A ring that declares blocks must also pass block_view, whose
     MissingBlocks refusals name what the block structure lacks.
     """
     if ring.blocks is not None:
         block_view(ring)
-    return sorted((c for c in set(principal_complements(ring))
+    return sorted((c for c in principal_complements(ring)
                    if is_completely_prime(ring, c)[0]), key=subset_key)

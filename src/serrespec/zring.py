@@ -162,28 +162,6 @@ class ZPlusRing:
         """left_absorb[g] | right_absorb[g] for each g."""
         return tuple(map(or_, self.left_absorb, self.right_absorb))
 
-    @cached_property
-    def triple_masks(self):
-        """triple_masks[a][b]: the union of supp(b_a * b_t * b_b) over
-        every middle factor t, and of the bare product supp(b_a * b_b).
-
-        The support of b_a * b_t * b_b is the union of product_masks[d][b]
-        over d in supp(b_a * b_t), so row a is product_masks[a] or-ed with
-        product_masks[d] for every d in right_absorb[a].
-
-        The bare product adds nothing to a ring with declared units: the
-        unit sum is a two-sided identity, so b_a * b_b = sum over units u
-        of (b_a * b_u) * b_b, and by positivity the support of each summand
-        lies in the union of product_masks[d][b] over d in right_absorb[a].
-        Without units it keeps the two-step test meaningful.
-        """
-        pm = self.product_masks
-        triple = list(pm)
-        for a, middle in enumerate(self.right_absorb):
-            for d in iter_bits(middle):
-                triple[a] = tuple(map(or_, triple[a], pm[d]))
-        return tuple(triple)
-
     def __eq__(self, other):
         if not isinstance(other, ZPlusRing):
             return NotImplemented

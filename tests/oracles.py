@@ -5,24 +5,25 @@ Everything here recomputes from element arithmetic on flat rows
 tensor), deliberately avoiding the precomputed support tables, the
 absorb-mask ideal test, and the fast primality scans that the library
 itself uses; naive_mismatches and naive_violations multiply on a table
-that was never validated.  Tests compare library output against these.  The
-exceptions are scan_enumerate, sweep_topology, lattice_maximal_disjoint,
-lattice_filtered_primes and plain_fold, copies of the library's former
-2^n absorb-mask lattice scan, its former topology construction (a 2^n
-Balmer sweep closed under unions), its former search for
-maximal ideals avoiding a power orbit (a filter over the whole ideal
-lattice), its former prime list (the fast primality scan run on every
-lattice member) and its former memo-free product fold, kept as
-order-exact oracles for the down-set searches, the reading of the prime
-list, the paper's statement that such maximal ideals are prime and the
-memoised fold; scan_pairs_inside is the former double loop of the
-definitional primality check and the minimal-primes splitting search,
-kept on naive_product_support as the order-exact oracle for
-ideals.pairs_inside; rebuilt_sub_ring is the former label-keyed
-zring.sub_ring, which rebuilt the restricted table through build_ring;
-corner_classified_cprimes is the former twocat classification, which read
-each object's corner-ring spectrum and lifted it, the paper's block
-theorem for completely prime ideals.
+that was never validated.  Tests compare library output against
+these.  The exceptions are scan_enumerate, sweep_topology,
+lattice_maximal_disjoint, lattice_filtered_primes and plain_fold, copies
+of the library's former 2^n absorb-mask lattice scan, its former
+topology construction (a 2^n Balmer sweep closed under unions), its
+former search for maximal ideals avoiding a power orbit (a filter over
+the whole ideal lattice), its former prime list (the basis-pair
+primality scan run on every lattice member, now over naive two-step
+supports) and its former memo-free product fold, kept as order-exact
+oracles for the down-set searches, the reading of the prime list, the
+paper's statement that such maximal ideals are prime and the memoised
+fold; scan_pairs_inside is the former double loop of the definitional
+primality check and the minimal-primes splitting search, kept on
+naive_product_support as the order-exact oracle for ideals.pairs_inside;
+rebuilt_sub_ring is the former label-keyed zring.sub_ring, which rebuilt
+the restricted table through build_ring; corner_classified_cprimes is
+the former twocat classification, which read each object's corner-ring
+spectrum and lifted it, the paper's block theorem for completely prime
+ideals.
 """
 
 from itertools import combinations_with_replacement, product
@@ -185,13 +186,17 @@ def lattice_maximal_disjoint(ring, orbit, base):
 
 
 def lattice_filtered_primes(ring):
-    """Proper two-sided ideal subsets that pass the fast primality scan,
-    every lattice member tested, in lattice order."""
+    """Proper two-sided ideal subsets with no basis pair (a, b) outside
+    them whose naive two-step supports all land inside, every lattice
+    member tested, in lattice order.  The table is built here from
+    element arithmetic, so it shares nothing with the fast prime test,
+    which quantifies over principal ideals instead."""
     with allow_large():
         lattice = enumerate_serre_ideals(ring)
-    tm = ring.triple_masks
+    table = [[naive_triple_support(ring, a, b) for b in range(ring.size)]
+             for a in range(ring.size)]
     return [m for m in lattice
-            if m != ring.full_mask and _first_pair(tm, m) is None]
+            if m != ring.full_mask and _first_pair(table, m) is None]
 
 
 def corner_classified_cprimes(ring):

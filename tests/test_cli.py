@@ -18,7 +18,6 @@ from serrespec import cli, gallery_names, load_gallery, spectrum
 from serrespec.cli import EXIT_FALSE, EXIT_GUARD, EXIT_INPUT, EXIT_OK, \
     MaskList, render_report, run_command
 from serrespec.io import serialize_ring
-from serrespec.zring import ZPlusRing
 
 from golden_manifest import GOLDEN_COMMANDS
 from ladder import upper_triangular
@@ -336,13 +335,20 @@ def test_parser_is_built_once():
 ], ids=["validate", "validate-file", "closure", "closure-file", "spec"])
 def test_only_commands_that_need_it_build_the_triple_table(
         argv, reads, tmp_path, monkeypatch):
+    # the table is the squares table, product_support(<g>, <g>) per
+    # basis element g, which the primality checks read in place of the
+    # former two-step triple table
     (tmp_path / "tri-3.ring").write_text(serialize_ring(upper_triangular(3)))
     monkeypatch.chdir(tmp_path)
     built = []
-    derive = ZPlusRing.triple_masks.func
-    monkeypatch.setattr(ZPlusRing, "triple_masks",
-                        property(lambda ring: built.append(ring) or
-                                 derive(ring)))
+    derive = spectrum._squares
+
+    def spy(ring):
+        if "squares" not in ring.cache:
+            built.append(ring)
+        return derive(ring)
+
+    monkeypatch.setattr(spectrum, "_squares", spy)
     assert run_command(argv).exit_code == EXIT_OK
     assert bool(built) == reads
 

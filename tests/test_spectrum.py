@@ -6,19 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrespec import (DEFINITIONAL, FAST, ImproperIdeal, NoPrimeOver,
-                       NotAnIdeal, chain_product_support,
+                       NotAnIdeal, build_ring, chain_product_support,
                        enumerate_serre_ideals, gallery_names,
                        is_completely_prime, is_semiprime, is_serre_prime,
                        labels_from_mask, load_gallery, mask_from_labels,
                        minimal_primes_over, product_support, quotient_ring,
                        serre_closure, serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
+from serrespec.spectrum import _first_pair
 
 from arith import basis, mul
 from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import (lattice_filtered_primes, lattice_maximal_disjoint,
                      naive_is_completely_prime, naive_is_prime,
-                     naive_is_semiprime, plain_fold, power_orbit)
+                     naive_is_semiprime, naive_triple_support, plain_fold,
+                     power_orbit)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,45 @@ def test_prime_precondition_errors():
         is_serre_prime(ising, ising.full_mask)
     with pytest.raises(NotAnIdeal):
         is_serre_prime(ising, mask_from_labels(ising, ["sigma"]))
+
+
+def test_two_step_supports_land_in_an_ideal_with_the_principal_product(
+        ladder_rings):
+    # for a proper ideal P: supp(b_a b_b) and every supp(b_a b_t b_b)
+    # lie in P exactly when product_support(<a>, <b>) does.  So the fast
+    # witnesses are the former ones: the first pair (a, b), and the first
+    # a with (a, a), whose two-step supports all land in P
+    square_zero = build_ring(["x", "y"], {("x", "x"): {"y": 1}},
+                             name="square-zero")
+    for ring in ladder_rings + [square_zero]:
+        n = ring.size
+        naive = [[naive_triple_support(ring, a, b) for b in range(n)]
+                 for a in range(n)]
+        up = [serre_closure(ring, 1 << a) for a in range(n)]
+        principal = [[product_support(ring, up[a], up[b]) for b in range(n)]
+                     for a in range(n)]
+        for ideal in proper_ideals(ring):
+            for a in range(n):
+                for b in range(n):
+                    assert (not naive[a][b] & ~ideal) \
+                        == (not principal[a][b] & ~ideal), \
+                        (ring.name, ideal, a, b)
+            holds, witness = is_serre_prime(ring, ideal, FAST)
+            pair = _first_pair(naive, ideal)
+            assert holds == (pair is None), (ring.name, ideal)
+            if pair is not None:
+                a, b = pair
+                assert witness == {
+                    "alpha": ring.labels[a], "beta": ring.labels[b],
+                    "alpha_ideal": labels_from_mask(ring, up[a]),
+                    "beta_ideal": labels_from_mask(ring, up[b])}
+            element = next((ring.labels[a] for a in range(n)
+                            if not ideal >> a & 1
+                            and not naive[a][a] & ~ideal), None)
+            holds, witness = is_semiprime(ring, ideal, FAST)
+            assert witness == (element and {"element": element}), \
+                (ring.name, ideal)
+            assert holds == (element is None)
 
 
 def test_completely_prime_examples():

@@ -9,7 +9,7 @@ from serrespec import (BALMER, TWO_SIDED, ZARISKI, allow_large,
                        serre_spec, specialization_edges, to_dot,
                        truncate_to_ring)
 from serrespec.gallery import quantum_plane
-from serrespec.topology import prime_generators
+from serrespec.ideals import principal_complements
 
 from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import sweep_topology
@@ -216,12 +216,21 @@ def test_zariski_topology_equals_the_sweep_on_larger_rings(ring):
 def test_an_ideal_lies_in_a_prime_exactly_when_it_misses_its_generator(
         sweep_rings):
     # the key fact of the Zariski tags: I is not inside P exactly when
-    # g_P is in I, so serre_closure(g_P) is the least ideal not inside P
+    # g_P is in I, so serre_closure(g_P) is the least ideal not inside P.
+    # g_P is read from the complement map, which keys each complement to
+    # its first g
     for ring in sweep_rings:
-        primes = serre_spec(ring).primes
-        gens = prime_generators(ring, primes)
+        first = principal_complements(ring)
+        up = [serre_closure(ring, 1 << h) for h in range(ring.size)]
+        expected = {}
+        for g in range(ring.size):
+            complement = sum(1 << h for h in range(ring.size)
+                             if not up[h] >> g & 1)
+            expected.setdefault(complement, g)
+        assert list(first.items()) == list(expected.items()), ring.name
         for ideal in enumerate_serre_ideals(ring):
-            for p, g in zip(primes, gens):
+            for p in serre_spec(ring).primes:
+                g = first[p]
                 assert (not ideal & ~p) == (not ideal >> g & 1), \
                     (ring.name, ideal, p, g)
 

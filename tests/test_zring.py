@@ -26,8 +26,7 @@ from arith import add, basis, mul, support
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
 from oracles import (flat_rows, index_tuple, naive_middle_support,
-                     naive_mismatches, naive_product_mask,
-                     naive_triple_support, naive_violations,
+                     naive_mismatches, naive_product_mask, naive_violations,
                      rebuilt_sub_ring, table_of)
 
 
@@ -140,26 +139,6 @@ def test_support_examples():
     assert labels_from_mask(qp, support(scaled)) == ["x"]
 
 
-def test_triple_support_examples():
-    ising = load_gallery("ising")
-    s = ising.index("sigma")
-    assert labels_from_mask(ising, ising.triple_masks[s][s]) \
-        == ["1", "eps", "sigma"]
-    m2 = load_gallery("m2-block")
-    t = m2.triple_masks[m2.index("e12")][m2.index("e21")]
-    assert labels_from_mask(m2, t) == ["e11"]
-    ti = load_gallery("two-idem")
-    assert ti.triple_masks[ti.index("a")][ti.index("b")] == 0
-
-
-def test_triple_support_matches_naive_oracle(gallery):
-    for ring in gallery.values():
-        for a in range(ring.size):
-            for b in range(ring.size):
-                assert ring.triple_masks[a][b] \
-                    == naive_triple_support(ring, a, b)
-
-
 def test_product_masks_match_naive_oracle(gallery):
     for ring in gallery.values():
         for a in range(ring.size):
@@ -167,8 +146,7 @@ def test_product_masks_match_naive_oracle(gallery):
                 assert ring.product_masks[a][b] == naive_product_mask(ring, a, b)
 
 
-TABLES = ("product_masks", "left_absorb", "right_absorb", "two_sided_absorb",
-          "triple_masks")
+TABLES = ("product_masks", "left_absorb", "right_absorb", "two_sided_absorb")
 
 
 def _table_rings():
@@ -176,8 +154,8 @@ def _table_rings():
     rings += [upper_triangular(k) for k in range(1, 5)]
     rings += [diagonal(k) for k in range(1, 5)]
     rings += [matrix_corner(2), matrix_corner(2, blocks=False)]
-    # no units and x * x = y beside x * y = 0: only the bare product
-    # puts y in triple_masks[x][x]
+    # no units and x * x = y beside x * y = 0: the bare product is the
+    # only nonzero one
     rings.append(build_ring(["x", "y"], {("x", "x"): {"y": 1}},
                             name="square-zero"))
     return rings
@@ -194,16 +172,14 @@ def _naive_tables(ring):
         "left_absorb": left,
         "right_absorb": right,
         "two_sided_absorb": tuple(x | y for x, y in zip(left, right)),
-        "triple_masks": tuple(tuple(naive_triple_support(ring, a, b)
-                                    for b in range(n)) for a in range(n)),
     }
 
 
 def test_build_ring_stores_no_table():
     ring = upper_triangular(3)
     assert not set(TABLES) & set(vars(ring))
-    assert ring.triple_masks is ring.triple_masks
-    assert "triple_masks" in vars(ring)
+    assert ring.right_absorb is ring.right_absorb
+    assert "right_absorb" in vars(ring)
     assert "left_absorb" not in vars(ring)
 
 
@@ -223,7 +199,6 @@ def test_bare_product_lies_in_the_middle_factor_union_with_units(ring):
         for b in range(ring.size):
             middle = naive_middle_support(ring, a, b)
             assert not ring.product_masks[a][b] & ~middle
-            assert ring.triple_masks[a][b] == middle
 
 
 def _random_positive(ring, rng):
@@ -874,9 +849,7 @@ def test_ladder_rings_build_in_small_memory(name):
         ring.labels, table, ring.mode, units=ring.units, name=name))
     assert peak < 5
     assert built.product_masks == ring.product_masks
-    assert built.triple_masks == ring.triple_masks
     rng = random.Random(SEED)
     for _ in range(40):
         a, b = rng.randrange(ring.size), rng.randrange(ring.size)
         assert built.product_masks[a][b] == naive_product_mask(ring, a, b)
-        assert built.triple_masks[a][b] == naive_triple_support(ring, a, b)

@@ -13,8 +13,9 @@ from serrespec import (INT, LAURENT, Coefficient, RingError,
                        gallery_names, labels_from_mask, load_gallery,
                        mask_from_labels, parse_ring_file, quotient_ring,
                        serialize_ring, truncate_to_ring)
-from serrespec import zring
+from serrespec import spectrum, zring
 from serrespec.gallery import quantum_plane
+from serrespec.ideals import principal_closures, product_support, serre_closure
 from serrespec.monomial import MonomialRing
 from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
                              ZPlusRing, _associativity_violations,
@@ -26,7 +27,8 @@ from arith import add, basis, mul, support
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
 from oracles import (flat_rows, index_tuple, naive_middle_support,
-                     naive_mismatches, naive_product_mask, naive_violations,
+                     naive_mismatches, naive_product_mask,
+                     naive_triple_support, naive_violations,
                      rebuilt_sub_ring, table_of)
 
 
@@ -137,6 +139,44 @@ def test_support_examples():
     qp = load_gallery("qplane-trunc-2")
     scaled = basis(qp.index("x"), 2, 1)
     assert labels_from_mask(qp, support(scaled)) == ["x"]
+
+
+def test_triple_support_examples():
+    # the two-step supports supp(b_a b_b) and supp(b_a b_t b_b); primality
+    # reads product_support(<a>, <b>) in their place, which holds them and
+    # generates the same ideal
+    ising = load_gallery("ising")
+    s = ising.index("sigma")
+    assert labels_from_mask(ising, naive_triple_support(ising, s, s)) \
+        == ["1", "eps", "sigma"]
+    assert labels_from_mask(ising, spectrum._squares(ising)[s]) \
+        == ["1", "eps", "sigma"]
+    m2 = load_gallery("m2-block")
+    a, b = m2.index("e12"), m2.index("e21")
+    t = naive_triple_support(m2, a, b)
+    assert labels_from_mask(m2, t) == ["e11"]
+    up = principal_closures(m2)
+    assert serre_closure(m2, t) \
+        == serre_closure(m2, product_support(m2, up[a], up[b]))
+    ti = load_gallery("two-idem")
+    a, b = ti.index("a"), ti.index("b")
+    assert naive_triple_support(ti, a, b) == 0
+    up = principal_closures(ti)
+    assert product_support(ti, up[a], up[b]) == 0
+
+
+def test_triple_support_matches_naive_oracle(gallery):
+    for ring in gallery.values():
+        up = principal_closures(ring)
+        squares = spectrum._squares(ring)
+        for a in range(ring.size):
+            assert squares[a] == product_support(ring, up[a], up[a])
+            for b in range(ring.size):
+                triple = naive_triple_support(ring, a, b)
+                principal = product_support(ring, up[a], up[b])
+                assert not triple & ~principal, (ring.name, a, b)
+                assert serre_closure(ring, triple) \
+                    == serre_closure(ring, principal), (ring.name, a, b)
 
 
 def test_product_masks_match_naive_oracle(gallery):

@@ -138,6 +138,15 @@ MUTANTS = (
      "",
      ["tests/test_zring.py::"
       "test_unit_triples_are_skipped_only_where_they_associate"]),
+    ("truncation-prefix-one-degree-short", "src/serrespec/monomial.py",
+     "vecs[:upto[degree - sum(a) + 1]]",
+     "vecs[:upto[degree - sum(a)]]",
+     ["tests/test_monomial.py::test_truncation_equals_the_label_keyed_build"]),
+    ("first-difference-at-the-greatest-key", "src/serrespec/zring.py",
+     "first = min(lhs.items() ^ rhs.items())[0][0]",
+     "first = max(lhs.items() ^ rhs.items())[0][0]",
+     ["tests/test_io.py::"
+      "test_failing_file_lists_each_hint_once_in_first_seen_order"]),
     ("negative-constant-accepted", "src/serrespec/zring.py",
      "            if not c.is_nonnegative():\n"
      "                raise RingError(\n"

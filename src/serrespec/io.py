@@ -62,7 +62,9 @@ def parse_ring_file(text, source="<ring>"):
     lines, nearly all of a file, are tested for first; a 'basis' line
     needs 'ring' and 'coeff' before it, so a read basis stands for the
     whole header.  Each distinct product text is parsed once, at its
-    first line, and every line with that text shares its read-only row.
+    first line, and every line with that text shares its read-only row;
+    each distinct coefficient text, such as a 'q^2' repeated across
+    products, is parsed once too, so a bad one raises at its first line.
     """
     name = None
     mode = None
@@ -72,6 +74,7 @@ def parse_ring_file(text, source="<ring>"):
     rows = {}        # (a, b) index pair -> flat row, empty for '= 0'
     pair_lines = {}  # (a, b) index pair -> line number of its 'mul' line
     parsed = {}      # stripped product text -> its flat row
+    coeffs = {}      # stripped coefficient text -> its terms
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -102,7 +105,7 @@ def parse_ring_file(text, source="<ring>"):
             row = parsed.get(sum_text)
             if row is None:
                 row = parsed[sum_text] = _parse_sum(
-                    sum_text, mode, index, source, line_no)
+                    sum_text, mode, index, coeffs, source, line_no)
             rows[pair] = row
             pair_lines[pair] = line_no
             continue
@@ -192,19 +195,18 @@ def parse_ring_file(text, source="<ring>"):
                 # labels are distinct here, so each names one index
                 for x, y in ((v.alpha, v.beta), (v.beta, v.gamma)):
                     if (index[x], index[y]) not in pair_lines:
-                        hint = (f"hint: no 'mul {x} {y}' line in "
-                                f"{source}; the product defaulted to 0")
-                        if hint not in hints:
-                            hints.append(hint)
-        raise RingValidationError(exc.ring_name, exc.violations, hints) \
-            from None
+                        hints.append(f"hint: no 'mul {x} {y}' line in "
+                                     f"{source}; the product defaulted to 0")
+        raise RingValidationError(exc.ring_name, exc.violations,
+                                  dict.fromkeys(hints)) from None
 
 
-def _parse_sum(text, mode, index, source, line_no):
+def _parse_sum(text, mode, index, coeffs, source, line_no):
     """The flat row {(gamma, q-exponent): positive int} of a product.
 
     A bare label adds 1 at exponent 0; only a term with '*' goes through
-    the coefficient grammar."""
+    the coefficient grammar, once per distinct coefficient text: coeffs
+    keeps the terms of each text already parsed."""
     if text == "0":
         return {}
     if not text:
@@ -221,10 +223,14 @@ def _parse_sum(text, mode, index, source, line_no):
             key = g, 0
             row[key] = row.get(key, 0) + 1
             continue
-        try:
-            terms = parse_coefficient(coeff_text.strip(), mode).terms
-        except CoefficientError as exc:
-            raise RingFileError(str(exc), source, line_no) from None
+        coeff_text = coeff_text.strip()
+        terms = coeffs.get(coeff_text)
+        if terms is None:
+            try:
+                terms = coeffs[coeff_text] = parse_coefficient(
+                    coeff_text, mode).terms
+            except CoefficientError as exc:
+                raise RingFileError(str(exc), source, line_no) from None
         for e, v in terms.items():
             row[g, e] = row.get((g, e), 0) + v
     return row

@@ -9,11 +9,12 @@ face ideals stay inside the monomial class and keep the domain property.
 """
 
 from collections import namedtuple
+from math import comb
 from operator import index
 
-from .coefficients import LAURENT, Coefficient
+from .coefficients import LAURENT
 from .ideals import ImproperIdeal
-from .zring import RingError, build_ring
+from .zring import RingError, _assemble, _require_distinct
 
 
 class FullFace(RingError):
@@ -143,7 +144,8 @@ def monomial_label(vec):
 
 def _graded_vectors(nvars, degree):
     """Exponent vectors of total degree <= degree, graded and with the
-    earlier variables heaviest (so x before y before z)."""
+    earlier variables heaviest (so x before y before z).  Those of degree
+    at most d are the first comb(d + nvars, nvars)."""
     vecs = []
 
     def rec(prefix, remaining, slots):
@@ -160,26 +162,33 @@ def _graded_vectors(nvars, degree):
 
 def truncate_to_ring(ring, degree, name=None):
     """Finite Laurent-mode ring on the monomials of total degree at most
-    ``degree``; products that overflow the degree are zero.  The result is
-    rebuilt through full validation, which re-checks the cocycle identity."""
+    ``degree``; products that overflow the degree are zero.
+
+    The monomials are listed by degree, so the b with deg a + deg b at
+    most ``degree`` are a prefix of the list, and only those products are
+    made: each is one flat row {(a + b, kappa(a, b)): 1}, keyed by index.
+    The rows go straight to the assembler, which re-checks the cocycle
+    identity (associativity) and the unit axioms for the unit 1; every
+    constant is 1 and every pair has one row, so build_ring's coercion
+    has nothing to check."""
     degree = _integer(degree, "the degree")
     if degree < 0:
         raise RingError("degree must be nonnegative")
     vecs = _graded_vectors(ring.nvars, degree)
-    labels = [monomial_label(v) for v in vecs]
+    # upto[d]: the number of monomials of degree below d
+    upto = [0] + [comb(d + ring.nvars, ring.nvars) for d in range(degree + 1)]
+    labels = tuple(map(monomial_label, vecs))
     position = {v: i for i, v in enumerate(vecs)}
-    tensor = {}
-    for a in vecs:
-        for b in vecs:
-            s = tuple(x + y for x, y in zip(a, b))
-            if sum(s) > degree:
-                continue
-            coeff = Coefficient.q_power(ring.kappa(a, b))
-            tensor[(labels[position[a]], labels[position[b]])] = {
-                labels[position[s]]: coeff}
+    kappa = ring.kappa
+    rows = {}
+    for i, a in enumerate(vecs):
+        for j, b in enumerate(vecs[:upto[degree - sum(a) + 1]]):
+            s = position[tuple(x + y for x, y in zip(a, b))]
+            rows[i, j] = {(s, kappa(a, b)): 1}
     if name is None:
         name = f"qmonomial-{ring.nvars}vars-deg{degree}"
-    return build_ring(labels, tensor, LAURENT, None, ["1"], name)
+    _require_distinct(labels, name)
+    return _assemble(labels, LAURENT, rows, None, frozenset({0}), name)
 
 
 def face_quotient(ring, face):

@@ -92,15 +92,21 @@ class UnitViolation(namedtuple("UnitViolation", "unit witness detail")):
 
 
 class RingValidationError(RingError):
-    """Raised by build_ring; carries the full list of violations."""
+    """Raised by build_ring; carries the full list of violations.
+
+    The message describes every violation, so it is written only when
+    it is read, by str(): a caller that reports the violations itself,
+    as validate does, describes each one once."""
 
     def __init__(self, ring_name, violations, hints=()):
+        super().__init__(ring_name)
         self.ring_name = ring_name
         self.violations = list(violations)
         self.hints = list(hints)
-        lines = [v.describe() for v in self.violations] + list(self.hints)
-        super().__init__(
-            f"invalid ring {ring_name!r}:\n  " + "\n  ".join(lines))
+
+    def __str__(self):
+        lines = [v.describe() for v in self.violations] + self.hints
+        return f"invalid ring {self.ring_name!r}:\n  " + "\n  ".join(lines)
 
 
 class ZPlusRing:
@@ -292,7 +298,9 @@ def _associativity_violations(labels, flat, skip=frozenset()):
     (checked in _packed_mismatches); a table either refuses takes the
     sparse path.  Either path hands back the rows (ab)c and a(bc) it summed
     for each violating triple, so describing a failure multiplies nothing
-    again and formats each distinct row once.  Both paths read the rows
+    again and formats each row object once (the packed path shares one
+    per distinct sum).  The first differing output is the least key of
+    the terms the two rows do not share.  Both paths read the rows
     grouped by middle factor, built once here.
     """
     n = len(labels)
@@ -304,8 +312,7 @@ def _associativity_violations(labels, flat, skip=frozenset()):
     texts = {}
     out = []
     for a, b, c, lhs, rhs in found:
-        first = min(g for g, e in lhs.keys() | rhs.keys()
-                    if lhs.get((g, e)) != rhs.get((g, e)))
+        first = min(lhs.items() ^ rhs.items())[0][0]
         out.append(AssociativityViolation(
             labels[a], labels[b], labels[c], labels[first],
             _row_text(labels, lhs, texts), _row_text(labels, rhs, texts)))
@@ -313,11 +320,11 @@ def _associativity_violations(labels, flat, skip=frozenset()):
 
 
 def _row_text(labels, row, texts):
-    """_format_row's text of a flat row, kept in texts by the row's terms."""
-    key = frozenset(row.items())
-    text = texts.get(key)
+    """_format_row's text of a flat row, kept in texts by the row's id:
+    the caller keeps every row alive while texts is in use."""
+    text = texts.get(id(row))
     if text is None:
-        text = texts[key] = _format_row(labels, row)
+        text = texts[id(row)] = _format_row(labels, row)
     return text
 
 

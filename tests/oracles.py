@@ -20,20 +20,23 @@ fold; scan_pairs_inside is the former double loop of the definitional
 primality check and the minimal-primes splitting search, kept on
 naive_product_support as the order-exact oracle for ideals.pairs_inside;
 rebuilt_sub_ring is the former label-keyed zring.sub_ring, which rebuilt
-the restricted table through build_ring; corner_classified_cprimes is
-the former twocat classification, which read each object's corner-ring
-spectrum and lifted it, the paper's block theorem for completely prime
-ideals.
+the restricted table through build_ring; labelled_truncation is the
+former monomial.truncate_to_ring, which made a Coefficient for every
+pair of monomials within the degree and validated through build_ring;
+corner_classified_cprimes is the former twocat classification, which
+read each object's corner-ring spectrum and lifted it, the paper's block
+theorem for completely prime ideals.
 """
 
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from serrespec import (BALMER, LEFT, RIGHT, TWO_SIDED, ZARISKI,
+from serrespec import (BALMER, LAURENT, LEFT, RIGHT, TWO_SIDED, ZARISKI,
                        Coefficient, allow_large, block_view, build_ring,
                        closed_set, corner_ring, enumerate_serre_ideals,
                        product_support, serre_spec)
+from serrespec.monomial import _graded_vectors, monomial_label
 from serrespec.spectrum import _first_pair
 from serrespec.zring import iter_bits, mask_of, select_by_mask, subset_key
 
@@ -274,6 +277,27 @@ def rebuilt_sub_ring(ring, keep, name):
     if ring.units is not None:
         units = [labels[u] for u in sorted(ring.units) if keep >> u & 1]
     return build_ring(kept_labels, tensor, ring.mode, blocks, units, name)
+
+
+def labelled_truncation(ring, degree, name=None):
+    """The monomial ring's degree truncation from a label-keyed table:
+    every pair of monomials is tried, and those within the degree get
+    the row {label of a + b: q^kappa(a, b)}."""
+    vecs = _graded_vectors(ring.nvars, degree)
+    labels = [monomial_label(v) for v in vecs]
+    position = {v: i for i, v in enumerate(vecs)}
+    tensor = {}
+    for a in vecs:
+        for b in vecs:
+            s = tuple(x + y for x, y in zip(a, b))
+            if sum(s) > degree:
+                continue
+            coeff = Coefficient.q_power(ring.kappa(a, b))
+            tensor[(labels[position[a]], labels[position[b]])] = {
+                labels[position[s]]: coeff}
+    if name is None:
+        name = f"qmonomial-{ring.nvars}vars-deg{degree}"
+    return build_ring(labels, tensor, LAURENT, None, ["1"], name)
 
 
 def naive_mismatches(flat, n):

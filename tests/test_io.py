@@ -1,11 +1,14 @@
 import pytest
 
+from serrespec import io
 from serrespec import (LAURENT, Coefficient, RingError, RingFileError,
                        RingValidationError, build_ring, gallery_names,
                        load_gallery,
                        mask_from_labels, parse_ring_file, quotient_ring,
                        serialize_ring)
 from serrespec.cli import EXIT_FALSE, EXIT_INPUT, run_command
+from serrespec.coefficients import parse_coefficient
+from serrespec.zring import AssociativityViolation
 
 ISING_FIXTURE = """\
 # Ising fusion table
@@ -379,5 +382,78 @@ def test_repeated_product_texts_share_one_row():
     assert tensor[1, 0] == {(2, 0): 3}
     bad = _HEADER + "mul a a = 2*z\nmul b b = 2*z\n"
     with pytest.raises(RingFileError, match="unknown label 'z'") as exc:
+        parse_ring_file(bad)
+    assert exc.value.line == 4
+
+
+SPLIT = """\
+ring "split"
+coeff int
+basis 1 sigma eps
+unit 1
+mul eps eps = 1
+mul sigma sigma = 1 + eps
+"""
+
+
+def test_failing_file_lists_each_hint_once_in_first_seen_order():
+    # both mixed products are missing, and each is the missing factor
+    # pair of two triples; 'mul sigma eps' is met first, though it sorts
+    # after 'mul eps sigma'
+    with pytest.raises(RingValidationError) as exc:
+        parse_ring_file(SPLIT, "split.ring")
+    assert str(exc.value) == "\n  ".join([
+        "invalid ring 'split':",
+        "associativity fails on (sigma, sigma, eps): (sigma*sigma)*eps = "
+        "1 + eps but sigma*(sigma*eps) = 0 (first difference at 1)",
+        "associativity fails on (sigma, eps, eps): (sigma*eps)*eps = 0 but "
+        "sigma*(eps*eps) = sigma (first difference at sigma)",
+        "associativity fails on (eps, sigma, sigma): (eps*sigma)*sigma = 0 "
+        "but eps*(sigma*sigma) = 1 + eps (first difference at 1)",
+        "associativity fails on (eps, eps, sigma): (eps*eps)*sigma = sigma "
+        "but eps*(eps*sigma) = 0 (first difference at sigma)",
+        "hint: no 'mul sigma eps' line in split.ring; the product "
+        "defaulted to 0",
+        "hint: no 'mul eps sigma' line in split.ring; the product "
+        "defaulted to 0"])
+
+
+def test_validate_describes_each_violation_once(tmp_path, monkeypatch):
+    (tmp_path / "split.ring").write_text(SPLIT)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    describe = AssociativityViolation.describe
+
+    def spy(self):
+        calls.append(tuple(self[:3]))
+        return describe(self)
+
+    monkeypatch.setattr(AssociativityViolation, "describe", spy)
+    result = run_command(["validate", "split.ring"])
+    assert result.exit_code == EXIT_FALSE
+    assert len(result.report["violations"]) == 4
+    assert calls == [("sigma", "sigma", "eps"), ("sigma", "eps", "eps"),
+                     ("eps", "sigma", "sigma"), ("eps", "eps", "sigma")]
+
+
+def test_repeated_coefficient_texts_are_parsed_once(monkeypatch):
+    # every product of a and b lands in c, which annihilates everything
+    text = ('ring "x"\ncoeff laurent\nbasis a b c\n'
+            "mul a a = q^2*c\nmul a b = q^2*c + 3*c\nmul b a = q^2 * c + c\n"
+            "mul b b = 3*c + q^2*c\n")
+    expected = {(0, 0): {(2, 2): 1}, (0, 1): {(2, 2): 1, (2, 0): 3},
+                (1, 0): {(2, 2): 1, (2, 0): 1}, (1, 1): {(2, 0): 3, (2, 2): 1}}
+    calls = []
+
+    def spy(coeff_text, mode):
+        calls.append(coeff_text)
+        return parse_coefficient(coeff_text, mode)
+
+    monkeypatch.setattr(io, "parse_coefficient", spy)
+    assert parse_ring_file(text).tensor == expected
+    assert calls == ["q^2", "3"]
+    bad = ('ring "x"\ncoeff int\nbasis a b\n'
+           "mul a a = q*b\nmul a b = 2*b\nmul b b = q*a\n")
+    with pytest.raises(RingFileError, match="'q' is not allowed") as exc:
         parse_ring_file(bad)
     assert exc.value.line == 4

@@ -11,7 +11,8 @@ from serrespec.cli import EXIT_INPUT, run_command
 from serrespec.gallery import quantum_plane
 
 from arith import basis, mul, support
-from oracles import all_small_gen_sets, box_monoid_prime
+from oracles import (all_small_gen_sets, box_monoid_prime,
+                     labelled_truncation)
 
 
 def test_build_monoid_ideal_drops_dominating_generators():
@@ -195,6 +196,24 @@ def test_truncations_validate_for_general_twists():
     ring3 = truncate_to_ring(MonomialRing(3, ((0, 1, -1), (2, 0, 0),
                                               (-3, 1, 0))), 3)
     assert ring3.size == 20
+
+
+# the bench's twists (bench/workloads.py), then one with negative entries
+TRUNCATION_TWISTS = (((0, 0, 0), (1, 0, 0), (1, 1, 0)),
+                     ((0, 1, 0), (0, 0, 2), (1, 0, 0)),
+                     ((0, -1, 0), (2, 0, 0), (0, 1, 1)),
+                     ((-2, 3, -1), (0, -1, 4), (-3, 0, 2)))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("twist", TRUNCATION_TWISTS)
+def test_truncation_equals_the_label_keyed_build(nvars, twist):
+    ring = MonomialRing(nvars, [row[:nvars] for row in twist[:nvars]])
+    for degree in range(7):
+        assert truncate_to_ring(ring, degree) \
+            == labelled_truncation(ring, degree)
+    assert truncate_to_ring(ring, 2, name="t") \
+        == labelled_truncation(ring, 2, name="t")
 
 
 def test_face_quotient_restriction():

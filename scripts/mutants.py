@@ -154,6 +154,12 @@ MUTANTS = (
      '                    f"nonnegative, got {c}")\n',
      "",
      ["tests/test_zring.py::test_negative_constant_rejected"]),
+    ("repeated-labels-assembled", "src/serrespec/zring.py",
+     "    _require_distinct(labels, name)\n"
+     "    if units is not None and not units:\n",
+     "    if units is not None and not units:\n",
+     ["tests/test_io.py::"
+      "test_repeated_basis_labels_in_a_file_fail_validation"]),
 )
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 from .coefficients import (INT, LAURENT, CoefficientError, format_terms,
                            parse_coefficient)
 from .zring import (AssociativityViolation, RingError, RingValidationError,
-                    _assemble, _require_distinct, block_objects)
+                    _assemble, block_objects)
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _HEADER_FIRST = "'ring', 'coeff' and 'basis' lines must come first"
@@ -179,8 +179,9 @@ def parse_ring_file(text, source="<ring>"):
         for u in units:
             if u not in index:
                 raise RingFileError(f"unknown unit label {u!r}", source)
-    _require_distinct(labels, name)
-    blocks = tuple(blocks[i] for i in range(len(labels))) if blocks else None
+    # by label: each copy of a repeated label, which _assemble refuses,
+    # takes the block of the copy the index names
+    blocks = tuple(blocks[index[lab]] for lab in labels) if blocks else None
     if units is not None:
         units = frozenset(index[u] for u in units)
         _fill_unit_defaults(rows, len(labels), units, blocks)
@@ -192,7 +193,8 @@ def parse_ring_file(text, source="<ring>"):
         hints = list(exc.hints)
         for v in exc.violations:
             if isinstance(v, AssociativityViolation):
-                # labels are distinct here, so each names one index
+                # _assemble refuses repeated labels before this check, so
+                # each label names one index
                 for x, y in ((v.alpha, v.beta), (v.beta, v.gamma)):
                     if (index[x], index[y]) not in pair_lines:
                         hints.append(f"hint: no 'mul {x} {y}' line in "
@@ -298,7 +300,7 @@ def resolve_ring_arg(arg):
     path = Path(arg)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RingFileError(f"cannot read ring file: {exc}", str(path)) \
             from None
     return parse_ring_file(text, source=str(path))

@@ -14,7 +14,7 @@ from operator import index
 
 from .coefficients import LAURENT
 from .ideals import ImproperIdeal
-from .zring import RingError, _assemble, _require_distinct
+from .zring import RingError, _assemble
 
 
 class FullFace(RingError):
@@ -167,10 +167,10 @@ def truncate_to_ring(ring, degree, name=None):
     The monomials are listed by degree, so the b with deg a + deg b at
     most ``degree`` are a prefix of the list, and only those products are
     made: each is one flat row {(a + b, kappa(a, b)): 1}, keyed by index.
-    The rows go straight to the assembler, which re-checks the cocycle
-    identity (associativity) and the unit axioms for the unit 1; every
-    constant is 1 and every pair has one row, so build_ring's coercion
-    has nothing to check."""
+    The rows go straight to the assembler, which checks the labels, the
+    cocycle identity (associativity) and the unit axioms for the unit 1;
+    every constant is 1 and every pair has one row, so build_ring's
+    coercion has nothing to check."""
     degree = _integer(degree, "the degree")
     if degree < 0:
         raise RingError("degree must be nonnegative")
@@ -187,7 +187,6 @@ def truncate_to_ring(ring, degree, name=None):
             rows[i, j] = {(s, kappa(a, b)): 1}
     if name is None:
         name = f"qmonomial-{ring.nvars}vars-deg{degree}"
-    _require_distinct(labels, name)
     return _assemble(labels, LAURENT, rows, None, frozenset({0}), name)
 
 

@@ -20,6 +20,11 @@ principal complements, for every ring with or without blocks; no ideal
 lattice and no spectrum is read.  The tests check them against
 brute-force filtering of the lattice and against the corner-ring
 classification (tests/oracles.py:corner_classified_cprimes).
+
+A ring here has passed the checks of zring._assemble, so its units are
+already a decomposition of the identity, each unit lies on the diagonal
+and every object has a unit (see block_view); only a missing
+declaration and an object with two units are left to refuse.
 """
 
 from collections import namedtuple
@@ -44,7 +49,15 @@ class BlockRingView(namedtuple("BlockRingView",
 
 
 def block_view(ring):
-    """Validated block decomposition with one declared unit per object."""
+    """Block decomposition with one declared unit per object.
+
+    The block and unit checks the ring passed leave two refusals out.  A
+    unit u has u u = u, a nonzero product, so the block check puts u in
+    a diagonal block (A, A).  For g in block (A, B), the unit sum times
+    g and g times the unit sum are both g, so some unit u has u g != 0
+    and some unit v has g v != 0, and the block check puts u on B and v
+    on A: every object has a unit.
+    """
     if ring.blocks is None:
         raise MissingBlocks("ring declares no blocks")
     if ring.units is None:
@@ -55,24 +68,19 @@ def block_view(ring):
         block_masks[pair] = block_masks.get(pair, 0) | 1 << i
     diagonal_units = {}
     for u in sorted(ring.units):
-        src, dst = ring.blocks[u]
-        if src != dst:
-            raise MissingBlocks(
-                f"unit {ring.labels[u]} lies off the diagonal")
-        if src in diagonal_units:
-            raise MissingBlocks(f"object {src} declares two units")
-        diagonal_units[src] = u
-    missing = [obj for obj in objects if obj not in diagonal_units]
-    if missing:
-        raise MissingBlocks(
-            f"objects without a declared unit: {', '.join(missing)}")
+        obj = ring.blocks[u][0]
+        if obj in diagonal_units:
+            raise MissingBlocks(f"object {obj} declares two units")
+        diagonal_units[obj] = u
     return BlockRingView(objects, block_masks, diagonal_units)
 
 
 def check_unit_decomposition(ring, units=None):
     """Is the sum of the (given or declared) units a two-sided identity?
 
-    Returns (True, None) or (False, first failing basis label).
+    Returns (True, None) or (False, first failing basis label).  The
+    declared units always pass, as the ring was built only after they
+    did; a given unit set is checked afresh.
     """
     if units is None:
         units = ring.units

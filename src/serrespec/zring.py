@@ -673,6 +673,7 @@ def build_ring(labels, tensor, mode=INT, blocks=None, units=None, name=""):
         raise RingError("basis must be nonempty")
     if mode not in (INT, LAURENT):
         raise RingError(f"unknown coefficient mode {mode!r}")
+    # _assemble checks this too, but the label map below merges repeats
     _require_distinct(labels, name)
     index = {lab: i for i, lab in enumerate(labels)}
 
@@ -731,8 +732,11 @@ def _require_distinct(labels, name):
 
 
 def _assemble(labels, mode, tensor, blocks, units, name):
-    """The ring on distinct labels with index-keyed flat rows, after the
-    block, associativity and unit checks.
+    """The ring on labels with index-keyed flat rows, after the label,
+    block, associativity and unit checks; every ring is built here, so
+    what these checks prove holds for every ring and is not checked again.
+
+    Repeated labels are refused first, on their own.
 
     blocks is a (source, target) pair per index or None, and units a
     frozenset of indices or None.  Associativity is checked on the packed
@@ -742,6 +746,7 @@ def _assemble(labels, mode, tensor, blocks, units, name):
     violating triples are described in (a, b, c) order, then the unit
     violations.
     """
+    _require_distinct(labels, name)
     if units is not None and not units:
         raise RingError("unit set must be nonempty when given")
     violations = []

@@ -13,12 +13,13 @@ topology construction (a 2^n Balmer sweep closed under unions), its
 former search for maximal ideals avoiding a power orbit (a filter over
 the whole ideal lattice), its former prime list (the basis-pair
 primality scan run on every lattice member, now over naive two-step
-supports) and its former memo-free product fold, kept as order-exact
-oracles for the down-set searches, the reading of the prime list, the
-paper's statement that such maximal ideals are prime and the memoised
-fold; scan_pairs_inside is the former double loop of the definitional
-primality check and the minimal-primes splitting search, kept on
-naive_product_support as the order-exact oracle for ideals.pairs_inside;
+supports with its own pair scan, naive_first_pair) and its former
+memo-free product fold, kept as order-exact oracles for the down-set
+searches, the reading of the prime list, the paper's statement that
+such maximal ideals are prime and the memoised fold; scan_pairs_inside
+is the former double loop of the definitional primality check and the
+minimal-primes splitting search, kept on naive_product_support as the
+order-exact oracle for ideals.pairs_inside;
 rebuilt_sub_ring is the former label-keyed zring.sub_ring, which rebuilt
 the restricted table through build_ring; labelled_truncation is the
 former monomial.truncate_to_ring, which made a Coefficient for every
@@ -37,7 +38,6 @@ from serrespec import (BALMER, LAURENT, LEFT, RIGHT, TWO_SIDED, ZARISKI,
                        closed_set, corner_ring, enumerate_serre_ideals,
                        product_support, serre_spec)
 from serrespec.monomial import _graded_vectors, monomial_label
-from serrespec.spectrum import _first_pair
 from serrespec.zring import iter_bits, mask_of, select_by_mask, subset_key
 
 from arith import add, basis, mul, support, text
@@ -188,6 +188,18 @@ def lattice_maximal_disjoint(ring, orbit, base):
     return kept[::-1]
 
 
+def naive_first_pair(table, members):
+    """First basis pair (a, b) outside the subset, in basis order, with
+    table[a][b] inside it; None if there is none.  Every pair of indices
+    is visited, so this shares no code with the library's scan."""
+    n = len(table)
+    for a, b in product(range(n), repeat=2):
+        if not (members >> a & 1 or members >> b & 1
+                or table[a][b] & ~members):
+            return a, b
+    return None
+
+
 def lattice_filtered_primes(ring):
     """Proper two-sided ideal subsets with no basis pair (a, b) outside
     them whose naive two-step supports all land inside, every lattice
@@ -199,7 +211,7 @@ def lattice_filtered_primes(ring):
     table = [[naive_triple_support(ring, a, b) for b in range(ring.size)]
              for a in range(ring.size)]
     return [m for m in lattice
-            if m != ring.full_mask and _first_pair(table, m) is None]
+            if m != ring.full_mask and naive_first_pair(table, m) is None]
 
 
 def corner_classified_cprimes(ring):

@@ -339,6 +339,30 @@ def test_ring_name_with_a_stray_quote_is_an_input_error(line, tmp_path):
     assert result.report["error"] == "input"
 
 
+@pytest.mark.parametrize("text", [
+    'ring "x"\ncoeff int\nbasis a a\n',
+    # the block line reaches one copy of a, and the refusal comes first
+    'ring "x"\ncoeff int\nbasis a a\nunit a\nblock A A: a\n',
+], ids=["bare", "with-a-block"])
+def test_repeated_basis_labels_in_a_file_fail_validation(text, tmp_path):
+    path = tmp_path / "twice.ring"
+    path.write_text(text)
+    result = run_command(["validate", str(path)])
+    assert result.exit_code == EXIT_FALSE
+    assert result.report["ok"] is False
+    assert result.report["violations"] == ["duplicate basis label 'a'"]
+
+
+def test_ring_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "latin.ring"
+    path.write_bytes(b'ring "x"\ncoeff int\nbasis a\nmul a a = a\n\xff')
+    result = run_command(["validate", str(path)])
+    assert result.exit_code == EXIT_INPUT
+    assert result.report["error"] == "input"
+    assert result.report["message"].startswith(
+        f"{path}: cannot read ring file: 'utf-8' codec can't decode")
+
+
 UNGRADED_LOOP = """\
 ring "ungraded-loop"
 coeff int

@@ -13,14 +13,13 @@ from serrespec import (DEFINITIONAL, FAST, ImproperIdeal, NoPrimeOver,
                        minimal_primes_over, product_support, quotient_ring,
                        serre_closure, serre_spec, truncate_to_ring)
 from serrespec.gallery import quantum_plane
-from serrespec.spectrum import _first_pair
 
 from arith import basis, mul
 from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import (lattice_filtered_primes, lattice_maximal_disjoint,
-                     naive_is_completely_prime, naive_is_prime,
-                     naive_is_semiprime, naive_triple_support, plain_fold,
-                     power_orbit)
+                     naive_first_pair, naive_is_completely_prime,
+                     naive_is_prime, naive_is_semiprime, naive_triple_support,
+                     plain_fold, power_orbit)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +90,7 @@ def test_two_step_supports_land_in_an_ideal_with_the_principal_product(
                         == (not principal[a][b] & ~ideal), \
                         (ring.name, ideal, a, b)
             holds, witness = is_serre_prime(ring, ideal, FAST)
-            pair = _first_pair(naive, ideal)
+            pair = naive_first_pair(naive, ideal)
             assert holds == (pair is None), (ring.name, ideal)
             if pair is not None:
                 a, b = pair

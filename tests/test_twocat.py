@@ -1,11 +1,13 @@
 import pytest
 
 from serrespec import (FAST, LEFT, RIGHT, TWO_SIDED, MissingBlocks,
-                       allow_large, block_view, check_unit_decomposition,
+                       RingValidationError, allow_large, block_view,
+                       build_ring, check_unit_decomposition,
                        classify_completely_primes, corner_ring,
                        enumerate_serre_ideals, gallery_names,
                        is_completely_prime, is_serre_prime, labels_from_mask,
                        load_gallery, quotient_ring, serre_spec)
+from serrespec.zring import BlockIncompatibility, UnitViolation
 
 from arith import basis, mul
 from ladder import (diagonal, matrix_corner, proper_quotients,
@@ -48,6 +50,33 @@ def test_block_view_requires_blocks_and_units():
     ising = load_gallery("ising")
     with pytest.raises(MissingBlocks):
         block_view(ising)
+
+
+def test_block_view_refuses_an_object_with_two_units():
+    # u v = v u = 0, so u + v is the identity of a valid ring on one object
+    ring = build_ring(["u", "v"], {("u", "u"): {"u": 1}, ("v", "v"): {"v": 1}},
+                      blocks={"u": ("A", "A"), "v": ("A", "A")},
+                      units=["u", "v"])
+    with pytest.raises(MissingBlocks, match="^object A declares two units$"):
+        block_view(ring)
+
+
+@pytest.mark.parametrize("labels,tensor,blocks,violation", [
+    # u u = u cannot vanish, yet the block check says it must
+    (["u"], {("u", "u"): {"u": 1}}, {"u": ("A", "B")},
+     BlockIncompatibility("u", "u", "target of u is B but source of u is "
+                          "A; the product must vanish")),
+    # f runs from A to B; the unit sum times f needs a unit on B, and
+    # only A has one
+    (["e", "f"], {("e", "e"): {"e": 1}, ("f", "e"): {"f": 1}},
+     {"e": ("A", "A"), "f": ("A", "B")},
+     UnitViolation(None, "f", "unit sum times f is 0, expected f")),
+], ids=["unit-off-the-diagonal", "object-without-a-unit"])
+def test_rings_block_view_need_not_refuse_fail_to_build(
+        labels, tensor, blocks, violation):
+    with pytest.raises(RingValidationError) as exc:
+        build_ring(labels, tensor, blocks=blocks, units=labels[:1])
+    assert exc.value.violations == [violation]
 
 
 def test_corner_ring_of_mixed_fixture():

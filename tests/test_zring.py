@@ -17,11 +17,12 @@ from serrespec import spectrum, zring
 from serrespec.gallery import quantum_plane
 from serrespec.ideals import principal_closures, product_support, serre_closure
 from serrespec.monomial import MonomialRing
-from serrespec.zring import (SIDES, AssociativityViolation, UnitViolation,
-                             ZPlusRing, _associativity_violations,
-                             _by_middle, _packed_mismatches,
-                             _sparse_mismatches, is_commutative, iter_bits,
-                             mask_of, select_by_mask, sub_ring, subset_key)
+from serrespec.zring import (SIDES, AssociativityViolation, DuplicateLabel,
+                             UnitViolation, ZPlusRing,
+                             _associativity_violations, _by_middle,
+                             _packed_mismatches, _sparse_mismatches,
+                             is_commutative, iter_bits, mask_of,
+                             select_by_mask, sub_ring, subset_key)
 
 from arith import add, basis, mul, support
 from conftest import SEED
@@ -69,6 +70,11 @@ def test_matrix_units_block_ring_valid():
 def test_duplicate_label_rejected():
     with pytest.raises(RingValidationError):
         build_ring(["a", "a"], {}, INT)
+    # refused before the label map merges the two a's and leaves one of
+    # them without a block
+    with pytest.raises(RingValidationError) as exc:
+        build_ring(["a", "a"], {}, blocks={"a": ("A", "A")})
+    assert exc.value.violations == [DuplicateLabel("a")]
 
 
 def test_negative_constant_rejected():

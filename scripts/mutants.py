@@ -138,6 +138,10 @@ MUTANTS = (
      "",
      ["tests/test_zring.py::"
       "test_unit_triples_are_skipped_only_where_they_associate"]),
+    ("units-graded-by-the-right-units", "src/serrespec/zring.py",
+     "left = [found[0][0] for found in lefts]",
+     "left = [found[0][0] for found in rights]",
+     ["tests/test_zring.py::test_every_unit_base_skips_its_unit_triples"]),
     ("truncation-prefix-one-degree-short", "src/serrespec/monomial.py",
      "vecs[:upto[degree - sum(a) + 1]]",
      "vecs[:upto[degree - sum(a)]]",

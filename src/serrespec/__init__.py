@@ -19,8 +19,7 @@ from .spectrum import (DEFINITIONAL, FAST, NoPrimeOver, SpectrumReport,
 from .topology import (BALMER, ZARISKI, ClosedSetFamily, build_topology,
                        closed_set, specialization_edges, to_dot)
 from .twocat import (BlockRingView, MissingBlocks, block_view,
-                     check_unit_decomposition, classify_completely_primes,
-                     corner_ring)
+                     classify_completely_primes, corner_ring)
 from .monomial import (FullFace, MonoidIdeal, MonomialRing,
                        build_monoid_ideal, face_quotient, monoid_ideal_is_prime,
                        monoid_membership, monomial_label, truncate_to_ring)

@@ -152,7 +152,10 @@ def build_topology(ring, style):
     subsets of the space when no prime lies inside another.  Zariski tags
     are then unions of the least ideals outside each prime, read per
     extent from byte tables (see the module docstring); Balmer-style
-    tags come from a breadth-first search over basis subsets."""
+    tags come from a breadth-first search over basis subsets.  An unknown
+    style is refused before any of this work."""
+    if style not in (ZARISKI, BALMER):
+        raise RingError(f"unknown topology style {style!r}")
     spec = serre_spec(ring)
     space = (1 << len(spec.primes)) - 1
     closures = [1 << i for i in range(len(spec.primes))]
@@ -164,10 +167,8 @@ def build_topology(ring, style):
     extents = down_sets(closures, space)
     if style == ZARISKI:
         tags = _zariski_tags(ring, spec.primes, extents)
-    elif style == BALMER:
-        tags = _balmer_tags(ring, spec, space)
     else:
-        raise RingError(f"unknown topology style {style!r}")
+        tags = _balmer_tags(ring, spec, space)
     return ClosedSetFamily(style, list(spec.primes), extents,
                            [tags.get(e) for e in extents],
                            all(e in tags for e in extents if e),

@@ -1,6 +1,6 @@
 """Block-structured rings viewed as arrow algebras over finitely many
-objects: unit-decomposition checking, corner rings, and the
-classification of completely prime ideal subsets.
+objects: corner rings and the classification of completely prime ideal
+subsets.
 
 A completely prime ideal of a block ring singles out one object A: it
 contains every class outside the diagonal block of A, and meets that
@@ -30,9 +30,8 @@ declaration and an object with two units are left to refuse.
 from collections import namedtuple
 
 from .ideals import principal_complements
-from .spectrum import is_completely_prime
-from .zring import (RingError, block_objects, iter_bits, sub_ring, subset_key,
-                    unit_decomposition_violations)
+from .spectrum import _first_pair
+from .zring import RingError, block_objects, iter_bits, sub_ring, subset_key
 
 
 class MissingBlocks(RingError):
@@ -75,26 +74,6 @@ def block_view(ring):
     return BlockRingView(objects, block_masks, diagonal_units)
 
 
-def check_unit_decomposition(ring, units=None):
-    """Is the sum of the (given or declared) units a two-sided identity?
-
-    Returns (True, None) or (False, first failing basis label).  The
-    declared units always pass, as the ring was built only after they
-    did; a given unit set is checked afresh.
-    """
-    if units is None:
-        units = ring.units
-    if units is None:
-        raise RingError("no units declared")
-    units = frozenset(u if isinstance(u, int) else ring.index(u)
-                      for u in units)
-    violations = unit_decomposition_violations(
-        ring.labels, ring.tensor, units)[0]
-    if violations:
-        return False, violations[0].witness
-    return True, None
-
-
 def corner_ring(ring, obj):
     """The induced ring on the diagonal block of one object: the sub_ring
     on that block.
@@ -114,7 +93,10 @@ def corner_ring(ring, obj):
 
 def classify_completely_primes(ring):
     """All completely prime ideal subsets, in canonical order: the
-    distinct principal complements that pass is_completely_prime.
+    distinct principal complements with no pair of basis elements outside
+    whose product support lands inside (spectrum._first_pair).  Each
+    complement is a proper two-sided ideal by construction, so none is
+    checked for it.
 
     Complete primality implies Serre primality (ab lies in <a><b>), and
     every Serre prime is a principal complement, so no completely prime
@@ -124,5 +106,6 @@ def classify_completely_primes(ring):
     """
     if ring.blocks is not None:
         block_view(ring)
+    table = ring.product_masks
     return sorted((c for c in principal_complements(ring)
-                   if is_completely_prime(ring, c)[0]), key=subset_key)
+                   if _first_pair(table, c) is None), key=subset_key)

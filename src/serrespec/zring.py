@@ -583,22 +583,30 @@ def _combine(row, table, shifts, zero):
     return acc
 
 
-def unit_decomposition_violations(labels, tensor, units):
-    """Check that each unit is idempotent and the unit sum is a two-sided
-    identity on every basis element of a tensor.
+def _unit_check(labels, tensor, units):
+    """(violations, skip): the unit-axiom violations of a tensor, and the
+    indices whose triples need no associativity check, all the units or
+    none.
 
-    Returns (violations, left, right): the UnitViolation records, and
-    for each basis index g the unit u with u g != 0 (left[g]) and with
-    g u != 0 (right[g]), None where there is none.  When no axiom fails
-    each is unique, by positivity: the unit sum times g is g, a sum of
-    positive terms, so one unit product is g and the others are 0.  The
-    unit products of every g are gathered in one pass over the tensor.
+    The axioms are that each unit is idempotent and the unit sum is a
+    two-sided identity on every basis element; the unit products of
+    every g are gathered in one pass over the tensor.  Once they hold,
+    each g has one left unit l(g) and one right unit r(g), by positivity:
+    the unit sum times g is g, a sum of positive terms, so one unit
+    product is g and the others are 0.  So u g = [u = l(g)] g and
+    g u = [u = r(g)] g.  When every nonzero row xy has r(x) = l(y), and
+    l(h) = l(x) and r(h) = r(y) for each of its outputs h, every triple
+    with a unit u in it associates: (ub)c = [u = l(b)] bc = u(bc), since
+    each output of bc has the left unit of b; (ab)u = a(bu) the same way;
+    and (au)c = [u = r(a)] ac = [u = l(c)] ac = a(uc), as ac = 0 unless
+    r(a) = l(c).  A single unit acts on every g from both sides, so the
+    condition always holds.
     """
-    out = []
+    violations = []
     for u in sorted(units):
         sq = tensor.get((u, u), {})
         if sq != {(u, 0): 1}:
-            out.append(UnitViolation(
+            violations.append(UnitViolation(
                 labels[u], labels[u],
                 f"{labels[u]} is not idempotent: square is "
                 f"{_format_row(labels, sq)}"))
@@ -617,34 +625,14 @@ def unit_decomposition_violations(labels, tensor, units):
             if len(found) != 1 or found[0][1] != {(g, 0): 1}:
                 text = _format_row(labels, sum(
                     (Counter(row) for _, row in found), Counter()))
-                out.append(UnitViolation(
+                violations.append(UnitViolation(
                     None, lab,
                     f"{side.format(lab)} is {text}, expected {lab}"))
-    left = [found[-1][0] if found else None for found in lefts]
-    right = [found[-1][0] if found else None for found in rights]
-    return out, left, right
-
-
-def _unit_check(labels, tensor, units):
-    """(violations, skip): the unit-axiom violations of a tensor, and the
-    indices whose triples need no associativity check, all the units or
-    none.
-
-    Once the axioms hold, each g has one left unit l(g) and one right unit
-    r(g) (see unit_decomposition_violations), with u g = [u = l(g)] g and
-    g u = [u = r(g)] g.  When every nonzero row xy has r(x) = l(y), and
-    l(h) = l(x) and r(h) = r(y) for each of its outputs h, every triple
-    with a unit u in it associates: (ub)c = [u = l(b)] bc = u(bc), since
-    each output of bc has the left unit of b; (ab)u = a(bu) the same way;
-    and (au)c = [u = r(a)] ac = [u = l(c)] ac = a(uc), as ac = 0 unless
-    r(a) = l(c).  A single unit acts on every g from both sides, so the
-    condition always holds.
-    """
-    violations, left, right = unit_decomposition_violations(
-        labels, tensor, units)
     if violations:
         return violations, frozenset()
     if len(units) > 1:
+        left = [found[0][0] for found in lefts]
+        right = [found[0][0] for found in rights]
         for (x, y), row in tensor.items():
             if right[x] != left[y] or any(
                     left[h] != left[x] or right[h] != right[y]

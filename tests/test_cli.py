@@ -326,6 +326,15 @@ def test_oracle_checks_each_lattice_member_once(monkeypatch):
     assert result.report["ideals_checked"] == len(lattice) - 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--classify-cprimes"]],
+                         ids=["bare", "classify-cprimes"])
+def test_twocat_without_units_is_an_input_error(flags):
+    result = run_command(["twocat", "gallery:nilpotent", *flags])
+    assert result.exit_code == EXIT_INPUT
+    assert result.report == {"error": "input",
+                             "message": "no units declared"}
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from serrespec import (BALMER, TWO_SIDED, ZARISKI, allow_large,
+from serrespec import (BALMER, TWO_SIDED, ZARISKI, RingError, allow_large,
                        build_topology, closed_set, enumerate_serre_ideals,
                        gallery_names, labels_from_mask, load_gallery,
                        mask_from_labels, product_support, serre_closure,
@@ -242,6 +242,13 @@ def test_a_discrete_spectrum_of_twelve_points_equals_the_sweep(style):
     ring = diagonal(12)
     assert family_summary(build_topology(ring, style)) \
         == sweep_topology(ring, style)
+
+
+def test_unknown_style_is_refused_before_any_work():
+    ring = load_gallery("qplane-trunc-5")
+    with pytest.raises(RingError, match="^unknown topology style 'nope'$"):
+        build_topology(ring, "nope")
+    assert ring.cache == {}
 
 
 @pytest.mark.parametrize("k", [7, 9])

@@ -2,17 +2,16 @@ import pytest
 
 from serrespec import (FAST, LEFT, RIGHT, TWO_SIDED, MissingBlocks,
                        RingValidationError, allow_large, block_view,
-                       build_ring, check_unit_decomposition,
-                       classify_completely_primes, corner_ring,
-                       enumerate_serre_ideals, gallery_names,
+                       build_ring, classify_completely_primes, corner_ring,
+                       enumerate_serre_ideals, gallery_names, ideals,
                        is_completely_prime, is_serre_prime, labels_from_mask,
-                       load_gallery, quotient_ring, serre_spec)
+                       load_gallery, quotient_ring, serre_spec, spectrum)
 from serrespec.zring import BlockIncompatibility, UnitViolation
 
 from arith import basis, mul
 from ladder import (diagonal, matrix_corner, proper_quotients,
                     upper_triangular)
-from oracles import corner_classified_cprimes
+from oracles import corner_classified_cprimes, table_of
 
 BLOCK_RINGS = ["m2-block", "m3-block", "two-idem", "mixed-3obj"]
 
@@ -22,19 +21,15 @@ def brute_completely_primes(ring):
             if i != ring.full_mask and is_completely_prime(ring, i)[0]]
 
 
-def test_unit_decomposition_examples():
+def test_a_unit_set_short_of_the_identity_fails_to_build():
+    # e11 alone is idempotent, but the unit sum misses the object 2
     m2 = load_gallery("m2-block")
-    assert check_unit_decomposition(m2) == (True, None)
-    ok, witness = check_unit_decomposition(m2, ["e11"])
-    assert not ok and witness in {"e12", "e21", "e22"}
-    ti = load_gallery("two-idem")
-    assert check_unit_decomposition(ti) == (True, None)
-
-
-def test_unit_decomposition_requires_units():
-    nil = load_gallery("nilpotent")
-    with pytest.raises(Exception):
-        check_unit_decomposition(nil)
+    with pytest.raises(RingValidationError) as exc:
+        build_ring(m2.labels, table_of(m2), blocks=dict(enumerate(m2.blocks)),
+                   units=["e11"])
+    witnesses = {v.witness for v in exc.value.violations
+                 if isinstance(v, UnitViolation)}
+    assert witnesses and witnesses <= {"e12", "e21", "e22"}
 
 
 def test_block_view_structure():
@@ -104,20 +99,40 @@ def test_classify_matches_brute_force(name):
     assert classified == brute_completely_primes(ring)
 
 
-def test_classify_matches_brute_force_on_the_ladder():
+def ladder_rings():
     # the matrix corners have primes that are not completely prime, in a
-    # corner ring (block form) or in the ring itself (plain form); the
-    # corner-ring classification checks the paper's block theorem
+    # corner ring (block form) or in the ring itself (plain form)
     rings = [load_gallery(name) for name in BLOCK_RINGS]
     rings += [upper_triangular(k, blocks=True) for k in range(1, 6)]
     rings += [diagonal(k, blocks=True) for k in range(1, 7)]
     rings += [matrix_corner(k, blocks) for k in (1, 2, 3)
               for blocks in (True, False)]
-    rings += proper_quotients(rings)
-    for ring in rings:
+    return rings + proper_quotients(rings)
+
+
+def test_classify_matches_brute_force_on_the_ladder():
+    # the corner-ring classification checks the paper's block theorem
+    for ring in ladder_rings():
         classified = classify_completely_primes(ring)
         assert classified == brute_completely_primes(ring), ring.name
         assert classified == corner_classified_cprimes(ring), ring.name
+
+
+def test_classification_checks_no_complement_to_be_an_ideal(monkeypatch):
+    # every principal complement is a proper two-sided ideal already
+    rings = ladder_rings() + [load_gallery(name) for name in gallery_names()]
+    calls = []
+    check = spectrum.require_proper_two_sided
+
+    def counted(ring, members):
+        calls.append(members)
+        return check(ring, members)
+
+    for module in (ideals, spectrum):
+        monkeypatch.setattr(module, "require_proper_two_sided", counted)
+    for ring in rings:
+        classify_completely_primes(ring)
+    assert calls == []
 
 
 @pytest.mark.parametrize("build", [

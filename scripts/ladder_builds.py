@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time build_ring on a fixed ladder of rings, one line per ring.
+"""Time build_ring and the ring-file parse on a fixed ladder of rings,
+one line per ring.
 
     python3 scripts/ladder_builds.py [ring name ...]
 
@@ -9,18 +10,22 @@ structure-constant terms, the route its associativity check takes
 which builds only the (ab)c slices; "sparse", where the work rule
 refuses packing; or "sparse-wide", where the work rule admits it and the
 memory rule refuses), whether the unit triples were skipped ("skip",
-else "full"; see zring._unit_check), the best of three build times on
-the host clock and at reference speed, and the peak of a fourth build
-traced with tracemalloc.  Every build validates the ring's table from
-scratch through build_ring.  The rings are the gallery's
-verlinde-sl2-16/40/60 and qplane-trunc-5/10/15/19/20/25, tri-6/16 and
-diag-10/150/400 from tests/ladder.py, and the benchmark's qmono-3-deg4;
-the bench-sized ones (qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time
-the sparse side of the work rule.  Names given on the command line pick
-a subset.  Run it in two checkouts to compare them.
+else "full"; see zring._unit_check), and then twice the best of three
+times on the host clock and at reference speed and the peak of a fourth
+run traced with tracemalloc: first for build_ring, then, after the
+parsed table's own route, for parse_ring_file on the ring's
+serialize_ring text, the path a CLI command takes.  Both validate the
+ring's table from scratch; the parsed table shares one row object among
+the products with one text, where the built one has a row per product.
+The rings are the gallery's verlinde-sl2-16/40/60 and
+qplane-trunc-5/10/15/19/20/25, tri-6/16 and diag-10/150/400 from
+tests/ladder.py, and the benchmark's qmono-3-deg4; the bench-sized ones
+(qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time the sparse side of
+the work rule.  Names given on the command line pick a subset.  Run it
+in two checkouts to compare them.
 
 Host-clock times on a shared host can move by half between runs of the
-same code.  The reference-speed time scales each build by REF_S over
+same code.  The reference-speed time scales each run by REF_S over
 the mean time of bench/run.py's fixed reference loop, run just before
 and just after it, as the benchmark scales its commands; compare those
 across checkouts.
@@ -41,7 +46,8 @@ from oracles import table_of  # noqa: E402
 from run import REF_S, reference_s  # noqa: E402
 from workloads import TWISTS  # noqa: E402
 
-from serrespec import build_ring, load_gallery  # noqa: E402
+from serrespec import (build_ring, load_gallery,  # noqa: E402
+                       parse_ring_file, serialize_ring)
 from serrespec.monomial import MonomialRing, truncate_to_ring  # noqa: E402
 from serrespec.zring import (_by_middle, _packed_mismatches,  # noqa: E402
                              _packing_pays, _unit_check, is_commutative)
@@ -80,31 +86,40 @@ def skipped_units(ring):
     return _unit_check(ring.labels, ring.tensor, ring.units)[1]
 
 
-def measure(name):
-    ring = RINGS[name](name)
-    table = table_of(ring)
-    skip = skipped_units(ring)
-    path = route(ring, skip)
+def timed(run):
+    """'best=... ref=... peak=...' for run(): the best of REPEATS runs on
+    the host clock and at reference speed, and a traced run's peak."""
     best = best_ref = float("inf")
     for _ in range(REPEATS):
         before = reference_s()
         start = time.perf_counter()
-        build(ring, table)
+        run()
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         scale = 2 * REF_S / (before + reference_s())
         best_ref = min(best_ref, elapsed * scale)
     tracemalloc.start()
     try:
-        build(ring, table)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return (f"best={best * 1000:10.3f} ms  ref={best_ref * 1000:10.3f} ms  "
+            f"peak={peak / 2 ** 20:6.1f} MB")
+
+
+def measure(name):
+    ring = RINGS[name](name)
+    table = table_of(ring)
+    text = serialize_ring(ring)
+    skip = skipped_units(ring)
+    path = route(ring, skip)
+    parsed = route(parse_ring_file(text), skip)
     terms = sum(map(len, ring.tensor.values()))
     return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {path:<12}"
             f"{'skip' if skip else 'full':<5} "
-            f"best={best * 1000:10.3f} ms  ref={best_ref * 1000:10.3f} ms  "
-            f"peak={peak / 2 ** 20:6.1f} MB")
+            f"build {timed(lambda: build(ring, table))}  "
+            f"parse {parsed:<12}{timed(lambda: parse_ring_file(text))}")
 
 
 def main():

@@ -47,6 +47,10 @@ MUTANTS = (
      "unpacked = {s: _unpack(s, width, n, emin, step) for s in sums}",
      ["tests/test_zring.py::"
       "test_packed_and_sparse_paths_find_the_oracle_triples"]),
+    ("one-combine-memo-for-both-sides", "src/serrespec/zring.py",
+     "    left = {}\n    right = {}\n",
+     "    left = right = {}\n",
+     ["tests/test_zring.py::test_shared_rows_are_summed_as_their_copies"]),
     ("prime-generators-rotated", "src/serrespec/topology.py",
      "least = [closures[first[p]] for p in primes]",
      "least = [closures[first[p]] for p in primes[1:] + primes[:1]]",

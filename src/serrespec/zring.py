@@ -22,11 +22,16 @@ from the flat rows before any packed int is built, admit a table to the
 packed path: the work rule at _CELLS_PER_PARTIAL_PRODUCT weighs the
 packed path's cells against the sparse path's partial products, and the
 memory rule at _BITS_PER_ENTRY bounds the packed ints (a commutative
-table builds only its (ab)c slices there).  Either path returns exactly
-the violating triples, each with the rows (ab)c and a(bc) it summed, and
-violation text is written from those rows.  Once the unit axioms hold
-and the units grade the table (see _unit_check), every triple with a
-unit in it associates, and both paths visit only the others.
+table builds only its (ab)c slices there).  The packed path sums each
+row object that stands for several products once per side and keeps
+that sum for every slice that reads it: the ring-file parser gives each
+repeated product text one row, so a parsed fusion table, where ab = ba
+and most sums recur, is summed once per distinct product text.  Either
+path returns exactly the violating triples, each with the rows (ab)c and
+a(bc) it summed, and violation text is written from those rows.  Once
+the unit axioms hold and the units grade the table (see _unit_check),
+every triple with a unit in it associates, and both paths visit only
+the others.
 Coefficients are built only at input coercion in build_ring.  Basis
 subsets are bitmasks in basis order throughout the package.
 """
@@ -275,16 +280,18 @@ def _format_row(labels, row):
 #: microseconds).
 _CELLS_PER_PARTIAL_PRODUCT = 3
 
-#: the memory rule, the second gate: a table is packed only when 3 * n^2
-#: ints of W * n * (2 * span + 1) bits, a bound on its packed rows plus one
-#: middle factor's two slices, take at most this many bits per entry of its
-#: tensor, the flat rows {(gamma, q-exponent): positive int}, that is 1 KB,
-#: a few times the 100 to 300 bytes a flat entry takes (its key tuple,
-#: value and dict slot).  Packed ints grow with n and with the exponent
-#: range left after the gcd rescaling (q^3000 beside q), and the slices
-#: with n^2 whatever the table's sparsity; flat entries do neither.  A
-#: table either rule refuses takes the sparse path, whose dicts hold only
-#: nonzero partial products.
+#: the memory rule, the second gate: a table is packed only when
+#: 3 * n^2 + 2 * n * k ints of W * n * (2 * span + 1) bits, a bound on its
+#: packed rows, one middle factor's two slices and the n summed ints kept
+#: on each side for each of its k row objects that stand for several
+#: products, take at most this many bits per entry of its tensor, the flat
+#: rows {(gamma, q-exponent): positive int}, that is 1 KB, a few times the
+#: 100 to 300 bytes a flat entry takes (its key tuple, value and dict
+#: slot).  Packed ints grow with n and with the exponent range left after
+#: the gcd rescaling (q^3000 beside q), and the slices with n^2 whatever
+#: the table's sparsity; flat entries do neither.  A table either rule
+#: refuses takes the sparse path, whose dicts hold only nonzero partial
+#: products.
 _BITS_PER_ENTRY = 8192
 
 
@@ -451,7 +458,11 @@ def _packed_mismatches(flat, middle):
     reaches 2^W: nothing borrows (positivity) and nothing carries into the
     next field.  Each packed sum is then the base-2^W spelling of its row,
     so two are equal exactly when the rows are, and _unpack reads the row
-    back from the sum.
+    back from the sum.  The sum over one row depends only on the row, the
+    packed table it reads (cols or rows) and the shifts, all fixed within
+    one call, so a row object that stands for several products is summed
+    once per side and its list reused in every slice that reads it; a row
+    used once is not kept, so an unshared table sums as before.
 
     For each middle factor b the whole n x n slice is built with C-level
     maps: lhs[a][c] from cols[g], the packed g c over c, and rhs[c][a]
@@ -466,11 +477,13 @@ def _packed_mismatches(flat, middle):
     -A(a, b, c), and lhs compared with its own transpose finds the same
     triples (each with its mirror (c, b, a)) at half the _combine work.
 
-    Memory: the at most n^2 packed rows of W * n * (span + 1) bits and
-    one middle factor's two n x n slices of W * n * (2 * span + 1) bits
-    are within 3 * n^2 * W * n * (2 * span + 1) bits, which the memory
-    rule, decided before any packed int is built, caps at _BITS_PER_ENTRY
-    bits per flat entry.
+    Memory: the at most n^2 packed rows of W * n * (span + 1) bits, one
+    middle factor's two n x n slices and the kept sums, n ints per shared
+    row object per side, of W * n * (2 * span + 1) bits are within
+    (3 * n^2 + 2 * n * k) * W * n * (2 * span + 1) bits for k shared row
+    objects (both sides counted, also where a commutative table sums one).
+    The memory rule, decided before any packed int is built, caps that at
+    _BITS_PER_ENTRY bits per flat entry.
     """
     if not flat:
         return []
@@ -483,11 +496,17 @@ def _packed_mismatches(flat, middle):
     values = list(map(dict.values, flat.values()))
     width = (max(map(sum, values)) * max(map(max, values))).bit_length()
     slot = width * n
-    if 3 * n * n * slot * (2 * span + 1) \
+    # the row objects that stand for several products: each is summed once
+    # per side, kept in left (over cols) or right (over rows)
+    shared = {key for key, count in Counter(map(id, flat.values())).items()
+              if count > 1}
+    if (3 * n + 2 * len(shared)) * n * slot * (2 * span + 1) \
             > _BITS_PER_ENTRY * sum(map(len, values)):
         return None
     shifts = {e: slot * ((e - emin) // step) for e in exps}
     commutative = is_commutative(flat)
+    left = {}
+    right = {}
     # cols[g][c] = rows[c][g] = packed g c, cols for c and rows for g
     # outside skip; None for a g (or c) with no such product, which adds
     # nothing to a sum
@@ -512,13 +531,13 @@ def _packed_mismatches(flat, middle):
             continue
         lhs = [zero] * n
         for a, row in ending[b]:
-            lhs[a] = _combine(row, cols, shifts, zero)
+            lhs[a] = _combine(row, cols, shifts, zero, shared, left)
         if commutative:  # a(bc) = (cb)a
             rhs = lhs
         else:
             rhs = [zero] * n
             for c, row in starting[b]:
-                rhs[c] = _combine(row, rows, shifts, zero)
+                rhs[c] = _combine(row, rows, shifts, zero, shared, right)
         rhs = list(map(list, zip(*rhs)))
         if lhs == rhs:
             continue
@@ -558,7 +577,8 @@ def is_commutative(flat):
     upper = lower = 0
     for (a, b), row in flat.items():
         if a < b:
-            if flat.get((b, a)) != row:
+            other = flat.get((b, a))
+            if other is not row and other != row:
                 return False
             upper += 1
         elif a > b:
@@ -566,9 +586,13 @@ def is_commutative(flat):
     return upper == lower
 
 
-def _combine(row, table, shifts, zero):
+def _combine(row, table, shifts, zero, shared, kept):
     """Element-wise sum of v * table[g] << shifts[e] over the terms
-    {(g, e): v} of a flat row."""
+    {(g, e): v} of a flat row.  A row whose id is in shared is summed
+    once: its list is kept in kept by that id and returned again."""
+    acc = kept.get(id(row))
+    if acc is not None:
+        return acc
     acc = zero
     for (g, e), v in row.items():
         part = table[g]
@@ -580,6 +604,8 @@ def _combine(row, table, shifts, zero):
         if shift:
             part = map(lshift, part, repeat(shift))
         acc = list(part) if acc is zero else list(map(add, acc, part))
+    if id(row) in shared:
+        kept[id(row)] = acc
     return acc
 
 
@@ -769,15 +795,21 @@ def sub_ring(ring, keep, name):
     """The ring on the basis elements in the mask keep, in basis order.
 
     The tensor keeps the rows of kept pairs restricted to the kept outputs
-    and renumbered, and the blocks and the declared units restrict to keep
-    (a dropped unit is gone).  The result goes through the same checks as
-    build_ring's, so it is validated from scratch rather than trusted.
+    and renumbered, each distinct row object once, so products that share
+    a row still share one; the blocks and the declared units restrict to
+    keep (a dropped unit is gone).  The result goes through the same
+    checks as build_ring's, so it is validated from scratch rather than
+    trusted.
     """
     new = {old: i for i, old in enumerate(iter_bits(keep))}
     tensor = {}
+    restricted = {}  # id of a parent row -> its restriction
     for (a, b), row in ring.tensor.items():
         if a in new and b in new:
-            kept = {(new[g], e): v for (g, e), v in row.items() if g in new}
+            kept = restricted.get(id(row))
+            if kept is None:
+                kept = restricted[id(row)] = {
+                    (new[g], e): v for (g, e), v in row.items() if g in new}
             if kept:
                 tensor[new[a], new[b]] = kept
     blocks = ring.blocks

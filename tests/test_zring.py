@@ -454,6 +454,41 @@ def test_sub_ring_equals_the_label_keyed_rebuild(ring):
     assert ZPlusRing in outcomes
 
 
+def _shared_groups(tensor):
+    """The lists of two or more pairs whose products are one row object."""
+    groups = {}
+    for pair, row in tensor.items():
+        groups.setdefault(id(row), []).append(pair)
+    return [pairs for pairs in groups.values() if len(pairs) > 1]
+
+
+# parsed from their files, where every repeated product text is one row
+SHARING_BASES = [parse_ring_file(serialize_ring(r)) for r in SUB_RING_BASES
+                 + [upper_triangular(3), diagonal(3), matrix_corner(2, False),
+                    load_gallery("verlinde-sl2-6")]]
+SHARING_BASES = [r for r in SHARING_BASES if _shared_groups(r.tensor)]
+
+
+@pytest.mark.parametrize("ring", SHARING_BASES, ids=lambda r: r.name)
+def test_quotients_keep_the_parent_rows_shared(ring):
+    groups = _shared_groups(ring.tensor)
+    still_shared = 0
+    for ideal in enumerate_serre_ideals(ring):
+        if ideal == ring.full_mask:
+            continue
+        keep = ring.full_mask & ~ideal
+        sub = sub_ring(ring, keep, "quotient")
+        assert sub == rebuilt_sub_ring(ring, keep, "quotient")
+        new = {old: i for i, old in enumerate(iter_bits(keep))}
+        for pairs in groups:
+            rows = [sub.tensor.get((new.get(a), new.get(b)))
+                    for a, b in pairs]
+            rows = [row for row in rows if row is not None]
+            assert all(row is rows[0] for row in rows)
+            still_shared += len(rows) > 1
+    assert still_shared
+
+
 def _broken_ising():
     labels = ("1", "eps", "sigma")
     idx = {lab: i for i, lab in enumerate(labels)}
@@ -704,6 +739,60 @@ def test_packed_and_sparse_paths_find_the_oracle_triples(case):
     assert packed is None or packed == expected
 
 
+def _coefficient_table(flat):
+    """An int-mode flat table as the Coefficient table the oracle reads."""
+    return {ab: {g: Coefficient(INT, {e: v}) for (g, e), v in row.items()}
+            for ab, row in flat.items()}
+
+
+def _raise_one(flat, ab):  # ab no longer equals ba
+    row = flat[ab]
+    key = min(row)
+    flat[ab] = {**row, key: row[key] + 1}
+
+
+def _add_unit_term(flat, ab):
+    row = flat[ab]
+    flat[ab] = {**row, (0, 0): row.get((0, 0), 0) + 1}
+
+
+def _raise_both(flat, ab):  # one new row object at ab and ba
+    _raise_one(flat, ab)
+    flat[ab[::-1]] = flat[ab]
+
+
+# each makes one edit at f1 f2 ("symmetric": the same edit at f2 f1 too)
+# in a copy of a parsed Verlinde table, whose other rows stay shared
+SHARED_ROW_EDITS = {
+    "none": lambda flat, ab: None,
+    "raise": _raise_one,
+    "drop": lambda flat, ab: flat.pop(ab),
+    "extra": _add_unit_term,
+    "symmetric": _raise_both,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SHARED_ROW_EDITS))
+@pytest.mark.parametrize("k", range(2, 17))
+def test_shared_rows_are_summed_as_their_copies(k, edit):
+    ring = parse_ring_file(serialize_ring(load_gallery(f"verlinde-sl2-{k}")))
+    flat = dict(ring.tensor)
+    SHARED_ROW_EDITS[edit](flat, (1, 2))
+    assert _shared_groups(flat)
+    copied = {pair: dict(row) for pair, row in flat.items()}
+    found = _associativity_violations(ring.labels, flat)
+    assert found == _associativity_violations(ring.labels, copied)
+    assert [tuple(v) for v in found] \
+        == naive_violations(ring.labels, _coefficient_table(flat))
+    assert bool(found) == (edit != "none")
+    # the packed path alone, also where the work rule routes the table
+    # sparse: with its kept sums it finds the copy's triples and rows
+    packed = _packed(flat, ring.size)
+    assert packed is not None
+    assert packed == _packed(copied, ring.size) == naive_mismatches(
+        copied, ring.size)
+
+
 # rings with units: one unit (qplane, verlinde), blocks (tri, matrix
 # units, mixed-3obj) and several units without blocks (tri, diagonal,
 # the matrix sum)
@@ -842,16 +931,28 @@ LADDER = {
 }
 
 
+def _flat(labels, table):
+    return labels, flat_rows(table)
+
+
 def _table_of(ring):
-    return ring.labels, table_of(ring)
+    return _flat(ring.labels, table_of(ring))
 
 
-# name -> (labels and index-keyed tensor, the paths the check runs):
-# dense fusion tables pack, their partial products outweighing the
-# packed path's cells (the sparse check takes seconds on verlinde-sl2-40);
-# small or sparse tables go sparse without packing anything, their n^3
-# slice cells outweighing the partial products; the carry group passes
-# the work rule, but the memory rule refuses its exponent range
+def _parsed(name):
+    """A gallery ring's labels and flat rows as its file parses, one row
+    object for each distinct product text."""
+    ring = parse_ring_file(serialize_ring(load_gallery(name)))
+    return ring.labels, ring.tensor
+
+
+# name -> (labels and flat rows, the paths the check runs): dense fusion
+# tables pack, their partial products outweighing the packed path's cells
+# (the sparse check takes seconds on verlinde-sl2-40), also parsed, with
+# their shared rows' kept sums in the memory rule; small or sparse tables
+# go sparse without packing anything, their n^3 slice cells outweighing
+# the partial products; the carry group passes the work rule, but the
+# memory rule refuses its exponent range
 PACKED = [("_packed_mismatches", True)]
 SPARSE = [("_sparse_mismatches", True)]
 ROUTES = {
@@ -867,15 +968,16 @@ ROUTES = {
     "diag-150": (lambda: _table_of(LADDER["diag-150"]()), SPARSE),
     "qplane-trunc-12": (lambda: _table_of(LADDER["qplane-trunc-12"]()),
                         SPARSE),
-    "carry-5x8-gap-3000": (lambda: _carry_group(5, 8, 3000),
+    "carry-5x8-gap-3000": (lambda: _flat(*_carry_group(5, 8, 3000)),
                            [("_packed_mismatches", False)] + SPARSE),
+    "parsed-verlinde-sl2-40": (lambda: _parsed("verlinde-sl2-40"), PACKED),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))
 def test_packing_rule_picks_the_route(name, monkeypatch):
     make, route = ROUTES[name]
-    labels, tensor = make()
+    labels, flat = make()
     calls = []
     for path in ("_packed_mismatches", "_sparse_mismatches"):
         def spy(*args, run=getattr(zring, path), path=path):
@@ -883,7 +985,7 @@ def test_packing_rule_picks_the_route(name, monkeypatch):
             calls.append((path, found is not None))
             return found
         monkeypatch.setattr(zring, path, spy)
-    assert _associativity_violations(labels, flat_rows(tensor)) == []
+    assert _associativity_violations(labels, flat) == []
     assert calls == route
 
 
@@ -899,3 +1001,14 @@ def test_ladder_rings_build_in_small_memory(name):
     for _ in range(40):
         a, b = rng.randrange(ring.size), rng.randrange(ring.size)
         assert built.product_masks[a][b] == naive_product_mask(ring, a, b)
+
+
+def test_parsed_fusion_file_validates_in_small_memory():
+    # the 1,681 products of verlinde-sl2-40 have 441 distinct texts, and
+    # each shared row keeps its n summed ints on the packed path
+    ring = load_gallery("verlinde-sl2-40")
+    text = serialize_ring(ring)
+    parsed, peak = _peak_mb(lambda: parse_ring_file(text))
+    assert peak < 5
+    assert parsed == ring
+    assert 3 * len(set(map(id, parsed.tensor.values()))) < len(parsed.tensor)

@@ -18,11 +18,11 @@ serialize_ring text, the path a CLI command takes.  Both validate the
 ring's table from scratch; the parsed table shares one row object among
 the products with one text, where the built one has a row per product.
 The rings are the gallery's verlinde-sl2-16/40/60 and
-qplane-trunc-5/10/15/19/20/25, tri-6/16 and diag-10/150/400 from
-tests/ladder.py, and the benchmark's qmono-3-deg4; the bench-sized ones
-(qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time the sparse side of
-the work rule.  Names given on the command line pick a subset.  Run it
-in two checkouts to compare them.
+qplane-trunc-5/10/15/19/20/25, tri-6/16, diag-10/150/400 and
+diag-block-400 from tests/ladder.py, and the benchmark's qmono-3-deg4;
+the bench-sized ones (qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time
+the sparse side of the work rule.  Names given on the command line pick
+a subset.  Run it in two checkouts to compare them.
 
 Host-clock times on a shared host can move by half between runs of the
 same code.  The reference-speed time scales each run by REF_S over
@@ -57,6 +57,7 @@ RINGS = {
     **{f"qplane-trunc-{d}": load_gallery for d in (5, 10, 15, 19, 20, 25)},
     **{f"tri-{k}": (lambda name, k=k: upper_triangular(k)) for k in (6, 16)},
     **{f"diag-{k}": (lambda name, k=k: diagonal(k)) for k in (10, 150, 400)},
+    "diag-block-400": lambda name: diagonal(400, blocks=True),
     "qmono-3-deg4": lambda name: truncate_to_ring(
         MonomialRing(3, TWISTS[1]), 4, name),
 }
@@ -64,8 +65,9 @@ REPEATS = 3
 
 
 def build(ring, table):
-    return build_ring(ring.labels, table, ring.mode,
-                      units=ring.units, name=ring.name)
+    blocks = None if ring.blocks is None else dict(enumerate(ring.blocks))
+    return build_ring(ring.labels, table, ring.mode, blocks,
+                      ring.units, ring.name)
 
 
 def route(ring, skip):

@@ -162,6 +162,14 @@ MUTANTS = (
      '                    f"nonnegative, got {c}")\n',
      "",
      ["tests/test_zring.py::test_negative_constant_rejected"]),
+    ("left-default-from-the-source-object", "src/serrespec/io.py",
+     "pairs = [(u, g) for u in acting.get(dst, ())]",
+     "pairs = [(u, g) for u in acting.get(src, ())]",
+     ["tests/test_io.py::test_unit_defaults_equal_the_looped_oracle"]),
+    ("zero-line-defaulted", "src/serrespec/io.py",
+     "            if pair not in written:\n",
+     "            if pair not in rows:\n",
+     ["tests/test_io.py::test_a_unit_product_written_zero_stays_zero"]),
     ("repeated-labels-assembled", "src/serrespec/zring.py",
      "    _require_distinct(labels, name)\n"
      "    if units is not None and not units:\n",

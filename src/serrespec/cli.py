@@ -22,7 +22,6 @@ from collections import namedtuple
 from itertools import compress, product
 from json.encoder import encode_basestring_ascii
 
-from .coefficients import CoefficientError
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
     load_gallery
 from .ideals import (BasisTooLarge, allow_large, enumerate_serre_ideals,
@@ -489,7 +488,7 @@ def run_command(argv):
     except BasisTooLarge as exc:
         return CommandResult(EXIT_GUARD, {"error": "guard",
                                           "message": str(exc)})
-    except (RingError, CoefficientError, ValueError, OSError) as exc:
+    except (RingError, ValueError, OSError) as exc:
         return CommandResult(EXIT_INPUT, {"error": "input",
                                           "message": str(exc)})
     return CommandResult(code, report)

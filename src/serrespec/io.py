@@ -16,10 +16,12 @@ coefficient with several monomials serializes as repeated terms.  Labels
 match [A-Za-z0-9_]+ and "block SRC DST" assigns source and target objects.
 
 Unspecified products are zero, except products with declared units, which
-default to whatever the unit axioms force: with blocks the unit of the
-matching object acts as the identity, and a single unit without blocks is
-a two-sided identity.  With several units and no blocks the axioms do not
-pin individual products down, so nothing is defaulted.
+default to whatever the unit axioms force.  The identity is the sum of
+one unit per object, so u g = g for each unit u on g's target object and
+g u = g for each unit on g's source; a single unit without blocks is the
+unit of one anonymous object, a two-sided identity.  With several units
+and no blocks the axioms do not pin individual products down, so nothing
+is defaulted.  A product written '= 0' is never defaulted.
 """
 
 import re
@@ -32,6 +34,10 @@ from .zring import (AssociativityViolation, RingError, RingValidationError,
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _HEADER_FIRST = "'ring', 'coeff' and 'basis' lines must come first"
+# each directive but 'mul' -> the directives that must come before it;
+# every directive but 'block' appears at most once
+_NEEDS = {"ring": set(), "coeff": {"ring"}, "basis": {"ring", "coeff"},
+          "unit": {"basis"}, "block": {"basis"}}
 
 
 class RingFileError(RingError):
@@ -58,20 +64,24 @@ def parse_ring_file(text, source="<ring>"):
     """Parse and fully validate a ring file; diagnostics carry line numbers.
 
     Each label is resolved to its basis index once, where it is read, and
-    the products are added up as the flat rows the ring stores.  'mul'
-    lines, nearly all of a file, are tested for first; a 'basis' line
-    needs 'ring' and 'coeff' before it, so a read basis stands for the
-    whole header.  Each distinct product text is parsed once, at its
-    first line, and every line with that text shares its read-only row;
-    each distinct coefficient text, such as a 'q^2' repeated across
-    products, is parsed once too, so a bad one raises at its first line.
+    the products are added up as the flat rows the ring stores; only
+    nonzero rows are kept, and pair_lines records every written product,
+    '= 0' ones included.  'mul' lines, nearly all of a file, are tested
+    for first.  Every other line is checked once against _NEEDS; a
+    'basis' line needs 'ring' and 'coeff' before it, so a read basis
+    stands for the whole header.  Each distinct product text is parsed
+    once, at its first line, and every line with that text shares its
+    read-only row; each distinct coefficient text, such as a 'q^2'
+    repeated across products, is parsed once too, so a bad one raises at
+    its first line.
     """
     name = None
     mode = None
     labels = None
     units = None
+    seen = set()     # the directives read so far, 'mul' aside
     blocks = {}      # basis index -> (source, target)
-    rows = {}        # (a, b) index pair -> flat row, empty for '= 0'
+    rows = {}        # (a, b) index pair -> nonzero flat row
     pair_lines = {}  # (a, b) index pair -> line number of its 'mul' line
     parsed = {}      # stripped product text -> its flat row
     coeffs = {}      # stripped coefficient text -> its terms
@@ -106,13 +116,19 @@ def parse_ring_file(text, source="<ring>"):
             if row is None:
                 row = parsed[sum_text] = _parse_sum(
                     sum_text, mode, index, coeffs, source, line_no)
-            rows[pair] = row
+            if row:
+                rows[pair] = row
             pair_lines[pair] = line_no
             continue
+        if word not in _NEEDS:
+            raise RingFileError(f"unknown directive {word!r}", source, line_no)
+        if word in seen and word != "block":
+            raise RingFileError(f"duplicate {word!r} line", source, line_no)
+        if not _NEEDS[word] <= seen:
+            raise RingFileError(_HEADER_FIRST, source, line_no)
+        seen.add(word)
         rest = rest.strip()
         if word == "ring":
-            if name is not None:
-                raise RingFileError("duplicate 'ring' line", source, line_no)
             if not rest:
                 raise RingFileError("missing ring name", source, line_no)
             m = re.fullmatch(r'"([^"]*)"', rest)
@@ -120,33 +136,19 @@ def parse_ring_file(text, source="<ring>"):
             if '"' in name:
                 raise RingFileError(f"bad ring name {rest!r}", source, line_no)
         elif word == "coeff":
-            if name is None:
-                raise RingFileError(_HEADER_FIRST, source, line_no)
-            if mode is not None:
-                raise RingFileError("duplicate 'coeff' line", source, line_no)
             if rest not in (INT, LAURENT):
                 raise RingFileError(
                     f"coeff must be 'int' or 'laurent', got {rest!r}",
                     source, line_no)
             mode = rest
         elif word == "basis":
-            if name is None or mode is None:
-                raise RingFileError(_HEADER_FIRST, source, line_no)
-            if labels is not None:
-                raise RingFileError("duplicate 'basis' line", source, line_no)
             labels = [_check_label(t, source, line_no) for t in rest.split()]
             if not labels:
                 raise RingFileError("empty basis", source, line_no)
             index = {lab: i for i, lab in enumerate(labels)}
         elif word == "unit":
-            if labels is None:
-                raise RingFileError(_HEADER_FIRST, source, line_no)
-            if units is not None:
-                raise RingFileError("duplicate 'unit' line", source, line_no)
             units = [_check_label(t, source, line_no) for t in rest.split()]
-        elif word == "block":
-            if labels is None:
-                raise RingFileError(_HEADER_FIRST, source, line_no)
+        else:  # block
             head, sep, members = rest.partition(":")
             if not sep:
                 raise RingFileError("block line needs ':'", source, line_no)
@@ -165,8 +167,6 @@ def parse_ring_file(text, source="<ring>"):
                     raise RingFileError(
                         f"label {lab!r} assigned to two blocks", source, line_no)
                 blocks[i] = (src, dst)
-        else:
-            raise RingFileError(f"unknown directive {word!r}", source, line_no)
 
     if labels is None:
         raise RingFileError(_HEADER_FIRST, source)
@@ -184,11 +184,9 @@ def parse_ring_file(text, source="<ring>"):
     blocks = tuple(blocks[index[lab]] for lab in labels) if blocks else None
     if units is not None:
         units = frozenset(index[u] for u in units)
-        _fill_unit_defaults(rows, len(labels), units, blocks)
-
-    tensor = {pair: row for pair, row in rows.items() if row}
+        _fill_unit_defaults(rows, pair_lines, len(labels), units, blocks)
     try:
-        return _assemble(tuple(labels), mode, tensor, blocks, units, name)
+        return _assemble(tuple(labels), mode, rows, blocks, units, name)
     except RingValidationError as exc:
         hints = list(exc.hints)
         for v in exc.violations:
@@ -238,22 +236,42 @@ def _parse_sum(text, mode, index, coeffs, source, line_no):
     return row
 
 
-def _fill_unit_defaults(rows, n, units, blocks):
+def _fill_unit_defaults(rows, written, n, units, blocks):
+    """Set rows[u, g] = g for each unit u on g's target object and
+    rows[g, u] = g for each unit on g's source, where no line wrote the
+    product (written holds the written pairs, '= 0' ones included).
+
+    A unit's object is its source.  A single unit without blocks is the
+    unit of one anonymous object; several units without blocks force
+    nothing.  Each object's units are listed once and each g is visited
+    once, so the work is O(n + units).  The product of two units on one
+    object, which fails the unit axioms whatever it is, gets a default at
+    each factor's visit and keeps the later one; the units are visited
+    first, in the unit set's order, so it keeps the default of the unit
+    met first, as tests/oracles.py:looped_unit_defaults does.
+
+    The defaults enter rows in visit order, but no report reads the
+    order of the tensor's keys: _assemble's block check walks
+    sorted(tensor), _unit_check's verdicts and texts do not depend on
+    the order it gathers the unit products in, the associativity
+    violations are described in (a, b, c) order, the support tables are
+    ORs, and serialize_ring sorts.  tests/test_io.py checks this by
+    shuffling the 'mul' lines of ring files, which shuffles the tensor.
+    """
+    if blocks is None:
+        if len(units) > 1:
+            return  # several units, no blocks: nothing is forced
+        blocks = ((None, None),) * n
+    acting = {}  # object -> its units
     for u in units:
-        for g in range(n):
-            for pair, unit_on_left in (((u, g), True), ((g, u), False)):
-                if pair in rows:
-                    continue
-                if blocks is not None:
-                    obj = blocks[u][0]
-                    src, dst = blocks[g]
-                    acts = (dst == obj) if unit_on_left else (src == obj)
-                elif len(units) == 1:
-                    acts = True
-                else:
-                    continue  # several units, no blocks: nothing is forced
-                if acts:
-                    rows[pair] = {(g, 0): 1}
+        acting.setdefault(blocks[u][0], []).append(u)
+    for g in [*units, *(g for g in range(n) if g not in units)]:
+        src, dst = blocks[g]
+        pairs = [(u, g) for u in acting.get(dst, ())]
+        pairs += [(g, u) for u in acting.get(src, ())]
+        for pair in pairs:
+            if pair not in written:
+                rows[pair] = {(g, 0): 1}
 
 
 def serialize_ring(ring):

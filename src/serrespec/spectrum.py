@@ -44,7 +44,7 @@ from collections import namedtuple
 from .ideals import (enumerate_serre_ideals, pairs_inside,
                      principal_closures, principal_complements,
                      product_support, require_proper_two_sided)
-from .zring import TWO_SIDED, RingError, labels_from_mask
+from .zring import TWO_SIDED, RingError, iter_bits, labels_from_mask
 
 FAST = "fast"
 DEFINITIONAL = "definitional"
@@ -58,7 +58,7 @@ def _first_pair(table, members):
     """First basis pair (a, b) outside the ideal subset, in basis order,
     with table[a][b] inside it; None if there is none.  The caller vouches
     that the mask is a proper two-sided ideal."""
-    outside = [i for i in range(len(table)) if not members >> i & 1]
+    outside = list(iter_bits(~members & ((1 << len(table)) - 1)))
     for a in outside:
         row = table[a]
         for b in outside:
@@ -131,7 +131,7 @@ def is_serre_prime(ring, ideal, mode=FAST):
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
         closures = principal_closures(ring)
-        outside = [a for a in range(ring.size) if not members >> a & 1]
+        outside = list(iter_bits(ring.full_mask & ~members))
         principal = [closures[a] for a in outside]
         pair = next(pairs_inside(ring, principal, members), None)
         if pair is None:

@@ -24,6 +24,8 @@ rebuilt_sub_ring is the former label-keyed zring.sub_ring, which rebuilt
 the restricted table through build_ring; labelled_truncation is the
 former monomial.truncate_to_ring, which made a Coefficient for every
 pair of monomials within the degree and validated through build_ring;
+looped_unit_defaults is the former io._fill_unit_defaults, which decided
+each (unit, basis element, side) triple on its own;
 corner_classified_cprimes is the former twocat classification, which
 read each object's corner-ring spectrum and lifted it, the paper's block
 theorem for completely prime ideals.
@@ -310,6 +312,27 @@ def labelled_truncation(ring, degree, name=None):
     if name is None:
         name = f"qmonomial-{ring.nvars}vars-deg{degree}"
     return build_ring(labels, tensor, LAURENT, None, ["1"], name)
+
+
+def looped_unit_defaults(rows, n, units, blocks):
+    """Fill the unit products the axioms force, in place: rows holds a
+    row for every written pair, empty for '= 0', and each (unit, g, side)
+    triple not in rows is decided on its own."""
+    for u in units:
+        for g in range(n):
+            for pair, unit_on_left in (((u, g), True), ((g, u), False)):
+                if pair in rows:
+                    continue
+                if blocks is not None:
+                    obj = blocks[u][0]
+                    src, dst = blocks[g]
+                    acts = (dst == obj) if unit_on_left else (src == obj)
+                elif len(units) == 1:
+                    acts = True
+                else:
+                    continue  # several units, no blocks: nothing is forced
+                if acts:
+                    rows[pair] = {(g, 0): 1}
 
 
 def naive_mismatches(flat, n):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from serrespec import io
@@ -6,9 +8,13 @@ from serrespec import (LAURENT, Coefficient, RingError, RingFileError,
                        load_gallery,
                        mask_from_labels, parse_ring_file, quotient_ring,
                        serialize_ring)
-from serrespec.cli import EXIT_FALSE, EXIT_INPUT, run_command
+from serrespec.cli import EXIT_FALSE, EXIT_INPUT, render_report, run_command
 from serrespec.coefficients import parse_coefficient
 from serrespec.zring import AssociativityViolation
+
+from conftest import SEED
+from ladder import diagonal, matrix_corner, upper_triangular
+from oracles import looped_unit_defaults
 
 ISING_FIXTURE = """\
 # Ising fusion table
@@ -270,6 +276,19 @@ _FIRST = "'ring', 'coeff' and 'basis' lines must come first"
      "bad.ring:4: 'q' is not allowed in int mode at offset 0"),
     (_HEADER + "mul a a a\n", "bad.ring:4: mul line needs '='"),
     (_HEADER + "mul a = a\n", "bad.ring:4: mul line needs two factor labels"),
+    # the header rules: each directive but 'block' once, after its
+    # prerequisites
+    ('ring "x"\n# again\nring "y"\n', "bad.ring:3: duplicate 'ring' line"),
+    ('ring "x"\ncoeff int\ncoeff laurent\n',
+     "bad.ring:3: duplicate 'coeff' line"),
+    (_HEADER + "basis a\n", "bad.ring:4: duplicate 'basis' line"),
+    (_HEADER + "unit a\nunit b\n", "bad.ring:5: duplicate 'unit' line"),
+    ('coeff int\nring "x"\n', f"bad.ring:1: {_FIRST}"),
+    ('ring "x"\ncoeff int\nblock A A: a\nbasis a\n', f"bad.ring:3: {_FIRST}"),
+    ("# unnamed\nring\n", "bad.ring:2: missing ring name"),
+    ('ring "x"\ncoeff int\nbasis  # none\n', "bad.ring:3: empty basis"),
+    (_HEADER + "foo bar\n", "bad.ring:4: unknown directive 'foo'"),
+    ("foo\nring \"x\"\n", "bad.ring:1: unknown directive 'foo'"),
 ])
 def test_parse_error_messages(text, message):
     with pytest.raises(RingFileError) as exc:
@@ -481,3 +500,124 @@ def test_repeated_coefficient_texts_are_parsed_once(monkeypatch):
     with pytest.raises(RingFileError, match="'q' is not allowed") as exc:
         parse_ring_file(bad)
     assert exc.value.line == 4
+
+
+def _without_unit_lines(text, ring):
+    """The ring file with every 'mul' line that has a unit factor deleted,
+    so the unit defaults make those products."""
+    units = {ring.labels[u] for u in ring.units}
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not (line.startswith("mul ")
+                           and units & set(line.split()[1:3])))
+
+
+def _unit_ring_files():
+    """{name: text}: every gallery and ladder ring file with units, with
+    and without blocks, and each again with its unit 'mul' lines deleted."""
+    rings = [load_gallery(name) for name in gallery_names()]
+    rings += [family(k, blocks) for family, sizes in (
+        (upper_triangular, (1, 2, 4)), (diagonal, (1, 2, 5)),
+        (matrix_corner, (1, 2, 3))) for k in sizes for blocks in (False, True)]
+    files = {}
+    for ring in rings:
+        if ring.units is not None:
+            text = serialize_ring(ring)
+            files[ring.name] = text
+            files[f"{ring.name}/no-unit-lines"] = _without_unit_lines(
+                text, ring)
+    # two units on one object, which the unit set lists as x8, x1: the
+    # default of x1 x8 is that of the unit met first, x1 x8 = x1
+    labels = [f"x{i}" for i in range(10)]
+    files["two-units-on-one-object"] = (
+        'ring "two-units"\ncoeff int\nbasis ' + " ".join(labels)
+        + "\nunit x1 x8\nblock A A: " + ", ".join(labels) + "\n")
+    return files
+
+
+UNIT_FILES = _unit_ring_files()
+
+
+def _looped_fill(rows, written, n, units, blocks):
+    """io._fill_unit_defaults through the looped oracle, which expects a
+    row for every written pair, empty for '= 0'."""
+    looped = {pair: rows.get(pair, {}) for pair in written}
+    looped_unit_defaults(looped, n, units, blocks)
+    rows.update((pair, row) for pair, row in looped.items() if row)
+
+
+def _outcome(text):
+    """The parsed ring, or the text of its validation error."""
+    try:
+        return parse_ring_file(text, "units.ring")
+    except RingValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_FILES))
+def test_unit_defaults_equal_the_looped_oracle(name, monkeypatch):
+    filled = []
+
+    def recorded(fill):
+        def spy(rows, *args):
+            fill(rows, *args)
+            filled.append(dict(rows))
+        return spy
+
+    outcomes = []
+    for fill in (io._fill_unit_defaults, _looped_fill):
+        monkeypatch.setattr(io, "_fill_unit_defaults", recorded(fill))
+        outcomes.append(_outcome(UNIT_FILES[name]))
+    assert len(filled) == 2
+    assert filled[0] == filled[1]
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("text,line,violation", [
+    (ISING_FIXTURE, "mul 1 sigma = 0",
+     "unit sum times sigma is 0, expected sigma"),
+    (ISING_FIXTURE, "mul sigma 1 = 0",
+     "sigma times unit sum is 0, expected sigma"),
+    (SAME_RING["blocks-and-unit-defaults"][0], "mul uB f = 0",
+     "unit sum times f is 0, expected f"),
+    (SAME_RING["blocks-and-unit-defaults"][0], "mul f uA = 0",
+     "f times unit sum is 0, expected f"),
+])
+def test_a_unit_product_written_zero_stays_zero(text, line, violation):
+    # the axioms would default the product, but a written line wins
+    with pytest.raises(RingValidationError) as exc:
+        parse_ring_file(text + line + "\n", "zero.ring")
+    witness = violation.split()[-1]
+    assert f"unit axiom fails (witness {witness}): {violation}" in \
+        str(exc.value).split("\n  ")
+
+
+_SHUFFLED = {name: UNIT_FILES[name] for name in (
+    "ising", "m3-block", "mixed-3obj", "qplane-trunc-2", "verlinde-sl2-3",
+    "two-idem", "tri-block-4/no-unit-lines", "diag-5/no-unit-lines",
+    "matrix-corner-2/no-unit-lines")} | {
+    "split": SPLIT, "ungraded-loop": UNGRADED_LOOP}
+_REPORTS = (["validate"], ["spec"], ["ideals"],
+            ["topology", "--style", "zariski"],
+            ["topology", "--style", "balmer"])
+
+
+@pytest.mark.parametrize("name", sorted(_SHUFFLED))
+def test_reports_do_not_read_the_order_of_mul_lines(name, tmp_path,
+                                                    monkeypatch):
+    # the 'mul' lines fix the order of the tensor's keys, and the unit
+    # defaults follow them; no report may depend on that order
+    lines = _SHUFFLED[name].splitlines(keepends=True)
+    head = [line for line in lines if not line.startswith("mul ")]
+    muls = [line for line in lines if line.startswith("mul ")]
+    shuffled = muls[:]
+    random.Random(SEED).shuffle(shuffled)
+    reports = []
+    for i, order in enumerate((muls, muls[::-1], shuffled)):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        (tmp_path / str(i) / "r.ring").write_text("".join(head + order))
+        results = [run_command([cmd[0], "r.ring", *cmd[1:]])
+                   for cmd in _REPORTS]
+        reports.append([(r.exit_code, render_report(r.report))
+                        for r in results])
+    assert reports[0] == reports[1] == reports[2]

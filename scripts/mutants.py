@@ -65,14 +65,28 @@ MUTANTS = (
      "if all(c >> g & 1 for g, c in enumerate(closures)):",
      ["tests/test_ideals.py::test_one_comparable_pair_takes_the_search"]),
     ("discrete-subsets-over-reversed-bits", "src/serrespec/ideals.py",
-     "bits = [1 << g for g in iter_bits(full)]",
-     "bits = [1 << g for g in iter_bits(full)][::-1]",
+     "for bit in reversed([1 << g for g in iter_bits(full)]):",
+     "for bit in [1 << g for g in iter_bits(full)]:",
      ["tests/test_ideals.py::"
       "test_discrete_orders_list_every_subset_without_a_search"]),
+    ("new-bit-subsets-last", "src/serrespec/ideals.py",
+     "by_size[k] = [bit | s for s in by_size[k - 1]] + by_size[k]",
+     "by_size[k] = by_size[k] + [bit | s for s in by_size[k - 1]]",
+     ["tests/test_ideals.py::"
+      "test_discrete_orders_list_the_subsets_of_a_gapped_mask"]),
+    ("subset-key-set-bit-last", "src/serrespec/zring.py",
+     "return mask.bit_count(), bin(mask)[:1:-1].translate(_SET_BITS_FIRST)",
+     "return mask.bit_count(), bin(mask)[:1:-1]",
+     ["tests/test_zring.py::"
+      "test_subset_key_orders_by_cardinality_then_index_tuple"]),
     ("joined-halves-swapped", "src/serrespec/cli.py",
      "texts = {m: link[m & 255] + rests[m >> 8] if m >> 8 else end[m & 255]",
      "texts = {m: rests[m >> 8] + link[m & 255] if m >> 8 else end[m & 255]",
      ["tests/test_cli.py::test_mask_lists_over_seventy_names_render_as_json_dumps"]),
+    ("doubling-puts-the-name-first", "src/serrespec/cli.py",
+     "link += [t + name + sep for t in link]",
+     "link += [name + t + sep for t in link]",
+     ["tests/test_cli.py::test_large_levels_render_from_doubling_tables"]),
     ("empty-low-byte-links-with-a-separator", "src/serrespec/cli.py",
      "link[low] = body + sep if low else prefix",
      "link[low] = body + sep",

@@ -588,6 +588,16 @@ def _write_masks(out, value, indent):
 #: _BITS[b]: the bits of the byte b from bit 0 up, as 0/1 selectors
 _BITS = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
 
+#: the table rule of _joined: a level holding at least 1/_MASKS_PER_TABLE
+#: as many masks as its run of names has bytes makes the pieces of every
+#: byte by doubling; a smaller level joins the names of each byte it
+#: holds.  On 8-name runs a byte costs about 0.18 microseconds in the
+#: table and 0.58 joined, plus 0.03 per mask to find the bytes held (a
+#: 2-vCPU host, Python 3.11), so the table pays once a level holds about
+#: a third of the bytes; a quarter is near enough, and the larger levels,
+#: the diag-k lattices and extents, hold every byte many times over.
+_MASKS_PER_TABLE = 4
+
 
 def _subset_texts(names, masks, indent):
     """{mask: the JSON list of the names at its bits} over the distinct
@@ -611,13 +621,22 @@ def _joined(names, masks, head, sep, tail):
     a set of nonzero masks.
 
     Level k holds the distinct masks shifted right by 8k bits, and its
-    texts are made from the top level down.  Each distinct low byte of a
-    level has two pieces, made once: its "link", the byte's names and
-    sep (nothing for an empty byte), and its "end", the byte's names and
-    tail; level 0's pieces open with head.  A mask is its byte's link
-    followed by the text level k + 1 made for its rest, or its byte's
-    end when it has no rest.  So every text is whole, and a mask costs
-    at most one concatenation a level.
+    texts are made from the top level down.  A low byte of a level has
+    two pieces, made once: its "link", the byte's names and sep (nothing
+    for an empty byte), and its "end", the byte's names and tail; level
+    0's pieces open with head.  A mask is its byte's link followed by
+    the text level k + 1 made for its rest, or its byte's end when it
+    has no rest.  So every text is whole, and a mask costs at most one
+    concatenation a level.
+
+    The pieces come from one of two builders, by the rule at
+    _MASKS_PER_TABLE.  A level with many masks for its run's bytes gets
+    a table of every byte's pieces, made by doubling: after the run's
+    names below j, a byte whose highest name is j is the link of the
+    byte without it followed by that name, then sep for its link or
+    tail for its end; so each piece is two concatenations, and no byte
+    is taken apart.  A smaller level joins the names of each distinct
+    byte it holds, selected by _BITS.
     """
     levels = [masks]
     while 8 * len(levels) < len(names):
@@ -627,11 +646,17 @@ def _joined(names, masks, head, sep, tail):
         run = names[8 * len(levels) - 8:8 * len(levels)]
         level = levels.pop()
         prefix = "" if levels else head
-        link, end = {}, {}
-        for low in {m & 255 for m in level}:
-            body = prefix + sep.join(compress(run, _BITS[low]))
-            link[low] = body + sep if low else prefix
-            end[low] = body + tail
+        if _MASKS_PER_TABLE * len(level) >= 1 << len(run):
+            link, end = [prefix], [prefix + tail]
+            for name in run:
+                end += [t + name + tail for t in link]
+                link += [t + name + sep for t in link]
+        else:
+            link, end = {}, {}
+            for low in {m & 255 for m in level}:
+                body = prefix + sep.join(compress(run, _BITS[low]))
+                link[low] = body + sep if low else prefix
+                end[low] = body + tail
         rests = texts
         texts = {m: link[m & 255] + rests[m >> 8] if m >> 8 else end[m & 255]
                  for m in level}

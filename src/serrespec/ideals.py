@@ -15,8 +15,10 @@ rather than to the 2^n basis subsets.  The search emits the ideals in
 canonical order (cardinality, then lexicographic index tuple), so no
 sort follows it.  A discrete preorder, every principal closure a single
 element (diag-k on every side), has all 2^n subsets for ideals, the
-most any preorder has; those are listed by ``itertools.combinations``
-in the same order, with no search.
+most any preorder has; those are listed by cardinality, in the same
+order, with no search: the bits are taken from the highest down, and
+the subsets holding each new bit go in front of the others of their
+cardinality.
 
 An ideal is its int bitmask in basis order, here and in every module that
 takes or returns one.  One-sided lattices are masks too: a mask does not
@@ -32,7 +34,7 @@ only; every new thread starts guarded.
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from itertools import chain, combinations
+from itertools import chain
 
 from .zring import (LEFT, RIGHT, TWO_SIDED, RingError, iter_bits,
                     labels_from_mask, sub_ring)
@@ -134,9 +136,15 @@ def down_sets(closures, full):
     has, and reached by no other order (a comparable pair h < g rules
     out {g}).  These are the largest families listed (diag-k lattices on
     every side, the extents of every discrete spectrum), so one O(n)
-    check sends them to ``combinations`` over the bits of full, taken by
-    cardinality: each cardinality comes out in lexicographic index order,
-    which is the canonical order, and nothing is searched or sorted.
+    check sends them to a doubling over the bits of full, highest first,
+    that keeps by_size[k], the subsets of k of the bits met so far, in
+    canonical order: a new bit is lower than every bit met, so among
+    subsets of one cardinality those holding it have the smaller index
+    tuples and come first, each followed by its subset of the higher
+    bits, in the order already kept; those without it follow, as before.
+    So by_size[k] becomes [bit | s for s in by_size[k - 1]] followed by
+    by_size[k], each subset costs one OR and about two list slots, and
+    nothing is searched or sorted.
 
     Any other order is searched.  Branches on the lowest undecided
     index g: either g is included, which forces in closures[g], or it is
@@ -159,9 +167,12 @@ def down_sets(closures, full):
     canonical order.
     """
     if all(c == 1 << g for g, c in enumerate(closures)):
-        bits = [1 << g for g in iter_bits(full)]
-        return list(chain.from_iterable(map(sum, combinations(bits, k))
-                                        for k in range(len(bits) + 1)))
+        by_size = [[0]]
+        for bit in reversed([1 << g for g in iter_bits(full)]):
+            by_size.append([])
+            for k in range(len(by_size) - 1, 0, -1):
+                by_size[k] = [bit | s for s in by_size[k - 1]] + by_size[k]
+        return list(chain.from_iterable(by_size))
     below = transpose(closures)
     buckets = [[] for _ in range(full.bit_count() + 1)]
     stack = [(0, full)]

@@ -192,9 +192,11 @@ def parse_ring_file(text, source="<ring>"):
         for v in exc.violations:
             if isinstance(v, AssociativityViolation):
                 # _assemble refuses repeated labels before this check, so
-                # each label names one index
+                # each label names one index; a pair with a row but no
+                # line took its product from the unit axioms
                 for x, y in ((v.alpha, v.beta), (v.beta, v.gamma)):
-                    if (index[x], index[y]) not in pair_lines:
+                    pair = index[x], index[y]
+                    if pair not in pair_lines and pair not in rows:
                         hints.append(f"hint: no 'mul {x} {y}' line in "
                                      f"{source}; the product defaulted to 0")
         raise RingValidationError(exc.ring_name, exc.violations,

@@ -214,9 +214,20 @@ def mask_of(indices):
 _SELECTORS = bytes.maketrans(b"01", b"\0\1")
 
 
+#: a mask's bits from index 0 up, a set bit as "0" and a clear one as "1"
+_SET_BITS_FIRST = str.maketrans("01", "10")
+
+
 def subset_key(mask):
-    """Canonical subset order: cardinality, then lexicographic indices."""
-    return mask.bit_count(), tuple(iter_bits(mask))
+    """Canonical subset order: cardinality, then lexicographic indices.
+
+    Of two masks of one cardinality, the first index at which they
+    differ decides: the mask holding it has the smaller index tuple, and
+    its string, read from bit 0 up with a set bit as "0", is the smaller
+    there.  Neither string is a prefix of the other, as each ends at its
+    mask's highest set bit.  So one string stands for the tuple, and a
+    sort compares in C."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SET_BITS_FIRST)
 
 
 def mask_from_labels(ring, labels):

@@ -26,12 +26,15 @@ former monomial.truncate_to_ring, which made a Coefficient for every
 pair of monomials within the degree and validated through build_ring;
 looped_unit_defaults is the former io._fill_unit_defaults, which decided
 each (unit, basis element, side) triple on its own;
+combination_subsets is the former discrete path of ideals.down_sets,
+which listed the subsets of each cardinality by itertools.combinations;
 corner_classified_cprimes is the former twocat classification, which
 read each object's corner-ring spectrum and lifted it, the paper's block
 theorem for completely prime ideals.
 """
 
-from itertools import combinations_with_replacement, product
+from itertools import (chain, combinations, combinations_with_replacement,
+                       product)
 
 import numpy as np
 
@@ -121,6 +124,14 @@ def index_tuple(mask):
 
 def canonical_key(mask):
     return mask.bit_count(), index_tuple(mask)
+
+
+def combination_subsets(full):
+    """Every subset of the mask full in canonical order: combinations
+    emit each cardinality in lexicographic index order."""
+    bits = [1 << g for g in iter_bits(full)]
+    return list(chain.from_iterable(map(sum, combinations(bits, k))
+                                    for k in range(len(bits) + 1)))
 
 
 def sweep_topology(ring, style):

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serrespec import (cli, enumerate_serre_ideals, gallery_names, ideals,
-                       load_gallery, spectrum)
+from serrespec import (LEFT, cli, enumerate_serre_ideals, gallery_names,
+                       ideals, load_gallery, spectrum)
 from serrespec.cli import EXIT_FALSE, EXIT_GUARD, EXIT_INPUT, EXIT_OK, \
     MaskList, render_report, run_command
 from serrespec.io import serialize_ring
@@ -247,6 +247,62 @@ def test_every_one_and_two_bit_mask_renders_as_json_dumps(n):
     for value in (plain, tagged, {"a": [plain, {"b": tagged}]}):
         assert render_report(value) == \
             json.dumps(value, indent=2, default=list) + "\n"
+
+
+class _Reads(list):
+    """A list that records the index of each item read."""
+
+    def __init__(self, items, read):
+        super().__init__(items)
+        self.read = read
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def _render_both(names, masks, tags, monkeypatch):
+    """Render masks plain and tagged, each equal to json.dumps; returns
+    the bytes whose names were joined, not read from a table."""
+    read = []
+    monkeypatch.setattr(cli, "_BITS", _Reads(cli._BITS, read))
+    plain = MaskList(names, masks)
+    tagged = MaskList(names, masks, MaskList(names[::-1], tags))
+    for value in (plain, tagged):
+        assert render_report(value) == \
+            json.dumps(value, indent=2, default=list) + "\n"
+    return read
+
+
+def _past_the_rule():
+    for n in range(8, 13):
+        names = [f"n{i}" for i in range(n - 1)] + ['"q\\']
+        yield pytest.param(names, range(1 << n), id=f"all-subsets-{n}")
+    tri = upper_triangular(6)
+    yield pytest.param(list(tri.labels), enumerate_serre_ideals(tri, LEFT),
+                       id="tri-6-left")
+
+
+@pytest.mark.parametrize("names, masks", _past_the_rule())
+def test_large_levels_render_from_doubling_tables(names, masks, monkeypatch):
+    # every level holds at least a quarter as many masks as its run has
+    # bytes, so no byte's names are joined
+    masks = list(masks)
+    tags = masks[::-1]
+    tags[::7] = [None] * len(tags[::7])
+    assert _render_both(names, masks, tags, monkeypatch) == []
+
+
+def test_small_levels_join_the_bytes_they_hold(monkeypatch):
+    # 20 names: runs of 8, 8 and 4 names, and at most 3 masks a level
+    # past the first, which holds 4; so every level joins its bytes, and
+    # the plain list, rendered first, reads 3, 3 and 4 of them
+    names = [f"n{i}" for i in range(19)] + ['"q\\']
+    masks = [(1 << 20) - 1, 1 << 19, 0x5a5a5, 1, 0, 1 << 19]
+    read = _render_both(names, masks, [None, 0, 1 << 19, 0x5a5a5, 1, 1],
+                        monkeypatch)
+    assert sorted(read[:10]) == sorted([0xf, 0x8, 0x5, 0xff, 0x00, 0xa5,
+                                        0xff, 0x00, 0xa5, 0x01])
 
 
 @pytest.mark.parametrize("at", [0, 2, 3, None],

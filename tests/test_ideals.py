@@ -19,9 +19,9 @@ from serrespec.gallery import quantum_plane
 from serrespec.ideals import down_sets
 
 from ladder import diagonal, matrix_corner, upper_triangular
-from oracles import canonical_key, naive_enumerate, naive_ideal_witness, \
-    naive_is_serre_ideal, naive_product_support, scan_enumerate, \
-    scan_pairs_inside
+from oracles import canonical_key, combination_subsets, naive_enumerate, \
+    naive_ideal_witness, naive_is_serre_ideal, naive_product_support, \
+    scan_enumerate, scan_pairs_inside
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +222,17 @@ def searches(monkeypatch):
 def test_discrete_orders_list_every_subset_without_a_search(n, searches):
     closures = [1 << g for g in range(n)]
     assert down_sets(closures, (1 << n) - 1) == brute_down_sets(closures)
+    assert searches == []
+
+
+@pytest.mark.parametrize("bits", [(), (0,), (7,), (0, 3, 5, 9, 12),
+                                  (1, 2, 11), (0, 1, 2, 3, 12)])
+def test_discrete_orders_list_the_subsets_of_a_gapped_mask(bits, searches):
+    # a full mask with gaps: the subsets of its bits only, each
+    # cardinality in the order combinations gives it
+    full = sum(1 << g for g in bits)
+    assert down_sets([1 << g for g in range(13)], full) \
+        == combination_subsets(full)
     assert searches == []
 
 

@@ -591,6 +591,25 @@ def test_a_unit_product_written_zero_stays_zero(text, line, violation):
         str(exc.value).split("\n  ")
 
 
+def test_no_hint_names_a_product_the_unit_axioms_defaulted(tmp_path,
+                                                           monkeypatch):
+    # g*uB has no line, but the axioms defaulted it to g, as (g*uB)*f = h
+    # shows; uB*f has a line, '= 0'; so neither factor pair is hinted
+    (tmp_path / "zero.ring").write_text(
+        SAME_RING["blocks-and-unit-defaults"][0] + "mul uB f = 0\n")
+    monkeypatch.chdir(tmp_path)
+    result = run_command(["validate", "zero.ring"])
+    assert result.exit_code == EXIT_FALSE
+    assert result.report == {
+        "command": "validate", "ring": "mixed-3obj", "ok": False,
+        "violations": [
+            "associativity fails on (g, uB, f): (g*uB)*f = h but "
+            "g*(uB*f) = 0 (first difference at h)",
+            "unit axiom fails (witness f): unit sum times f is 0, "
+            "expected f"],
+        "hints": []}
+
+
 _SHUFFLED = {name: UNIT_FILES[name] for name in (
     "ising", "m3-block", "mixed-3obj", "qplane-trunc-2", "verlinde-sl2-3",
     "two-idem", "tri-block-4/no-unit-lines", "diag-5/no-unit-lines",

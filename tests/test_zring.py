@@ -326,6 +326,11 @@ def test_subset_key_orders_by_cardinality_then_index_tuple():
     rng = random.Random(SEED)
     masks = list(range(1 << 10))
     masks += [rng.getrandbits(40) for _ in range(2000)]
+    # mixed widths up to 1,001 bits, and few bits far apart, so that
+    # masks of one cardinality differ in width
+    masks += [rng.getrandbits(rng.randint(1, 1001)) for _ in range(500)]
+    masks += [sum(1 << b for b in rng.sample(range(1001), k))
+              for k in (1, 2, 3, 5) for _ in range(200)]
     rng.shuffle(masks)
     assert sorted(masks, key=subset_key) \
         == sorted(masks, key=lambda m: (m.bit_count(), index_tuple(m)))

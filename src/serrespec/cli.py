@@ -451,7 +451,7 @@ def _cmd_oracle(ring, args):
     for ideal in proper:
         for prop, fast, definitional in (
                 ("prime", ideal in primes,
-                 _definitional_prime(ring, ideal)[0]),
+                 _definitional_prime(ring, ideal) is None),
                 ("semiprime", _fast_semiprime(ring, ideal)[0],
                  _definitional_semiprime(ring, ideal)[0])):
             if fast != definitional:

@@ -270,35 +270,46 @@ def pairs_inside(ring, subsets, target):
     """Every pair (i, j) of the listed subsets whose product_support lies
     inside the target mask, i-major in list order.
 
+    The subsets may come from any iterable, a one-shot iterator
+    included, and are read lazily: the first row reads them one at a
+    time and yields (first, j) as soon as it has read j, so a caller
+    that stops at its first pair reads no subset after the one that
+    completes it.  Rows 2 onward scan the subsets the first row listed.
+
     No product support is computed.  The product of i and j leaves the
     target exactly when some a in i and b in j have product_masks[a][b]
     outside it; so each basis element b gets, on first use, the escape
-    mask of the a that send it out (n ANDs), each subset j the union of
-    its members' escape masks, and after that a pair costs one AND.
+    mask of the a that send it out, read from ring.columns[b], one AND
+    per nonzero product ab; each subset j gets the union of its members'
+    escape masks, its hit, as it is read; and after that a pair costs
+    one AND.
     """
-    if not subsets:
-        return
-    pm = ring.product_masks
+    columns = ring.columns
     outside = ~target
-    escapes = {}
+    escapes = [None] * len(columns)
+    listed = []
     hits = []
-    first = subsets[0]
-    for j in subsets:
+    subsets = iter(subsets)
+    first = next(subsets, None)
+    if first is None:
+        return
+    for j in chain((first,), subsets):
         hit = 0
         for b in iter_bits(j):
-            escape = escapes.get(b)
+            escape = escapes[b]
             if escape is None:
                 escape = 0
-                for a, row in enumerate(pm):
-                    if row[b] & outside:
+                for a, product in columns[b]:
+                    if product & outside:
                         escape |= 1 << a
                 escapes[b] = escape
             hit |= escape
+        listed.append(j)
         hits.append(hit)
         if not first & hit:
             yield first, j
-    for i in subsets[1:]:
-        for j, hit in zip(subsets, hits):
+    for i in listed[1:]:
+        for j, hit in zip(listed, hits):
             if not i & hit:
                 yield i, j
 

@@ -36,10 +36,18 @@ Definitional primality still quantifies over every pair of ideals, but
 decides each containment I*J inside P with one AND instead of a product
 support: the product escapes P exactly when I meets the escape mask of J,
 the set of basis elements a sending some b in J outside P
-(ideals.pairs_inside).
+(ideals.pairs_inside).  It pays only for what it visits: the lattice
+reaches pairs_inside through a lazy filter of the ideals escaping P,
+pairs_inside reads that one ideal at a time, and each escape mask is
+read from the nonzero products in its column (ZPlusRing.columns).  So
+the check on a non-prime P stops at its first pair, often after a few
+ideals, and only a prime P visits every pair of escaping ideals.  The
+minimal-primes split search reads the ideals strictly above a node the
+same way.
 """
 
 from collections import namedtuple
+from itertools import compress, count
 
 from .ideals import (enumerate_serre_ideals, pairs_inside,
                      principal_closures, principal_complements,
@@ -146,18 +154,22 @@ def is_serre_prime(ring, ideal, mode=FAST):
         }
     if mode != DEFINITIONAL:
         raise RingError(f"unknown primality mode {mode!r}")
-    return _definitional_prime(ring, members)
-
-
-def _definitional_prime(ring, members):
-    """is_serre_prime's definitional mode on a mask the caller vouches is
-    a proper two-sided ideal."""
-    escaping = [m for m in enumerate_serre_ideals(ring, TWO_SIDED)
-                if m & ~members]
-    pair = next(pairs_inside(ring, escaping, members), None)
+    pair = _definitional_prime(ring, members)
     if pair is None:
         return True, None
     return False, {"ideal_pair": [labels_from_mask(ring, m) for m in pair]}
+
+
+def _definitional_prime(ring, members):
+    """The first pair (I, J) of lattice ideals escaping the mask whose
+    product lies inside it, or None when the mask is prime; the caller
+    vouches that the mask is a proper two-sided ideal.
+
+    The lattice is filtered lazily: when the first escaping ideal is in
+    a pair, no ideal after the one that completes it is read."""
+    lattice = enumerate_serre_ideals(ring, TWO_SIDED)
+    escaping = compress(lattice, map((~members).__and__, lattice))
+    return next(pairs_inside(ring, escaping, members), None)
 
 
 def is_completely_prime(ring, ideal):
@@ -249,9 +261,12 @@ def minimal_primes_over(ring, ideal):
     tried over every pair of larger ideals in canonical lattice order, and
     results memoized, so the outcome is deterministic.  Which pairs fall
     back is decided by pairs_inside with one AND per pair: J*K lies inside
-    the ideal exactly when J misses the escape masks of K's members.  Each
-    chain entry is then replaced by a minimal prime below it, which keeps
-    the product property.
+    the ideal exactly when J misses the escape masks of K's members.  The
+    larger ideals are read lazily from just after the node in the
+    canonical lattice, where every strict superset lies (it has more
+    members, and cardinality comes first), so a node that splits at its
+    first pairs reads few of them.  Each chain entry is then replaced by
+    a minimal prime below it, which keeps the product property.
 
     The chain is long (2^(n-1) entries on qplane-trunc-D and tri-k) but
     repeats at most r = len(minimal) primes, and the raw chain's entries
@@ -270,6 +285,8 @@ def minimal_primes_over(ring, ideal):
                if not any(q != p and not q & ~p for q in over)]
 
     prime_set = set(prime_masks)
+    # the position just after each lattice member
+    after = dict(zip(masks, count(1)))
     memo = {}
 
     def chain_for(m):
@@ -279,7 +296,8 @@ def minimal_primes_over(ring, ideal):
             memo[m] = [m]
             return memo[m]
         result = None
-        above = [k for k in masks if not m & ~k and k != m]
+        later = masks[after[m]:]
+        above = compress(later, map(m.__eq__, map(m.__and__, later)))
         for j, k in pairs_inside(ring, above, m):
             cj = chain_for(j)
             if cj is None:
@@ -302,7 +320,7 @@ def minimal_primes_over(ring, ideal):
     # exactly the members of minimal inside p
     lowest = {p: next(q for q in minimal if not q & ~p)
               for p in set(raw_chain)}
-    return minimal, [lowest[p] for p in raw_chain]
+    return minimal, list(map(lowest.__getitem__, raw_chain))
 
 
 def chain_product_support(ring, chain):

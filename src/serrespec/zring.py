@@ -173,6 +173,16 @@ class ZPlusRing:
         """left_absorb[g] | right_absorb[g] for each g."""
         return tuple(map(or_, self.left_absorb, self.right_absorb))
 
+    @cached_property
+    def columns(self):
+        """columns[b]: a pair (a, product_masks[a][b]) for each a with
+        b_a * b_b nonzero, in tensor order."""
+        pm = self.product_masks
+        out = [[] for _ in self.labels]
+        for a, b in self.tensor:
+            out[b].append((a, pm[a][b]))
+        return tuple(map(tuple, out))
+
     def __eq__(self, other):
         if not isinstance(other, ZPlusRing):
             return NotImplemented

@@ -373,8 +373,36 @@ def pair_scans(draw):
 @given(pair_scans())
 def test_pairs_inside_is_the_pair_scan_in_order(case):
     ring, subsets, target = case
-    assert list(pairs_inside(ring, subsets, target)) \
-        == scan_pairs_inside(ring, subsets, target)
+    expected = scan_pairs_inside(ring, subsets, target)
+    assert list(pairs_inside(ring, subsets, target)) == expected
+    assert list(pairs_inside(ring, iter(subsets), target)) == expected
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pair_scans())
+def test_the_first_pair_comes_before_any_later_subset_is_read(case):
+    ring, subsets, target = case
+    read = []
+
+    def counted():
+        for j in subsets:
+            read.append(j)
+            yield j
+
+    first = next(pairs_inside(ring, counted(), target), None)
+    n = len(subsets)
+    # the first row completes its pair (subsets[0], subsets[c]) when it
+    # reads subsets[c]; a later row needs every subset listed
+    cells = [(r, c) for r in range(n) for c in range(n)
+             if not naive_product_support(ring, subsets[r], subsets[c])
+             & ~target]
+    if not cells:
+        assert first is None
+        assert len(read) == n
+        return
+    r, c = cells[0]
+    assert first == (subsets[r], subsets[c])
+    assert len(read) == (c + 1 if r == 0 else n)
 
 
 def test_intersection_of_ideals_is_ideal(gallery):

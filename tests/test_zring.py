@@ -238,6 +238,16 @@ def test_directly_constructed_ring_derives_the_build_ring_tables(ring):
         assert getattr(direct, name) == getattr(ring, name) == naive[name]
 
 
+@pytest.mark.parametrize("ring", _table_rings(), ids=lambda r: r.name)
+def test_columns_hold_each_nonzero_product_of_their_right_factor(ring):
+    pm = _naive_tables(ring)["product_masks"]
+    n = ring.size
+    assert len(ring.columns) == n
+    for b, column in enumerate(ring.columns):
+        assert len(column) == len(set(column))
+        assert set(column) == {(a, pm[a][b]) for a in range(n) if pm[a][b]}
+
+
 @pytest.mark.parametrize("ring", [r for r in _table_rings() if r.units],
                          ids=lambda r: r.name)
 def test_bare_product_lies_in_the_middle_factor_union_with_units(ring):

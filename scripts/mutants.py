@@ -14,8 +14,8 @@ when they all pass, and "stale" when the snippet does not occur exactly
 once or a named test function no longer exists; a stale mutant is not
 run.  The named tests first run once unmutated, and must pass.  The exit
 code is 0 when every mutant is killed, 1 otherwise.  Each mutant
-copies the tree and starts its own pytest, so the whole list of 36 took
-2 min 31 s on a 2-vCPU host with Python 3.11.7 and nothing else
+copies the tree and starts its own pytest, so the whole list of 40 took
+3 min 10 s on a 2-vCPU host with Python 3.11.7 and nothing else
 running; tier-1 runs only the stale check (tests/test_mutants.py).  A
 new fast path adds its mutant here.
 """
@@ -40,6 +40,11 @@ MUTANTS = (
      "return weighted > cells",
      "return weighted <= cells",
      ["tests/test_zring.py::test_packing_rule_picks_the_route"]),
+    ("work-bound-without-the-cell-weight", "src/serrespec/zring.py",
+     "if _CELLS_PER_PARTIAL_PRODUCT * terms * max(weights, default=0) <= cells:",
+     "if terms * max(weights, default=0) <= cells:",
+     ["tests/test_zring.py::"
+      "test_packing_rule_picks_the_route[carry-5x8-gap-3000]"]),
     ("commutative-with-an-unpaired-row", "src/serrespec/zring.py",
      "    return upper == lower\n",
      "    return True\n",
@@ -94,6 +99,23 @@ MUTANTS = (
      "link[low] = body + sep",
      ["tests/test_cli.py::"
       "test_every_one_and_two_bit_mask_renders_as_json_dumps"]),
+    ("higher-part-before-the-low-piece", "src/serrespec/cli.py",
+     "    pieces[::3] = [end[m] if m < 256 else link[m & 255] for m in masks]\n"
+     "    pieces[1::3] = map(rests.__getitem__, highs)\n",
+     "    pieces[1::3] = [end[m] if m < 256 else link[m & 255] for m in masks]\n"
+     "    pieces[::3] = map(rests.__getitem__, highs)\n",
+     ["tests/test_cli.py::"
+      "test_every_one_and_two_bit_mask_renders_as_json_dumps"]),
+    ("low-end-read-past-the-first-byte", "src/serrespec/cli.py",
+     "[end[m] if m < 256 else link[m & 255] for m in masks]",
+     "[end[m] if m < 256 else end[m & 255] for m in masks]",
+     ["tests/test_cli.py::"
+      "test_mask_lists_over_seventy_names_render_as_json_dumps"]),
+    ("null-mask-left-to-the-pieces-path", "src/serrespec/cli.py",
+     "except TypeError:  # a mask is None",
+     "except KeyError:  # a mask is None",
+     ["tests/test_cli.py::"
+      "test_mask_lists_over_seventy_names_render_as_json_dumps"]),
     ("exclude-branch-forces-out-the-closure", "src/serrespec/ideals.py",
      "stack.append((inside, free & ~below[g]))",
      "stack.append((inside, free & ~closures[g]))",

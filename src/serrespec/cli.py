@@ -19,8 +19,9 @@ import json
 import os
 import sys
 from collections import namedtuple
-from itertools import compress, product
+from itertools import compress, product, repeat
 from json.encoder import encode_basestring_ascii
+from operator import rshift
 
 from .gallery import gallery_expected, gallery_names, gallery_summary, \
     load_gallery
@@ -55,15 +56,19 @@ class MaskList:
     Iterating yields ``select_by_mask(names, mask)`` per mask, and None
     for a mask that is None.  With ``tags``, a MaskList holding one mask
     (or None) per set, each item is ``{"points": ..., "tag": ...}`` as a
-    closed set reads.  Equality compares the materialized lists.
+    closed set reads.  ``repeats`` tells the renderer that an untagged
+    list repeats its masks many times (a product chain), so each
+    distinct mask's text is made once; it changes no text.  Equality
+    compares the materialized lists.
     """
 
-    __slots__ = ("names", "masks", "tags")
+    __slots__ = ("names", "masks", "tags", "repeats")
 
-    def __init__(self, names, masks, tags=None):
+    def __init__(self, names, masks, tags=None, repeats=False):
         self.names = names
         self.masks = masks
         self.tags = tags
+        self.repeats = repeats
 
     def __len__(self):
         return len(self.masks)
@@ -286,7 +291,8 @@ def _cmd_minimal_primes(ring, args):
     """Minimal primes over an ideal and the product chain of them.
 
     The chain repeats a few minimal primes many times; it stays a
-    MaskList, and ``render_report`` writes each distinct prime once.
+    MaskList with ``repeats``, and ``render_report`` writes each distinct
+    prime once.
     """
     ideal = _ideal_from_arg(ring, args.ideal)
     try:
@@ -302,7 +308,7 @@ def _cmd_minimal_primes(ring, args):
     return EXIT_OK, {
         "ideal": labels_from_mask(ring, ideal),
         "minimal_primes": [labels_from_mask(ring, p) for p in minimal],
-        "chain": MaskList(ring.labels, chain),
+        "chain": MaskList(ring.labels, chain, repeats=True),
         "chain_product_support": labels_from_mask(ring, fold),
         "chain_verified": not fold & ~ideal,
     }
@@ -553,23 +559,22 @@ def _write(out, value, indent):
 
 
 def _write_masks(out, value, indent):
-    """Append a MaskList's pieces.  Each distinct mask's text is made
-    once, and every repeat of it is the same string.
+    """Append a MaskList's pieces.  No item's text is made: an item's
+    pieces go into ``out`` as they are, each item followed by the text
+    that closes it and opens the next; the closing bracket replaces the
+    last of those.
 
-    No item's text is made either.  An item's pieces, a subset's text or
-    a closed set's points, ``mid`` and tag, go into ``out`` as they are,
-    each item followed by the text that closes it and opens the next;
-    the closing bracket replaces the last of those."""
+    An untagged list without ``repeats`` is written as three pieces per
+    mask, from ``_low_and_high_pieces``.  A list with ``repeats`` or
+    holding None, and a closed-set list, make each distinct mask's text
+    once, and every repeat of it is the same string; a closed set's
+    pieces are its points' text, ``mid`` and its tag's text."""
     if not value.masks:
         out.append("[]")
         return
     inner = indent + "  "
-    if value.tags is None:
-        texts = _subset_texts(value.names, value.masks, inner)
-        pieces = [None, ",\n" + inner] * len(value.masks)
-        pieces[::2] = map(texts.__getitem__, value.masks)
-        head = tail = ""
-    else:
+    head = tail = ""
+    if value.tags is not None:
         field = inner + "  "
         points = _subset_texts(value.names, value.masks, field)
         tags = _subset_texts(value.tags.names, value.tags.masks, field)
@@ -580,6 +585,13 @@ def _write_masks(out, value, indent):
             * len(value.masks)
         pieces[::4] = map(points.__getitem__, value.masks)
         pieces[2::4] = map(tags.__getitem__, value.tags.masks)
+    elif value.repeats:
+        pieces = _text_pieces(value.names, value.masks, inner)
+    else:
+        try:
+            pieces = _low_and_high_pieces(value.names, value.masks, inner)
+        except TypeError:  # a mask is None; checking first is slower
+            pieces = _text_pieces(value.names, value.masks, inner)
     pieces[-1] = tail + "\n" + indent + "]"
     out.append("[\n" + inner + head)
     out.extend(pieces)
@@ -588,15 +600,48 @@ def _write_masks(out, value, indent):
 #: _BITS[b]: the bits of the byte b from bit 0 up, as 0/1 selectors
 _BITS = [bytes(bits[::-1]) for bits in product((0, 1), repeat=8)]
 
-#: the table rule of _joined: a level holding at least 1/_MASKS_PER_TABLE
-#: as many masks as its run of names has bytes makes the pieces of every
-#: byte by doubling; a smaller level joins the names of each byte it
-#: holds.  On 8-name runs a byte costs about 0.18 microseconds in the
-#: table and 0.58 joined, plus 0.03 per mask to find the bytes held (a
-#: 2-vCPU host, Python 3.11), so the table pays once a level holds about
-#: a third of the bytes; a quarter is near enough, and the larger levels,
-#: the diag-k lattices and extents, hold every byte many times over.
+#: the table rule of _byte_pieces: masks at least 1/_MASKS_PER_TABLE as
+#: many as a run of names has bytes make the pieces of every byte by
+#: doubling; fewer join the names of each byte they hold.  It decides
+#: each level of _joined and the low bytes of _low_and_high_pieces.  On
+#: 8-name runs a byte costs about 0.18 microseconds in the table and 0.58
+#: joined, plus 0.03 per mask to find the bytes held (a 2-vCPU host,
+#: Python 3.11), so the table pays once the masks hold about a third of
+#: the bytes; a quarter is near enough, and the larger lists, the ideal
+#: lattices, the diag-k extents, hold every byte many times over.
 _MASKS_PER_TABLE = 4
+
+
+def _low_and_high_pieces(names, masks, indent):
+    """The pieces of an untagged mask list, three per mask in list order:
+    its level-0 piece, the text ``_joined`` makes for its higher part
+    ``m >> 8`` (empty when it has none), and the separator.  The level-0
+    piece is the byte's end for a mask below 256 (``[]`` for 0), its
+    link otherwise.  Nothing is kept per distinct mask and no mask's
+    text is made, so the work grows with the list and its distinct
+    higher parts, which suits a list that does not repeat its masks, an
+    ideal lattice.  A mask that is None raises TypeError."""
+    inner = indent + "  "
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    quoted = list(map(encode_basestring_ascii, names))
+    link, end = _byte_pieces(quoted[:8], masks, head, sep, tail)
+    end[0] = "[]"
+    highs = list(map(rshift, masks, repeat(8)))
+    rests = _joined(quoted[8:], set(highs) - {0}, "", sep, tail)
+    rests[0] = ""
+    pieces = [None, None, ",\n" + indent] * len(masks)
+    pieces[::3] = [end[m] if m < 256 else link[m & 255] for m in masks]
+    pieces[1::3] = map(rests.__getitem__, highs)
+    return pieces
+
+
+def _text_pieces(names, masks, indent):
+    """The pieces of an untagged mask list, two per mask: the text
+    ``_subset_texts`` made for it and the separator."""
+    texts = _subset_texts(names, masks, indent)
+    pieces = [None, ",\n" + indent] * len(masks)
+    pieces[::2] = map(texts.__getitem__, masks)
+    return pieces
 
 
 def _subset_texts(names, masks, indent):
@@ -621,46 +666,52 @@ def _joined(names, masks, head, sep, tail):
     a set of nonzero masks.
 
     Level k holds the distinct masks shifted right by 8k bits, and its
-    texts are made from the top level down.  A low byte of a level has
-    two pieces, made once: its "link", the byte's names and sep (nothing
-    for an empty byte), and its "end", the byte's names and tail; level
-    0's pieces open with head.  A mask is its byte's link followed by
-    the text level k + 1 made for its rest, or its byte's end when it
-    has no rest.  So every text is whole, and a mask costs at most one
-    concatenation a level.
-
-    The pieces come from one of two builders, by the rule at
-    _MASKS_PER_TABLE.  A level with many masks for its run's bytes gets
-    a table of every byte's pieces, made by doubling: after the run's
-    names below j, a byte whose highest name is j is the link of the
-    byte without it followed by that name, then sep for its link or
-    tail for its end; so each piece is two concatenations, and no byte
-    is taken apart.  A smaller level joins the names of each distinct
-    byte it holds, selected by _BITS.
+    texts are made from the top level down, each level's byte pieces by
+    ``_byte_pieces``; level 0's pieces open with head.  A mask is its
+    byte's link followed by the text level k + 1 made for its rest, or
+    its byte's end when it has no rest.  So every text is whole, and a
+    mask costs at most one concatenation a level.
     """
     levels = [masks]
     while 8 * len(levels) < len(names):
         levels.append({m >> 8 for m in levels[-1]} - {0})
     texts = {}
     while levels:
-        run = names[8 * len(levels) - 8:8 * len(levels)]
         level = levels.pop()
-        prefix = "" if levels else head
-        if _MASKS_PER_TABLE * len(level) >= 1 << len(run):
-            link, end = [prefix], [prefix + tail]
-            for name in run:
-                end += [t + name + tail for t in link]
-                link += [t + name + sep for t in link]
-        else:
-            link, end = {}, {}
-            for low in {m & 255 for m in level}:
-                body = prefix + sep.join(compress(run, _BITS[low]))
-                link[low] = body + sep if low else prefix
-                end[low] = body + tail
+        link, end = _byte_pieces(names[8 * len(levels):8 * len(levels) + 8],
+                                 level, "" if levels else head, sep, tail)
         rests = texts
         texts = {m: link[m & 255] + rests[m >> 8] if m >> 8 else end[m & 255]
                  for m in level}
     return texts
+
+
+def _byte_pieces(run, masks, prefix, sep, tail):
+    """(link, end), indexed by a low byte of masks over the names of run:
+    a byte's "link" is prefix, its names and sep (prefix alone for the
+    empty byte), and its "end" prefix, its names and tail.  Each piece is
+    made once, and the containers are new, so a caller may edit them.
+
+    By the rule at _MASKS_PER_TABLE, many masks for the run's bytes get a
+    list of every byte's pieces, made by doubling: after the run's names
+    below j, a byte whose highest name is j is the link of the byte
+    without it followed by that name, then sep for its link or tail for
+    its end; so each piece is two concatenations, and no byte is taken
+    apart.  Fewer masks get a dict over the distinct low bytes they
+    hold, each joining its names, selected by _BITS.
+    """
+    if _MASKS_PER_TABLE * len(masks) >= 1 << len(run):
+        link, end = [prefix], [prefix + tail]
+        for name in run:
+            end += [t + name + tail for t in link]
+            link += [t + name + sep for t in link]
+        return link, end
+    link, end = {}, {}
+    for low in {m & 255 for m in masks}:
+        body = prefix + sep.join(compress(run, _BITS[low]))
+        link[low] = body + sep if low else prefix
+        end[low] = body + tail
+    return link, end
 
 
 def main(argv=None):

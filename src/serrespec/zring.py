@@ -371,7 +371,11 @@ def _packing_pays(flat, n):
     that changes no route.  Dense fusion tables pack (verlinde-sl2-6:
     6,552 weighted partial products against 1,519 cells); small sparse
     ones do not, their n^3 slice cells outweighing the few partial
-    products (tri-6: 756 against 11,613).
+    products (tri-6: 756 against 11,613).  No term weighs more than the
+    heaviest output, so a table that stays within its cells even when
+    every term weighs that much goes sparse before the per-row pass.
+    That bound decides every sparse table measured but qplane-trunc-5,
+    whose unit weighs 42 (15,876 against 14,553 cells).
     """
     starts = [0] * n  # the terms of the rows g c, over every c
     ends = [0] * n    # the terms of the rows a g, over every a
@@ -379,8 +383,12 @@ def _packing_pays(flat, n):
         starts[a] += size
         ends[b] += size
     # a term of output g makes starts[g] + ends[g] partial products
-    weight = list(map(add, starts, ends)).__getitem__
-    cells = n * (2 * sum(starts) + n * n)
+    weights = list(map(add, starts, ends))
+    terms = sum(starts)
+    cells = n * (2 * terms + n * n)
+    if _CELLS_PER_PARTIAL_PRODUCT * terms * max(weights, default=0) <= cells:
+        return False
+    weight = weights.__getitem__
     weighted = 0
     for row in flat.values():  # a dense table passes within a few rows
         weighted += _CELLS_PER_PARTIAL_PRODUCT * sum(map(weight, map(

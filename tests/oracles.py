@@ -25,7 +25,9 @@ the restricted table through build_ring; labelled_truncation is the
 former monomial.truncate_to_ring, which made a Coefficient for every
 pair of monomials within the degree and validated through build_ring;
 looped_unit_defaults is the former io._fill_unit_defaults, which decided
-each (unit, basis element, side) triple on its own;
+each (unit, basis element, side) triple on its own; looped_packing_pays
+is the former zring._packing_pays, which weighed the rows' terms until
+they outweighed the cells, with no bound to decide a table first;
 combination_subsets is the former discrete path of ideals.down_sets,
 which listed the subsets of each cardinality by itertools.combinations;
 corner_classified_cprimes is the former twocat classification, which
@@ -43,7 +45,8 @@ from serrespec import (BALMER, LAURENT, LEFT, RIGHT, TWO_SIDED, ZARISKI,
                        closed_set, corner_ring, enumerate_serre_ideals,
                        product_support, serre_spec)
 from serrespec.monomial import _graded_vectors, monomial_label
-from serrespec.zring import iter_bits, mask_of, select_by_mask, subset_key
+from serrespec.zring import (_CELLS_PER_PARTIAL_PRODUCT, iter_bits,
+                             mask_of, select_by_mask, subset_key)
 
 from arith import add, basis, mul, support, text
 
@@ -344,6 +347,23 @@ def looped_unit_defaults(rows, n, units, blocks):
                     continue  # several units, no blocks: nothing is forced
                 if acts:
                     rows[pair] = {(g, 0): 1}
+
+
+def looped_packing_pays(flat, n):
+    """The work rule weighed term by term: whether _CELLS_PER_PARTIAL_PRODUCT
+    times the partial products the sparse path makes from the flat rows
+    outweighs the packed path's n * (2 * terms + n^2) cells."""
+    starts = [0] * n
+    ends = [0] * n
+    for (a, b), row in flat.items():
+        starts[a] += len(row)
+        ends[b] += len(row)
+    cells = n * (2 * sum(starts) + n * n)
+    weighted = 0
+    for row in flat.values():
+        for g, _ in row:
+            weighted += _CELLS_PER_PARTIAL_PRODUCT * (starts[g] + ends[g])
+    return weighted > cells
 
 
 def naive_mismatches(flat, n):

@@ -174,21 +174,24 @@ def _members(names, mask):
 @st.composite
 def mask_lists(draw):
     """(MaskList, the label lists it reads as): masks with repeats, the
-    zero and full masks among them, and sometimes closed-set tags."""
+    zero and full masks and None among them, and sometimes closed-set
+    tags."""
     def subsets(names):
         full = (1 << len(names)) - 1
-        return st.sampled_from([0, full]) | st.integers(0, full)
+        return st.none() | st.sampled_from([0, full]) | st.integers(0, full)
+
+    def read(names, m):
+        return None if m is None else _members(names, m)
 
     # up to 20 names, so masks reach past one and two 8-name bytes
     names = draw(st.lists(AWKWARD_TEXT, max_size=20))
     masks = draw(st.just([]) | aliased_lists(subsets(names)))
-    expected = [_members(names, m) for m in masks]
+    expected = [read(names, m) for m in masks]
     if not draw(st.booleans()):
         return MaskList(names, masks), expected
     tag_names = draw(st.lists(AWKWARD_TEXT, max_size=20))
-    tags = [draw(st.none() | subsets(tag_names)) for _ in masks]
-    expected = [{"points": p, "tag": None if t is None
-                 else _members(tag_names, t)}
+    tags = [draw(subsets(tag_names)) for _ in masks]
+    expected = [{"points": p, "tag": read(tag_names, t)}
                 for p, t in zip(expected, tags)]
     return MaskList(names, masks, MaskList(tag_names, tags)), expected
 
@@ -209,6 +212,9 @@ def test_mask_list_reads_and_renders_as_its_label_lists(data):
     assert len(carrier) == len(carrier.masks) == len(expected)
     assert carrier == expected and expected == carrier
     assert list(carrier) == expected
+    for repeats in (False, True):  # an untagged list takes either path
+        twin = MaskList(carrier.names, carrier.masks, carrier.tags, repeats)
+        assert render_report(twin) == json.dumps(expected, indent=2) + "\n"
     value = data.draw(holding(carrier))
     assert render_report(value) == \
         json.dumps(value, indent=2, default=list) + "\n"
@@ -216,7 +222,8 @@ def test_mask_list_reads_and_renders_as_its_label_lists(data):
 
 def test_mask_lists_over_seventy_names_render_as_json_dumps():
     # nine bytes of names, the last one partly filled: masks that touch
-    # only the top byte, every byte, and the bits either side of 64
+    # only the top byte, every byte, and the bits either side of 64; and
+    # a null mask in a plain list
     names = [f"n{i}" for i in range(68)] + ['"q\\', "\u00e9\n"]
     full = (1 << 70) - 1
     one_per_byte = sum(1 << (9 * k) for k in range(8))
@@ -224,9 +231,10 @@ def test_mask_lists_over_seventy_names_render_as_json_dumps():
              one_per_byte | 1 << 64, 1 << 63, 1 << 64, 0b11 << 63, 0,
              0x3f << 64, full, 1 << 63]
     plain = MaskList(names, masks)
+    with_null = MaskList(names, masks[:5] + [None] + masks[5:])
     tagged = MaskList(names, masks,
                       MaskList(names[::-1], masks[::-1][:-1] + [None]))
-    for value in (plain, tagged, {"a": [plain, {"b": tagged}]}):
+    for value in (plain, with_null, tagged, {"a": [plain, {"b": tagged}]}):
         assert render_report(value) == \
             json.dumps(value, indent=2, default=list) + "\n"
 
@@ -242,11 +250,12 @@ def test_every_one_and_two_bit_mask_renders_as_json_dumps(n):
     masks += [0, full, full & ~255, full >> 8 << 8 | 1, full >> 16 << 16]
     tags = masks[::-1]
     tags[::3] = [None] * len(tags[::3])
-    plain = MaskList(names, masks)
     tagged = MaskList(names, masks, MaskList(names[::-1], tags))
-    for value in (plain, tagged, {"a": [plain, {"b": tagged}]}):
-        assert render_report(value) == \
-            json.dumps(value, indent=2, default=list) + "\n"
+    for repeats in (False, True):
+        plain = MaskList(names, masks, repeats=repeats)
+        for value in (plain, tagged, {"a": [plain, {"b": tagged}]}):
+            assert render_report(value) == \
+                json.dumps(value, indent=2, default=list) + "\n"
 
 
 class _Reads(list):
@@ -295,8 +304,9 @@ def test_large_levels_render_from_doubling_tables(names, masks, monkeypatch):
 
 def test_small_levels_join_the_bytes_they_hold(monkeypatch):
     # 20 names: runs of 8, 8 and 4 names, and at most 3 masks a level
-    # past the first, which holds 4; so every level joins its bytes, and
-    # the plain list, rendered first, reads 3, 3 and 4 of them
+    # past the first, whose 6 masks hold 4 low bytes; so every level joins
+    # its bytes, and the plain list, rendered first, reads 3, 3 and 4 of
+    # them
     names = [f"n{i}" for i in range(19)] + ['"q\\']
     masks = [(1 << 20) - 1, 1 << 19, 0x5a5a5, 1, 0, 1 << 19]
     read = _render_both(names, masks, [None, 0, 1 << 19, 0x5a5a5, 1, 1],
@@ -335,6 +345,22 @@ def test_rendering_a_long_chain_allocates_little_beyond_its_text():
         tracemalloc.stop()
     assert len(text) > 2_000_000  # the 16,384-entry product chain
     assert peak <= 2.5 * len(text)
+
+
+def test_rendering_a_lattice_allocates_little_beyond_its_text(tmp_path):
+    # the 5,040 left ideals of tri-6 are written as per-byte pieces, with
+    # no text of their own
+    path = tmp_path / "tri-6.ring"
+    path.write_text(serialize_ring(upper_triangular(6)))
+    report = run_command(["ideals", str(path), "--side", "l"]).report
+    tracemalloc.start()
+    try:
+        text = render_report(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["count"] == 5040
+    assert peak <= 1.5 * len(text)
 
 
 def test_main_prints_the_rendered_report(capsys):

@@ -20,17 +20,17 @@ from serrespec.monomial import MonomialRing
 from serrespec.zring import (SIDES, AssociativityViolation, DuplicateLabel,
                              UnitViolation, ZPlusRing,
                              _associativity_violations, _by_middle,
-                             _packed_mismatches, _sparse_mismatches,
-                             is_commutative, iter_bits, mask_of,
-                             select_by_mask, sub_ring, subset_key)
+                             _packed_mismatches, _packing_pays,
+                             _sparse_mismatches, is_commutative, iter_bits,
+                             mask_of, select_by_mask, sub_ring, subset_key)
 
 from arith import add, basis, mul, support
 from conftest import SEED
 from ladder import diagonal, matrix_corner, upper_triangular
-from oracles import (flat_rows, index_tuple, naive_middle_support,
-                     naive_mismatches, naive_product_mask,
-                     naive_triple_support, naive_violations,
-                     rebuilt_sub_ring, table_of)
+from oracles import (flat_rows, index_tuple, looped_packing_pays,
+                     naive_middle_support, naive_mismatches,
+                     naive_product_mask, naive_triple_support,
+                     naive_violations, rebuilt_sub_ring, table_of)
 
 
 @pytest.fixture(scope="module")
@@ -1002,6 +1002,32 @@ def test_packing_rule_picks_the_route(name, monkeypatch):
         monkeypatch.setattr(zring, path, spy)
     assert _associativity_violations(labels, flat) == []
     assert calls == route
+
+
+def _work_rule_tables():
+    for ring in _table_rings():
+        yield pytest.param(lambda ring=ring: (ring.labels, ring.tensor),
+                           id=ring.name)
+    for name, (make, _) in sorted(ROUTES.items()):
+        yield pytest.param(make, id=name)
+
+
+@pytest.mark.parametrize("make", _work_rule_tables())
+def test_work_rule_decides_as_weighing_every_term(make):
+    # the bound on the heaviest output decides the sparse tables of
+    # ROUTES before the per-row pass, and the packed ones after it
+    labels, flat = make()
+    assert _packing_pays(flat, len(labels)) \
+        == looped_packing_pays(flat, len(labels))
+
+
+@given(perturbed_tables())
+@settings(max_examples=100)
+def test_work_rule_decides_as_weighing_every_term_on_perturbed_rings(case):
+    labels, tensor, _, _ = case
+    flat = flat_rows(tensor)
+    assert _packing_pays(flat, len(labels)) \
+        == looped_packing_pays(flat, len(labels))
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

@@ -17,8 +17,12 @@ parsed table's own route, for parse_ring_file on the ring's
 serialize_ring text, the path a CLI command takes.  Both validate the
 ring's table from scratch; the parsed table shares one row object among
 the products with one text, where the built one has a row per product.
+The last column times ideals.principal_closures on the left, right and
+two-sided side, the best of three host-clock times each, with the
+absorb tables already built: the n closures every lattice, spectrum and
+topology starts from.
 The rings are the gallery's verlinde-sl2-16/40/60 and
-qplane-trunc-5/10/15/19/20/25, tri-6/16, diag-10/150/400 and
+qplane-trunc-5/10/15/19/20/25, tri-6/16/40, diag-10/150/400/1000 and
 diag-block-400 from tests/ladder.py, and the benchmark's qmono-3-deg4;
 the bench-sized ones (qplane-trunc-5, tri-6, diag-10, qmono-3-deg4) time
 the sparse side of the work rule.  Names given on the command line pick
@@ -48,15 +52,19 @@ from workloads import TWISTS  # noqa: E402
 
 from serrespec import (build_ring, load_gallery,  # noqa: E402
                        parse_ring_file, serialize_ring)
+from serrespec.ideals import principal_closures  # noqa: E402
 from serrespec.monomial import MonomialRing, truncate_to_ring  # noqa: E402
-from serrespec.zring import (_by_middle, _packed_mismatches,  # noqa: E402
-                             _packing_pays, _unit_check, is_commutative)
+from serrespec.zring import (SIDES, _by_middle,  # noqa: E402
+                             _packed_mismatches, _packing_pays, _unit_check,
+                             is_commutative)
 
 RINGS = {
     **{f"verlinde-sl2-{k}": load_gallery for k in (16, 40, 60)},
     **{f"qplane-trunc-{d}": load_gallery for d in (5, 10, 15, 19, 20, 25)},
-    **{f"tri-{k}": (lambda name, k=k: upper_triangular(k)) for k in (6, 16)},
-    **{f"diag-{k}": (lambda name, k=k: diagonal(k)) for k in (10, 150, 400)},
+    **{f"tri-{k}": (lambda name, k=k: upper_triangular(k))
+       for k in (6, 16, 40)},
+    **{f"diag-{k}": (lambda name, k=k: diagonal(k))
+       for k in (10, 150, 400, 1000)},
     "diag-block-400": lambda name: diagonal(400, blocks=True),
     "qmono-3-deg4": lambda name: truncate_to_ring(
         MonomialRing(3, TWISTS[1]), 4, name),
@@ -110,6 +118,23 @@ def timed(run):
             f"peak={peak / 2 ** 20:6.1f} MB")
 
 
+def closure_times(ring):
+    """'closures left=... right=... two=...': the best of REPEATS
+    host-clock times of principal_closures on each side, from a cleared
+    cache and built absorb tables."""
+    ring.two_sided_absorb
+    times = []
+    for side in SIDES:
+        best = float("inf")
+        for _ in range(REPEATS):
+            ring.cache.clear()
+            start = time.perf_counter()
+            principal_closures(ring, side)
+            best = min(best, time.perf_counter() - start)
+        times.append(f"{side}={best * 1000:.3f} ms")
+    return "closures " + " ".join(times)
+
+
 def measure(name):
     ring = RINGS[name](name)
     table = table_of(ring)
@@ -121,7 +146,8 @@ def measure(name):
     return (f"{name:<16} n={ring.size:<4} terms={terms:<7} {path:<12}"
             f"{'skip' if skip else 'full':<5} "
             f"build {timed(lambda: build(ring, table))}  "
-            f"parse {parsed:<12}{timed(lambda: parse_ring_file(text))}")
+            f"parse {parsed:<12}{timed(lambda: parse_ring_file(text))}  "
+            f"{closure_times(ring)}")
 
 
 def main():

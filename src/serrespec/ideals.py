@@ -31,7 +31,6 @@ variable, so it holds for the code run in its block and in that context
 only; every new thread starts guarded.
 """
 
-from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain
@@ -112,14 +111,24 @@ def is_serre_ideal(ring, members, side=TWO_SIDED):
 
 
 def serre_closure(ring, gens, side=TWO_SIDED):
-    """Least ideal subset containing the generators (worklist in basis order)."""
+    """Least ideal subset containing the generators.
+
+    Grows by whole frontier rounds: the first frontier is the generators,
+    and each round ORs the absorb masks of the frontier's bits, taken by
+    their lowest set bit, so the next frontier is what that adds to the
+    members.  Each member's absorb mask is read once, in the round after
+    it joins, so the cost is one OR per member of the closure.
+    """
     absorb = _absorb_table(ring, side)
-    members = gens
-    queue = deque(iter_bits(members))
-    while queue:
-        added = absorb[queue.popleft()] & ~members
-        members |= added
-        queue.extend(iter_bits(added))
+    members = frontier = gens
+    while frontier:
+        added = 0
+        while frontier:
+            low = frontier & -frontier
+            added |= absorb[low.bit_length() - 1]
+            frontier ^= low
+        frontier = added & ~members
+        members |= frontier
     return members
 
 

@@ -27,10 +27,21 @@ serre_closure(h)} for primality, since every Serre prime is
 meet-irreducible in the ideal lattice and so one of them.  An ideal not
 inside P_g holds g and so <g>, so a pair of them with product inside
 P_g puts <g><g> inside P_g.  P_g is thus prime exactly when its square
-<g><g> escapes it, which the squares table, one product_support(<g>,
-<g>) per g cached on the ring, answers with one AND.  The cached
-lattice is read only to list the primes in canonical order, which also
-keeps the basis-size guard in front of every spectrum.
+<g><g> escapes it.
+
+The lemma that decides this from the products inside <g> alone: the
+support of a product IJ of two ideal subsets is itself an ideal subset.
+For x in supp(b_a b_b), a in I and b in J, positivity puts supp(b_r x)
+inside supp((b_r b_a) b_b), which lies in product_support(I, J) as
+supp(b_r b_a) lies in I; and the same on the right.  So the square
+S = product_support(<g>, <g>) is an ideal, and it escapes P_g, the
+largest ideal missing g, exactly when it holds g: an h in S outside P_g
+has g in its closure, which S contains.  P_g is therefore prime exactly
+when some nonzero product b_a b_b with a and b in <g> has g in its
+support, which _prime_masks reads from per-output producer lists with
+no product support computed.  The cached lattice is read only to list
+the primes in canonical order, which also keeps the basis-size guard in
+front of every spectrum.
 
 Definitional primality still quantifies over every pair of ideals, but
 decides each containment I*J inside P with one AND instead of a product
@@ -75,31 +86,35 @@ def _first_pair(table, members):
     return None
 
 
-def _squares(ring):
-    """squares[g]: product_support(<g>, <g>) of the principal ideal
-    <g> = serre_closure(g), for each g in basis order; a tuple computed
-    once per ring and cached on it."""
-    cached = ring.cache.get("squares")
-    if cached is None:
-        cached = tuple(product_support(ring, c, c)
-                       for c in principal_closures(ring))
-        ring.cache["squares"] = cached
-    return cached
+def _square(ring, g):
+    """product_support(<g>, <g>) of the principal ideal
+    <g> = serre_closure(g), computed on its first read and kept in a
+    dict cached on the ring."""
+    squares = ring.cache.setdefault("squares", {})
+    square = squares.get(g)
+    if square is None:
+        closure = principal_closures(ring)[g]
+        square = squares[g] = product_support(ring, closure, closure)
+    return square
 
 
 def _prime_masks(ring):
     """Serre prime masks in canonical order, computed once per ring.
 
     Only the principal complements P_g = {h : g not in serre_closure(h)}
-    are scanned, at most n of them, and P_g is kept exactly when
-    squares[g] escapes it (see the module docstring).  A prime P is
-    meet-irreducible: if P = I & J for ideals I, J strictly above P,
-    then IJ lies in I & J = P with neither factor inside P, so P is not
-    prime.  The ideal subsets are the down-sets of a finite preorder,
-    and there the meet-irreducible members are exactly the principal
-    complements: a proper down-set is the meet of the complements of the
-    g outside it, and the complement of g is the largest down-set
-    missing g.
+    are scanned, at most n of them.  A prime P is meet-irreducible: if
+    P = I & J for ideals I, J strictly above P, then IJ lies in I & J = P
+    with neither factor inside P, so P is not prime.  The ideal subsets
+    are the down-sets of a finite preorder, and there the meet-irreducible
+    members are exactly the principal complements: a proper down-set is
+    the meet of the complements of the g outside it, and the complement
+    of g is the largest down-set missing g.
+
+    P_g is kept exactly when some nonzero product ab with a and b in <g>
+    has g in its support (see the module docstring), read from per-output
+    producer lists: for each h, the pair mask of every (a, b) whose row
+    holds h, built in one pass over the tensor.  The first pair inside
+    <g> decides, so no product support is computed.
 
     The cached two-sided lattice is read all the same, one dict lookup
     per member: it lists the candidates in canonical order with no sort,
@@ -108,11 +123,22 @@ def _prime_masks(ring):
     cached = ring.cache.get("primes")
     if cached is None:
         lattice = enumerate_serre_ideals(ring, TWO_SIDED)
+        closures = principal_closures(ring)
+        producers = [[] for _ in closures]
+        for (a, b), row in ring.tensor.items():
+            pair = 1 << a | 1 << b
+            for h, _ in row:
+                producers[h].append(pair)
         # no complement is the full mask: it misses its own g
         first = principal_complements(ring)
-        squares = _squares(ring)
-        cached = tuple(m for m in lattice
-                       if m in first and squares[first[m]] & ~m)
+        prime = set()
+        for m, g in first.items():
+            outside = ~closures[g]
+            for pair in producers[g]:
+                if not pair & outside:
+                    prime.add(m)
+                    break
+        cached = tuple(m for m in lattice if m in prime)
         ring.cache["primes"] = cached
     return cached
 
@@ -187,12 +213,12 @@ def is_semiprime(ring, ideal, mode=FAST):
     """Serre semiprimality of a proper two-sided ideal subset.
 
     Fast mode fails at the first basis element a outside P whose
-    principal ideal <a> squares into P, read from the squares table:
-    product_support(<a>, <a>) inside P, equivalently every two-step
-    self-product supp(b_a b_a), supp(b_a b_t b_a) inside P (see the
-    module docstring).  Definitional mode asks for equality with the
-    intersection of the Serre primes above (false with a note when no
-    prime lies above).
+    principal ideal <a> squares into P, each square computed on its
+    first read and kept on the ring: product_support(<a>, <a>) inside
+    P, equivalently every two-step self-product supp(b_a b_a),
+    supp(b_a b_t b_a) inside P (see the module docstring).  Definitional
+    mode asks for equality with the intersection of the Serre primes
+    above (false with a note when no prime lies above).
     """
     members = require_proper_two_sided(ring, ideal)
     if mode == FAST:
@@ -204,9 +230,11 @@ def is_semiprime(ring, ideal, mode=FAST):
 
 def _fast_semiprime(ring, members):
     """is_semiprime's fast mode on a mask the caller vouches is a proper
-    two-sided ideal."""
-    for a, square in enumerate(_squares(ring)):
-        if not members >> a & 1 and not square & ~members:
+    two-sided ideal.  The elements outside it are tested in basis order,
+    and the first failure stops the scan, so only the squares read up to
+    it are computed."""
+    for a in iter_bits(ring.full_mask & ~members):
+        if not _square(ring, a) & ~members:
             return False, {"element": ring.labels[a]}
     return True, None
 

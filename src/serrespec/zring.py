@@ -147,7 +147,10 @@ class ZPlusRing:
         n = len(self.labels)
         pm = [[0] * n for _ in range(n)]
         for (a, b), row in self.tensor.items():
-            pm[a][b] = mask_of(g for g, _ in row)
+            mask = 0
+            for g, _ in row:
+                mask |= 1 << g
+            pm[a][b] = mask
         return tuple(map(tuple, pm))
 
     @cached_property
@@ -689,10 +692,13 @@ def _unit_check(labels, tensor, units):
         left = [found[0][0] for found in lefts]
         right = [found[0][0] for found in rights]
         for (x, y), row in tensor.items():
-            if right[x] != left[y] or any(
-                    left[h] != left[x] or right[h] != right[y]
-                    for h, _ in row):
+            lx = left[x]
+            ry = right[y]
+            if right[x] != left[y]:
                 return violations, frozenset()
+            for h, _ in row:
+                if left[h] != lx or right[h] != ry:
+                    return violations, frozenset()
     return violations, units
 
 
@@ -787,28 +793,38 @@ def _assemble(labels, mode, tensor, blocks, units, name):
     _CELLS_PER_PARTIAL_PRODUCT and _BITS_PER_ENTRY, over the triples with
     no unit in them when _unit_check finds that the others associate; the
     violating triples are described in (a, b, c) order, then the unit
-    violations.
+    violations.  The block check is one pass in tensor order that sorts
+    only what it finds, so its violations come in (a, b) order, first of
+    all.
     """
     _require_distinct(labels, name)
     if units is not None and not units:
         raise RingError("unit set must be nonempty when given")
     violations = []
     if blocks is not None:
-        for ai, bi in sorted(tensor):
+        found = []
+        for (ai, bi), row in tensor.items():
             sa, ta = blocks[ai]
             sb, tb = blocks[bi]
             if tb != sa:
-                violations.append(BlockIncompatibility(
+                found.append(((ai, bi), BlockIncompatibility(
                     labels[ai], labels[bi],
                     f"target of {labels[bi]} is {tb} but source of "
-                    f"{labels[ai]} is {sa}; the product must vanish"))
+                    f"{labels[ai]} is {sa}; the product must vanish")))
                 continue
-            for gi in dict.fromkeys(g for g, _ in tensor[ai, bi]):
-                if blocks[gi] != (sb, ta):
-                    violations.append(BlockIncompatibility(
-                        labels[ai], labels[bi],
-                        f"output {labels[gi]} lies in block "
-                        f"{blocks[gi]}, expected ({sb}, {ta})"))
+            want = (sb, ta)
+            for g, _ in row:
+                if blocks[g] != want:
+                    found.extend(
+                        ((ai, bi), BlockIncompatibility(
+                            labels[ai], labels[bi],
+                            f"output {labels[gi]} lies in block "
+                            f"{blocks[gi]}, expected ({sb}, {ta})"))
+                        for gi in dict.fromkeys(h for h, _ in row)
+                        if blocks[gi] != want)
+                    break
+        found.sort(key=itemgetter(0))
+        violations.extend(map(itemgetter(1), found))
 
     unit_violations, skip = [], frozenset()
     if units is not None:

@@ -60,3 +60,18 @@ def proper_quotients(rings):
     return [quotient_ring(ring, ideal) for ring in rings
             for ideal in enumerate_serre_ideals(ring)
             if 0 != ideal != ring.full_mask]
+
+
+def incidence(closures):
+    """The incidence ring of a preorder given by its closure masks: a
+    basis element e_g_h for each h in closures[g], with
+    e_g_h e_h_k = e_g_k, and the e_g_g for units.  tri-k is the incidence
+    ring of a chain of k points, diag-k that of k incomparable ones."""
+    n = len(closures)
+    pairs = [(g, h) for g in range(n) for h in range(n)
+             if closures[g] >> h & 1]
+    tensor = {(f"e{g}_{h}", f"e{h}_{k}"): {f"e{g}_{k}": 1}
+              for g, h in pairs for k in range(n) if closures[h] >> k & 1}
+    return build_ring([f"e{g}_{h}" for g, h in pairs], tensor, INT,
+                      units=[f"e{g}_{g}" for g in range(n)],
+                      name=f"incidence-{n}")

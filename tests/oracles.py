@@ -32,9 +32,15 @@ combination_subsets is the former discrete path of ideals.down_sets,
 which listed the subsets of each cardinality by itertools.combinations;
 corner_classified_cprimes is the former twocat classification, which
 read each object's corner-ring spectrum and lifted it, the paper's block
-theorem for completely prime ideals.
+theorem for completely prime ideals; worklist_closure is the former
+ideals.serre_closure, a deque worklist in basis order over the absorb
+masks, and squares_primes the former spectrum._prime_masks, which kept
+each principal complement P_g whose square product_support(<g>, <g>)
+escapes it, kept as order-exact oracles for the frontier rounds and the
+producer-list test.
 """
 
+from collections import deque
 from itertools import (chain, combinations, combinations_with_replacement,
                        product)
 
@@ -228,6 +234,35 @@ def lattice_filtered_primes(ring):
              for a in range(ring.size)]
     return [m for m in lattice
             if m != ring.full_mask and naive_first_pair(table, m) is None]
+
+
+def worklist_closure(ring, gens, side=TWO_SIDED):
+    """Least ideal subset containing the generators: a worklist in basis
+    order, each member's absorb mask read once as it is popped."""
+    absorb = {LEFT: ring.left_absorb, RIGHT: ring.right_absorb,
+              TWO_SIDED: ring.two_sided_absorb}[side]
+    members = gens
+    queue = deque(iter_bits(members))
+    while queue:
+        added = absorb[queue.popleft()] & ~members
+        members |= added
+        queue.extend(iter_bits(added))
+    return members
+
+
+def squares_primes(ring):
+    """Serre prime masks in lattice order: each principal complement P_g
+    whose square product_support(<g>, <g>) escapes it, with <g> the
+    worklist closure of g."""
+    with allow_large():
+        lattice = enumerate_serre_ideals(ring, TWO_SIDED)
+    closures = [worklist_closure(ring, 1 << g) for g in range(ring.size)]
+    first = {}
+    for g in range(ring.size):
+        first.setdefault(mask_of(h for h, c in enumerate(closures)
+                                 if not c >> g & 1), g)
+    squares = [product_support(ring, c, c) for c in closures]
+    return [m for m in lattice if m in first and squares[first[m]] & ~m]
 
 
 def corner_classified_cprimes(ring):

@@ -156,6 +156,16 @@ def test_render_report_is_json_dumps_with_indent_two(value):
     assert render_report(value) == json.dumps(value, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("value", [
+    True, False, None, 0, -7, 10 ** 40 - 1, -(10 ** 40), 0.5,
+    {"holds": True, "witness": None, "count": 3, "flags": [False, True]},
+], ids=["true", "false", "none", "zero", "negative", "40-digit",
+        "negative-41-digit", "float", "report"])
+def test_render_report_writes_scalars_as_json_dumps(value):
+    assert render_report(value) == \
+        json.dumps(value, indent=2, default=list) + "\n"
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["one", "distinct"])
 def test_render_report_of_ten_thousand_label_lists(shared):
     labels = ["e1_1", "e1_2", "e2_2", "q^-1"]
@@ -278,9 +288,23 @@ def _render_both(names, masks, tags, monkeypatch):
     plain = MaskList(names, masks)
     tagged = MaskList(names, masks, MaskList(names[::-1], tags))
     for value in (plain, tagged):
-        assert render_report(value) == \
-            json.dumps(value, indent=2, default=list) + "\n"
+        _assert_same_text(render_report(value),
+                          json.dumps(value, indent=2, default=list) + "\n")
     return read
+
+
+def _assert_same_text(got, want):
+    """got == want, failed with the lengths and the first differing offset
+    and an excerpt around it, so that a wrong render of a long text fails
+    at once rather than in a diff of the whole texts."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    start = max(at - 40, 0)
+    pytest.fail(f"lengths {len(got)} and {len(want)}, first difference at "
+                f"offset {at}: {got[start:at + 40]!r} != "
+                f"{want[start:at + 40]!r}")
 
 
 def _past_the_rule():
@@ -426,24 +450,26 @@ def test_parser_is_built_once():
     (["validate", "tri-3.ring"], False),
     (["closure", "gallery:ising", "--gens", "eps"], False),
     (["closure", "tri-3.ring", "--gens", "e2_2", "--side", "l"], False),
-    (["spec", "gallery:ising"], True),
-], ids=["validate", "validate-file", "closure", "closure-file", "spec"])
+    (["spec", "gallery:ising"], False),
+    (["check", "gallery:ising", "--prop", "semiprime", "--ideal", ""], True),
+], ids=["validate", "validate-file", "closure", "closure-file", "spec",
+        "check-semiprime"])
 def test_only_commands_that_need_it_build_the_triple_table(
         argv, reads, tmp_path, monkeypatch):
     # the table is the squares table, product_support(<g>, <g>) per
-    # basis element g, which the primality checks read in place of the
-    # former two-step triple table
+    # basis element g, which fast semiprimality reads in place of the
+    # former two-step triple table; the spectrum reads producer lists
     (tmp_path / "tri-3.ring").write_text(serialize_ring(upper_triangular(3)))
     monkeypatch.chdir(tmp_path)
     built = []
-    derive = spectrum._squares
+    derive = spectrum._square
 
-    def spy(ring):
+    def spy(ring, g):
         if "squares" not in ring.cache:
             built.append(ring)
-        return derive(ring)
+        return derive(ring, g)
 
-    monkeypatch.setattr(spectrum, "_squares", spy)
+    monkeypatch.setattr(spectrum, "_square", spy)
     assert run_command(argv).exit_code == EXIT_OK
     assert bool(built) == reads
 

@@ -18,10 +18,12 @@ from serrespec import ideals
 from serrespec.gallery import quantum_plane
 from serrespec.ideals import down_sets
 
-from ladder import diagonal, matrix_corner, upper_triangular
+from ladder import (diagonal, matrix_corner, proper_quotients,
+                    upper_triangular)
 from oracles import canonical_key, combination_subsets, naive_enumerate, \
     naive_ideal_witness, naive_is_serre_ideal, naive_product_support, \
-    scan_enumerate, scan_pairs_inside
+    scan_enumerate, scan_pairs_inside, worklist_closure
+from strategies import incidence_quotients, preorders
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,39 @@ def test_closure_is_a_closure_operator(gallery):
                 assert closed & ~sup == 0
 
 
+def _closure_rings():
+    """The gallery, qplane-trunc-0..3, tri-1..5, tri-block-3, diag-1..5,
+    matrix-corner-2 and every quotient of those by a nonzero proper
+    ideal."""
+    rings = [load_gallery(name) for name in gallery_names()]
+    rings += [truncate_to_ring(quantum_plane(), d) for d in range(4)]
+    rings += [upper_triangular(k) for k in range(1, 6)]
+    rings += [upper_triangular(3, blocks=True), matrix_corner(2)]
+    rings += [diagonal(k) for k in range(1, 6)]
+    return rings + proper_quotients(rings)
+
+
+def _assert_worklist_closures(ring):
+    # every generator and every pair of generators, on each side
+    n = ring.size
+    gens = [1 << g | 1 << h for g in range(n) for h in range(g, n)]
+    for side in (LEFT, RIGHT, TWO_SIDED):
+        for m in gens:
+            assert serre_closure(ring, m, side) \
+                == worklist_closure(ring, m, side), (ring.name, side, m)
+
+
+def test_frontier_closures_equal_the_worklist():
+    for ring in _closure_rings():
+        _assert_worklist_closures(ring)
+
+
+@settings(max_examples=150, deadline=None)
+@given(incidence_quotients())
+def test_frontier_closures_equal_the_worklist_on_drawn_rings(ring):
+    _assert_worklist_closures(ring)
+
+
 def test_enumerate_examples():
     zx = load_gallery("zx2-1")
     assert [labels_from_mask(zx, i) for i in enumerate_serre_ideals(zx)] \
@@ -169,23 +204,6 @@ def test_enumerate_order_is_cardinality_then_lex():
     out = list(enumerate_serre_ideals(ti))
     keys = [(m.bit_count(), labels_from_mask(ti, m)) for m in out]
     assert keys == sorted(keys)
-
-
-@st.composite
-def preorders(draw):
-    """Closure masks of a reflexive, transitive relation on at most 12
-    points: the reflexive-transitive closure of a few drawn pairs."""
-    n = draw(st.integers(0, 12))
-    closures = [1 << g for g in range(n)]
-    if n:
-        point = st.integers(0, n - 1)
-        for g, h in draw(st.lists(st.tuples(point, point), max_size=2 * n)):
-            closures[g] |= 1 << h
-    for k in range(n):  # Warshall: close through each point k in turn
-        for g in range(n):
-            if closures[g] >> k & 1:
-                closures[g] |= closures[k]
-    return closures
 
 
 def brute_down_sets(closures):

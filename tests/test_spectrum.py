@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serrespec import (DEFINITIONAL, FAST, ImproperIdeal, NoPrimeOver,
-                       NotAnIdeal, build_ring, chain_product_support,
+                       NotAnIdeal, allow_large, build_ring,
+                       chain_product_support,
                        enumerate_serre_ideals, gallery_names,
                        is_completely_prime, is_semiprime, is_serre_prime,
                        labels_from_mask, load_gallery, mask_from_labels,
@@ -19,7 +20,8 @@ from ladder import diagonal, proper_quotients, upper_triangular
 from oracles import (lattice_filtered_primes, lattice_maximal_disjoint,
                      naive_first_pair, naive_is_completely_prime,
                      naive_is_prime, naive_is_semiprime, naive_triple_support,
-                     plain_fold, power_orbit)
+                     plain_fold, power_orbit, squares_primes)
+from strategies import incidence_quotients
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +430,20 @@ def test_every_prime_is_a_principal_complement(ladder_rings):
                        for g in range(ring.size)}
         for p in lattice_filtered_primes(ring):
             assert p in complements, (ring.name, p)
+
+
+def test_producer_list_primes_equal_the_squares_test(ladder_rings):
+    for ring in ladder_rings:
+        assert serre_spec(ring).primes == squares_primes(ring), ring.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(incidence_quotients())
+def test_producer_list_primes_equal_the_squares_test_on_drawn_rings(ring):
+    with allow_large():
+        primes = serre_spec(ring).primes
+    assert primes == squares_primes(ring)
+    assert primes == lattice_filtered_primes(ring)
 
 
 def test_spec_primes_are_the_whole_lattice_filtered(ladder_rings):

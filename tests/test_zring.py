@@ -17,7 +17,8 @@ from serrespec import spectrum, zring
 from serrespec.gallery import quantum_plane
 from serrespec.ideals import principal_closures, product_support, serre_closure
 from serrespec.monomial import MonomialRing
-from serrespec.zring import (SIDES, AssociativityViolation, DuplicateLabel,
+from serrespec.zring import (SIDES, AssociativityViolation,
+                             BlockIncompatibility, DuplicateLabel,
                              UnitViolation, ZPlusRing,
                              _associativity_violations, _by_middle,
                              _packed_mismatches, _packing_pays,
@@ -105,6 +106,39 @@ def test_block_incompatibility_detected():
     assert any("block" in v.describe() for v in exc.value.violations)
 
 
+def _tri_block_edit(*rows):
+    """tri-block-3's table with the rows (a, b, output) set, by label,
+    in reversed order: the block check lists its violations sorted by
+    (a, b), not in the table's order."""
+    tri = upper_triangular(3, blocks=True)
+    tensor = table_of(tri)
+    for a, b, g in rows:
+        tensor[tri.index(a), tri.index(b)] = {tri.index(g): 1}
+    with pytest.raises(RingValidationError) as exc:
+        build_ring(tri.labels, dict(reversed(tensor.items())), tri.mode,
+                   dict(zip(tri.labels, tri.blocks)), tri.units)
+    return exc.value.violations
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([("e2_2", "e2_3", "e2_2"), ("e1_2", "e2_3", "e1_2")], [
+        BlockIncompatibility("e1_2", "e2_3", "output e1_2 lies in block "
+                             "('2', '1'), expected (3, 1)"),
+        BlockIncompatibility("e2_2", "e2_3", "output e2_2 lies in block "
+                             "('2', '2'), expected (3, 2)")]),
+    ([("e2_3", "e1_1", "e1_3"), ("e1_2", "e1_2", "e1_2")], [
+        BlockIncompatibility("e1_2", "e1_2", "target of e1_2 is 1 but "
+                             "source of e1_2 is 2; the product must vanish"),
+        BlockIncompatibility("e2_3", "e1_1", "target of e1_1 is 1 but "
+                             "source of e2_3 is 3; the product must vanish")]),
+], ids=["output-in-another-block", "product-across-blocks"])
+def test_block_violations_come_first_in_product_order(rows, expected):
+    violations = _tri_block_edit(*rows)
+    assert violations[:len(expected)] == expected
+    assert not any(isinstance(v, BlockIncompatibility)
+                   for v in violations[len(expected):])
+
+
 def test_unit_violation_detected():
     # a is not idempotent, so it cannot be declared a unit
     with pytest.raises(RingValidationError) as exc:
@@ -155,7 +189,7 @@ def test_triple_support_examples():
     s = ising.index("sigma")
     assert labels_from_mask(ising, naive_triple_support(ising, s, s)) \
         == ["1", "eps", "sigma"]
-    assert labels_from_mask(ising, spectrum._squares(ising)[s]) \
+    assert labels_from_mask(ising, spectrum._square(ising, s)) \
         == ["1", "eps", "sigma"]
     m2 = load_gallery("m2-block")
     a, b = m2.index("e12"), m2.index("e21")
@@ -174,9 +208,9 @@ def test_triple_support_examples():
 def test_triple_support_matches_naive_oracle(gallery):
     for ring in gallery.values():
         up = principal_closures(ring)
-        squares = spectrum._squares(ring)
         for a in range(ring.size):
-            assert squares[a] == product_support(ring, up[a], up[a])
+            assert spectrum._square(ring, a) \
+                == product_support(ring, up[a], up[a])
             for b in range(ring.size):
                 triple = naive_triple_support(ring, a, b)
                 principal = product_support(ring, up[a], up[b])
